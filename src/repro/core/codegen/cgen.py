@@ -239,7 +239,7 @@ class _CGen:
                 f"dimension; cannot map it onto vector registers"
             )
         total = " * ".join(self.expr(d, 1) for d in typ.shape)
-        return f"{typ.ctype()} {name}[{total}];"
+        return f"{typ.base.ctype()} {name}[{total}];"
 
     def call(self, s: Call):
         callee = s.proc
@@ -311,7 +311,9 @@ class _CGen:
         ]
         body = "\n".join(prelude + self.lines)
         header = f"void {self.ir.name}({', '.join(params)}) {{"
-        includes = [i.header for i in self.isa_infos if i.header]
+        # loop counters and size parameters are int_fast32_t
+        includes = ["#include <stdint.h>"]
+        includes += [i.header for i in self.isa_infos if i.header]
         preamble = "\n".join(dict.fromkeys(includes + self.globals))
         text = f"{header}\n{body}\n}}\n"
         if preamble:

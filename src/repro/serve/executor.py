@@ -191,17 +191,13 @@ def prewarm_executors(
     ``candidates`` = total rows), then materializes only each winner's
     partition — the identical tie-break as the scalar search, so the
     memo entries are bit-identical to lazy pricing.  Returns the number
-    of memo entries filled; a numpy-less interpreter is a no-op (the
-    lazy path still works).
+    of memo entries filled.
     """
-    try:
-        import numpy as np
+    import numpy as np
 
-        from repro.sim import vectorized as vec
-    except ImportError:  # pragma: no cover - the CI image always has numpy
-        return 0
     from repro.blis.params import analytical_tile_params, clamp_tiles
     from repro.eval.harness import plane_chunk_plans
+    from repro.sim import vectorized as vec
     from repro.sim.parallel import candidate_grids, partition_plane
 
     requests = []  # (ex, key, m, n, k, main, tiles, grids)

@@ -53,19 +53,12 @@ from .timing import ChunkPlan, TimingModel, plans_compute_cycles
 #: through which per-thread edge/tail kernel selection happens
 PlanBuilder = Callable[[int, int], List[ChunkPlan]]
 
-try:  # NumPy powers the batched grid search; the scalar oracle needs none
-    import numpy  # noqa: F401
-
-    _HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - the CI image always has numpy
-    _HAVE_NUMPY = False
-
 #: default grid-search engine: the vectorized batch evaluator
-#: (:mod:`repro.sim.vectorized`) when numpy is importable, else the
-#: scalar loop.  Both rank identically — the vectorized engine is
-#: bit-exact against the scalar oracle (tests/test_vectorized.py) —
-#: so this only changes evaluation throughput, never the winner.
-DEFAULT_SEARCH = "vectorized" if _HAVE_NUMPY else "scalar"
+#: (:mod:`repro.sim.vectorized`).  It ranks identically to the scalar
+#: loop (``search="scalar"``) — the vectorized engine is bit-exact
+#: against that oracle (tests/test_vectorized.py) — so the choice only
+#: changes evaluation throughput, never the winner.
+DEFAULT_SEARCH = "vectorized"
 
 
 # ---------------------------------------------------------------------------
@@ -754,7 +747,7 @@ def parallel_gemm_breakdown(
         )
     engine = search or DEFAULT_SEARCH
     if partition is None:
-        if engine == "vectorized" and _HAVE_NUMPY and threads > 1:
+        if engine == "vectorized" and threads > 1:
             partition = _best_partition_vectorized(
                 m, n, k, threads, machine, tiles,
                 plans_for=plans_for, model=model,

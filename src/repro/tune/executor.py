@@ -31,13 +31,6 @@ from repro.obs import Obs
 from .cache import TuneCache, cache_key, record_from_breakdown
 from .space import TuneJob
 
-try:  # numpy enables the batched (vectorized) evaluation path
-    import numpy  # noqa: F401
-
-    _HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - the CI image always has numpy
-    _HAVE_NUMPY = False
-
 #: chunks submitted per worker (per ISA group) — small enough to balance
 #: load across workers, large enough to amortize submission overhead
 CHUNKS_PER_WORKER = 2
@@ -111,13 +104,11 @@ def evaluate_candidates(
     :func:`repro.sim.vectorized.batch_gemm_cycles` call — the records
     are bit-identical to per-spec :func:`evaluate_candidate` calls
     (the engine's oracle contract), just orders of magnitude faster
-    per candidate.  Threaded specs, and every spec when numpy is
-    unavailable, fall through to the scalar path.  Records come back
-    in spec order, ready for per-candidate cache keys.
+    per candidate.  Threaded specs fall through to the scalar path.
+    Records come back in spec order, ready for per-candidate cache
+    keys.
     """
     global _breakdown_calls
-    if not _HAVE_NUMPY:
-        return [evaluate_candidate(isa, *spec) for spec in specs]
     results: List[Optional[Dict[str, float]]] = [None] * len(specs)
     serial = []
     for i, spec in enumerate(specs):

@@ -22,6 +22,7 @@ Two pieces the paper describes but does not spell out:
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Dict, Optional
 
 from repro.core import DRAM, Procedure, proc
@@ -36,11 +37,15 @@ from repro.core.scheduling import (
     set_memory,
     simplify,
     stage_mem,
-    unroll_loop,
 )
 from .generator import (
     GeneratedKernel,
     _default_lib,
+    _Flavour,
+    _generate,
+    _Operand,
+    _packed,
+    _schedule,
     make_scaled_reference_kernel,
 )
 
@@ -69,6 +74,25 @@ def make_nopack_reference_kernel() -> Procedure:
     return ukernel_nopack_ref
 
 
+def _nopack(mr: int, nr: int, lib: dict) -> _Flavour:
+    """Items 1-4 of the paper's recipe: only j splits ("Loop i ... should
+    not be split"), C and B vectorize along the contiguous j, and A_reg is
+    sized by MR and filled by broadcasts for ``neon_vfmadd``."""
+    lanes = lib["lanes"]
+    return _Flavour(
+        split=("j",),
+        c_access=f"C[i, {lanes} * jt + jtt]",
+        c_lane="jtt",
+        c_dims=((nr // lanes, "jt"), (mr, "i")),
+        operands=(
+            _Operand("A", "jtt", ((mr, "i"),), "broadcast", 3),
+            _Operand("B", "jtt", ((nr // lanes, "jt"),), "load", 3),
+        ),
+        fma="fma",
+        unroll=("jt #1",),
+    )
+
+
 def generate_nopack_microkernel(
     mr: int, nr: int, lib: Optional[dict] = None
 ) -> GeneratedKernel:
@@ -84,69 +108,10 @@ def generate_nopack_microkernel(
         raise ValueError(
             f"non-packed kernel needs NR divisible by {lanes}, got {nr}"
         )
-    steps: Dict[str, Procedure] = {}
-
-    p = rename(
-        make_nopack_reference_kernel(), f"uk_nopack_{mr}x{nr}_{lib['dtype']}"
-    )
-    p = p.partial_eval(mr, nr)
-    steps["v1_specialized"] = p
-
-    # v2 — only j splits (paper item 1: "Loop i ... should not be split")
-    p = divide_loop(p, "j", lanes, ["jt", "jtt"], perfect=True)
-    steps["v2_loop_structure"] = p
-
-    # v3 — C rows vectorize along the contiguous j dimension
-    p = stage_mem(p, "C[_] += _", f"C[i, {lanes} * jt + jtt]", "C_reg")
-    p = expand_dim(p, "C_reg", lanes, "jtt")
-    p = expand_dim(p, "C_reg", nr // lanes, "jt")
-    p = expand_dim(p, "C_reg", mr, "i")
-    p = lift_alloc(p, "C_reg", n_lifts=4)
-    p = autofission(p, p.find("C_reg[_] = _").after(), n_lifts=4)
-    p = autofission(p, p.find("C[_] = _").before(), n_lifts=4)
-    p = replace(p, "for jtt in _: _", lib["load"])
-    p = replace(p, "for jtt in _: _", lib["store"])
-    p = set_memory(p, "C_reg", lib["memory"])
-    steps["v3_c_registers"] = p
-
-    # v4 — A broadcast (items 2-3: A_reg sized by MR, broadcast loads)
-    p = bind_expr(p, "A[_]", "A_reg")
-    p = expand_dim(p, "A_reg", lanes, "jtt")
-    p = expand_dim(p, "A_reg", mr, "i")
-    p = lift_alloc(p, "A_reg", n_lifts=4)
-    p = autofission(p, p.find("A_reg[_] = _").after(), n_lifts=3)
-    p = replace(p, "for jtt in _: _", lib["broadcast"])
-    p = set_memory(p, "A_reg", lib["memory"])
-
-    # B vector loads along its contiguous rows
-    p = bind_expr(p, "B[_]", "B_reg")
-    p = expand_dim(p, "B_reg", lanes, "jtt")
-    p = expand_dim(p, "B_reg", nr // lanes, "jt")
-    p = lift_alloc(p, "B_reg", n_lifts=4)
-    p = autofission(p, p.find("B_reg[_] = _").after(), n_lifts=3)
-    p = replace(p, "for jtt in _: _", lib["load"])
-    p = set_memory(p, "B_reg", lib["memory"])
-    steps["v4_ab_registers"] = p
-
-    # v5 — full-vector FMA (item 4: neon_vfmadd)
-    p = replace(p, "for jtt in _: _", lib["fma"])
-    p = simplify(p)
-    steps["v5_fma"] = p
-
-    # v6 — unroll the B loads under the k-loop
-    p = unroll_loop(p, "jt #1")
-    p = simplify(p)
-    steps["v6_unrolled"] = p
-
-    return GeneratedKernel(
-        proc=p,
-        mr=mr,
-        nr=nr,
-        lanes=lanes,
-        dtype=lib["dtype"],
-        variant="nopack",
-        steps=steps,
-    )
+    reference = make_nopack_reference_kernel()
+    name = f"uk_nopack_{mr}x{nr}_{lib['dtype']}"
+    flavour = _nopack(mr, nr, lib)
+    return _generate(reference, name, mr, nr, lib, "nopack", flavour)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +156,8 @@ def generate_scaled_microkernel(
     steps["v2_scaling_vectorized"] = p
 
     # --- the compute core: the Section III packed pipeline over Cb/Ba -------
-    p = _schedule_core_on_temporaries(p, mr, nr, lanes, lib)
+    core = _packed(mr, nr, lib, c="Cb", b="Ba")
+    p = _schedule(p, dataclasses.replace(core, unroll=()), lib)
     steps["v3_core"] = p
 
     # --- the copy-back nest: plain vector load/store -------------------------
@@ -244,15 +210,8 @@ def _vectorize_scale_nest(
 
     # multiply into a register tile of the destination, then store
     dest_reg = f"{dest}_vec"
-    inner_loop_sym = itt
-    # find the multiply statement's access to stage the destination element
-    p = stage_mem(
-        p,
-        f"{dest}[_] = _",
-        _dest_access(dest, p),
-        dest_reg,
-    )
-    p = expand_dim(p, dest_reg, lanes, inner_loop_sym)
+    p = stage_mem(p, f"{dest}[_] = _", _dest_access(dest, p), dest_reg)
+    p = expand_dim(p, dest_reg, lanes, itt)
     p = lift_alloc(p, dest_reg, n_lifts=3)
     p = autofission(p, p.find(f"{dest}[_] = _").before(), n_lifts=1)
     p = replace(p, f"for {itt} in _: _", lib["mul"])
@@ -265,47 +224,5 @@ def _dest_access(dest: str, p: Procedure) -> str:
     """Render the index expression of the first assignment into ``dest``."""
     from repro.core.pprint import stmt_to_str
 
-    stmt = p.find(f"{dest}[_] = _").stmt()
-    text = stmt_to_str(stmt)
-    return text.split(" = ")[0].strip()
-
-
-def _schedule_core_on_temporaries(
-    p: Procedure, mr: int, nr: int, lanes: int, lib: dict
-) -> Procedure:
-    """Apply the Section III compute pipeline to ``Cb += Ac * Ba``."""
-    from repro.core.scheduling import reorder_loops
-
-    p = divide_loop(p, "i", lanes, ["it", "itt"], perfect=True)
-    p = divide_loop(p, "j", lanes, ["jt", "jtt"], perfect=True)
-    cp = f"Cb[{lanes} * jt + jtt, {lanes} * it + itt]"
-    p = stage_mem(p, "Cb[_] += _", cp, "C_reg")
-    p = expand_dim(p, "C_reg", lanes, "itt")
-    p = expand_dim(p, "C_reg", mr // lanes, "it")
-    p = expand_dim(p, "C_reg", nr, f"jt * {lanes} + jtt")
-    p = lift_alloc(p, "C_reg", n_lifts=5)
-    p = autofission(p, p.find("C_reg[_] = _").after(), n_lifts=5)
-    p = autofission(p, p.find("Cb[_] = _ #0").before(), n_lifts=5)
-    p = replace(p, "for itt in _: _", lib["load"])
-    p = replace(p, "for itt in _: _", lib["store"])
-    p = set_memory(p, "C_reg", lib["memory"])
-
-    p = bind_expr(p, "Ac[_]", "A_reg")
-    p = expand_dim(p, "A_reg", lanes, "itt")
-    p = expand_dim(p, "A_reg", mr // lanes, "it")
-    p = lift_alloc(p, "A_reg", n_lifts=5)
-    p = autofission(p, p.find("A_reg[_] = _").after(), n_lifts=4)
-    p = replace(p, "for itt in _: _", lib["load"])
-    p = set_memory(p, "A_reg", lib["memory"])
-
-    p = bind_expr(p, "Ba[_]", "B_reg")
-    p = expand_dim(p, "B_reg", lanes, "jtt")
-    p = expand_dim(p, "B_reg", nr // lanes, "jt")
-    p = lift_alloc(p, "B_reg", n_lifts=5)
-    p = autofission(p, p.find("B_reg[_] = _").after(), n_lifts=4)
-    p = replace(p, "for jtt in _: _", lib["load"])
-    p = set_memory(p, "B_reg", lib["memory"])
-
-    p = reorder_loops(p, "jtt it")
-    p = replace(p, "for itt in _: _", lib["fmla_lane"])
-    return simplify(p)
+    stmt = stmt_to_str(p.find(f"{dest}[_] = _").stmt())
+    return stmt.split(" = ")[0].strip()

@@ -1,26 +1,25 @@
 """Step-by-step GEMM micro-kernel generation (paper Section III).
 
-The pipeline mirrors the paper's Figures 5-11 exactly:
+The pipeline mirrors the paper's Figures 5-11:
 
 v1 (Fig 6)  ``rename`` + ``partial_eval`` — specialize (MR, NR).
-v2 (Fig 7)  ``divide_loop`` on ``i`` and ``j`` — match the vector length.
-v3 (Fig 8)  ``stage_mem`` + ``expand_dim``x3 + ``lift_alloc`` +
+v2 (Fig 7)  ``divide_loop`` — match the vector length.
+v3 (Fig 8)  ``stage_mem`` + ``expand_dim`` + ``lift_alloc`` +
             ``autofission``x2 + ``replace``(load/store) + ``set_memory`` —
             bind the C tile to vector registers.
-v4 (Fig 9)  ``bind_expr`` + ``expand_dim``x2 + ``lift_alloc`` +
-            ``autofission`` + ``replace``(load) + ``set_memory`` — stream
-            the Ac and Bc panels through registers.
-v5 (Fig 10) ``reorder_loops`` + ``replace``(lane FMA) — compute.
+v4 (Fig 9)  ``bind_expr`` + ``expand_dim`` + ``lift_alloc`` +
+            ``autofission`` + ``replace``(load/broadcast) + ``set_memory``
+            — stream the operands through registers.
+v5 (Fig 10) ``reorder_loops`` + ``replace``(FMA) — compute.
 v6 (Fig 11) ``unroll_loop`` — unroll the register loads.
 
-Two kernel flavours are produced:
-
-* **packed** (the BLIS case): both operands come from packing buffers with
-  unit stride; A is loaded with vector loads and the FMA selects B lanes.
-* **non-packed / broadcast** (Section III-B): when MR is not a multiple of
-  the vector length or the A panel is not packed, A elements are broadcast
-  and the plain vector FMA is used.  This variant also serves ISAs without
-  a lane-selecting FMA (AVX-512, Section III-C).
+Steps v2-v6 are one routine, ``_schedule``.  What differs between kernel
+flavours is data: a ``_Flavour`` record names the loops to split, the
+register dims and the library slots each step uses.  The flavours are
+**packed** (the BLIS case: both panels vector-loaded, the FMA selects B
+lanes), **broadcast** (Sections III-B/III-C: B elements broadcast into
+the plain vector FMA, for NR off the vector length or ISAs without a
+lane FMA such as AVX-512) and **row** (1 x NR tails).
 """
 
 from __future__ import annotations
@@ -132,7 +131,8 @@ class GeneratedKernel:
         mr, nr: register-tile shape.
         lanes: vector length of the target in elements.
         dtype: scalar type name ("f32" / "f16").
-        variant: "packed" (lane FMA) or "broadcast" (Section III-B).
+        variant: the flavour: "packed" (lane FMA), "broadcast" or "row"
+            (Section III-B), "nopack" or "scaled" (``extended``).
         steps: the intermediate procedures v1..v6, keyed by step name, kept
             for inspection and for the generation tests.
     """
@@ -167,270 +167,248 @@ def generate_microkernel(
 ) -> GeneratedKernel:
     """Generate an ``mr x nr`` micro-kernel for the given instruction library.
 
-    ``variant`` selects the kernel flavour: "packed" (requires ``mr`` to be
-    a multiple of the vector length), "broadcast" (any ``mr``), or "auto"
-    (packed when possible, else broadcast — the paper's edge-case recipe).
+    ``variant`` selects the kernel flavour: "packed", "broadcast", "row",
+    or "auto" (the first of those the tile and library allow — the
+    paper's edge-case recipe).
     """
     lib = lib if lib is not None else _default_lib()
     lanes = lib["lanes"]
+    div = f"divisible by {lanes}"
+    # what each flavour needs, in the order "auto" prefers them
+    needs = {
+        "packed": (mr % lanes == 0 and nr % lanes == 0 and lib["fmla_lane"],
+                   f"MR and NR {div} and a lane FMA"),
+        "broadcast": (mr % lanes == 0, f"MR {div}"),
+        "row": (mr == 1 and nr % lanes == 0, f"mr=1 and NR {div}"),
+    }
     if variant == "auto":
-        if mr % lanes == 0 and nr % lanes == 0 and lib["fmla_lane"]:
-            variant = "packed"
-        elif mr % lanes == 0:
-            variant = "broadcast"
-        elif mr == 1 and nr % lanes == 0:
-            variant = "row"
-        else:
+        variant = next((v for v, (fits, _) in needs.items() if fits), "")
+        if not variant:
             raise ValueError(
                 f"no kernel variant covers mr={mr}, nr={nr} at vector "
                 f"length {lanes}; decompose the tile first"
             )
-    if variant == "packed":
-        if mr % lanes != 0 or nr % lanes != 0:
-            raise ValueError(
-                f"packed variant needs MR and NR divisible by {lanes}, "
-                f"got {mr}x{nr}"
-            )
-        if not lib["fmla_lane"]:
-            raise ValueError(
-                "this ISA has no lane FMA; use the broadcast variant"
-            )
-    if variant == "broadcast" and mr % lanes != 0:
-        raise ValueError(
-            f"broadcast variant needs MR divisible by {lanes}, got {mr}"
-        )
-    if variant == "row":
-        if mr != 1 or nr % lanes != 0:
-            raise ValueError(
-                f"row variant needs mr=1 and NR divisible by {lanes}, "
-                f"got {mr}x{nr}"
-            )
+    if variant not in needs:
+        raise ValueError(f"unknown kernel variant {variant!r}")
+    fits, need = needs[variant]
+    if not fits:
+        raise ValueError(f"{variant} variant needs {need}, got {mr}x{nr}")
 
-    steps: Dict[str, Procedure] = {}
     reference = base or make_reference_kernel()
     if lib["dtype"] != "f32":
         reference = _retype_reference(reference, lib["dtype"])
+    name = f"uk_{mr}x{nr}_{lib['dtype']}_{variant}"
+    flavour = _FLAVOURS[variant](mr, nr, lib)
+    return _generate(reference, name, mr, nr, lib, variant, flavour)
 
-    # v1 — specialize the problem size (Figure 6)
-    p = rename(reference, f"uk_{mr}x{nr}_{lib['dtype']}_{variant}")
-    p = p.partial_eval(mr, nr)
-    steps["v1_specialized"] = p
 
-    if variant == "packed":
-        p = _schedule_packed(p, mr, nr, lib, steps)
-    elif variant == "broadcast":
-        p = _schedule_broadcast(p, mr, nr, lib, steps)
-    else:
-        p = _schedule_row(p, nr, lib, steps)
-
+def _generate(
+    reference: Procedure,
+    name: str,
+    mr: int,
+    nr: int,
+    lib: dict,
+    variant: str,
+    flavour: _Flavour,
+) -> GeneratedKernel:
+    """v1 (Figure 6): specialize ``reference`` to the tile; then v2..v6."""
+    p = rename(reference, name).partial_eval(mr, nr)
+    steps = {"v1_specialized": p}
+    p = _schedule(p, flavour, lib, steps)
     return GeneratedKernel(
         proc=p,
         mr=mr,
         nr=nr,
-        lanes=lanes,
+        lanes=lib["lanes"],
         dtype=lib["dtype"],
         variant=variant,
         steps=steps,
     )
 
 
-def _schedule_packed(
-    p: Procedure, mr: int, nr: int, lib: dict, steps: Dict[str, Procedure]
-) -> Procedure:
-    lanes = lib["lanes"]
-
-    # v2 — split i and j to the vector length (Figure 7)
-    p = divide_loop(p, "i", lanes, ["it", "itt"], perfect=True)
-    p = divide_loop(p, "j", lanes, ["jt", "jtt"], perfect=True)
-    steps["v2_loop_structure"] = p
-
-    # v3 — bind the C tile to vector registers (Figure 8)
-    cp = f"C[{lanes} * jt + jtt, {lanes} * it + itt]"
-    p = stage_mem(p, "C[_] += _", cp, "C_reg")
-    p = expand_dim(p, "C_reg", lanes, "itt")
-    p = expand_dim(p, "C_reg", mr // lanes, "it")
-    p = expand_dim(p, "C_reg", nr, f"jt * {lanes} + jtt")
-    p = lift_alloc(p, "C_reg", n_lifts=5)
-    p = autofission(p, p.find("C_reg[_] = _").after(), n_lifts=5)
-    p = autofission(p, p.find("C[_] = _").before(), n_lifts=5)
-    p = replace(p, "for itt in _: _", lib["load"])
-    p = replace(p, "for itt in _: _ #1", lib["store"])
-    p = set_memory(p, "C_reg", lib["memory"])
-    steps["v3_c_registers"] = p
-
-    # v4 — stream Ac and Bc through registers (Figure 9)
-    p = _stage_operand(p, "Ac", "A_reg", mr, "it", "itt", lanes, lib)
-    p = _stage_operand(p, "Bc", "B_reg", nr, "jt", "jtt", lanes, lib)
-    steps["v4_ab_registers"] = p
-
-    # v5 — lane-selecting FMA (Figure 10)
-    p = reorder_loops(p, "jtt it")
-    p = replace(p, "for itt in _: _", lib["fmla_lane"])
-    p = simplify(p)
-    steps["v5_fma"] = p
-
-    # v6 — unroll the register loads (Figure 11).  The '#1' selectors skip
-    # the C-tile load nest (match #0), targeting the k-loop operand loads.
-    p = unroll_loop(p, "it #1")
-    p = unroll_loop(p, "jt #1")
-    p = simplify(p)
-    steps["v6_unrolled"] = p
-    return p
+# ---------------------------------------------------------------------------
+# Kernel flavours as data
+# ---------------------------------------------------------------------------
 
 
-def _stage_operand(
-    p: Procedure,
-    buf: str,
-    reg: str,
-    extent: int,
-    outer: str,
-    inner: str,
-    lanes: int,
-    lib: dict,
-) -> Procedure:
-    """Stage one packed operand into registers (Figure 9, shown for Xc).
+@dataclass(frozen=True)
+class _Operand:
+    """One input operand streamed through vector registers (Figure 9).
 
-    The four-level fission hoists the load to sit directly under the k-loop:
-    levels the load's indices use get duplicated loops, loop-independent
-    levels are hoisted by the autofission prologue rule.
+    ``buf`` is bound to the register buffer ``<first letter>_reg``, whose
+    lane dimension replaces loop ``lane`` and whose outer ``dims`` are
+    ``(extent, index)`` pairs, innermost first.  ``slot`` names the library
+    instruction that fills a register ("load" or "broadcast"); ``fission``
+    is how many loop levels the fill is hoisted, up to just under the
+    k-loop.
     """
-    p = bind_expr(p, f"{buf}[_]", reg)
-    p = expand_dim(p, reg, lanes, inner)
-    p = expand_dim(p, reg, extent // lanes, outer)
-    p = lift_alloc(p, reg, n_lifts=5)
-    p = autofission(p, p.find(f"{reg}[_] = _").after(), n_lifts=4)
-    p = replace(p, f"for {inner} in _: _", lib["load"])
-    p = set_memory(p, reg, lib["memory"])
-    return p
+
+    buf: str
+    lane: str
+    dims: Tuple[Tuple[int, str], ...]
+    slot: str
+    fission: int
 
 
-def _schedule_broadcast(
-    p: "Procedure", mr: int, nr: int, lib: dict, steps: dict
-) -> "Procedure":
-    """The broadcast schedule (Sections III-B/III-C).
+@dataclass(frozen=True)
+class _Flavour:
+    """The register-tile recipe of one kernel flavour (Figures 7-11).
 
-    C and A are vectorized along the (contiguous) i dimension exactly as in
-    the packed schedule, but B elements are *broadcast* into full vectors
-    and combined with the plain vector FMA.  This serves two cases the lane
-    schedule cannot: NR not a multiple of the vector length, and ISAs with
-    no lane-selecting FMA (AVX-512).
+    ``flatten`` loops (trip count 1) are unrolled away and ``split`` loops
+    divided by the vector length into ``<loop>t``/``<loop>tt``; the C
+    element ``c_access`` is staged into ``C_reg`` with lane loop
+    ``c_lane`` and outer ``c_dims``; the ``operands`` are staged in order;
+    the ``fma`` library slot replaces the update's lane loop, after the
+    optional ``reorder``; the ``unroll`` loops are unrolled last (a '#1'
+    selector skips the C-tile load nest, match #0).
+    """
 
-    ISAs whose FMA takes a scalar operand directly (RVV's ``vfmacc.vf``,
-    exposed as the ``fma_vf`` library slot) skip the B staging entirely:
-    the broadcast is fused into the FMA, saving one vector op and one
-    register per j step.
+    split: Tuple[str, ...]
+    c_access: str
+    c_lane: str
+    c_dims: Tuple[Tuple[int, str], ...]
+    operands: Tuple[_Operand, ...]
+    fma: str
+    reorder: Optional[str] = None
+    unroll: Tuple[str, ...] = ()
+    flatten: Tuple[str, ...] = ()
+
+
+def _packed(
+    mr: int, nr: int, lib: dict, c: str = "C", b: str = "Bc"
+) -> _Flavour:
+    """Both panels vector-loaded; the FMA selects B lanes (the BLIS case)."""
+    lanes = lib["lanes"]
+    return _Flavour(
+        split=("i", "j"),
+        c_access=f"{c}[{lanes} * jt + jtt, {lanes} * it + itt]",
+        c_lane="itt",
+        c_dims=((mr // lanes, "it"), (nr, f"jt * {lanes} + jtt")),
+        operands=(
+            _Operand("Ac", "itt", ((mr // lanes, "it"),), "load", 4),
+            _Operand(b, "jtt", ((nr // lanes, "jt"),), "load", 4),
+        ),
+        fma="fmla_lane",
+        reorder="jtt it",
+        unroll=("it #1", "jt #1"),
+    )
+
+
+def _broadcast(mr: int, nr: int, lib: dict) -> _Flavour:
+    """C and A vectorized along i, B elements broadcast (III-B/III-C).
+
+    Serves NR not a multiple of the vector length and ISAs without a
+    lane-selecting FMA (AVX-512).  ISAs whose FMA takes a scalar operand
+    (RVV's ``vfmacc.vf``, the ``fma_vf`` slot) leave B in memory: the
+    broadcast fuses into the FMA, saving one op and one register per j.
     """
     lanes = lib["lanes"]
     fused_vf = lib.get("fma_vf") is not None
-
-    # v2 -- only i is split to the vector length
-    p = divide_loop(p, "i", lanes, ["it", "itt"], perfect=True)
-    steps["v2_loop_structure"] = p
-
-    # v3 -- C tile in registers, indexed [j][it][itt]
-    cp = f"C[j, {lanes} * it + itt]"
-    p = stage_mem(p, "C[_] += _", cp, "C_reg")
-    p = expand_dim(p, "C_reg", lanes, "itt")
-    p = expand_dim(p, "C_reg", mr // lanes, "it")
-    p = expand_dim(p, "C_reg", nr, "j")
-    p = lift_alloc(p, "C_reg", n_lifts=4)
-    p = autofission(p, p.find("C_reg[_] = _").after(), n_lifts=4)
-    p = autofission(p, p.find("C[_] = _").before(), n_lifts=4)
-    p = replace(p, "for itt in _: _", lib["load"])
-    p = replace(p, "for itt in _: _", lib["store"])
-    p = set_memory(p, "C_reg", lib["memory"])
-    steps["v3_c_registers"] = p
-
-    # v4 -- A panel through vector loads; B elements broadcast per j
-    # (or left in memory for the fused scalar-operand FMA)
-    p = bind_expr(p, "Ac[_]", "A_reg")
-    p = expand_dim(p, "A_reg", lanes, "itt")
-    p = expand_dim(p, "A_reg", mr // lanes, "it")
-    p = lift_alloc(p, "A_reg", n_lifts=4)
-    p = autofission(p, p.find("A_reg[_] = _").after(), n_lifts=3)
-    p = replace(p, "for itt in _: _", lib["load"])
-    p = set_memory(p, "A_reg", lib["memory"])
-
+    operands = (_Operand("Ac", "itt", ((mr // lanes, "it"),), "load", 3),)
     if not fused_vf:
-        p = bind_expr(p, "Bc[_]", "B_reg")
-        p = expand_dim(p, "B_reg", lanes, "itt")
-        p = lift_alloc(p, "B_reg", n_lifts=4)
-        p = autofission(p, p.find("B_reg[_] = _").after(), n_lifts=2)
-        p = replace(p, "for itt in _: _", lib["broadcast"])
-        p = set_memory(p, "B_reg", lib["memory"])
-    steps["v4_ab_registers"] = p
-
-    # v5 -- full-vector FMA (fused broadcast-FMA when the ISA has one)
-    if fused_vf:
-        p = replace(p, "for itt in _: _", lib["fma_vf"])
-    else:
-        p = replace(p, "for itt in _: _", lib["fma"])
-    p = simplify(p)
-    steps["v5_fma"] = p
-
-    # v6 -- unroll the A loads under the k-loop ('#1' skips the C-load nest)
-    p = unroll_loop(p, "it #1")
-    p = simplify(p)
-    steps["v6_unrolled"] = p
-    return p
+        operands += (_Operand("Bc", "itt", (), "broadcast", 2),)
+    return _Flavour(
+        split=("i",),
+        c_access=f"C[j, {lanes} * it + itt]",
+        c_lane="itt",
+        c_dims=((mr // lanes, "it"), (nr, "j")),
+        operands=operands,
+        fma="fma_vf" if fused_vf else "fma",
+        unroll=("it #1",),
+    )
 
 
-def _schedule_row(
-    p: "Procedure", nr: int, lib: dict, steps: dict
-) -> "Procedure":
-    """The 1 x NR row schedule used for m-dimension tails (Section III-B).
+def _row(mr: int, nr: int, lib: dict) -> _Flavour:
+    """The 1 x NR tile for m-dimension tails (Section III-B).
 
-    With MR = 1 the transposed C tile (NR x 1) is contiguous along j, so C
-    and B are vectorized along j while the single A element is broadcast --
-    the ``neon_vfmadd`` recipe the paper describes for the 1x8 and 1x12
-    kernels of the ResNet evaluation.
+    With MR = 1 the transposed C tile is contiguous along j, so C and B
+    vectorize along j and the single A element is broadcast -- the
+    ``neon_vfmadd`` recipe of the paper's 1x8 and 1x12 ResNet kernels.
     """
     lanes = lib["lanes"]
+    return _Flavour(
+        flatten=("i",),
+        split=("j",),
+        c_access=f"C[{lanes} * jt + jtt, 0]",
+        c_lane="jtt",
+        c_dims=((nr // lanes, "jt"),),
+        operands=(
+            _Operand("Ac", "jtt", (), "broadcast", 2),
+            _Operand("Bc", "jtt", ((nr // lanes, "jt"),), "load", 2),
+        ),
+        fma="fma",
+        unroll=("jt #1",),
+    )
 
-    # v2 -- drop the trip-1 i loop; split j to the vector length
-    p = unroll_loop(p, "i")
-    p = divide_loop(p, "j", lanes, ["jt", "jtt"], perfect=True)
-    steps["v2_loop_structure"] = p
 
-    # v3 -- C column tile in registers, indexed [jt][jtt]
-    cp = f"C[{lanes} * jt + jtt, 0]"
-    p = stage_mem(p, "C[_] += _", cp, "C_reg")
-    p = expand_dim(p, "C_reg", lanes, "jtt")
-    p = expand_dim(p, "C_reg", nr // lanes, "jt")
-    p = lift_alloc(p, "C_reg", n_lifts=3)
-    p = autofission(p, p.find("C_reg[_] = _").after(), n_lifts=3)
-    p = autofission(p, p.find("C[_] = _").before(), n_lifts=3)
-    p = replace(p, "for jtt in _: _", lib["load"])
-    p = replace(p, "for jtt in _: _", lib["store"])
+_FLAVOURS = {"packed": _packed, "broadcast": _broadcast, "row": _row}
+
+
+def _schedule(
+    p: Procedure,
+    flavour: _Flavour,
+    lib: dict,
+    steps: Optional[Dict[str, Procedure]] = None,
+) -> Procedure:
+    """Apply one flavour's recipe (v2..v6), recording steps when given."""
+    lanes = lib["lanes"]
+    c = flavour.c_access.partition("[")[0]
+
+    def mark(step: str) -> None:
+        if steps is not None:
+            steps[step] = p
+
+    # v2 -- match the loop structure to the vector length (Figure 7)
+    for loop in flavour.flatten:
+        p = unroll_loop(p, loop)
+    for loop in flavour.split:
+        parts = [f"{loop}t", f"{loop}tt"]
+        p = divide_loop(p, loop, lanes, parts, perfect=True)
+    mark("v2_loop_structure")
+
+    # v3 -- bind the C tile to vector registers (Figure 8).  Allocations
+    # lift, and the C load/store nests fission, out of the whole nest.
+    depth = len(p.find(f"{c}[_] += _").parent_loops())
+    p = stage_mem(p, f"{c}[_] += _", flavour.c_access, "C_reg")
+    for extent, index in ((lanes, flavour.c_lane),) + flavour.c_dims:
+        p = expand_dim(p, "C_reg", extent, index)
+    p = lift_alloc(p, "C_reg", n_lifts=depth)
+    p = autofission(p, p.find("C_reg[_] = _").after(), n_lifts=depth)
+    p = autofission(p, p.find(f"{c}[_] = _").before(), n_lifts=depth)
+    # the already-replaced load nest no longer matches the store
+    p = replace(p, f"for {flavour.c_lane} in _: _", lib["load"])
+    p = replace(p, f"for {flavour.c_lane} in _: _", lib["store"])
     p = set_memory(p, "C_reg", lib["memory"])
-    steps["v3_c_registers"] = p
+    mark("v3_c_registers")
 
-    # v4 -- broadcast the A element; vector-load the B panel
-    p = bind_expr(p, "Ac[_]", "A_reg")
-    p = expand_dim(p, "A_reg", lanes, "jtt")
-    p = lift_alloc(p, "A_reg", n_lifts=3)
-    p = autofission(p, p.find("A_reg[_] = _").after(), n_lifts=2)
-    p = replace(p, "for jtt in _: _", lib["broadcast"])
-    p = set_memory(p, "A_reg", lib["memory"])
+    # v4 -- stream the operands through registers (Figure 9).  Fission
+    # duplicates the levels a fill's indices use; loop-independent levels
+    # are hoisted by the autofission prologue rule.
+    for op in flavour.operands:
+        reg = f"{op.buf[0]}_reg"
+        p = bind_expr(p, f"{op.buf}[_]", reg)
+        for extent, index in ((lanes, op.lane),) + op.dims:
+            p = expand_dim(p, reg, extent, index)
+        p = lift_alloc(p, reg, n_lifts=depth)
+        fill = p.find(f"{reg}[_] = _").after()
+        p = autofission(p, fill, n_lifts=op.fission)
+        p = replace(p, f"for {op.lane} in _: _", lib[op.slot])
+        p = set_memory(p, reg, lib["memory"])
+    mark("v4_ab_registers")
 
-    p = bind_expr(p, "Bc[_]", "B_reg")
-    p = expand_dim(p, "B_reg", lanes, "jtt")
-    p = expand_dim(p, "B_reg", nr // lanes, "jt")
-    p = lift_alloc(p, "B_reg", n_lifts=3)
-    p = autofission(p, p.find("B_reg[_] = _").after(), n_lifts=2)
-    p = replace(p, "for jtt in _: _", lib["load"])
-    p = set_memory(p, "B_reg", lib["memory"])
-    steps["v4_ab_registers"] = p
-
-    # v5 -- full-vector FMA
-    p = replace(p, "for jtt in _: _", lib["fma"])
+    # v5 -- the FMA (Figure 10)
+    if flavour.reorder:
+        p = reorder_loops(p, flavour.reorder)
+    p = replace(p, f"for {flavour.c_lane} in _: _", lib[flavour.fma])
     p = simplify(p)
-    steps["v5_fma"] = p
+    mark("v5_fma")
 
-    # v6 -- unroll the B loads under the k-loop ('#1' skips the C-load nest)
-    p = unroll_loop(p, "jt #1")
-    p = simplify(p)
-    steps["v6_unrolled"] = p
+    # v6 -- unroll the register fills under the k-loop (Figure 11)
+    if flavour.unroll:
+        for loop in flavour.unroll:
+            p = unroll_loop(p, loop)
+        p = simplify(p)
+        mark("v6_unrolled")
     return p
 
 
