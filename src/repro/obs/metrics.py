@@ -8,13 +8,15 @@ reuse the same registry unchanged).
 
 Histograms keep both fixed bucket counts (for the Prometheus
 ``_bucket`` series) and the raw observations, so percentiles use the
-exact nearest-rank definition of :func:`repro.serve.report.percentile`
+exact nearest-rank definition of :func:`nearest_rank_percentile`
 — every reported quantile is an actual observed value, no
-interpolation — and the two report paths can never disagree.  For
-million-observation live runs, ``max_observations`` bounds the raw
-sample with a deterministic reservoir: percentiles stay exact below
-the cap and become reservoir estimates above it (the bucket counts,
-``sum``/``count``, and ``min``/``max`` remain exact either way).
+interpolation.  The serving report re-exports that function as
+:func:`repro.serve.report.percentile`, so the two report paths can
+never disagree.  For million-observation live runs,
+``max_observations`` bounds the raw sample with a deterministic
+reservoir: percentiles stay exact below the cap and become reservoir
+estimates above it (the bucket counts, ``sum``/``count``, and
+``min``/``max`` remain exact either way).
 
 The Prometheus exporter escapes ``\\``, newlines, and ``"`` in HELP
 text and sanitizes metric names to the exposition-format identifier
@@ -52,11 +54,13 @@ DEFAULT_BUCKETS = (
 def nearest_rank_percentile(
     values: Sequence[float], q: float, name: Optional[str] = None
 ) -> float:
-    """Nearest-rank percentile — same semantics as ``serve.report``.
+    """Nearest-rank percentile of a sample (q in [0, 100]).
 
-    ``name`` labels the metric in the empty-sample error, so a caller
-    asking for the p99 of a histogram that never observed anything gets
-    one actionable message instead of a bare index error.
+    ``p(q)`` is the smallest observed value with at least ``q`` percent
+    of the sample at or below it.  ``name`` labels the metric in the
+    empty-sample error, so a caller asking for the p99 of a histogram
+    that never observed anything gets one actionable message instead
+    of a bare index error.
     """
     if not values:
         what = f"metric {name!r}" if name else "an empty sample"

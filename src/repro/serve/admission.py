@@ -47,29 +47,16 @@ class AdmissionPolicy:
         """Whether any gate is active."""
         return self.max_queue_depth is not None or self.deadline_ms is not None
 
-    def decide(self, pool, now_ms: float) -> Optional[str]:
-        """Admit (``None``) or shed (the reason string) one arrival.
-
-        The deadline gate projects completion pessimistically from the
-        pool's current backlog: the admitted request joins
-        ``queued + 1`` undispatched requests that drain in full batches
-        across ``replicas`` servers already running ``in_flight``
-        batches, each wave costing the controller's full-batch service
-        estimate.
-        """
-        reason, _ = self.evaluate(pool, now_ms)
-        return reason
-
     def evaluate(
         self, pool, now_ms: float
     ) -> Tuple[Optional[str], dict]:
-        """The decision plus the evidence it was made on.
+        """Admit or shed one arrival, with the evidence.
 
         Returns ``(reason, detail)`` where ``reason`` is ``None`` on
-        admit and ``detail`` always carries the gate inputs — queue
-        depth and (when the deadline gate is armed) the latency
-        projection — so the admission trace span records *why*, not
-        just *what*.
+        admit (else the shed reason) and ``detail`` always carries the
+        gate inputs — queue depth and (when the deadline gate is armed)
+        the latency projection — so the admission trace span records
+        *why*, not just *what*.
         """
         depth = pool.queue_depth()
         detail: dict = {"queue_depth": depth}

@@ -10,19 +10,24 @@ max-batch-size / max-wait-time rule:
   comes first;
 * a replica that frees up *after* the close time dispatches immediately
   with whatever has arrived by then (up to ``max_batch``) — a backlogged
-  server never waits on a timer.
+  server never waits on a timer;
+* the batch forms on the lowest-index idle replica.
 
-The simulation is a deterministic discrete-event loop: ties between
-replicas break by index, requests are served strictly in arrival order,
-and the batched service time comes from a caller-supplied
+:class:`BatchFormer` is that rule, with no clock of its own; both
+:func:`simulate_serving` and the live plane (:mod:`repro.serve.plane`)
+drive it.  Requests are served strictly in arrival order and the
+batched service time comes from a caller-supplied
 ``service_time_ms(batch_size)`` (the per-layer executor), so the whole
 latency/throughput report is a pure function of (trace, config).
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Deque, List, Optional, Sequence, Tuple, Union
 
 from repro.obs import Obs, TraceContext, batch_id_for
 
@@ -115,6 +120,62 @@ class ServingResult:
         return len(self.served) / len(self.batches)
 
 
+class BatchFormer:
+    """The max-batch/max-wait close rule and the replica choice.
+
+    It holds the FIFO ``queue`` of items with an ``arrival_ms``, a heap
+    of ``idle`` replica indices and the batch being formed,
+    ``forming = (replica, formed_ms)``, and reads no clock.  ``push``
+    and ``release`` report whether the event can change what
+    :meth:`poll` answers, so a driver asks again only then.
+    """
+
+    def __init__(self, replicas: int, policy: BatchPolicy):
+        """Start with every replica idle and nothing queued."""
+        self.policy = policy
+        self.queue: Deque = deque()
+        self.idle: List[int] = list(range(replicas))
+        self.forming: Optional[Tuple[int, float]] = None
+
+    def push(self, item) -> bool:
+        """Queue an arrival; true if a replica is idle or a batch forms."""
+        self.queue.append(item)
+        return bool(self.idle) or self.forming is not None
+
+    def release(self, replica: int) -> bool:
+        """Return a replica to the idle heap; true if work is waiting."""
+        heapq.heappush(self.idle, replica)
+        return self.forming is None and bool(self.queue)
+
+    def poll(
+        self, now_ms: float
+    ) -> Union[Tuple[int, float, list], float, None]:
+        """Return a batch to dispatch now, the close instant, or ``None``.
+
+        A batch forms on the lowest-index idle replica once the queue is
+        not empty, and dispatches as ``(replica, formed_ms, items)``
+        when ``max_batch`` items queue or the head has waited
+        ``max_wait_ms``; until then ``poll`` returns that close instant.
+        ``None`` means wait for an arrival or a release.
+        """
+        if self.forming is None:
+            if not self.queue or not self.idle:
+                return None
+            self.forming = (heapq.heappop(self.idle), now_ms)
+        max_batch = self.policy.max_batch
+        close_ms = self.queue[0].arrival_ms + self.policy.max_wait_ms
+        if len(self.queue) < max_batch and now_ms < close_ms:
+            return close_ms
+        replica, formed_ms = self.forming
+        self.forming = None
+        size = min(max_batch, len(self.queue))
+        return replica, formed_ms, [self.queue.popleft() for _ in range(size)]
+
+
+# event kinds of the offline driver
+_ARRIVE, _DONE, _CLOSE = range(3)
+
+
 def simulate_serving(
     trace: Sequence[Request],
     replicas: int,
@@ -125,9 +186,14 @@ def simulate_serving(
     """Run a trace through R replicas under one batching policy.
 
     ``service_time_ms(b)`` prices one batched inference of size ``b``
-    (milliseconds); it is called once per distinct batch size when the
-    caller memoizes (the executor does), so the event loop itself is
-    O(requests).
+    (milliseconds), once per batch.  The executor memoizes per (layer,
+    batch) and re-sums the layers (53 for ResNet-50) on every call.
+
+    A discrete-event loop drives one :class:`BatchFormer` over the next
+    arrival, batch completions and the open batch's close, in time
+    order and, within one instant, in the order they were scheduled —
+    the live plane's virtual timeline order, so the two planes agree
+    exactly, replica index included.
 
     ``obs`` attaches the observability bundle: the simulation emits the
     per-request lifecycle (arrival instant, queued span, batch-execute
@@ -140,58 +206,68 @@ def simulate_serving(
     if replicas < 1:
         raise ValueError(f"replicas must be >= 1, got {replicas}")
     requests = sorted(trace, key=lambda r: (r.arrival_ms, r.request_id))
-    free = [0.0] * replicas
+    former = BatchFormer(replicas, policy)
     served: List[ServedRequest] = []
     batches: List[ExecutedBatch] = []
-    i = 0
-    while i < len(requests):
-        replica = min(range(replicas), key=lambda r: (free[r], r))
-        head = requests[i]
-        ready = max(free[replica], head.arrival_ms)
-        # the batch closes at the max_batch-th arrival or the head's
-        # wait-time expiry, whichever first; a replica that frees later
-        # than that dispatches immediately with what has arrived
-        full_at = i + policy.max_batch - 1
-        close = head.arrival_ms + policy.max_wait_ms
-        if full_at < len(requests):
-            # the batch can still fill; otherwise only the wait timer
-            # closes it — the batcher never peeks at the trace's end
-            close = min(requests[full_at].arrival_ms, close)
-        dispatch = max(ready, close)
-        size = 0
-        while (
-            i + size < len(requests)
-            and size < policy.max_batch
-            and requests[i + size].arrival_ms <= dispatch
-        ):
-            size += 1
-        service = service_time_ms(size)
-        if service <= 0:
-            raise ValueError(
-                f"service_time_ms({size}) must be positive, got {service}"
-            )
-        completion = dispatch + service
-        for req in requests[i : i + size]:
-            served.append(
+    # (instant, scheduling order, kind, arrival cursor or replica)
+    tick = itertools.count()
+    events = [(r.arrival_ms, next(tick), _ARRIVE, 0) for r in requests[:1]]
+    close = None  # scheduling order of the pending close; others are stale
+    while events:
+        now, seq, kind, value = heapq.heappop(events)
+        if kind == _ARRIVE:
+            while value < len(requests) and requests[value].arrival_ms <= now:
+                woken = former.push(requests[value])
+                value += 1
+            if value < len(requests):  # scheduled before the former reacts
+                arrival = requests[value].arrival_ms
+                heapq.heappush(events, (arrival, next(tick), _ARRIVE, value))
+        elif kind == _DONE:
+            woken = former.release(value)
+        else:
+            woken = seq == close
+        if not woken:
+            continue
+        close = None
+        done = []
+        decision = former.poll(now)
+        while isinstance(decision, tuple):
+            replica, formed_ms, items = decision
+            size = len(items)
+            service = service_time_ms(size)
+            if service <= 0:
+                raise ValueError(
+                    f"service_time_ms({size}) must be positive, "
+                    f"got {service}"
+                )
+            served.extend(
                 ServedRequest(
                     request=req,
                     replica=replica,
                     batch_size=size,
-                    dispatch_ms=dispatch,
-                    completion_ms=completion,
+                    dispatch_ms=now,
+                    completion_ms=now + service,
+                )
+                for req in items
+            )
+            batches.append(
+                ExecutedBatch(
+                    replica=replica,
+                    size=size,
+                    dispatch_ms=now,
+                    service_ms=service,
+                    formed_ms=formed_ms,
                 )
             )
-        batches.append(
-            ExecutedBatch(
-                replica=replica,
-                size=size,
-                dispatch_ms=dispatch,
-                service_ms=service,
-                formed_ms=ready,
-            )
-        )
-        free[replica] = completion
-        i += size
+            done.append((now + service, replica))
+            decision = former.poll(now)
+        # as in the live plane, the close timer is armed before the
+        # dispatched batches start their service timers
+        if decision is not None:
+            close = next(tick)
+            heapq.heappush(events, (decision, close, _CLOSE, 0))
+        for completion, replica in done:
+            heapq.heappush(events, (completion, next(tick), _DONE, replica))
     result = ServingResult(served=tuple(served), batches=tuple(batches))
     if obs is not None:
         emit_serving_obs(result, obs)

@@ -17,10 +17,10 @@ The plane is written against the timeline interface
 traffic on the wall clock (``real`` controller) or runs as a
 byte-deterministic discrete-event simulation on the virtual clock
 (``sim`` controller) — the property the determinism tests and the CI
-smoke gate pin down.  Batch forming follows the offline batcher's
-max-batch/max-wait rule exactly: with admission disabled, a sim-mode
-run reproduces :func:`repro.serve.batcher.simulate_serving` record for
-record.
+smoke gate pin down.  Batch forming is the offline batcher's own
+:class:`repro.serve.batcher.BatchFormer`: with admission disabled, a
+sim-mode run reproduces :func:`repro.serve.batcher.simulate_serving`
+record for record, replica index included.
 
 Request lifecycle spans, queue-depth series, and shed/admit counters
 land in :mod:`repro.obs` when a bundle is attached; the shed counters
@@ -44,18 +44,18 @@ from __future__ import annotations
 import asyncio
 import json
 import random
-from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.isa.machine import MachineModel
 from repro.obs import Obs, SloMonitor, TraceContext, batch_id_for
 
 from .admission import AdmissionPolicy, estimated_latency_ms
-from .batcher import LATENCY_BUCKETS_MS
+from .batcher import LATENCY_BUCKETS_MS, BatchFormer, BatchPolicy
 from .controllers import Controller, controller_for
 from .executor import ModelExecutor, prewarm_executors
-from .timeline import DEADLINE, VirtualTimeline
+from .report import latency_summary
+from .timeline import VirtualTimeline
 from .traffic import Request
 
 #: HTTP reason phrases the front door emits
@@ -88,12 +88,7 @@ class PoolSpec:
             raise ValueError(f"replicas must be >= 1, got {self.replicas}")
         if self.threads < 1:
             raise ValueError(f"threads must be >= 1, got {self.threads}")
-        if self.max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {self.max_batch}")
-        if self.max_wait_ms < 0:
-            raise ValueError(
-                f"max_wait_ms must be >= 0, got {self.max_wait_ms}"
-            )
+        BatchPolicy(self.max_batch, self.max_wait_ms)  # validates both
 
     @property
     def cores_used(self) -> int:
@@ -180,11 +175,10 @@ class _QueuedRequest:
 class ReplicaPool:
     """One model's servers: a queue, R replicas, and the batch former.
 
-    The dispatch loop mirrors the offline batcher: take the head of the
-    queue, acquire the lowest-index free replica, hold the batch open
-    until it fills to ``max_batch`` or the head has waited
-    ``max_wait_ms`` (a replica that frees up later dispatches
-    immediately), then hand it to the controller.
+    The dispatch coroutine drives the offline batcher's
+    :class:`repro.serve.batcher.BatchFormer`: it sleeps on one wake
+    future, bounded by the open batch's close instant, and hands every
+    batch the former closes to the controller.
     """
 
     def __init__(
@@ -203,24 +197,27 @@ class ReplicaPool:
         self.obs = obs
         self.slo = slo
         self.track_base = track_base  # queue track; replica r is base+1+r
-        self.queue: Deque[_QueuedRequest] = deque()
-        self.free: List[int] = list(range(spec.replicas))
-        self.in_flight = 0
+        self.former = BatchFormer(
+            spec.replicas, BatchPolicy(spec.max_batch, spec.max_wait_ms)
+        )
         self.closing = False
         self.served: List[LiveServed] = []
         self.batches: List[LiveBatch] = []
-        self._queue_wake = None
-        self._replica_wake = None
-        self._drain_wake = None
+        self._wake = None
         self._dispatcher = None
-        self._outstanding = 0  # batches spawned but not finished
         self._batch_seq = 0  # dispatch sequence, names batch ids
+
+    @property
+    def in_flight(self) -> int:
+        """Batches dispatched to a replica and not yet finished."""
+        forming = 0 if self.former.forming is None else 1
+        return self.spec.replicas - len(self.former.idle) - forming
 
     # -- admission inputs ---------------------------------------------
 
     def queue_depth(self) -> int:
         """Undispatched requests currently queued."""
-        return len(self.queue)
+        return len(self.former.queue)
 
     def estimated_latency_ms(self, queued: int) -> float:
         """Projected latency of the last of ``queued`` pending requests."""
@@ -239,71 +236,39 @@ class ReplicaPool:
         self._dispatcher = self.timeline.spawn(self._dispatch_loop())
 
     def submit(self, item: _QueuedRequest) -> None:
-        """Enqueue one admitted arrival and wake the dispatcher."""
-        self.queue.append(item)
+        """Enqueue one admitted arrival; wake the dispatcher if it acts."""
+        woken = self.former.push(item)
         self._emit_queue_depth()
-        if self._queue_wake is not None:
-            wake, self._queue_wake = self._queue_wake, None
-            self.timeline.fire(wake, "queued")
+        if woken:
+            self._fire_wake()
 
     async def close(self) -> None:
-        """Drain and stop: callers must have awaited every response."""
+        """Drain and stop: the dispatcher returns once nothing is left."""
         self.closing = True
-        if self._queue_wake is not None:
-            wake, self._queue_wake = self._queue_wake, None
-            self.timeline.fire(wake, "closing")
+        self._fire_wake()
         if self._dispatcher is not None:
             await self.timeline.join(self._dispatcher)
-        while self._outstanding:
-            self._drain_wake = wake = self.timeline.create_future()
-            await self.timeline.wait(wake)
-            if self._drain_wake is wake:
-                self._drain_wake = None
+
+    def _fire_wake(self) -> None:
+        if self._wake is not None:
+            wake, self._wake = self._wake, None
+            self.timeline.fire(wake)
 
     async def _dispatch_loop(self) -> None:
         while True:
-            while not self.queue and not self.closing:
-                self._queue_wake = wake = self.timeline.create_future()
-                await self.timeline.wait(wake)
-                if self._queue_wake is wake:
-                    self._queue_wake = None
-            if not self.queue:
+            decision = self.former.poll(self.timeline.now_ms())
+            if isinstance(decision, tuple):
+                replica, formed_ms, items = decision
+                self._emit_queue_depth()
+                self.timeline.spawn(self._run_batch(replica, items, formed_ms))
+                continue
+            if self.closing and not self.former.queue and not self.in_flight:
                 return  # closing, fully drained
-            replica = await self._acquire_replica()
-            formed_ms = self.timeline.now_ms()  # forming begins here
-            head = self.queue[0]
-            close_ms = head.arrival_ms + self.spec.max_wait_ms
-            while (
-                len(self.queue) < self.spec.max_batch
-                and self.timeline.now_ms() < close_ms
-            ):
-                self._queue_wake = wake = self.timeline.create_future()
-                fired = await self.timeline.wait_or_deadline(wake, close_ms)
-                if self._queue_wake is wake:
-                    self._queue_wake = None
-                if fired is DEADLINE:
-                    break
-            size = min(self.spec.max_batch, len(self.queue))
-            items = [self.queue.popleft() for _ in range(size)]
-            self._emit_queue_depth()
-            self.in_flight += 1
-            self._outstanding += 1
-            self.timeline.spawn(self._run_batch(replica, items, formed_ms))
-
-    async def _acquire_replica(self) -> int:
-        while not self.free:
-            self._replica_wake = wake = self.timeline.create_future()
-            await self.timeline.wait(wake)
-            if self._replica_wake is wake:
-                self._replica_wake = None
-        self.free.sort()
-        return self.free.pop(0)
-
-    def _release_replica(self, replica: int) -> None:
-        self.free.append(replica)
-        if self._replica_wake is not None:
-            wake, self._replica_wake = self._replica_wake, None
-            self.timeline.fire(wake, replica)
+            self._wake = self.timeline.create_future()
+            if decision is None:
+                await self.timeline.wait(self._wake)
+            else:
+                await self.timeline.wait_or_deadline(self._wake, decision)
 
     async def _run_batch(
         self, replica: int, items: List[_QueuedRequest], formed_ms: float
@@ -339,13 +304,9 @@ class ReplicaPool:
                     completion_ms, completion_ms - item.arrival_ms
                 )
             self.timeline.fire(item.future, record)
-        self.in_flight -= 1
-        self._release_replica(replica)
+        if self.former.release(replica) or self.closing:
+            self._fire_wake()
         self._emit_batch_obs(batch, items, completion_ms)
-        self._outstanding -= 1
-        if self._drain_wake is not None and self._outstanding == 0:
-            wake, self._drain_wake = self._drain_wake, None
-            self.timeline.fire(wake, "drained")
 
     # -- observability ------------------------------------------------
 
@@ -354,7 +315,7 @@ class ReplicaPool:
             return
         self.obs.tracer.counter(
             f"queue_depth_{self.spec.model}",
-            len(self.queue),
+            len(self.former.queue),
             ts_us=self.timeline.now_ms() * 1e3,
             tid=self.track_base,
         )
@@ -779,6 +740,24 @@ class LiveResult:
         return last - first
 
 
+def _collect(plane: ServePlane) -> LiveResult:
+    """Gather every pool's served requests and batches, time-ordered."""
+    served = []
+    batches = []
+    for model in sorted(plane.pools):
+        pool = plane.pools[model]
+        served.extend(pool.served)
+        batches.extend(pool.batches)
+    served.sort(key=lambda s: (s.completion_ms, s.request_id))
+    batches.sort(key=lambda b: (b.dispatch_ms, b.model, b.replica))
+    return LiveResult(
+        served=tuple(served),
+        shed=tuple(plane.shed),
+        batches=tuple(batches),
+        arrived=plane.arrived,
+    )
+
+
 def run_trace(
     plane: ServePlane,
     arrivals: Sequence[Tuple[str, Request]],
@@ -810,20 +789,7 @@ def run_trace(
         await plane.close()
 
     plane.timeline.execute(_main())
-    served = []
-    batches = []
-    for model in sorted(plane.pools):
-        pool = plane.pools[model]
-        served.extend(pool.served)
-        batches.extend(pool.batches)
-    served.sort(key=lambda s: (s.completion_ms, s.request_id))
-    batches.sort(key=lambda b: (b.dispatch_ms, b.model, b.replica))
-    return LiveResult(
-        served=tuple(served),
-        shed=tuple(plane.shed),
-        batches=tuple(batches),
-        arrived=plane.arrived,
-    )
+    return _collect(plane)
 
 
 def run_http(
@@ -862,39 +828,7 @@ def run_http(
         await plane.close()
 
     plane.timeline.execute(_main())
-    served = []
-    batches = []
-    for model in sorted(plane.pools):
-        pool = plane.pools[model]
-        served.extend(pool.served)
-        batches.extend(pool.batches)
-    served.sort(key=lambda s: (s.completion_ms, s.request_id))
-    return LiveResult(
-        served=tuple(served),
-        shed=tuple(plane.shed),
-        batches=tuple(batches),
-        arrived=plane.arrived,
-    )
-
-
-def _percentiles(latencies: List[float]) -> dict:
-    from .report import percentile
-
-    if not latencies:
-        return {
-            "mean_ms": None,
-            "p50_ms": None,
-            "p95_ms": None,
-            "p99_ms": None,
-            "max_ms": None,
-        }
-    return {
-        "mean_ms": sum(latencies) / len(latencies),
-        "p50_ms": percentile(latencies, 50),
-        "p95_ms": percentile(latencies, 95),
-        "p99_ms": percentile(latencies, 99),
-        "max_ms": max(latencies),
-    }
+    return _collect(plane)
 
 
 def live_report(
@@ -931,7 +865,7 @@ def live_report(
                 if pool.batches
                 else 0.0
             ),
-            "latency": _percentiles(latencies),
+            "latency": latency_summary(latencies),
         }
     latencies = [s.latency_ms for s in result.served]
     makespan = result.makespan_ms
@@ -949,7 +883,7 @@ def live_report(
             admitted / makespan * 1e3 if makespan > 0 else 0.0
         ),
         "makespan_ms": makespan,
-        "latency": _percentiles(latencies),
+        "latency": latency_summary(latencies),
     }
     slo_met = bool(
         latencies and totals["latency"]["p99_ms"] <= slo_p99_ms

@@ -4,33 +4,37 @@ Percentiles use the nearest-rank definition — ``p(q)`` is the smallest
 observed value with at least ``q`` percent of the sample at or below it
 — so every reported number is an actual simulated latency (no
 interpolation) and the math is exact on tiny samples, which the tests
-pin down (single element, p0/p100, even-count medians).
+pin down (single element, p0/p100, even-count medians).  ``percentile``
+is :func:`repro.obs.metrics.nearest_rank_percentile`, the one
+definition the metrics histograms use too.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from pathlib import Path
 from typing import List, Sequence, Union
 
 from repro.eval.figures import bar_chart
 from repro.eval.report import render_table
+from repro.obs.metrics import nearest_rank_percentile as percentile
 
 from .batcher import ServingResult
 
 
-def percentile(values: Sequence[float], q: float) -> float:
-    """Nearest-rank percentile of a sample (q in [0, 100])."""
-    if not values:
-        raise ValueError("percentile of an empty sample")
-    if not 0.0 <= q <= 100.0:
-        raise ValueError(f"percentile q must be in [0, 100], got {q}")
-    ordered = sorted(values)
-    if q == 0.0:
-        return ordered[0]
-    rank = math.ceil(q / 100.0 * len(ordered))
-    return ordered[rank - 1]
+def latency_summary(latencies: Sequence[float]) -> dict:
+    """Mean, p50/p95/p99 and max of a latency sample (``None`` if empty)."""
+    if not latencies:
+        return dict.fromkeys(
+            ("mean_ms", "p50_ms", "p95_ms", "p99_ms", "max_ms")
+        )
+    return {
+        "mean_ms": sum(latencies) / len(latencies),
+        "p50_ms": percentile(latencies, 50),
+        "p95_ms": percentile(latencies, 95),
+        "p99_ms": percentile(latencies, 99),
+        "max_ms": max(latencies),
+    }
 
 
 def serving_metrics(result: ServingResult) -> dict:
@@ -52,11 +56,7 @@ def serving_metrics(result: ServingResult) -> dict:
         "batch_sizes": {str(k): v for k, v in sorted(sizes.items())},
         "throughput_rps": result.throughput_rps,
         "makespan_ms": result.makespan_ms,
-        "mean_ms": sum(latencies) / len(latencies),
-        "p50_ms": percentile(latencies, 50),
-        "p95_ms": percentile(latencies, 95),
-        "p99_ms": percentile(latencies, 99),
-        "max_ms": max(latencies),
+        **latency_summary(latencies),
     }
 
 

@@ -9,8 +9,9 @@ The load-bearing invariants:
   Chrome traces, and metrics — the property that makes the plane
   testable without hardware;
 * with admission disabled, the live plane reproduces the offline
-  batcher (``simulate_serving``) decision for decision: same dispatch
-  and completion time and same batch size for every request;
+  batcher (``simulate_serving``) decision for decision: same replica,
+  dispatch and completion time and batch size for every request, on
+  a fixed trace and on random ones;
 * under an infeasible SLO the admission gates shed load, every request
   is accounted (admitted + shed == arrived), and the shed counters
   reach the metrics registry;
@@ -20,6 +21,7 @@ The load-bearing invariants:
 
 from __future__ import annotations
 
+import itertools
 import json
 import socket
 import threading
@@ -28,6 +30,8 @@ import urllib.error
 import urllib.request
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import obs as obslib
 from repro.obs.context import trace_id_for
@@ -344,59 +348,91 @@ class TestLivePlaneBatching:
         assert replicas == {0, 1}
 
 
-class TestOfflineParity:
-    def test_live_sim_matches_simulate_serving(self):
-        """The live plane replays the offline batcher's schedule.
+def _ms(lo, hi):
+    """Milliseconds in [lo, hi]: integer-valued (so events tie) or float."""
+    return st.one_of(
+        st.integers(min_value=lo, max_value=hi).map(float),
+        st.floats(min_value=float(lo), max_value=float(hi)),
+    )
 
-        Same trace, same policy, same (memoized constant) service
-        pricing: every request must dispatch and complete at the same
-        instant with the same batch size.  Replica *indices* may
-        legitimately differ when several replicas are idle, so they
-        are not compared.
-        """
+
+def _parity_schedules(trace, replicas, policy, base_ms, per_item_ms):
+    """(offline, live) per-request and per-batch schedules of one trace."""
+    offline = simulate_serving(
+        trace, replicas, policy, lambda b: base_ms + per_item_ms * b
+    )
+    spec = PoolSpec(
+        "resnet50",
+        replicas=replicas,
+        threads=1,
+        max_batch=policy.max_batch,
+        max_wait_ms=policy.max_wait_ms,
+    )
+    timeline = VirtualTimeline()
+    plane = ServePlane(CARMEL, [spec], timeline, controller="mock")
+    plane.pools["resnet50"].controller = MockController(
+        timeline, base_ms=base_ms, per_item_ms=per_item_ms
+    )
+    live = run_trace(plane, [("resnet50", r) for r in trace])
+    offline_requests = sorted(
+        (s.request.request_id, s.replica, s.dispatch_ms, s.completion_ms,
+         s.batch_size)
+        for s in offline.served
+    )
+    live_requests = sorted(
+        (s.request_id, s.replica, s.dispatch_ms, s.completion_ms,
+         s.batch_size)
+        for s in live.served
+    )
+    offline_batches = sorted(
+        (b.dispatch_ms, b.replica, b.size, b.formed_ms)
+        for b in offline.batches
+    )
+    live_batches = sorted(
+        (b.dispatch_ms, b.replica, b.size, b.formed_ms)
+        for b in live.batches
+    )
+    return (offline_requests, offline_batches), (live_requests, live_batches)
+
+
+class TestOfflineParity:
+    """The live plane and ``simulate_serving`` drive one batch former.
+
+    With admission off and the same service pricing, every request
+    must get the same replica, dispatch and completion instant and
+    batch size, and every batch the same forming instant — exactly,
+    not approximately.
+    """
+
+    def test_live_sim_matches_simulate_serving(self):
         trace = synthetic_trace(120.0, 2_000.0, seed=5)
         policy = BatchPolicy(max_batch=4, max_wait_ms=3.0)
+        offline, live = _parity_schedules(trace, 2, policy, 6.0, 1.5)
+        assert len(offline[0]) == len(trace)
+        assert live == offline
 
-        def service(batch):
-            return 6.0 + 1.5 * batch
-
-        offline = simulate_serving(trace, 2, policy, service)
-
-        spec = PoolSpec(
-            "resnet50",
-            replicas=2,
-            threads=2,
-            max_batch=policy.max_batch,
-            max_wait_ms=policy.max_wait_ms,
+    @settings(max_examples=40, deadline=None)
+    @given(
+        gaps=st.lists(_ms(0, 20), min_size=1, max_size=40),
+        replicas=st.integers(min_value=1, max_value=4),
+        max_batch=st.integers(min_value=1, max_value=6),
+        max_wait_ms=_ms(0, 10),
+        base_ms=_ms(1, 30),
+        per_item_ms=_ms(0, 5),
+    )
+    def test_schedules_agree_on_random_traces(
+        self, gaps, replicas, max_batch, max_wait_ms, base_ms, per_item_ms
+    ):
+        """Integer-valued draws make events coincide: ties must agree."""
+        trace = tuple(
+            Request(request_id=i, arrival_ms=ms)
+            for i, ms in enumerate(itertools.accumulate(gaps))
         )
-        timeline = VirtualTimeline()
-        plane = ServePlane(
-            CARMEL,
-            [spec],
-            timeline,
-            controller="mock",
-            mock_service_ms=1.0,
+        policy = BatchPolicy(max_batch=max_batch, max_wait_ms=max_wait_ms)
+        offline, live = _parity_schedules(
+            trace, replicas, policy, base_ms, per_item_ms
         )
-        pool = plane.pools["resnet50"]
-        pool.controller = MockController(
-            timeline, base_ms=6.0, per_item_ms=1.5
-        )
-        live = run_trace(plane, [("resnet50", r) for r in trace])
-
-        assert len(live.served) == len(offline.served)
-        offline_by_id = {
-            s.request.request_id: s for s in offline.served
-        }
-        for served in live.served:
-            ref = offline_by_id[served.request_id]
-            assert served.dispatch_ms == pytest.approx(ref.dispatch_ms)
-            assert served.completion_ms == pytest.approx(
-                ref.completion_ms
-            )
-            assert served.batch_size == ref.batch_size
-        assert sorted(b.size for b in live.batches) == sorted(
-            b.size for b in offline.batches
-        )
+        assert live == offline
 
 
 class TestAdmissionOnThePlane:
