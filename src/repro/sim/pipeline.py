@@ -21,6 +21,17 @@ abstract core described by a :class:`~repro.isa.machine.MachineModel`:
 
 Steady-state cycles per k-iteration are measured by simulating a window of
 iterations and differencing completion times across the middle of the run.
+
+The scheduler is first-fit in trace order: each operation issues at the
+first cycle at or after its operands are ready where its pipe, the vector
+dispatch slots (for ``chime`` consecutive cycles) and the issue width all
+have room.  Busy counts only grow, so a cycle where an op of some pipe
+cannot issue stays full for every later op of that pipe.  The search keeps
+one monotone floor per pipe, the first cycle such an op might still
+issue, and starts at ``max(ready, floor)``: it never rescans the full
+cycles behind the floor, and finds the same cycle as stepping from
+``ready``.  ``tests/test_pipeline_sched.py`` holds the cycle-stepping
+oracle and checks the two agree exactly.
 """
 
 from __future__ import annotations
@@ -63,6 +74,7 @@ class KernelTrace:
     extra_call_cycles: float = 0.0
 
     def counts(self) -> Dict[str, int]:
+        """Operations per pipe."""
         out: Dict[str, int] = {}
         for op in self.ops:
             out[op.pipe] = out.get(op.pipe, 0) + 1
@@ -201,46 +213,84 @@ class PipelineModel:
         """Simulate ``window`` k-iterations; return steady-state cycles/iter."""
         machine = self.machine
         vec_width = self._dispatch_width()
-        ready: Dict[tuple, int] = {}
-        pipe_busy: Dict[Tuple[int, str], int] = {}
-        vec_busy: Dict[int, int] = {}
-        issue_busy: Dict[int, int] = {}
+        issue_width = machine.issue_width
+        # one op can push the schedule's last busy cycle or completion
+        # out by at most chime + latency, which bounds every cycle index
+        horizon = 1 + window * sum(
+            _chime(machine, op) + op.latency for op in trace.ops
+        )
+        issue_busy = [0] * horizon
+        vec_busy = [0] * horizon
+        pipe_busy: Dict[str, List[int]] = {}
+        values: Dict[tuple, int] = {}  # value key -> dense index
+        plan = []
+        for op in trace.ops:
+            if op.pipe not in pipe_busy:
+                pipe_busy[op.pipe] = [0] * horizon
+            plan.append((
+                op.pipe,
+                pipe_busy[op.pipe],
+                machine.pipe_count(op.pipe),
+                _chime(machine, op),
+                op.pipe in VECTOR_PIPES,
+                tuple(
+                    (values.setdefault(src, len(values)), _is_chain(op, src))
+                    for src in op.srcs
+                ),
+                None if op.dest is None
+                else values.setdefault(op.dest, len(values)),
+                op.accumulate,
+                op.latency,
+            ))
+        # no op of a pipe can issue below that pipe's floor
+        floor = dict.fromkeys(pipe_busy, 0)
+        # completion cycle of each value: the latest accumulate write, and
+        # the latest plain write together with its iteration
+        chain_done = [0] * len(values)
+        plain_done = [0] * len(values)
+        plain_iter = [-1] * len(values)
         iter_finish: List[int] = []
 
         for it in range(window):
             finish = 0
-            for op in trace.ops:
+            for (
+                pipe, busy, units, chime, vector, srcs, dest, accumulate,
+                latency,
+            ) in plan:
+                # a plain value counts once this iteration has written it;
+                # otherwise (and for a chain) the accumulator's latest
+                # write does; a value never written delays nothing
                 start = 0
-                for src in op.srcs:
-                    key = src if _is_chain(op, src) else (src, it)
-                    if key in ready:
-                        start = max(start, ready[key])
-                    elif src in ready:
-                        start = max(start, ready[src])
-                # vector ops occupy their unit for the machine's chime
-                # count (RVV cores with a datapath narrower than VLEN)
-                chime = (
-                    machine.vector_chime if op.pipe in VECTOR_PIPES else 1
-                )
-                cycle = start
-                while not self._can_issue(
-                    cycle, op, chime, machine, vec_width,
-                    pipe_busy, vec_busy, issue_busy,
-                ):
-                    cycle += 1
-                for cc in range(cycle, cycle + chime):
-                    pipe_busy[(cc, op.pipe)] = (
-                        pipe_busy.get((cc, op.pipe), 0) + 1
-                    )
-                    if op.pipe in VECTOR_PIPES:
-                        vec_busy[cc] = vec_busy.get(cc, 0) + 1
-                issue_busy[cycle] = issue_busy.get(cycle, 0) + 1
-                done = cycle + (chime - 1) + op.latency
-                if op.dest is not None:
-                    if op.accumulate:
-                        ready[op.dest] = done
+                for value, chain in srcs:
+                    if not chain and plain_iter[value] == it:
+                        start = max(start, plain_done[value])
                     else:
-                        ready[(op.dest, it)] = done
+                        start = max(start, chain_done[value])
+                cycle = max(start, floor[pipe])
+                while True:
+                    if issue_busy[cycle] < issue_width:
+                        for cc in range(cycle, cycle + chime):
+                            if busy[cc] >= units or (
+                                vector and vec_busy[cc] >= vec_width
+                            ):
+                                break
+                        else:
+                            break
+                    cycle += 1
+                if start <= floor[pipe]:
+                    floor[pipe] = cycle
+                for cc in range(cycle, cycle + chime):
+                    busy[cc] += 1
+                    if vector:
+                        vec_busy[cc] += 1
+                issue_busy[cycle] += 1
+                done = cycle + (chime - 1) + latency
+                if dest is not None:
+                    if accumulate:
+                        chain_done[dest] = done
+                    else:
+                        plain_done[dest] = done
+                        plain_iter[dest] = it
                 finish = max(finish, done)
             iter_finish.append(finish)
 
@@ -248,48 +298,14 @@ class PipelineModel:
         hi = 3 * window // 4
         return (iter_finish[hi] - iter_finish[lo]) / (hi - lo)
 
-    @staticmethod
-    def _can_issue(
-        cycle, op, chime, machine, vec_width, pipe_busy, vec_busy, issue_busy
-    ):
-        for cc in range(cycle, cycle + chime):
-            if pipe_busy.get((cc, op.pipe), 0) >= machine.pipe_count(op.pipe):
-                return False
-            if op.pipe in VECTOR_PIPES and vec_busy.get(cc, 0) >= vec_width:
-                return False
-        if issue_busy.get(cycle, 0) >= machine.issue_width:
-            return False
-        return True
 
-    # -- per-invocation composition --------------------------------------------
+def _chime(machine: MachineModel, op: TraceOp) -> int:
+    """Cycles ``op`` holds its unit.
 
-    def kernel_invocation_cycles(
-        self, trace: KernelTrace, kc: int, call_overhead: float = 15.0
-    ) -> float:
-        """Modelled cycles for one kernel call with depth ``kc``.
-
-        The k-loop runs at the steady-state rate; the C-tile prologue and
-        epilogue transfers run at the vector-dispatch width; a fixed call
-        overhead covers stack and argument setup.
-        """
-        per_iter = self.steady_cycles_per_iter(trace)
-        vec_width = self._dispatch_width()
-        edge = (
-            (trace.prologue_vector_ops + trace.epilogue_vector_ops)
-            * self.machine.vector_chime
-            / vec_width
-        )
-        return kc * per_iter + edge + call_overhead + trace.extra_call_cycles
-
-    def kernel_gflops(
-        self, trace: KernelTrace, kc: int, useful_flops: Optional[int] = None
-    ) -> float:
-        """Solo-mode GFLOPS for repeated invocations at depth ``kc``."""
-        cycles = self.kernel_invocation_cycles(trace, kc)
-        flops = useful_flops if useful_flops is not None else (
-            trace.flops_per_iter * kc
-        )
-        return flops / cycles * self.machine.freq_ghz
+    Vector ops take the machine's chime count (RVV cores with a datapath
+    narrower than VLEN); every other op takes one.
+    """
+    return machine.vector_chime if op.pipe in VECTOR_PIPES else 1
 
 
 def _is_chain(op: TraceOp, src: tuple) -> bool:
