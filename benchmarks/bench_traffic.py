@@ -2,16 +2,19 @@
 
 The serving docs promise O(requests) trace generation — million-request
 traces in seconds — and a live plane whose virtual-time simulation is
-fast enough to replay heavy traffic in CI.  This module pins both
-rates: MMPP and diurnal generation at one million requests, and the
-end-to-end live plane (admission, queueing, batch forming, virtual
-timeline) on a mock controller at thousands of requests per run.
+fast enough to replay heavy traffic in CI.  This module records both
+as rates (requests per second of the benchmark's median time): MMPP
+and diurnal generation at one million requests, and the end-to-end
+live plane (admission, queueing, batch forming, virtual timeline) on a
+mock controller next to the offline ``simulate_serving`` loop on the
+same trace — the pair whose ratio is the live plane's overhead.
 """
 
 from __future__ import annotations
 
 from repro.isa.machine import CARMEL
 from repro.serve import (
+    BatchPolicy,
     MockController,
     PoolSpec,
     ServePlane,
@@ -19,6 +22,7 @@ from repro.serve import (
     diurnal_trace,
     mmpp_trace,
     run_trace,
+    simulate_serving,
 )
 from repro.serve.admission import AdmissionPolicy
 
@@ -41,8 +45,8 @@ def test_mmpp_generation_rate(benchmark):
         machine="carmel",
         isa="neon",
         threads=1,
-        metric="mmpp_requests",
-        value=float(n),
+        metric="mmpp_requests_per_s",
+        value=n / benchmark.stats.stats.median,
     )
     print(f"\n  mmpp drew {n} requests over {MILLION_MS / 1e3:.0f} s")
 
@@ -62,27 +66,32 @@ def test_diurnal_generation_rate(benchmark):
         machine="carmel",
         isa="neon",
         threads=1,
-        metric="diurnal_requests",
-        value=float(n),
+        metric="diurnal_requests_per_s",
+        value=n / benchmark.stats.stats.median,
     )
     print(f"\n  diurnal drew {n} requests over {MILLION_MS / 1e3:.0f} s")
 
 
+#: the replay both planes run: trace, pool shape and mock pricing
+REPLAY_TRACE = dict(
+    rates_rps=(200.0, 800.0),
+    mean_dwell_ms=300.0,
+    duration_ms=10_000.0,
+    seed=3,
+)
+REPLAY_POOL = PoolSpec("resnet50", replicas=2, threads=4)
+REPLAY_BASE_MS, REPLAY_PER_ITEM_MS = 2.0, 0.5
+
+
 def test_live_plane_sim_throughput(benchmark):
     """Virtual-time replay rate of the full admission + batching path."""
-    trace = mmpp_trace(
-        rates_rps=(200.0, 800.0),
-        mean_dwell_ms=300.0,
-        duration_ms=10_000.0,
-        seed=3,
-    )
-    arrivals = [("resnet50", r) for r in trace]
+    arrivals = [("resnet50", r) for r in mmpp_trace(**REPLAY_TRACE)]
 
     def run():
         timeline = VirtualTimeline()
         plane = ServePlane(
             CARMEL,
-            [PoolSpec("resnet50", replicas=2, threads=4)],
+            [REPLAY_POOL],
             timeline=timeline,
             controller="mock",
             admission=AdmissionPolicy(max_queue_depth=64),
@@ -90,21 +99,56 @@ def test_live_plane_sim_throughput(benchmark):
         )
         for pool in plane.pools.values():
             pool.controller = MockController(
-                timeline, base_ms=2.0, per_item_ms=0.5
+                timeline,
+                base_ms=REPLAY_BASE_MS,
+                per_item_ms=REPLAY_PER_ITEM_MS,
             )
         return run_trace(plane, arrivals)
 
     result = benchmark(run)
     assert result.arrived == len(arrivals)
     assert len(result.served) + len(result.shed) == result.arrived
+    rate = result.arrived / benchmark.stats.stats.median
     benchmark.extra_info.update(
         machine="carmel",
         isa="neon",
         threads=4,
-        metric="live_sim_requests",
-        value=float(result.arrived),
+        metric="live_sim_requests_per_s",
+        value=rate,
     )
     print(
         f"\n  live sim replayed {result.arrived} requests "
-        f"({len(result.served)} served, {len(result.shed)} shed)"
+        f"({len(result.served)} served, {len(result.shed)} shed) "
+        f"at {rate:,.0f} req/s"
+    )
+
+
+def test_offline_sim_throughput(benchmark):
+    """Replay rate of ``simulate_serving`` on the live bench's trace.
+
+    Same trace, replicas, batch policy and service pricing as
+    :func:`test_live_plane_sim_throughput`, without its admission
+    gate: the offline loop is the floor the live plane's event loop
+    is measured against.
+    """
+    trace = mmpp_trace(**REPLAY_TRACE)
+    policy = BatchPolicy(REPLAY_POOL.max_batch, REPLAY_POOL.max_wait_ms)
+
+    def service_ms(batch):
+        return REPLAY_BASE_MS + REPLAY_PER_ITEM_MS * batch
+
+    result = benchmark(
+        simulate_serving, trace, REPLAY_POOL.replicas, policy, service_ms
+    )
+    assert len(result.served) == len(trace)
+    rate = len(trace) / benchmark.stats.stats.median
+    benchmark.extra_info.update(
+        machine="carmel",
+        isa="neon",
+        threads=4,
+        metric="offline_sim_requests_per_s",
+        value=rate,
+    )
+    print(
+        f"\n  offline sim replayed {len(trace)} requests at {rate:,.0f} req/s"
     )

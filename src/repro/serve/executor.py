@@ -75,6 +75,8 @@ class ModelExecutor:
         self.ctx._exo_traces = self.base_ctx._exo_traces
         #: (layer_id, batch) -> (seconds, main tile)
         self._layer_memo: Dict[Tuple[int, int], tuple] = {}
+        #: batch -> modelled milliseconds of one forward pass
+        self._batch_memo: Dict[int, float] = {}
 
     def layer_time(
         self, layer: LayerGemm, batch: int
@@ -92,11 +94,8 @@ class ModelExecutor:
                 main if main is not None else self.ctx.main_tile,
             )
             self._record_pricing(b.seconds)
-        elif self.obs is not None:
-            self.obs.metrics.counter(
-                "serve.layer_memo_hits",
-                help="(layer, batch) pricings answered by the memo",
-            ).inc()
+        else:
+            self._count_memo_hits(1)
         return self._layer_memo[key]
 
     def batch_time_ms(self, batch: int) -> float:
@@ -104,13 +103,18 @@ class ModelExecutor:
 
         Sums per-instance layer times in instance order — the exact
         accumulation of the threaded eval sweep, so batch=1 on one
-        replica reproduces its totals to the last bit.
+        replica reproduces its totals to the last bit.  Memoized per
+        batch size: a repeat counts one memo hit per instance.
         """
-        total_seconds = 0.0
-        for _, layer in self.instances:
-            seconds, _ = self.layer_time(layer, batch)
-            total_seconds += seconds
-        return total_seconds * 1e3
+        if batch in self._batch_memo:
+            self._count_memo_hits(len(self.instances))
+        else:
+            total_seconds = 0.0
+            for _, layer in self.instances:
+                seconds, _ = self.layer_time(layer, batch)
+                total_seconds += seconds
+            self._batch_memo[batch] = total_seconds * 1e3
+        return self._batch_memo[batch]
 
     def layer_breakdown_ms(self, batch: int) -> Dict[str, float]:
         """Per-layer milliseconds of one batched forward pass.
@@ -139,6 +143,13 @@ class ModelExecutor:
             return None
         main, _ = tuned_layer_breakdown(self.base_ctx, m, n, k)
         return main
+
+    def _count_memo_hits(self, hits: int) -> None:
+        if self.obs is not None and hits:
+            self.obs.metrics.counter(
+                "serve.layer_memo_hits",
+                help="(layer, batch) pricings answered by the memo",
+            ).inc(hits)
 
     def _record_pricing(self, seconds: float) -> None:
         """The metric side effects of one memo-miss layer pricing."""

@@ -55,7 +55,6 @@ from .batcher import LATENCY_BUCKETS_MS, BatchFormer, BatchPolicy
 from .controllers import Controller, controller_for
 from .executor import ModelExecutor, prewarm_executors
 from .report import latency_summary
-from .timeline import VirtualTimeline
 from .traffic import Request
 
 #: HTTP reason phrases the front door emits
@@ -805,7 +804,7 @@ def run_http(
     optional ``ready`` callback receives the bound ``(host, port)``
     once the server is listening — the tests use it to connect.
     """
-    if isinstance(plane.timeline, VirtualTimeline):
+    if plane.timeline.kind == "virtual":
         raise ValueError(
             "the HTTP front door needs a wall timeline — virtual time "
             "cannot pace sockets; use controller 'real' or 'mock'"

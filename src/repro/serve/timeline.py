@@ -1,6 +1,6 @@
-"""Virtual- and wall-clock schedulers for the asyncio serving plane.
+"""Virtual- and wall-clock schedulers for the serving plane.
 
-The live plane (:mod:`repro.serve.plane`) is ordinary asyncio code —
+The live plane (:mod:`repro.serve.plane`) is ordinary ``async`` code —
 coroutines queue, batch, and execute requests — but it never calls
 ``asyncio.sleep`` or reads a wall clock directly.  Every blocking
 operation goes through a *timeline*:
@@ -8,19 +8,18 @@ operation goes through a *timeline*:
 * :class:`WallTimeline` maps the primitives straight onto asyncio —
   real sleeps, real time — for serving actual HTTP traffic.
 * :class:`VirtualTimeline` runs the identical coroutines in simulated
-  time: sleeps register on a heap of ``(wake_ms, seq)`` entries and a
-  stepper advances the virtual clock to the earliest pending wake only
-  when every task is blocked.  Because asyncio's ready queue is FIFO
-  and nothing touches real time or real I/O, the whole plane becomes a
-  deterministic discrete-event simulation — two runs of the same
-  (trace, config) produce byte-identical reports and traces.
+  time on its own loop, without asyncio: spawned coroutines are tasks
+  on a FIFO ready queue; a task awaiting an unfired future parks on
+  it, and ``fire`` re-queues its waiters in parking order.  Sleeps
+  register on a heap of ``(wake_ms, seq)`` timers, and the clock
+  advances to the earliest live one only when no task is ready, so
+  virtual time never passes work already scheduled to run.
 
-The accounting invariant that makes the stepper sound: a task is
-"runnable" unless it is parked inside :meth:`sleep_until` or
-:meth:`wait`, and the runnable count is adjusted *synchronously* at
-block and wake time (``fire`` increments before ``set_result``), so
-the stepper can never advance virtual time past work that is already
-scheduled to run.
+Every choice is FIFO or ``(wake_ms, seq)`` order and nothing reads real
+time or does I/O, so the sim plane is a deterministic discrete-event
+simulation — two runs of the same (trace, config) give byte-identical
+reports and traces, in the order asyncio's FIFO ready queue gives
+under the same advance rule.
 """
 
 from __future__ import annotations
@@ -28,8 +27,8 @@ from __future__ import annotations
 import asyncio
 import heapq
 import time
-import weakref
-from typing import Any, Coroutine, List, Tuple
+from collections import deque
+from typing import Any, Coroutine, Deque, List, Optional, Tuple
 
 #: the value a deadline-expired :meth:`Timeline.wait_or_deadline` yields
 DEADLINE = object()
@@ -94,15 +93,37 @@ class WallTimeline:
         return asyncio.run(main)
 
 
-class VirtualTimeline:
-    """The simulated-time timeline: deterministic discrete-event asyncio.
+class _Future:
+    """A one-shot event; a task awaiting it unfired parks on it."""
 
-    Coroutines written against the timeline interface run unchanged;
-    only time is virtual.  The stepper inside :meth:`execute` advances
-    the clock to the earliest registered wake whenever every spawned
-    task is blocked, so execution order is a pure function of the
-    program — no wall clock, no I/O, no nondeterminism.
-    """
+    __slots__ = ("_done", "_value", "_error", "_waiters")
+
+    def __init__(self):
+        self._done = False
+        self._value: Any = None
+        self._error: Optional[Exception] = None
+        self._waiters: List["_Task"] = []
+
+    def __await__(self):
+        if not self._done:
+            yield self
+        if self._error is not None:
+            raise self._error
+        return self._value
+
+
+class _Task(_Future):
+    """A spawned coroutine; fires with its outcome when it ends."""
+
+    __slots__ = ("_coro",)
+
+    def __init__(self, coro: Coroutine):
+        super().__init__()
+        self._coro = coro
+
+
+class VirtualTimeline:
+    """The simulated-time timeline: a deterministic discrete-event loop."""
 
     kind = "virtual"
 
@@ -111,120 +132,72 @@ class VirtualTimeline:
         self._now_ms = start_ms
         self._seq = 0
         #: (wake_ms, seq, future, value) pending virtual timers
-        self._sleepers: List[Tuple[float, int, "asyncio.Future", Any]] = []
-        self._runnable = 0
-        self._waited: set = set()
-        #: task -> completion future, for :meth:`join`; weak keys so
-        #: long runs don't accumulate finished-task entries
-        self._completions: "weakref.WeakKeyDictionary" = (
-            weakref.WeakKeyDictionary()
-        )
+        self._sleepers: List[Tuple[float, int, _Future, Any]] = []
+        #: tasks ready to run, in the order they became ready
+        self._ready: Deque[_Task] = deque()
+        self._failure: Optional[Exception] = None  # the last task error
 
     def now_ms(self) -> float:
         """The current virtual time in milliseconds."""
         return self._now_ms
 
-    def create_future(self) -> "asyncio.Future":
-        """Return a fresh future on the running loop."""
-        return asyncio.get_running_loop().create_future()
+    def create_future(self) -> _Future:
+        """Return a fresh unfired future."""
+        return _Future()
 
-    def fire(self, future: "asyncio.Future", value: Any = None) -> None:
-        """Resolve ``future``, synchronously re-marking its waiter runnable.
-
-        The runnable count moves *before* ``set_result`` so the stepper
-        never sees a woken-but-uncounted task and advances time over it.
-        """
-        if future.done():
+    def fire(self, future: _Future, value: Any = None) -> None:
+        """Resolve ``future``; queue its waiters in the order they parked."""
+        if future._done:
             return
-        if future in self._waited:
-            self._waited.discard(future)
-            self._runnable += 1
-        future.set_result(value)
+        future._done = True
+        future._value = value
+        self._ready.extend(future._waiters)
 
-    def _block_on(self, future: "asyncio.Future") -> None:
-        self._waited.add(future)
-        self._runnable -= 1
-
-    async def _await_blocked(self, future: "asyncio.Future") -> Any:
-        try:
-            return await future
-        except asyncio.CancelledError:
-            if future in self._waited:
-                self._waited.discard(future)
-                self._runnable += 1
-            raise
+    def _timer(self, wake_ms: float, future: _Future, value: Any) -> _Future:
+        """Register a timer firing ``future`` with ``value`` at ``wake_ms``."""
+        self._seq += 1
+        heapq.heappush(self._sleepers, (wake_ms, self._seq, future, value))
+        return future
 
     async def sleep_until(self, wake_ms: float) -> None:
         """Park until the virtual clock reaches ``wake_ms``."""
-        if wake_ms <= self._now_ms:
-            return
-        future = self.create_future()
-        self._seq += 1
-        heapq.heappush(self._sleepers, (wake_ms, self._seq, future, None))
-        self._block_on(future)
-        await self._await_blocked(future)
+        if wake_ms > self._now_ms:
+            await self._timer(wake_ms, _Future(), None)
 
-    async def wait(self, future: "asyncio.Future") -> Any:
+    async def wait(self, future: _Future) -> Any:
         """Park until ``future`` is :meth:`fire`-d; return its value."""
-        if future.done():
-            return future.result()
-        self._block_on(future)
-        return await self._await_blocked(future)
+        return await future
 
     async def wait_or_deadline(
-        self, future: "asyncio.Future", deadline_ms: float
+        self, future: _Future, deadline_ms: float
     ) -> Any:
         """Wait for ``future`` or virtual time ``deadline_ms``.
 
         Returns the fired value, or :data:`DEADLINE` when the deadline
         arrives first; a deadline entry whose future was already fired
-        is skipped by the stepper, so stale timers are harmless.
+        is skipped by :meth:`_advance`, so stale timers are harmless.
         """
-        if future.done():
-            return future.result()
+        if future._done:
+            return future._value
         if deadline_ms <= self._now_ms:
             return DEADLINE
-        self._seq += 1
-        heapq.heappush(
-            self._sleepers, (deadline_ms, self._seq, future, DEADLINE)
-        )
-        return await self.wait(future)
+        return await self._timer(deadline_ms, future, DEADLINE)
 
-    def spawn(self, coro: Coroutine) -> "asyncio.Task":
-        """Run ``coro`` as a task tracked by the runnable accounting.
-
-        Virtual-time callers must :meth:`join` a spawned task rather
-        than ``await`` it: a raw task-await leaves the waiter counted
-        runnable, freezing the clock.  The completion future is fired
-        *inside* the task's own final step, so a joiner is re-marked
-        runnable before the stepper can look at the counter.
-        """
-        completion = self.create_future()
-
-        async def wrapped():
-            try:
-                return await coro
-            finally:
-                self._runnable -= 1
-                self.fire(completion, None)
-
-        self._runnable += 1
-        task = asyncio.get_running_loop().create_task(wrapped())
-        self._completions[task] = completion
+    def spawn(self, coro: Coroutine) -> _Task:
+        """Queue ``coro`` as a task; it starts at the ready queue's head."""
+        task = _Task(coro)
+        self._ready.append(task)
         return task
 
-    async def join(self, task: "asyncio.Task") -> Any:
+    async def join(self, task: _Task) -> Any:
         """Wait for a :meth:`spawn`-ed task; return (or raise) its result."""
-        completion = self._completions.get(task)
-        if completion is not None and not task.done():
-            await self.wait(completion)
         return await task
 
     def _advance(self) -> None:
         """Wake the earliest pending virtual timer."""
         while self._sleepers:
             wake_ms, _, future, value = heapq.heappop(self._sleepers)
-            if future.done():
+            if future._done:
                 continue  # a deadline timer whose wait already fired
             if wake_ms > self._now_ms:
                 self._now_ms = wake_ms
@@ -234,19 +207,36 @@ class VirtualTimeline:
             "virtual-time deadlock: every task is blocked but no "
             "virtual timer is pending — a plane coroutine is waiting "
             "on an event nothing will fire"
-        )
-
-    async def _drive(self, main: Coroutine) -> Any:
-        task = self.spawn(main)
-        while not task.done():
-            if self._runnable == 0:
-                self._advance()
-            await asyncio.sleep(0)
-        return task.result()
+        ) from self._failure
 
     def execute(self, main: Coroutine) -> Any:
-        """Run ``main`` under the stepper on a fresh event loop."""
-        return asyncio.run(self._drive(main))
+        """Run ``main`` to completion; return (or raise) its result."""
+        main_task = self.spawn(main)
+        ready = self._ready
+        while not main_task._done:
+            if not ready:
+                self._advance()
+                continue
+            task = ready.popleft()
+            try:
+                awaited = task._coro.send(None)
+            except StopIteration as stop:
+                self.fire(task, stop.value)
+                continue
+            except Exception as error:  # the task's outcome, for join
+                task._error = self._failure = error
+                self.fire(task)
+                continue
+            if not isinstance(awaited, _Future):
+                raise TypeError(
+                    f"{task._coro.__qualname__} awaited {awaited!r}: the "
+                    "virtual timeline only schedules its own primitives "
+                    "(sleep_until, wait, wait_or_deadline, join)"
+                )
+            awaited._waiters.append(task)
+        if main_task._error is not None:
+            raise main_task._error
+        return main_task._value
 
 
 def timeline_for(controller: str):

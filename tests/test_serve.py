@@ -24,6 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs as obslib
 from repro import tune
 from repro.eval.harness import (
     exo_gemm_breakdown,
@@ -31,7 +32,7 @@ from repro.eval.harness import (
     threaded_instance_time_data,
     tuned_layer_breakdown,
 )
-from repro.isa.machine import CARMEL, MACHINES
+from repro.isa.machine import CARMEL, MACHINES, machine_by_name
 from repro.serve import (
     BatchPolicy,
     ModelExecutor,
@@ -506,6 +507,40 @@ class TestExecutor:
         t1 = executor.batch_time_ms(1)
         t2 = executor.batch_time_ms(2)
         assert t1 < t2 < 2 * t1
+
+    @pytest.mark.parametrize("machine_name", ["carmel", "numa2s"])
+    def test_batch_memo_is_exact_and_counts_per_layer(self, machine_name):
+        """Every batch total equals a fresh per-layer re-sum, on its
+        first call and on later ones, and the memo counters read as if
+        every call had summed the layers through the layer memo."""
+        machine = machine_by_name(machine_name)
+        max_batch = 8
+        obs = obslib.Obs()
+        executor = ModelExecutor(
+            machine, model="resnet50", threads=4, replicas=2, obs=obs
+        )
+        reference = ModelExecutor(
+            machine, model="resnet50", threads=4, replicas=2
+        )
+        calls = [*range(1, max_batch + 1), *range(max_batch, 0, -1), 3]
+        seen = set()
+        pricings = hits = 0
+        for batch in calls:
+            resum = 0.0
+            for _, layer in reference.instances:
+                seconds, _ = reference.layer_time(layer, batch)
+                resum += seconds
+                key = (layer.layer_id, batch)
+                if key in seen:
+                    hits += 1
+                else:
+                    pricings += 1
+                    seen.add(key)
+            assert executor.batch_time_ms(batch) == resum * 1e3
+        counters = obs.metrics.to_json()
+        assert counters["serve.layer_pricings"]["value"] == pricings
+        assert counters["serve.layer_memo_hits"]["value"] == hits
+        assert hits > len(reference.instances) * max_batch
 
     def test_layer_records_cover_priced_batches(self):
         executor = ModelExecutor(
