@@ -30,6 +30,7 @@ components), and counters/histograms of the timing-model traffic.
 
 from __future__ import annotations
 
+import argparse
 import sys
 import time
 from contextlib import nullcontext
@@ -209,132 +210,99 @@ def run_isa_eval(
     return 0
 
 
-USAGE = """\
-usage: python -m repro.eval [outdir] [--isa NAME] [--threads N]
-                            [--use-tuned] [--tune-cache PATH]
-                            [--trace PATH] [--metrics PATH]
-                            [--quiet | -v]
-
-Regenerate the paper's evaluation figures into outdir (default
-results/).  --isa retargets to a registered backend (rvv128, rvv256,
-avx512, numa2s); --threads N adds the multi-core figures; --use-tuned activates
-the persistent tune cache so the ResNet-50/VGG16 per-layer sweeps
-dispatch each layer's kernel through the tuned winners (--tune-cache
-overrides the cache root, default out/tunecache).  --trace writes a
-Chrome trace-event JSON (figure-phase spans + one event per modelled
-GEMM); --metrics writes the metrics registry as JSON (+ .prom);
---quiet/-q silences progress output, -v/--verbose adds debug lines."""
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"wants a positive integer, got {text!r}"
+        )
+    return value
 
 
-def _pop_flag(argv: list, name: str) -> bool:
-    """Extract a boolean ``--name`` flag from ``argv``."""
-    flag = f"--{name}"
-    if flag in argv:
-        argv.remove(flag)
-        return True
-    return False
+def _parse_args(argv) -> argparse.Namespace:
+    from repro.isa.targets import ISA_TARGETS
 
-
-def _pop_short(argv: list, flag: str) -> int:
-    """Extract every occurrence of a literal flag; returns the count."""
-    count = argv.count(flag)
-    for _ in range(count):
-        argv.remove(flag)
-    return count
-
-
-def _pop_option(argv: list, name: str):
-    """Extract ``--name VALUE`` or ``--name=VALUE`` from ``argv``.
-
-    Returns the value, ``None`` when absent, or raises ``ValueError``
-    when the flag is present without a value.
-    """
-    for i, arg in enumerate(argv):
-        if arg.startswith(f"--{name}="):
-            del argv[i]
-            return arg.split("=", 1)[1]
-        if arg == f"--{name}":
-            try:
-                value = argv[i + 1]
-            except IndexError:
-                raise ValueError(f"--{name} requires an argument") from None
-            del argv[i : i + 2]
-            return value
-    return None
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.eval",
+        description="Regenerate the paper's evaluation figures.",
+    )
+    parser.add_argument(
+        "outdir",
+        nargs="?",
+        default="results",
+        help="report directory (default results/)",
+    )
+    parser.add_argument(
+        "--isa",
+        default="neon",
+        type=str.lower,
+        choices=sorted(ISA_TARGETS),
+        help="retarget to a registered backend (default neon)",
+    )
+    parser.add_argument(
+        "--threads",
+        type=_positive_int,
+        default=1,
+        metavar="N",
+        help="add the multi-core figures for 1..N threads",
+    )
+    parser.add_argument(
+        "--use-tuned",
+        action="store_true",
+        help="dispatch each ResNet-50/VGG16 layer's kernel through the "
+        "persistent tune cache's winners",
+    )
+    parser.add_argument(
+        "--tune-cache",
+        default=None,
+        metavar="PATH",
+        help="tune cache root for --use-tuned (default out/tunecache)",
+    )
+    parser.add_argument(
+        "--trace",
+        default=None,
+        metavar="PATH",
+        help="write a Chrome trace-event JSON (figure-phase spans + one "
+        "event per modelled GEMM)",
+    )
+    parser.add_argument(
+        "--metrics",
+        default=None,
+        metavar="PATH",
+        help="write the metrics registry as JSON (+ .prom text format)",
+    )
+    obslib.add_logging_args(parser)
+    args = parser.parse_args(argv)
+    if args.tune_cache is not None and not args.use_tuned:
+        parser.error("--tune-cache requires --use-tuned")
+    return args
 
 
 def main(argv=None) -> int:
-    argv = list(argv if argv is not None else sys.argv[1:])
-    if "--help" in argv or "-h" in argv:
-        print(USAGE)
-        return 0
-    use_tuned = _pop_flag(argv, "use-tuned")
-    quiet = _pop_flag(argv, "quiet") or _pop_short(argv, "-q")
-    verbose = _pop_short(argv, "-v") + _pop_short(argv, "--verbose")
-    obslib.configure(
-        obslib.log.QUIET if quiet
-        else (obslib.log.DEBUG if verbose else obslib.log.INFO)
-    )
     try:
-        isa = _pop_option(argv, "isa")
-        threads_spec = _pop_option(argv, "threads")
-        tune_cache = _pop_option(argv, "tune-cache")
-        trace_path = _pop_option(argv, "trace")
-        metrics_path = _pop_option(argv, "metrics")
-    except ValueError as exc:
-        log.error(str(exc))
-        return 2
-    if tune_cache is not None and not use_tuned:
-        log.error("--tune-cache requires --use-tuned")
-        return 2
-    if isa is not None and not isa.strip():
-        log.error("--isa requires an argument")
-        return 2
-    isa = (isa or "neon").lower()
-    threads = 1
-    if threads_spec is not None:
-        try:
-            threads = int(threads_spec)
-            if threads < 1:
-                raise ValueError
-        except ValueError:
-            log.error(
-                f"--threads wants a positive integer, got {threads_spec!r}"
-            )
-            return 2
-    if isa != "neon":
-        from repro.isa.targets import ISA_TARGETS
-
-        if isa not in ISA_TARGETS:
-            log.error(
-                f"unknown ISA {isa!r}; registered: {sorted(ISA_TARGETS)}"
-            )
-            return 2
-    stray = [arg for arg in argv if arg.startswith("--")]
-    if stray:
-        log.error(
-            f"unknown option(s): {', '.join(stray)} "
-            "(supported: --isa NAME, --threads N, --use-tuned, "
-            "--tune-cache PATH, --trace PATH, --metrics PATH, "
-            "--quiet, -v)"
-        )
-        return 2
-    if use_tuned:
+        args = _parse_args(argv if argv is not None else sys.argv[1:])
+    except SystemExit as exc:  # argparse: --help (0) or bad input (2)
+        return exc.code
+    obslib.configure_from_args(args)
+    if args.use_tuned:
         from repro import tune
 
         cache = tune.activate(
-            tune.TuneCache(tune_cache or tune.default_cache_root())
+            tune.TuneCache(args.tune_cache or tune.default_cache_root())
         )
         log.info(f"per-layer dispatch: tuned (cache {cache.root})")
-    outdir = Path(argv[0]) if argv else Path("results")
+    outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    obs = obslib.obs_from_cli(trace_path, metrics_path)
+    obs = obslib.obs_from_cli(args.trace, args.metrics)
     if obs is None:
-        return _run(isa, outdir, threads, use_tuned, None)
+        return _run(args.isa, outdir, args.threads, args.use_tuned, None)
     profiler = obslib.GemmProfiler(tracer=obs.tracer, metrics=obs.metrics)
     with obs_profile.using(profiler):
-        rc = _run(isa, outdir, threads, use_tuned, obs)
+        rc = _run(args.isa, outdir, args.threads, args.use_tuned, obs)
     obs.metrics.counter(
         "eval.gemm_profile_records",
         help="modelled GEMMs captured by the profiler",

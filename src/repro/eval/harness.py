@@ -310,7 +310,6 @@ def exo_parallel_breakdown(
     main: Optional[Tuple[int, int]] = None,
     pc_ways: Optional[int] = None,
     partition=None,
-    search: Optional[str] = None,
 ) -> ParallelBreakdown:
     """Threaded five-loop GEMM with per-slice edge/tail kernel selection.
 
@@ -321,9 +320,10 @@ def exo_parallel_breakdown(
     the partition's uneven extents.  ``ctx`` is required: the threaded
     model never defaults a machine.  ``pc_ways`` pins the reduction
     axis (``pc_ways=1`` restricts the search to plane-only grids — the
-    pre-NUMA model exactly).  A pinned ``partition`` (e.g. one chosen
-    by a batched :mod:`repro.sim.vectorized` sweep) skips the grid
-    search entirely; ``search`` forwards the engine selection.
+    pre-NUMA model exactly).  A pinned ``partition`` skips the grid
+    search and prices only its own ways.  Either way the pricing is one
+    :func:`repro.sim.vectorized.batch_gemm_cycles` batch; the scalar
+    oracle it must match is ``tests/parallel_oracle.py``.
 
     With ``threads=1`` this equals :func:`exo_gemm_breakdown` exactly.
     """
@@ -341,7 +341,6 @@ def exo_parallel_breakdown(
         model=ctx.model,
         pc_ways=pc_ways,
         partition=partition,
-        search=search,
     )
 
 

@@ -194,22 +194,23 @@ def prewarm_executors(
     """Price every executor's (layer, batch) grid in one batched sweep.
 
     The placement search prices the same layer shapes once per
-    (placement, batch-cap) candidate; doing it lazily costs one scalar
-    grid search per (layer, batch) memo miss.  This collects every miss
+    (placement, batch-cap) candidate; doing it lazily costs one
+    grid-search batch per (layer, batch) memo miss.  This collects every miss
     across ``executors`` x ``batches``, scores *all* their candidate
     jc/ic/pc grids in a single multi-machine
     :func:`repro.sim.vectorized.batch_gemm_cycles` call (one obs span,
-    ``candidates`` = total rows), then materializes only each winner's
-    partition — the identical tie-break as the scalar search, so the
-    memo entries are bit-identical to lazy pricing.  Returns the number
-    of memo entries filled.
+    ``candidates`` = total rows), and stores each winner's modelled
+    seconds straight from the batch — the identical candidate set and
+    tie-break as :func:`repro.sim.parallel.parallel_gemm_breakdown`, so
+    the memo entries are bit-identical to lazy pricing.  Returns the
+    number of memo entries filled.
     """
     import numpy as np
 
     from repro.blis.params import analytical_tile_params, clamp_tiles
     from repro.eval.harness import plane_chunk_plans
     from repro.sim import vectorized as vec
-    from repro.sim.parallel import candidate_grids, partition_plane
+    from repro.sim.parallel import candidate_grids
 
     requests = []  # (ex, key, m, n, k, main, tiles, grids)
     queued = set()
@@ -283,21 +284,13 @@ def prewarm_executors(
         )
     )
     winners = vec.best_grid_indices(scored, offsets)
-    for ri, (ex_idx, key, m, n, k, main, tiles, grids) in enumerate(
-        requests
+    for (ex_idx, key, _m, _n, _k, main, _t, _g), row in zip(
+        requests, winners
     ):
         ex = executors[ex_idx]
-        mr, nr = main if main is not None else ex.ctx.main_tile
-        jc, ic, pc = grids[winners[ri] - offsets[ri]]
-        partition = partition_plane(
-            m, n, ex.threads, ex.ctx.machine, mr, nr,
-            jc_ways=jc, ic_ways=ic, pc_ways=pc, k=k, kc=tiles.kc,
-        )
-        b = exo_parallel_breakdown(
-            m, n, k, ex.threads, ctx=ex.ctx, main=main, partition=partition
-        )
+        seconds = float(scored.seconds[row])
         ex._layer_memo[key] = (
-            b.seconds, main if main is not None else ex.ctx.main_tile
+            seconds, main if main is not None else ex.ctx.main_tile
         )
-        ex._record_pricing(b.seconds)
+        ex._record_pricing(seconds)
     return len(requests)

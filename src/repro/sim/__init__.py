@@ -25,7 +25,6 @@ from .parallel import (
     partition_plane,
     replica_numa_nodes,
     replica_topology,
-    scaling_curve,
 )
 from .pipeline import KernelTrace, PipelineModel, trace_from_kernel
 from .timing import gemm_time_model, plans_compute_cycles, solo_kernel_gflops
@@ -41,7 +40,6 @@ __all__ = [
     "plans_compute_cycles",
     "replica_numa_nodes",
     "replica_topology",
-    "scaling_curve",
     "solo_kernel_gflops",
     "trace_from_kernel",
 ]

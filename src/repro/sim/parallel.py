@@ -29,12 +29,17 @@ second socket gains that socket's memory controllers but replicates the
 B panel per socket L3 and pays the inter-socket link penalty on the
 replicated stream.
 
+This module owns the partition geometry; the threaded cost terms
+themselves live in one place, the ``kind="grid"`` batch of
+:mod:`repro.sim.vectorized`, through which every
+:func:`parallel_gemm_breakdown` call prices.  The scalar implementation
+of the same terms is the test oracle (``tests/parallel_oracle.py``).
 A one-thread partition reproduces :func:`repro.sim.timing.gemm_time_model`
-exactly — both paths run the same compute formula
-(:func:`repro.sim.timing.plans_compute_cycles`) and the same analytical
-memory model — and a ``pc_ways=1`` partition on a 1-socket machine
-reproduces the pre-NUMA threaded model cycle-for-cycle (pinned by
-``tests/test_parallel.py``).
+exactly — the engine mirrors its compute formula
+(:func:`repro.sim.timing.plans_compute_cycles`) and analytical memory
+model operand for operand — and a ``pc_ways=1`` partition on a
+1-socket machine reproduces the pre-NUMA threaded model cycle-for-cycle
+(pinned by ``tests/test_parallel.py``).
 """
 
 from __future__ import annotations
@@ -46,19 +51,12 @@ from typing import Callable, List, Optional, Tuple
 from repro.isa.machine import MachineModel
 from repro.obs import profile as obs_profile
 
-from .memory import GemmShape, TileParams, memory_cost
-from .timing import ChunkPlan, TimingModel, plans_compute_cycles
+from .memory import GemmShape, TileParams
+from .timing import ChunkPlan, TimingModel
 
 #: builds the chunk plans covering one (m, n) sub-plane — the hook
 #: through which per-thread edge/tail kernel selection happens
 PlanBuilder = Callable[[int, int], List[ChunkPlan]]
-
-#: default grid-search engine: the vectorized batch evaluator
-#: (:mod:`repro.sim.vectorized`).  It ranks identically to the scalar
-#: loop (``search="scalar"``) — the vectorized engine is bit-exact
-#: against that oracle (tests/test_vectorized.py) — so the choice only
-#: changes evaluation throughput, never the winner.
-DEFAULT_SEARCH = "vectorized"
 
 
 # ---------------------------------------------------------------------------
@@ -307,104 +305,6 @@ def partition_plane(
     )
 
 
-def _candidate_partitions(
-    m: int,
-    n: int,
-    k: int,
-    threads: int,
-    machine: MachineModel,
-    mr: int,
-    nr: int,
-    kc: int,
-    pin_pc: Optional[int] = None,
-) -> List[ThreadPartition]:
-    """Partitions of every candidate grid, for exact wall-clock ranking.
-
-    ``pin_pc`` restricts the reduction axis (``pin_pc=1`` recovers the
-    plane-only search of the pre-NUMA model exactly).
-    """
-    grids = candidate_grids(threads, m, n, machine, mr, nr, k=k, kc=kc)
-    if pin_pc is not None:
-        grids = [g for g in grids if g[2] == pin_pc]
-        if not grids:
-            raise ValueError(
-                f"no candidate grid has pc_ways={pin_pc} for "
-                f"{threads} threads on k={k} (kc={kc})"
-            )
-    return [
-        partition_plane(
-            m, n, threads, machine, mr, nr,
-            jc_ways=jc, ic_ways=ic, pc_ways=pc, k=k, kc=kc,
-        )
-        for jc, ic, pc in grids
-    ]
-
-
-def _best_partition_vectorized(
-    m: int,
-    n: int,
-    k: int,
-    threads: int,
-    machine: MachineModel,
-    tiles: TileParams,
-    *,
-    plans_for: Callable[[int, int], List[ChunkPlan]],
-    model: TimingModel,
-    dtype_bytes: int,
-    prefetch_c: bool,
-    pin_pc: Optional[int],
-) -> ThreadPartition:
-    """Rank every candidate grid in one batched model evaluation.
-
-    Bit-exact against the scalar ``min`` over
-    :func:`_candidate_partitions`: same candidate order, same wall
-    clocks, same tie-break — so the same grid always wins
-    (cross-checked by ``tests/test_parallel.py``).  Only the winning
-    grid's :class:`ThreadPartition` is materialized.
-    """
-    import numpy as np
-
-    from . import vectorized as _vec
-
-    grids = candidate_grids(
-        threads, m, n, machine, tiles.mr, tiles.nr, k=k, kc=tiles.kc
-    )
-    if pin_pc is not None:
-        grids = [g for g in grids if g[2] == pin_pc]
-        if not grids:
-            raise ValueError(
-                f"no candidate grid has pc_ways={pin_pc} for "
-                f"{threads} threads on k={k} (kc={tiles.kc})"
-            )
-    costs_memo: dict = {}
-
-    def source(_row: int, m_t: int, n_t: int):
-        key = (m_t, n_t)
-        if key not in costs_memo:
-            costs_memo[key] = _vec.plan_costs(plans_for(m_t, n_t), model)
-        return costs_memo[key]
-
-    batch = _vec.CandidateBatch(
-        machines=(machine,),
-        m=m, n=n, k=k,
-        mr=tiles.mr, nr=tiles.nr, kc=tiles.kc, nc=tiles.nc,
-        jc=np.asarray([g[0] for g in grids]),
-        ic=np.asarray([g[1] for g in grids]),
-        pc=np.asarray([g[2] for g in grids]),
-        dtype_bytes=dtype_bytes,
-        plan_source=source,
-        kind="grid",
-        prefetch_c=prefetch_c,
-    )
-    scored = _vec.batch_gemm_cycles(batch, profile=False)
-    winner = _vec.best_grid_indices(scored, (0, len(grids)))[0]
-    jc, ic, pc = grids[winner]
-    return partition_plane(
-        m, n, threads, machine, tiles.mr, tiles.nr,
-        jc_ways=jc, ic_ways=ic, pc_ways=pc, k=k, kc=tiles.kc,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Replica-scoped topology views
 # ---------------------------------------------------------------------------
@@ -589,7 +489,6 @@ def parallel_gemm_breakdown(
     partition: Optional[ThreadPartition] = None,
     dtype_bytes: int = 4,
     pc_ways: Optional[int] = None,
-    search: Optional[str] = None,
 ) -> ParallelBreakdown:
     """Model a GEMM across ``threads`` cores.
 
@@ -621,180 +520,95 @@ def parallel_gemm_breakdown(
       ensemble spanning S sockets replicates the B panel per socket L3
       and pays ``inter_socket_penalty`` on the replicated stream.
 
-    When no ``partition`` is pinned, every candidate jc x ic x pc grid
-    (:func:`_candidate_partitions`) is ranked by its exact modelled
-    wall clock and the best one executes — the partition choice sees
+    Every call prices in one ``kind="grid"``
+    :func:`repro.sim.vectorized.batch_gemm_cycles` batch, which holds
+    the cost terms above.  When no
+    ``partition`` is pinned, the batch holds every candidate jc x ic x
+    pc grid (:func:`candidate_grids`), ranked by its exact modelled
+    wall clock, and the best one executes — the partition choice sees
     packing replication, reduction, and edge-kernel costs, not just
     tile counts.  Ties prefer fewer pc ways, so a reduction split is
     chosen only when it strictly beats every plane-only grid;
     ``pc_ways=1`` pins the plane-only search (the pre-NUMA model,
-    cycle-for-cycle).
-
-    ``search`` selects the grid-search engine: ``"vectorized"`` scores
-    every candidate grid in one :func:`repro.sim.vectorized.batch_gemm_cycles`
-    call, ``"scalar"`` runs the original per-partition Python loop (the
-    golden oracle), ``None`` takes :data:`DEFAULT_SEARCH`.  The two are
-    bit-exact — same totals, same tie-breaks, same winner — so the
-    returned breakdown is identical either way.
+    cycle-for-cycle).  A pinned ``partition`` is a one-row batch of its
+    own ways, so it must come from :func:`partition_plane` with this
+    call's ``tiles`` granules (``mr``, ``nr``, ``kc``).  The scalar
+    model these prices must match bit for bit lives in
+    ``tests/parallel_oracle.py``.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     # profile hook: one global check when observability is off
     prof = obs_profile.ACTIVE
     started = prof.start() if prof is not None else None
+    # imported here: repro.sim.vectorized imports this module
+    from . import vectorized as _vec
+
     model = model or TimingModel(machine=machine)
-    mem = memory_cost(
-        shape, tiles, machine=machine,
-        dtype_bytes=dtype_bytes, prefetch_c=prefetch_c,
-    )
     m, n, k = shape.m, shape.n, shape.k
-    jc_iters_total = max(1, math.ceil(n / tiles.nc))
-    pc_iters_total = max(1, math.ceil(k / tiles.kc))
-    total_tiles = max(1, math.ceil(m / tiles.mr)) * max(
-        1, math.ceil(n / tiles.nr)
-    )
-
-    # distinct slice shapes per partition are few (base/base+1 tile
-    # spans plus the ragged tail), so memoize the per-shape work; the
-    # plans themselves depend only on the (m, n) sub-plane, so the pc
-    # axis never re-runs edge/tail kernel selection per k slice
-    plans_by_plane: dict = {}
-    plan_cache: dict = {}
-
-    def plans_for(m_t: int, n_t: int):
-        key = (m_t, n_t)
-        if key not in plans_by_plane:
-            plans_by_plane[key] = plan_builder(m_t, n_t)
-        return plans_by_plane[key]
-
-    def slice_parts(sl: ThreadSlice) -> Tuple[float, float, float]:
-        k_t = sl.k_extent(k)
-        key = (sl.m, sl.n, k_t)
-        if key not in plan_cache:
-            compute_t = plans_compute_cycles(
-                plans_for(sl.m, sl.n), k_t, tiles.kc, model
-            )
-            jc_iters_t = max(1, math.ceil(sl.n / tiles.nc))
-            pack_a_t = mem.pack_a_cycles * (sl.m * jc_iters_t) / (
-                m * jc_iters_total
-            )
-            # the group's B slice is packed once and shared by its ic
-            # threads: every one is charged the full slice pack — never
-            # divided by ic_ways
-            pack_b_t = mem.pack_b_cycles * sl.n / n
-            tiles_t = max(1, math.ceil(sl.m / tiles.mr)) * max(
-                1, math.ceil(sl.n / tiles.nr)
-            )
-            c_stall_t = mem.c_stall_cycles * tiles_t / total_tiles
-            if sl.ks is not None:
-                # a pc way touches only its k slice: packing scales
-                # with the slice's share of k, the C-stall with its
-                # share of kc chunks (each chunk streams C once)
-                k_frac = k_t / k
-                pack_a_t *= k_frac
-                pack_b_t *= k_frac
-                c_stall_t *= (
-                    max(1, math.ceil(k_t / tiles.kc)) / pc_iters_total
-                )
-            plan_cache[key] = (compute_t, pack_a_t + pack_b_t, c_stall_t)
-        return plan_cache[key]
-
-    # partial-C reduction: each element of a cell's C tile is read,
-    # added, and written back once per extra pc way; the combine is a
-    # barrier, so every thread of the cell carries the full cell cost
-    def reduction_for(part: ThreadPartition, sl: ThreadSlice) -> float:
-        if part.pc_ways <= 1:
-            return 0.0
-        extra = part.pc_ways - 1
-        move = (2.0 * sl.m * sl.n * dtype_bytes * extra) / (
-            machine.dram_bandwidth_bytes_per_cycle
-        )
-        adds = (sl.m * sl.n * extra) / (
-            machine.pipe_count("fma") * machine.vector_lanes()
-        )
-        return move + adds
-
-    def dram_limit_for(part: ThreadPartition) -> float:
-        dram_bytes = mem.dram_bytes
-        if part.ic_ways > 1 and not machine.has_shared_l3:
-            # no shared LLC: each row-parallel thread streams its own
-            # copy of the group's B panel from memory
-            dram_bytes += (part.ic_ways - 1) * k * n * dtype_bytes
-        if part.pc_ways > 1:
-            # partial C copies written once and read back for the
-            # combine, per extra pc way
-            dram_bytes += (part.pc_ways - 1) * 2.0 * m * n * dtype_bytes
-        spanned = machine.sockets_spanned(part.active_threads)
-        if spanned > 1:
-            # each extra socket's L3 streams its own copy of the B
-            # panel, over the inter-socket link
-            dram_bytes += (
-                (spanned - 1) * k * n * dtype_bytes
-                * machine.inter_socket_penalty
-            )
-        return dram_bytes / machine.stream_bandwidth(part.active_threads)
-
-    def wall_clock(part: ThreadPartition) -> float:
-        busy = max(
-            sum(slice_parts(sl)) + reduction_for(part, sl)
-            for sl in part.slices
-        )
-        return max(busy, dram_limit_for(part))
-
-    if search not in (None, "scalar", "vectorized"):
-        raise ValueError(
-            f"search must be 'scalar', 'vectorized', or None, got {search!r}"
-        )
-    engine = search or DEFAULT_SEARCH
     if partition is None:
-        if engine == "vectorized" and threads > 1:
-            partition = _best_partition_vectorized(
-                m, n, k, threads, machine, tiles,
-                plans_for=plans_for, model=model,
-                dtype_bytes=dtype_bytes, prefetch_c=prefetch_c,
-                pin_pc=pc_ways,
-            )
-        else:
-            partition = min(
-                _candidate_partitions(
-                    m, n, k, threads, machine,
-                    tiles.mr, tiles.nr, tiles.kc,
-                    pin_pc=pc_ways,
-                ),
-                key=lambda p: (
-                    wall_clock(p), p.pc_ways, -p.jc_ways, p.ic_ways
-                ),
-            )
+        grids = candidate_grids(
+            threads, m, n, machine, tiles.mr, tiles.nr, k=k, kc=tiles.kc
+        )
+        if pc_ways is not None:
+            grids = [g for g in grids if g[2] == pc_ways]
+            if not grids:
+                raise ValueError(
+                    f"no candidate grid has pc_ways={pc_ways} for "
+                    f"{threads} threads on k={k} (kc={tiles.kc})"
+                )
     elif pc_ways is not None and partition.pc_ways != pc_ways:
         raise ValueError(
             f"pinned partition has pc_ways={partition.pc_ways}, "
             f"but pc_ways={pc_ways} was requested"
         )
+    else:
+        grids = [(partition.jc_ways, partition.ic_ways, partition.pc_ways)]
 
-    busy: List[float] = []
-    components: List[Tuple[float, float, float, float]] = []
-    for sl in partition.slices:
-        compute_t, pack_t, stall_t = slice_parts(sl)
-        red_t = reduction_for(partition, sl)
-        busy.append(compute_t + pack_t + stall_t + red_t)
-        components.append((compute_t, pack_t, stall_t, red_t))
-    dram_limit = dram_limit_for(partition)
+    # the plans depend only on the (m, n) sub-plane, so the pc axis and
+    # repeated slice shapes never re-run edge/tail kernel selection
+    costs_by_plane: dict = {}
 
-    critical = max(range(len(busy)), key=busy.__getitem__)
-    compute_c, pack_c, stall_c, red_c = components[critical]
+    def source(_row: int, m_t: int, n_t: int):
+        key = (m_t, n_t)
+        if key not in costs_by_plane:
+            costs_by_plane[key] = _vec.plan_costs(
+                plan_builder(m_t, n_t), model
+            )
+        return costs_by_plane[key]
+
+    scored = _vec.batch_gemm_cycles(
+        _vec.CandidateBatch(
+            machines=(machine,),
+            m=m, n=n, k=k,
+            mr=tiles.mr, nr=tiles.nr, kc=tiles.kc, nc=tiles.nc,
+            jc=[g[0] for g in grids],
+            ic=[g[1] for g in grids],
+            pc=[g[2] for g in grids],
+            dtype_bytes=dtype_bytes,
+            plan_source=source,
+            kind="grid",
+            prefetch_c=prefetch_c,
+        ),
+        profile=False,
+    )
+    row = _vec.best_grid_indices(scored, (0, len(grids)))[0]
+    first, stop = scored.slice_offsets[row], scored.slice_offsets[row + 1]
     breakdown = ParallelBreakdown(
         threads=threads,
-        jc_ways=partition.jc_ways,
-        ic_ways=partition.ic_ways,
-        pc_ways=partition.pc_ways,
-        compute_cycles=compute_c,
-        pack_cycles=pack_c,
-        c_stall_cycles=stall_c,
-        reduction_cycles=red_c,
-        dram_limit_cycles=dram_limit,
+        jc_ways=int(scored.eff_jc[row]),
+        ic_ways=int(scored.eff_ic[row]),
+        pc_ways=int(scored.eff_pc[row]),
+        compute_cycles=float(scored.compute_cycles[row]),
+        pack_cycles=float(scored.pack_cycles[row]),
+        c_stall_cycles=float(scored.c_stall_cycles[row]),
+        reduction_cycles=float(scored.reduction_cycles[row]),
+        dram_limit_cycles=float(scored.dram_limit_cycles[row]),
         flops=shape.flops,
         machine=machine,
-        thread_busy_cycles=tuple(busy),
+        thread_busy_cycles=tuple(
+            scored.slice_busy_cycles[first:stop].tolist()
+        ),
     )
     if prof is not None:
         prof.record(
@@ -809,32 +623,3 @@ def parallel_gemm_breakdown(
             started=started,
         )
     return breakdown
-
-
-def scaling_curve(
-    shape: GemmShape,
-    tiles: TileParams,
-    *,
-    machine: MachineModel,
-    plan_builder: PlanBuilder,
-    max_threads: Optional[int] = None,
-    prefetch_c: bool = False,
-    model: Optional[TimingModel] = None,
-    dtype_bytes: int = 4,
-) -> List[ParallelBreakdown]:
-    """Breakdowns for 1..max_threads cores (default: the machine's).
-
-    ``dtype_bytes`` is forwarded to every breakdown, so fp16/int8
-    curves price their own DRAM traffic rather than fp32's.
-    """
-    limit = max_threads if max_threads is not None else machine.cores
-    model = model or TimingModel(machine=machine)
-    return [
-        parallel_gemm_breakdown(
-            shape, tiles, t,
-            machine=machine, plan_builder=plan_builder,
-            prefetch_c=prefetch_c, model=model,
-            dtype_bytes=dtype_bytes,
-        )
-        for t in range(1, limit + 1)
-    ]

@@ -147,10 +147,12 @@ def plans_compute_cycles(
 
     The k extent splits into full ``kc`` chunks plus one ragged
     remainder; every plan runs once per pc iteration.  This is the
-    single compute formula of the timing model — the serial
-    :func:`gemm_time_model` and the per-thread sums of
-    :func:`repro.sim.parallel.parallel_gemm_breakdown` both call it, so
-    a one-thread partition reproduces the serial compute exactly.
+    single compute formula of the timing model: the serial
+    :func:`gemm_time_model` calls it, and the vectorized engine behind
+    :func:`repro.sim.parallel.parallel_gemm_breakdown` mirrors it
+    operand for operand
+    (:func:`repro.sim.vectorized._compute_cycles`), so a one-thread
+    partition reproduces the serial compute exactly.
     """
     kc_full, kc_rem = divmod(k, kc)
     compute = 0.0

@@ -1,10 +1,9 @@
 """Vectorized (NumPy) evaluation of the GEMM timing model over batches.
 
-The scalar model — :func:`repro.sim.timing.gemm_time_model` for the
-serial five-loop GEMM, :func:`repro.sim.parallel.parallel_gemm_breakdown`
-for the threaded one — evaluates one (shape, tile, grid, machine) point
-per pure-Python call.  Tune sweeps, the jc/ic/pc grid search, and the
-serving placement enumeration are all bottlenecked on that throughput.
+The scalar serial model, :func:`repro.sim.timing.gemm_time_model`,
+evaluates one (shape, tile, machine) point per pure-Python call.  Tune
+sweeps, the jc/ic/pc grid search, and the serving placement
+enumeration would all be bottlenecked on that throughput.
 
 This module evaluates the *same closed-form model* over whole candidate
 batches at once: a :class:`CandidateBatch` holds parallel arrays of
@@ -13,17 +12,24 @@ and :func:`batch_gemm_cycles` returns per-candidate cycle breakdowns —
 compute, packing (with per-socket B replication), partial-C reduction,
 and the DRAM ceiling — as arrays.
 
-**Oracle contract.**  The scalar path is the golden oracle and this
-engine must match it *bit for bit*, not approximately (the grid search
-breaks wall-clock ties on exact float equality, so "close" would pick
-different partitions).  Every expression here therefore mirrors the
-scalar expression tree — same operand order, same association, same
-int-vs-float promotion points — because IEEE-754 float64 arithmetic is
-deterministic per operation but not associative across them.  The
-parity suite (``tests/test_vectorized.py``) cross-checks the two paths
-cycle-for-cycle under hypothesis fuzzing; any cost-term change must
-land in ``sim/timing.py``/``sim/memory.py``/``sim/parallel.py`` *and*
-here (see docs/model.md for the recipe).
+The ``kind="grid"`` batch is the only production implementation of
+the threaded model: :func:`repro.sim.parallel.parallel_gemm_breakdown`
+prices every call through it.
+
+**Oracle contract.**  The scalar paths are the golden oracles —
+``gemm_time_model`` for serial GEMMs and the scalar threaded model in
+``tests/parallel_oracle.py`` — and this engine must match them *bit
+for bit*, not approximately (the grid search breaks wall-clock ties on
+exact float equality, so "close" would pick different partitions).
+Every expression here therefore mirrors the scalar expression tree —
+same operand order, same association, same int-vs-float promotion
+points — because IEEE-754 float64 arithmetic is deterministic per
+operation but not associative across them.  The parity suites
+(``tests/test_vectorized.py``, ``tests/test_parallel.py``) cross-check
+the paths cycle-for-cycle under hypothesis fuzzing; any cost-term
+change must land in its oracle (``sim/timing.py``/``sim/memory.py``
+or ``tests/parallel_oracle.py``) *and* here (see docs/model.md for
+the recipe).
 
 Array layout:
 
@@ -189,6 +195,9 @@ class BatchBreakdown:
     slice's (first-max over the slice enumeration order, exactly like
     the scalar model) and ``eff_jc``/``eff_ic``/``eff_pc`` are the
     effective (tile-clamped) ways of each candidate's partition.
+    ``slice_busy_cycles[slice_offsets[i]:slice_offsets[i + 1]]`` is
+    candidate ``i``'s per-thread busy time in slice enumeration order
+    (one slice per candidate for ``kind="serial"``).
     """
 
     compute_cycles: np.ndarray
@@ -202,6 +211,8 @@ class BatchBreakdown:
     eff_jc: np.ndarray
     eff_ic: np.ndarray
     eff_pc: np.ndarray
+    slice_busy_cycles: np.ndarray
+    slice_offsets: np.ndarray
 
     @property
     def gflops(self) -> np.ndarray:
@@ -470,11 +481,13 @@ def _serial_breakdown(batch: CandidateBatch) -> BatchBreakdown:
         eff_jc=ones,
         eff_ic=ones.copy(),
         eff_pc=ones.copy(),
+        slice_busy_cycles=busy,
+        slice_offsets=np.arange(len(batch) + 1),
     )
 
 
 # ---------------------------------------------------------------------------
-# Grid kind: parallel_gemm_breakdown's wall clock over rows
+# Grid kind: the threaded model's wall clock over rows
 # ---------------------------------------------------------------------------
 
 
@@ -572,7 +585,7 @@ def _grid_breakdown(batch: CandidateBatch) -> BatchBreakdown:
     sl = _expand_slices(batch)
     ci = sl.cand  # gather index: slice row -> candidate row
 
-    # -- per-slice busy cycles (slice_parts + reduction_for) ---------------
+    # -- per-slice busy cycles (oracle: slice_parts + reduction_for) -------
     plane_id, tables = _plan_tables(
         (
             batch.machine_idx[ci], batch.mr[ci], batch.nr[ci],
@@ -620,7 +633,7 @@ def _grid_breakdown(batch: CandidateBatch) -> BatchBreakdown:
         a, b = sl.offsets[c], sl.offsets[c + 1]
         critical[c] = a + int(np.argmax(busy[a:b]))
 
-    # -- DRAM ceiling (dram_limit_for) -------------------------------------
+    # -- DRAM ceiling (oracle: dram_limit_for) -----------------------------
     dram = mem["dram_bytes"]
     b_panel = batch.k * batch.n * batch.dtype_bytes
     dram = np.where(
@@ -653,6 +666,8 @@ def _grid_breakdown(batch: CandidateBatch) -> BatchBreakdown:
         eff_jc=sl.eff_jc,
         eff_ic=sl.eff_ic,
         eff_pc=sl.eff_pc,
+        slice_busy_cycles=busy,
+        slice_offsets=sl.offsets,
     )
 
 
@@ -669,8 +684,8 @@ def batch_gemm_cycles(
     One obs profile event covers the whole batch — a single span with a
     ``candidates`` count plus the ``model.candidates_evaluated``
     counter, never one event per candidate.  Internal callers that
-    already emit their own profile record (the grid search inside
-    ``parallel_gemm_breakdown``) pass ``profile=False``.
+    already emit their own profile record
+    (``parallel_gemm_breakdown``) pass ``profile=False``.
     """
     prof = obs_profile.ACTIVE if profile else None
     started = time.perf_counter() if prof is not None else None  # det: ok DET101 (wall profiling span)

@@ -104,7 +104,9 @@ def evaluate_candidates(
     :func:`repro.sim.vectorized.batch_gemm_cycles` call — the records
     are bit-identical to per-spec :func:`evaluate_candidate` calls
     (the engine's oracle contract), just orders of magnitude faster
-    per candidate.  Threaded specs fall through to the scalar path.
+    per candidate.  Threaded specs are priced one at a time by
+    :func:`evaluate_candidate`, each through its own
+    :func:`repro.sim.parallel.parallel_gemm_breakdown` grid batch.
     Records come back in spec order, ready for per-candidate cache
     keys.
     """

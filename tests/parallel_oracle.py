@@ -1,0 +1,255 @@
+"""Scalar oracle for the threaded GEMM model.
+
+Production prices every threaded GEMM through the vectorized engine
+(:func:`repro.sim.parallel.parallel_gemm_breakdown` ->
+:func:`repro.sim.vectorized.batch_gemm_cycles`).  This module keeps the
+original per-partition Python implementation — ``slice_parts``,
+``reduction_for``, ``dram_limit_for`` and the ``min`` over every
+candidate partition — as the golden oracle the engine must match bit
+for bit (``tests/test_parallel.py``, ``tests/test_vectorized.py``).
+
+Any threaded cost-term change lands in ``sim/vectorized.py`` *and*
+here (docs/model.md, "Adding a cost term").
+"""
+
+from __future__ import annotations
+
+import math
+from typing import List, Optional, Tuple
+
+from repro.blis.params import analytical_tile_params, clamp_tiles
+from repro.isa.machine import MachineModel
+from repro.sim.memory import GemmShape, TileParams, memory_cost
+from repro.sim.parallel import (
+    ParallelBreakdown,
+    PlanBuilder,
+    ThreadPartition,
+    ThreadSlice,
+    candidate_grids,
+    partition_plane,
+)
+from repro.sim.timing import TimingModel, plans_compute_cycles
+
+
+def candidate_partitions(
+    m: int,
+    n: int,
+    k: int,
+    threads: int,
+    machine: MachineModel,
+    mr: int,
+    nr: int,
+    kc: int,
+    pin_pc: Optional[int] = None,
+) -> List[ThreadPartition]:
+    """Partitions of every candidate grid, for exact wall-clock ranking.
+
+    ``pin_pc`` restricts the reduction axis (``pin_pc=1`` recovers the
+    plane-only search of the pre-NUMA model exactly).
+    """
+    grids = candidate_grids(threads, m, n, machine, mr, nr, k=k, kc=kc)
+    if pin_pc is not None:
+        grids = [g for g in grids if g[2] == pin_pc]
+        if not grids:
+            raise ValueError(
+                f"no candidate grid has pc_ways={pin_pc} for "
+                f"{threads} threads on k={k} (kc={kc})"
+            )
+    return [
+        partition_plane(
+            m, n, threads, machine, mr, nr,
+            jc_ways=jc, ic_ways=ic, pc_ways=pc, k=k, kc=kc,
+        )
+        for jc, ic, pc in grids
+    ]
+
+
+def parallel_gemm_breakdown(
+    shape: GemmShape,
+    tiles: TileParams,
+    threads: int,
+    *,
+    machine: MachineModel,
+    plan_builder: PlanBuilder,
+    prefetch_c: bool = False,
+    model: Optional[TimingModel] = None,
+    partition: Optional[ThreadPartition] = None,
+    dtype_bytes: int = 4,
+    pc_ways: Optional[int] = None,
+) -> ParallelBreakdown:
+    """The scalar threaded model: same signature and result as
+    :func:`repro.sim.parallel.parallel_gemm_breakdown`."""
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    model = model or TimingModel(machine=machine)
+    mem = memory_cost(
+        shape, tiles, machine=machine,
+        dtype_bytes=dtype_bytes, prefetch_c=prefetch_c,
+    )
+    m, n, k = shape.m, shape.n, shape.k
+    jc_iters_total = max(1, math.ceil(n / tiles.nc))
+    pc_iters_total = max(1, math.ceil(k / tiles.kc))
+    total_tiles = max(1, math.ceil(m / tiles.mr)) * max(
+        1, math.ceil(n / tiles.nr)
+    )
+
+    # distinct slice shapes per partition are few (base/base+1 tile
+    # spans plus the ragged tail), so memoize the per-shape work; the
+    # plans themselves depend only on the (m, n) sub-plane, so the pc
+    # axis never re-runs edge/tail kernel selection per k slice
+    plans_by_plane: dict = {}
+    plan_cache: dict = {}
+
+    def plans_for(m_t: int, n_t: int):
+        key = (m_t, n_t)
+        if key not in plans_by_plane:
+            plans_by_plane[key] = plan_builder(m_t, n_t)
+        return plans_by_plane[key]
+
+    def slice_parts(sl: ThreadSlice) -> Tuple[float, float, float]:
+        k_t = sl.k_extent(k)
+        key = (sl.m, sl.n, k_t)
+        if key not in plan_cache:
+            compute_t = plans_compute_cycles(
+                plans_for(sl.m, sl.n), k_t, tiles.kc, model
+            )
+            jc_iters_t = max(1, math.ceil(sl.n / tiles.nc))
+            pack_a_t = mem.pack_a_cycles * (sl.m * jc_iters_t) / (
+                m * jc_iters_total
+            )
+            # the group's B slice is packed once and shared by its ic
+            # threads: every one is charged the full slice pack — never
+            # divided by ic_ways
+            pack_b_t = mem.pack_b_cycles * sl.n / n
+            tiles_t = max(1, math.ceil(sl.m / tiles.mr)) * max(
+                1, math.ceil(sl.n / tiles.nr)
+            )
+            c_stall_t = mem.c_stall_cycles * tiles_t / total_tiles
+            if sl.ks is not None:
+                # a pc way touches only its k slice: packing scales
+                # with the slice's share of k, the C-stall with its
+                # share of kc chunks (each chunk streams C once)
+                k_frac = k_t / k
+                pack_a_t *= k_frac
+                pack_b_t *= k_frac
+                c_stall_t *= (
+                    max(1, math.ceil(k_t / tiles.kc)) / pc_iters_total
+                )
+            plan_cache[key] = (compute_t, pack_a_t + pack_b_t, c_stall_t)
+        return plan_cache[key]
+
+    # partial-C reduction: each element of a cell's C tile is read,
+    # added, and written back once per extra pc way; the combine is a
+    # barrier, so every thread of the cell carries the full cell cost
+    def reduction_for(part: ThreadPartition, sl: ThreadSlice) -> float:
+        if part.pc_ways <= 1:
+            return 0.0
+        extra = part.pc_ways - 1
+        move = (2.0 * sl.m * sl.n * dtype_bytes * extra) / (
+            machine.dram_bandwidth_bytes_per_cycle
+        )
+        adds = (sl.m * sl.n * extra) / (
+            machine.pipe_count("fma") * machine.vector_lanes()
+        )
+        return move + adds
+
+    def dram_limit_for(part: ThreadPartition) -> float:
+        dram_bytes = mem.dram_bytes
+        if part.ic_ways > 1 and not machine.has_shared_l3:
+            # no shared LLC: each row-parallel thread streams its own
+            # copy of the group's B panel from memory
+            dram_bytes += (part.ic_ways - 1) * k * n * dtype_bytes
+        if part.pc_ways > 1:
+            # partial C copies written once and read back for the
+            # combine, per extra pc way
+            dram_bytes += (part.pc_ways - 1) * 2.0 * m * n * dtype_bytes
+        spanned = machine.sockets_spanned(part.active_threads)
+        if spanned > 1:
+            # each extra socket's L3 streams its own copy of the B
+            # panel, over the inter-socket link
+            dram_bytes += (
+                (spanned - 1) * k * n * dtype_bytes
+                * machine.inter_socket_penalty
+            )
+        return dram_bytes / machine.stream_bandwidth(part.active_threads)
+
+    def wall_clock(part: ThreadPartition) -> float:
+        busy = max(
+            sum(slice_parts(sl)) + reduction_for(part, sl)
+            for sl in part.slices
+        )
+        return max(busy, dram_limit_for(part))
+
+    if partition is None:
+        partition = min(
+            candidate_partitions(
+                m, n, k, threads, machine,
+                tiles.mr, tiles.nr, tiles.kc,
+                pin_pc=pc_ways,
+            ),
+            key=lambda p: (
+                wall_clock(p), p.pc_ways, -p.jc_ways, p.ic_ways
+            ),
+        )
+    elif pc_ways is not None and partition.pc_ways != pc_ways:
+        raise ValueError(
+            f"pinned partition has pc_ways={partition.pc_ways}, "
+            f"but pc_ways={pc_ways} was requested"
+        )
+
+    busy: List[float] = []
+    components: List[Tuple[float, float, float, float]] = []
+    for sl in partition.slices:
+        compute_t, pack_t, stall_t = slice_parts(sl)
+        red_t = reduction_for(partition, sl)
+        busy.append(compute_t + pack_t + stall_t + red_t)
+        components.append((compute_t, pack_t, stall_t, red_t))
+    dram_limit = dram_limit_for(partition)
+
+    critical = max(range(len(busy)), key=busy.__getitem__)
+    compute_c, pack_c, stall_c, red_c = components[critical]
+    return ParallelBreakdown(
+        threads=threads,
+        jc_ways=partition.jc_ways,
+        ic_ways=partition.ic_ways,
+        pc_ways=partition.pc_ways,
+        compute_cycles=compute_c,
+        pack_cycles=pack_c,
+        c_stall_cycles=stall_c,
+        reduction_cycles=red_c,
+        dram_limit_cycles=dram_limit,
+        flops=shape.flops,
+        machine=machine,
+        thread_busy_cycles=tuple(busy),
+    )
+
+
+def exo_parallel_breakdown(
+    m: int,
+    n: int,
+    k: int,
+    threads: int,
+    ctx,
+    main: Optional[Tuple[int, int]] = None,
+    pc_ways: Optional[int] = None,
+    partition: Optional[ThreadPartition] = None,
+) -> ParallelBreakdown:
+    """The oracle behind :func:`repro.eval.harness.exo_parallel_breakdown`:
+    the same tiles and per-slice plan builder, priced by the scalar
+    model above."""
+    from repro.eval.harness import plane_chunk_plans
+
+    mr_main, nr_main = main if main is not None else ctx.main_tile
+    tiles = clamp_tiles(
+        analytical_tile_params(mr_main, nr_main, ctx.machine), m, n, k
+    )
+    return parallel_gemm_breakdown(
+        GemmShape(m, n, k), tiles, threads,
+        machine=ctx.machine,
+        plan_builder=lambda mt, nt: plane_chunk_plans(
+            ctx, mt, nt, mr_main, nr_main
+        ),
+        model=ctx.model,
+        pc_ways=pc_ways,
+        partition=partition,
+    )

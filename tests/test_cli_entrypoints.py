@@ -3,7 +3,7 @@
 ``pyproject.toml`` declares ``repro-eval`` / ``repro-tune`` /
 ``repro-serve`` / ``repro-check`` console scripts; these tests pin the targets those
 scripts resolve to, and that each ``main()`` handles ``--help`` cleanly
-(argparse CLIs raise ``SystemExit(0)``, the hand-rolled eval CLI
+(argparse CLIs raise ``SystemExit(0)``; the eval CLI catches it and
 returns 0).
 """
 

@@ -52,6 +52,23 @@ class TestSparkline:
 
 
 class TestEvalCli:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--threads", "0"],
+            ["--isa", "sparc"],
+            ["--tune-cache", "cache"],
+            ["--no-such-option"],
+        ],
+        ids=["threads-0", "unknown-isa", "tune-cache-alone", "unknown-option"],
+    )
+    def test_bad_input_exits_2(self, tmp_path, args):
+        from repro.eval.__main__ import main
+
+        outdir = tmp_path / "out"
+        assert main([str(outdir), *args]) == 2
+        assert not outdir.exists()
+
     @pytest.mark.slow
     def test_cli_writes_all_reports(self, tmp_path):
         from repro.eval.__main__ import main

@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import parallel_oracle as oracle
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -36,7 +37,6 @@ from repro.sim.parallel import (
     parallel_gemm_breakdown,
     partition_extent,
     partition_plane,
-    scaling_curve,
     split_ways,
 )
 from repro.sim.pipeline import trace_from_kernel
@@ -167,20 +167,24 @@ class TestThreadedBreakdown:
     @pytest.mark.parametrize("machine_name", sorted(MACHINES))
     def test_gflops_monotone_in_threads(self, machine_name, plan_builder):
         machine = MACHINES[machine_name]
-        curve = scaling_curve(
-            GemmShape(1000, 1000, 1000), TILES,
-            machine=machine, plan_builder=plan_builder,
-            max_threads=3 * machine.cores,
-        )
-        rates = [b.gflops for b in curve]
+        rates = [
+            parallel_gemm_breakdown(
+                GemmShape(1000, 1000, 1000), TILES, t,
+                machine=machine, plan_builder=plan_builder,
+            ).gflops
+            for t in range(1, 3 * machine.cores + 1)
+        ]
         assert all(b >= a for a, b in zip(rates, rates[1:]))
 
     def test_scaling_saturates_at_dram_ceiling(self, plan_builder):
         """A low-intensity GEMM hits the socket's DRAM stream limit."""
-        curve = scaling_curve(
-            GemmShape(2000, 2000, 16), TILES,
-            machine=CARMEL, plan_builder=plan_builder, max_threads=32,
-        )
+        curve = [
+            parallel_gemm_breakdown(
+                GemmShape(2000, 2000, 16), TILES, t,
+                machine=CARMEL, plan_builder=plan_builder,
+            )
+            for t in range(1, 33)
+        ]
         rates = [b.gflops for b in curve]
         assert rates == sorted(rates)
         # flat once DRAM-bound: the last cores add ~nothing
@@ -347,19 +351,21 @@ class TestGoldenParity:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized vs scalar grid search
+# Vectorized engine vs the scalar oracle
 # ---------------------------------------------------------------------------
 
 
 class TestSearchEngineParity:
-    """The batched grid search is a drop-in for the scalar loop.
+    """The engine-priced model is a drop-in for the scalar oracle.
 
-    ``search="vectorized"`` (the default when numpy is present) must
-    pick the *identical* winning jc x ic x pc grid as the original
-    scalar ``min`` over partitions — same partition label, same
+    :func:`parallel_gemm_breakdown` prices through
+    :mod:`repro.sim.vectorized`; it must pick the *identical* winning
+    jc x ic x pc grid as the scalar ``min`` over partitions in
+    ``tests/parallel_oracle.py`` — same partition label, same
     components, exact equality — on every registered machine,
     including the NUMA ones whose searches exercise the pc split and
-    socket-spanning DRAM terms.
+    socket-spanning DRAM terms, and for one thread.  Pinned partitions
+    are fuzzed in ``tests/test_vectorized.py``.
     """
 
     @pytest.mark.parametrize("machine_name", sorted(MACHINES))
@@ -375,30 +381,16 @@ class TestSearchEngineParity:
         machine = MACHINES[machine_name]
         ctx = machine_context(machine)
         m, n, k = shape
-        for threads in (2, machine.cores, 2 * machine.cores):
-            scalar = exo_parallel_breakdown(
-                m, n, k, threads, ctx=ctx, search="scalar"
-            )
-            vectorized = exo_parallel_breakdown(
-                m, n, k, threads, ctx=ctx, search="vectorized"
-            )
-            assert (
-                vectorized.jc_ways,
-                vectorized.ic_ways,
-                vectorized.pc_ways,
-            ) == (scalar.jc_ways, scalar.ic_ways, scalar.pc_ways)
-            assert vectorized.partition_label == scalar.partition_label
-            assert vectorized.total_cycles == scalar.total_cycles
-            assert vectorized.compute_cycles == scalar.compute_cycles
-            assert vectorized.pack_cycles == scalar.pack_cycles
-            assert vectorized.c_stall_cycles == scalar.c_stall_cycles
-            assert vectorized.reduction_cycles == scalar.reduction_cycles
-            assert (
-                vectorized.dram_limit_cycles == scalar.dram_limit_cycles
-            )
-            assert (
-                vectorized.thread_busy_cycles == scalar.thread_busy_cycles
-            )
+        for threads in (1, 2, machine.cores, 2 * machine.cores):
+            want = oracle.exo_parallel_breakdown(m, n, k, threads, ctx=ctx)
+            got = exo_parallel_breakdown(m, n, k, threads, ctx=ctx)
+            for field in (
+                "partition_label", "jc_ways", "ic_ways", "pc_ways",
+                "total_cycles", "compute_cycles", "pack_cycles",
+                "c_stall_cycles", "reduction_cycles", "dram_limit_cycles",
+                "thread_busy_cycles",
+            ):
+                assert getattr(got, field) == getattr(want, field), field
 
 
 # ---------------------------------------------------------------------------
@@ -505,29 +497,29 @@ class TestReductionPartition:
 
 
 # ---------------------------------------------------------------------------
-# scaling_curve dtype plumbing (regression: fp16 priced as fp32)
+# dtype plumbing (regression: fp16 priced as fp32)
 # ---------------------------------------------------------------------------
 
 
 class TestScalingCurveDtype:
     def test_dtype_bytes_forwarded(self, plan_builder):
-        """scaling_curve must price non-fp32 DRAM traffic; it used to
-        drop ``dtype_bytes`` on the floor and model fp32 always."""
+        """A thread sweep must price non-fp32 DRAM traffic; the old
+        scaling-curve helper dropped ``dtype_bytes`` on the floor and
+        modelled fp32 always."""
         shape = GemmShape(2000, 2000, 16)  # low intensity: DRAM-bound
-        fp32 = scaling_curve(
-            shape, TILES, machine=CARMEL, plan_builder=plan_builder,
-            max_threads=8,
-        )
-        fp16 = scaling_curve(
-            shape, TILES, machine=CARMEL, plan_builder=plan_builder,
-            max_threads=8, dtype_bytes=2,
-        )
-        for t, (wide, narrow) in enumerate(zip(fp32, fp16), start=1):
-            direct = parallel_gemm_breakdown(
-                shape, TILES, t,
-                machine=CARMEL, plan_builder=plan_builder, dtype_bytes=2,
+        for t in range(1, 9):
+            wide = parallel_gemm_breakdown(
+                shape, TILES, t, machine=CARMEL, plan_builder=plan_builder,
             )
-            assert narrow.dram_limit_cycles == direct.dram_limit_cycles
+            narrow = parallel_gemm_breakdown(
+                shape, TILES, t, machine=CARMEL, plan_builder=plan_builder,
+                dtype_bytes=2,
+            )
+            want = oracle.parallel_gemm_breakdown(
+                shape, TILES, t, machine=CARMEL, plan_builder=plan_builder,
+                dtype_bytes=2,
+            )
+            assert narrow.dram_limit_cycles == want.dram_limit_cycles
             # half the bytes: strictly less stream time than fp32
             assert narrow.dram_limit_cycles < wide.dram_limit_cycles
 

@@ -2,12 +2,12 @@
 
 :mod:`repro.sim.vectorized` must match the scalar model *bit for bit* —
 equality, never ``approx`` — because the grid search breaks wall-clock
-ties on exact float comparison.  The scalar path
-(:func:`repro.eval.harness.exo_gemm_breakdown`,
-:func:`repro.sim.parallel.parallel_gemm_breakdown` with
-``search="scalar"``) is the golden oracle; these tests fuzz shapes,
-machines, thread counts, and jc/ic/pc grids against it, cross-check the
-pre-NUMA golden pins, and pin the batch profile hook's event shape.
+ties on exact float comparison.  The scalar paths — the serial
+:func:`repro.eval.harness.exo_gemm_breakdown` and the threaded model in
+``tests/parallel_oracle.py`` — are the golden oracles; these tests fuzz
+shapes, machines, thread counts, and jc/ic/pc grids against them,
+cross-check the pre-NUMA golden pins, and pin the batch profile hook's
+event shape.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import parallel_oracle as oracle
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,11 +33,7 @@ from repro.obs import MetricsRegistry, Tracer, VirtualClock
 from repro.obs import profile as obs_profile
 from repro.sim import vectorized as vec
 from repro.sim.memory import GemmShape
-from repro.sim.parallel import (
-    candidate_grids,
-    parallel_gemm_breakdown,
-    partition_plane,
-)
+from repro.sim.parallel import candidate_grids, partition_plane
 
 _CTX = {}
 
@@ -191,7 +188,7 @@ class TestGridParity:
                 m, n, threads, machine, mr, nr,
                 jc_ways=jc, ic_ways=ic, pc_ways=pc, k=k, kc=tiles.kc,
             )
-            want = parallel_gemm_breakdown(
+            want = oracle.parallel_gemm_breakdown(
                 GemmShape(m, n, k), tiles, threads,
                 machine=machine, model=ctx.model,
                 plan_builder=lambda mt, nt: plane_chunk_plans(
@@ -214,29 +211,47 @@ class TestGridParity:
         m=st.integers(min_value=1, max_value=1200),
         n=st.integers(min_value=1, max_value=1200),
         k=st.integers(min_value=1, max_value=3000),
-        threads=st.integers(min_value=2, max_value=32),
+        threads=st.integers(min_value=1, max_value=32),
+        pin=st.one_of(
+            st.none(),
+            st.tuples(
+                st.integers(min_value=1, max_value=4),
+                st.integers(min_value=1, max_value=4),
+                st.integers(min_value=1, max_value=4),
+            ),
+        ),
     )
-    @settings(max_examples=40, deadline=None)
-    def test_fuzzed_search_engines_agree(self, name, m, n, k, threads):
+    @settings(max_examples=60, deadline=None)
+    def test_fuzzed_search_engines_agree(
+        self, name, m, n, k, threads, pin
+    ):
+        """Searched grids (every thread count, 1 included) and pinned
+        partitions price identically through the engine and the oracle."""
         ctx = ctx_for(name)
-        scalar = exo_parallel_breakdown(
-            m, n, k, threads, ctx=ctx, search="scalar"
+        partition = None
+        if pin is not None:
+            jc, ic, pc = pin
+            mr, nr = ctx.main_tile
+            kc = clamp_tiles(
+                analytical_tile_params(mr, nr, ctx.machine), m, n, k
+            ).kc
+            partition = partition_plane(
+                m, n, threads, ctx.machine, mr, nr,
+                jc_ways=jc, ic_ways=ic, pc_ways=pc, k=k, kc=kc,
+            )
+        want = oracle.exo_parallel_breakdown(
+            m, n, k, threads, ctx=ctx, partition=partition
         )
-        vectorized = exo_parallel_breakdown(
-            m, n, k, threads, ctx=ctx, search="vectorized"
+        got = exo_parallel_breakdown(
+            m, n, k, threads, ctx=ctx, partition=partition
         )
-        assert vectorized.partition_label == scalar.partition_label
+        assert got.partition_label == want.partition_label
         for field in (
             "compute_cycles", "pack_cycles", "c_stall_cycles",
             "reduction_cycles", "dram_limit_cycles", "total_cycles",
-            "gflops", "thread_busy_cycles",
+            "gflops", "seconds", "thread_busy_cycles",
         ):
-            assert getattr(vectorized, field) == getattr(scalar, field), field
-
-    def test_search_argument_validated(self):
-        ctx = ctx_for("carmel")
-        with pytest.raises(ValueError, match="search must be"):
-            exo_parallel_breakdown(64, 64, 64, 2, ctx=ctx, search="simd")
+            assert getattr(got, field) == getattr(want, field), field
 
 
 GOLDEN = json.loads(
