@@ -191,7 +191,9 @@ def _numeric_range(
 # Instruction-call classification
 # ---------------------------------------------------------------------------
 
-_classify_cache: Dict[int, Dict[Sym, str]] = {}
+#: ``id(proc) -> (proc, kinds)``; the entry pins its proc, so a freed
+#: proc's ``id`` is never reused while the entry lives.
+_classify_cache: Dict[int, Tuple[Proc, Dict[Sym, str]]] = {}
 
 
 def _classify_formals(proc: Proc) -> Dict[Sym, str]:
@@ -202,8 +204,8 @@ def _classify_formals(proc: Proc) -> Dict[Sym, str]:
     so the verifier never guesses operand direction from position.
     """
     cached = _classify_cache.get(id(proc))
-    if cached is not None:
-        return cached
+    if cached is not None and cached[0] is proc:
+        return cached[1]
     kinds: Dict[Sym, str] = {}
 
     def note(sym: Sym, kind: str) -> None:
@@ -241,7 +243,7 @@ def _classify_formals(proc: Proc) -> Dict[Sym, str]:
                         note(actual.name, kind)
 
     walk(proc.body)
-    _classify_cache[id(proc)] = kinds
+    _classify_cache[id(proc)] = (proc, kinds)
     return kinds
 
 
@@ -763,7 +765,8 @@ def _check_census(
 # Instruction-proc verification (the callee side of the contract)
 # ---------------------------------------------------------------------------
 
-_instr_checked: Dict[int, List[Finding]] = {}
+#: ``id(proc) -> (proc, findings)``, pinned like ``_classify_cache``
+_instr_checked: Dict[int, Tuple[Proc, List[Finding]]] = {}
 
 
 def _pred_iter_bounds(proc: Proc) -> _IterBounds:
@@ -812,13 +815,13 @@ def _pred_iter_bounds(proc: Proc) -> _IterBounds:
 def _verify_instr_proc(proc: Proc) -> List[Finding]:
     """Bounds-check an instruction body against its formal shapes."""
     cached = _instr_checked.get(id(proc))
-    if cached is not None:
-        return cached
+    if cached is not None and cached[0] is proc:
+        return cached[1]
     report = Report(proc.name)
     bp = _BoundsPass(proc, report)
     bp.iters.update(_pred_iter_bounds(proc))
     bp.run(proc.body)
-    _instr_checked[id(proc)] = report.findings
+    _instr_checked[id(proc)] = (proc, report.findings)
     return report.findings
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.sim.pipeline import KernelTrace, trace_from_kernel
-from repro.ukernel.generator import GeneratedKernel, generate_microkernel
+from repro.ukernel.generator import GeneratedKernel, stored_microkernel
 
 #: per-invocation cycles of edge-case dispatch logic in the monolithic kernel
 EDGE_LOGIC_CYCLES = 40.0
@@ -31,7 +31,7 @@ def blis_kernel_model(
     mr: int = 8, nr: int = 12, kernel: Optional[GeneratedKernel] = None
 ) -> KernelTrace:
     """Trace of the BLIS assembly kernel (default 8x12)."""
-    kernel = kernel or generate_microkernel(mr, nr)
+    kernel = kernel or stored_microkernel(mr, nr)
     trace = trace_from_kernel(kernel)
     return KernelTrace(
         ops=trace.ops,

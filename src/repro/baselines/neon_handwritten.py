@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.sim.pipeline import KernelTrace, TraceOp, trace_from_kernel
-from repro.ukernel.generator import GeneratedKernel, generate_microkernel
+from repro.ukernel.generator import GeneratedKernel, stored_microkernel
 
 #: extra vector micro-ops per k-iteration from compiled intrinsics code
 INTRINSIC_VECTOR_OVERHEAD = 2
@@ -31,7 +31,7 @@ def neon_kernel_model(
     mr: int = 8, nr: int = 12, kernel: Optional[GeneratedKernel] = None
 ) -> KernelTrace:
     """Trace of the hand-written intrinsics kernel (default 8x12)."""
-    kernel = kernel or generate_microkernel(mr, nr)
+    kernel = kernel or stored_microkernel(mr, nr)
     trace = trace_from_kernel(kernel)
     extra = [
         TraceOp("fma", 1, None, (), name="intrinsic_overhead")

@@ -5,7 +5,9 @@ parameters (``4 * it + itt``, ``jt * 4 + jtt`` ...).  We normalize such
 expressions to a canonical linear form — integer coefficients over symbols
 plus a constant — which gives the compiler:
 
-* constant folding and pretty ``simplify`` output,
+* constant folding and pretty ``simplify`` output (the fold in
+  :mod:`repro.core.scheduling.subst` canonicalizes through
+  :func:`linearize` / :func:`delinearize`),
 * decidable syntactic equality modulo arithmetic (``4*it + itt`` equals
   ``itt + it*4``), used everywhere from ``divide_loop`` bounds checks to the
   instruction unifier in ``replace``,
@@ -18,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-from .loopir import BinOp, Const, Expr, Read, USub, update
+from .loopir import BinOp, Const, Expr, Read, USub
 from .prelude import NULL_SRC, Sym
 from .typesys import INDEX
 
@@ -133,25 +135,6 @@ def delinearize(lin: LinExpr, srcinfo=NULL_SRC) -> Expr:
     if lin.offset or result is None:
         accumulate(Const(lin.offset, INDEX, srcinfo))
     return result
-
-
-def simplify_expr(e: Expr) -> Expr:
-    """Simplify an index expression to canonical affine form when possible.
-
-    Non-affine expressions are rebuilt with affine subexpressions simplified.
-    Non-index expressions (data arithmetic) are returned untouched except for
-    recursion into their operands.
-    """
-    lin = linearize(e)
-    if lin is not None:
-        return delinearize(lin, getattr(e, "srcinfo", NULL_SRC))
-    if isinstance(e, BinOp):
-        return update(e, lhs=simplify_expr(e.lhs), rhs=simplify_expr(e.rhs))
-    if isinstance(e, USub):
-        return update(e, arg=simplify_expr(e.arg))
-    if isinstance(e, Read):
-        return update(e, idx=tuple(simplify_expr(i) for i in e.idx))
-    return e
 
 
 def exprs_equal(a: Expr, b: Expr) -> bool:

@@ -2,8 +2,12 @@
 
 Every ``@proc`` parses into a :class:`Proc`: a list of formal arguments, a
 list of assertion predicates, and a statement block.  Statements and
-expressions are immutable dataclasses; scheduling primitives rewrite by
-constructing new trees (structural sharing makes this cheap).
+expressions are immutable dataclasses.  Scheduling primitives rewrite
+copy-on-change: :func:`update` hands back the node itself when no field
+changes, and the traversals in :mod:`repro.core.traversal` return their
+input node, or block tuple, when no child changed.  A rewrite therefore
+shares every subtree it did not touch with its input, and each scheduling
+step stays a separate, printable value.
 
 The node set intentionally mirrors Exo's core IR:
 
@@ -21,8 +25,8 @@ Statements
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace as dc_replace
-from typing import Optional, Tuple
+from dataclasses import dataclass, fields
+from typing import Dict, Optional, Tuple
 
 from .memory import DRAM, Memory
 from .prelude import NULL_SRC, SrcInfo, Sym
@@ -271,6 +275,29 @@ def expr_type(e: Expr) -> Type:
     return e.type
 
 
+_FIELD_NAMES: Dict[type, Tuple[str, ...]] = {}
+_MISSING = object()
+
+
 def update(node, **changes):
-    """Functional update of any frozen IR dataclass."""
-    return dc_replace(node, **changes)
+    """Functional update of any frozen IR dataclass, copy-on-change.
+
+    Returns ``node`` itself when every changed field is the very object
+    the node already holds; otherwise a new node built through the class
+    constructor.  Unknown field names raise ``TypeError``.
+    """
+    for name, value in changes.items():
+        if getattr(node, name, _MISSING) is not value:
+            break
+    else:
+        return node
+    cls = type(node)
+    names = _FIELD_NAMES.get(cls)
+    if names is None:
+        names = _FIELD_NAMES[cls] = tuple(f.name for f in fields(cls))
+    values = [
+        changes.pop(n) if n in changes else getattr(node, n) for n in names
+    ]
+    if changes:
+        raise TypeError(f"{cls.__name__} has no field(s) {sorted(changes)}")
+    return cls(*values)

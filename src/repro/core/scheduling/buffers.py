@@ -493,7 +493,8 @@ def set_precision(p: Procedure, name: str, precision: str) -> Procedure:
             return update(e, type=e.type.with_base(base))
         return e
 
-    return Procedure(update(ir, body=map_stmts(ir.body, expr_fn=retype)))
+    body = map_stmts(ir.body, expr_fn=lambda e: map_expr(e, retype))
+    return Procedure(update(ir, body=body))
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ from ..loopir import (
 from ..patterns import find_loop, find_stmt, get_stmt, replace_at
 from ..prelude import SchedulingError
 from ..proc import Procedure
-from ..traversal import alpha_rename, map_stmts, subst_stmts
+from ..traversal import alpha_rename, map_expr, map_stmts, subst_stmts
 from ..typesys import INDEX, TensorType
 from .subst import fold_constants
 
@@ -83,7 +83,9 @@ def inline_call(p: Procedure, pattern: str) -> Procedure:
             return update(s, name=model.name, idx=model.idx)
         return s
 
-    new_body = map_stmts(body, stmt_fn=fix_stmt, expr_fn=fix_expr)
+    new_body = map_stmts(
+        body, stmt_fn=fix_stmt, expr_fn=lambda e: map_expr(e, fix_expr)
+    )
     return Procedure(
         fold_constants(replace_at(p.ir, cursor.path, list(new_body)))
     )

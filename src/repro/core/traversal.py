@@ -2,7 +2,9 @@
 
 Three workhorses used by every scheduling primitive:
 
-* :func:`map_exprs` / :func:`map_stmts` — bottom-up rewriting with a callback.
+* :func:`map_expr` / :func:`map_stmts` — bottom-up, copy-on-change
+  rewriting with a callback: an unchanged subtree comes back as the same
+  object, so a rewrite shares everything it did not touch.
 * :func:`subst_expr` — capture-avoiding substitution of symbols by
   expressions (both in expression position and, where an entire buffer is
   renamed, in statement l-values).
@@ -14,6 +16,7 @@ Three workhorses used by every scheduling primitive:
 
 from __future__ import annotations
 
+from operator import is_
 from typing import Callable, Dict, Iterable, Tuple
 
 from .loopir import (
@@ -42,12 +45,22 @@ from .prelude import Sym
 # ---------------------------------------------------------------------------
 
 
+def map_tuple(items: tuple, fn: Callable) -> tuple:
+    """``fn`` over each item; the input tuple itself when no item changed."""
+    out = tuple([fn(x) for x in items])
+    return items if all(map(is_, out, items)) else out
+
+
 def map_expr(e: Expr, fn: Callable[[Expr], Expr]) -> Expr:
-    """Rebuild ``e`` bottom-up, applying ``fn`` to every subexpression."""
+    """Rebuild ``e`` bottom-up, applying ``fn`` to every subexpression.
+
+    Copy-on-change: a node none of whose children changed reaches ``fn``
+    as itself, so a callback that changes nothing hands back ``e``.
+    """
     if isinstance(e, (Const, StrideExpr)):
         return fn(e)
-    if isinstance(e, Read):
-        return fn(update(e, idx=tuple(map_expr(i, fn) for i in e.idx)))
+    if isinstance(e, (Read, WindowExpr)):
+        return fn(update(e, idx=map_tuple(e.idx, lambda i: map_expr(i, fn))))
     if isinstance(e, BinOp):
         return fn(update(e, lhs=map_expr(e.lhs, fn), rhs=map_expr(e.rhs, fn)))
     if isinstance(e, USub):
@@ -56,8 +69,6 @@ def map_expr(e: Expr, fn: Callable[[Expr], Expr]) -> Expr:
         return fn(update(e, lo=map_expr(e.lo, fn), hi=map_expr(e.hi, fn)))
     if isinstance(e, Point):
         return fn(update(e, pt=map_expr(e.pt, fn)))
-    if isinstance(e, WindowExpr):
-        return fn(update(e, idx=tuple(map_expr(i, fn) for i in e.idx)))
     raise TypeError(f"unknown expression node: {type(e).__name__}")
 
 
@@ -66,45 +77,48 @@ def map_stmts(
     stmt_fn: Callable[[Stmt], Stmt] = None,
     expr_fn: Callable[[Expr], Expr] = None,
 ) -> Tuple[Stmt, ...]:
-    """Rebuild a statement block bottom-up.
+    """Rebuild a statement block bottom-up, copy-on-change.
 
-    ``expr_fn`` is applied to every expression (via :func:`map_expr`);
-    ``stmt_fn`` is applied to every rebuilt statement.  Either may be None.
+    ``expr_fn`` is applied once to each statement-level expression: loop
+    bounds, l-value indices, right-hand sides, call arguments and tensor
+    allocation dims.  To reach every subexpression, pass a callback that
+    runs :func:`map_expr`.  ``stmt_fn`` is applied to every rebuilt
+    statement.  Either may be None.  A tuple block comes back as itself
+    when nothing in it changed.
     """
-    sf = stmt_fn or (lambda s: s)
-    ef = expr_fn
-
-    def do_expr(e: Expr) -> Expr:
-        return map_expr(e, ef) if ef else e
-
+    ef = expr_fn or _same
     out = []
     for s in stmts:
         if isinstance(s, (Assign, Reduce)):
-            s2 = update(
-                s, idx=tuple(do_expr(i) for i in s.idx), rhs=do_expr(s.rhs)
-            )
+            s2 = update(s, idx=map_tuple(s.idx, ef), rhs=ef(s.rhs))
         elif isinstance(s, For):
             s2 = update(
                 s,
-                lo=do_expr(s.lo),
-                hi=do_expr(s.hi),
+                lo=ef(s.lo),
+                hi=ef(s.hi),
                 body=map_stmts(s.body, stmt_fn, expr_fn),
             )
         elif isinstance(s, Call):
-            s2 = update(s, args=tuple(do_expr(a) for a in s.args))
+            s2 = update(s, args=map_tuple(s.args, ef))
         elif isinstance(s, Alloc):
             s2 = s
             typ = s.type
-            if ef and getattr(typ, "is_tensor", lambda: False)():
-                new_shape = tuple(do_expr(d) for d in typ.shape)
-                if new_shape != typ.shape:
-                    s2 = update(s, type=typ.with_shape(new_shape))
+            if expr_fn and typ.is_tensor():
+                shape = map_tuple(typ.shape, ef)
+                if shape is not typ.shape:
+                    s2 = update(s, type=typ.with_shape(shape))
         elif isinstance(s, Pass):
             s2 = s
         else:
             raise TypeError(f"unknown statement node: {type(s).__name__}")
-        out.append(sf(s2))
+        out.append(stmt_fn(s2) if stmt_fn else s2)
+    if isinstance(stmts, tuple) and all(map(is_, out, stmts)):
+        return stmts
     return tuple(out)
+
+
+def _same(e: Expr) -> Expr:
+    return e
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +155,11 @@ def subst_expr(e: Expr, env: Dict[Sym, Expr]) -> Expr:
 
 
 def subst_stmts(stmts: Iterable[Stmt], env: Dict[Sym, Expr]) -> Tuple[Stmt, ...]:
-    """Substitute symbols in a block, including statement l-value renames."""
+    """Substitute symbols in a block, including statement l-value renames.
+
+    Each expression is substituted once: a replacement is not searched
+    again for mapped symbols.
+    """
 
     def stmt_fn(s: Stmt) -> Stmt:
         if isinstance(s, (Assign, Reduce)) and s.name in env:

@@ -295,17 +295,22 @@ def _dedup_rows(columns: Sequence[np.ndarray]) -> Tuple[np.ndarray, ...]:
     return first, inverse.ravel()
 
 
-#: id(plan tuple) -> (plan, its (5, len) dense column array); consumers
-#: memoize ``plan_costs`` results so steady-state sweeps pass the same
-#: tuple objects every batch — keying by identity skips re-hashing five
-#: floats per plan per batch, and keeping the tuple in the value pins
-#: its id so it can never be recycled for a different plan
+#: id(plan tuple) -> (plan, its (5, len) dense column array), least
+#: recently used first.  Consumers memoize ``plan_costs`` results so
+#: steady-state sweeps pass the same tuple objects every batch — keying
+#: by identity skips re-hashing five floats per plan per batch, and
+#: keeping the tuple in the value pins its id so it can never be
+#: recycled for a different plan.  Callers that build fresh tuples per
+#: call (the threaded model, per slice plane) would grow it without
+#: bound, so it keeps the ``_PLAN_ARRAY_CACHE_SIZE`` most recent plans.
 _PLAN_ARRAY_CACHE: Dict[int, Tuple[Tuple[PlanCost, ...], np.ndarray]] = {}
+_PLAN_ARRAY_CACHE_SIZE = 1024
 
 
 def _plan_array(plan: Tuple[PlanCost, ...]) -> np.ndarray:
-    hit = _PLAN_ARRAY_CACHE.get(id(plan))
+    hit = _PLAN_ARRAY_CACHE.pop(id(plan), None)
     if hit is not None:
+        _PLAN_ARRAY_CACHE[id(plan)] = hit
         return hit[1]
     arr = np.array(
         [
@@ -320,6 +325,8 @@ def _plan_array(plan: Tuple[PlanCost, ...]) -> np.ndarray:
         ]
     ).T.copy() if plan else np.zeros((5, 0))
     _PLAN_ARRAY_CACHE[id(plan)] = (plan, arr)
+    if len(_PLAN_ARRAY_CACHE) > _PLAN_ARRAY_CACHE_SIZE:
+        del _PLAN_ARRAY_CACHE[next(iter(_PLAN_ARRAY_CACHE))]
     return arr
 
 

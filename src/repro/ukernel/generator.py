@@ -169,9 +169,21 @@ def generate_microkernel(
 
     ``variant`` selects the kernel flavour: "packed", "broadcast", "row",
     or "auto" (the first of those the tile and library allow — the
-    paper's edge-case recipe).
+    paper's edge-case recipe).  Every call schedules a fresh kernel;
+    :func:`stored_microkernel` builds each distinct one once per process.
     """
     lib = lib if lib is not None else _default_lib()
+    variant = _resolve_variant(mr, nr, lib, variant)
+    reference = base or make_reference_kernel()
+    if lib["dtype"] != "f32":
+        reference = _retype_reference(reference, lib["dtype"])
+    name = f"uk_{mr}x{nr}_{lib['dtype']}_{variant}"
+    flavour = _FLAVOURS[variant](mr, nr, lib)
+    return _generate(reference, name, mr, nr, lib, variant, flavour)
+
+
+def _resolve_variant(mr: int, nr: int, lib: dict, variant: str) -> str:
+    """The flavour ``variant`` names for this tile ("auto" resolved)."""
     lanes = lib["lanes"]
     div = f"divisible by {lanes}"
     # what each flavour needs, in the order "auto" prefers them
@@ -193,13 +205,34 @@ def generate_microkernel(
     fits, need = needs[variant]
     if not fits:
         raise ValueError(f"{variant} variant needs {need}, got {mr}x{nr}")
+    return variant
 
-    reference = base or make_reference_kernel()
-    if lib["dtype"] != "f32":
-        reference = _retype_reference(reference, lib["dtype"])
-    name = f"uk_{mr}x{nr}_{lib['dtype']}_{variant}"
-    flavour = _FLAVOURS[variant](mr, nr, lib)
-    return _generate(reference, name, mr, nr, lib, variant, flavour)
+
+#: The process-wide kernel store: ``(mr, nr, id(lib), variant)`` ->
+#: ``(lib, kernel)``.  Keeping the library in the entry keeps its ``id``
+#: from being recycled while the key exists.
+_KERNEL_STORE: Dict[tuple, Tuple[dict, GeneratedKernel]] = {}
+
+
+def stored_microkernel(
+    mr: int, nr: int, lib: Optional[dict] = None, variant: str = "auto"
+) -> GeneratedKernel:
+    """The ``mr x nr`` kernel for ``lib``, generated once per process.
+
+    Every consumer — the per-machine registries, the VLA plans' parts, the
+    verifier and the tuner — reads kernels from this one store, so equal
+    requests share one :class:`GeneratedKernel`.  Libraries are told apart
+    by identity: a reduced-AVL ``vsetvl`` library is its own library.
+    "auto" is resolved first, so it shares the entry of the flavour it
+    picks.
+    """
+    lib = lib if lib is not None else _default_lib()
+    key = (mr, nr, id(lib), _resolve_variant(mr, nr, lib, variant))
+    entry = _KERNEL_STORE.get(key)
+    if entry is None:
+        kernel = generate_microkernel(mr, nr, lib, variant=key[3])
+        entry = _KERNEL_STORE[key] = (lib, kernel)
+    return entry[1]
 
 
 def _generate(
@@ -424,7 +457,7 @@ def generate_all_steps(
     mr: int = 8, nr: int = 12, lib: Optional[dict] = None
 ) -> List[Tuple[str, Procedure]]:
     """The full v1..v6 sequence for display (the paper's Section III demo)."""
-    kernel = generate_microkernel(mr, nr, lib)
+    kernel = stored_microkernel(mr, nr, lib)
     return list(kernel.steps.items())
 
 
@@ -484,14 +517,15 @@ def generate_vla_microkernel(
     an active vector length (see :func:`repro.isa.rvv.rvv_lib_factory`).
     Rows split into full-vector-length body parts plus one tail part whose
     library is specialized to the remainder — the ``vsetvl`` predication
-    path, modelled exactly as RVV hardware executes it.
+    path, modelled exactly as RVV hardware executes it.  The parts come
+    from the process-wide store (:func:`stored_microkernel`).
     """
     full_lib = lib_factory(None)
     lanes = full_lib["lanes"]
     if variant == "auto" and mr == 1 and nr % lanes == 0:
         # the 1-row tail vectorizes along j at full width (row schedule)
         # rather than degenerating to a 1-lane vsetvl
-        kernel = generate_microkernel(1, nr, full_lib)
+        kernel = stored_microkernel(1, nr, full_lib)
         return VlaKernelPlan(
             parts=[(0, kernel)], mr=mr, nr=nr, lanes=lanes
         )
@@ -499,12 +533,12 @@ def generate_vla_microkernel(
     body_rows = (mr // lanes) * lanes
     if body_rows:
         parts.append(
-            (0, generate_microkernel(body_rows, nr, full_lib, variant=variant))
+            (0, stored_microkernel(body_rows, nr, full_lib, variant=variant))
         )
     tail = mr % lanes
     if tail:
         tail_lib = lib_factory(tail)
         parts.append(
-            (body_rows, generate_microkernel(tail, nr, tail_lib, variant=variant))
+            (body_rows, stored_microkernel(tail, nr, tail_lib, variant))
         )
     return VlaKernelPlan(parts=parts, mr=mr, nr=nr, lanes=lanes)

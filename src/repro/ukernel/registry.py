@@ -2,9 +2,10 @@
 
 The paper's point 4: with generation this cheap, "the optimization process
 for each problem ... boils down to evaluating a number of generated
-micro-kernels."  The registry memoizes generated kernels and their pipeline
-timings; :func:`select_kernel_for` ranks candidate register tiles for a
-given GEMM shape using the full timing model and returns the winner.
+micro-kernels."  The registry serves kernels from the process-wide store,
+which builds each distinct kernel once; :func:`select_kernel_for` ranks
+candidate register tiles for a given GEMM shape using the full timing
+model and returns the winner.
 
 The registry is ISA-agnostic: the instruction library and the register-tile
 family are injected per machine through the ISA target registry
@@ -21,7 +22,13 @@ from typing import Dict, Optional, Tuple
 from repro.isa.machine import CARMEL, MachineModel
 from repro.isa.targets import family_for_lanes, target_for_machine
 
-from .generator import GeneratedKernel, generate_microkernel
+# ``generate_microkernel`` stays bound here: callers that count
+# generations wrap it by name (perfbench/spans.py).
+from .generator import (  # noqa: F401
+    GeneratedKernel,
+    generate_microkernel,
+    stored_microkernel,
+)
 
 #: the register-tile family evaluated in the paper (Figures 13 and 15),
 #: closed under height x width combinations so any (m, n) plane decomposes
@@ -32,12 +39,14 @@ DEFAULT_FAMILY: Tuple[Tuple[int, int], ...] = family_for_lanes(4)
 
 @dataclass
 class KernelRegistry:
-    """Memoizing store of generated kernels, keyed by (mr, nr).
+    """The kernels of one instruction library, keyed by (mr, nr).
 
     ``lib`` is the instruction library all kernels target (Neon when
     omitted, for backward compatibility); ``family_shapes`` the tile
     family used by selection, derived from the library's vector length
-    when not given.
+    when not given.  Kernels come from the process-wide store
+    (:func:`repro.ukernel.generator.stored_microkernel`); ``_kernels`` is
+    this registry's view of it, the shapes it has handed out.
     """
 
     lib: Optional[dict] = None
@@ -56,9 +65,10 @@ class KernelRegistry:
 
     def get(self, mr: int, nr: int) -> GeneratedKernel:
         key = (mr, nr)
-        if key not in self._kernels:
-            self._kernels[key] = generate_microkernel(mr, nr, self.lib)
-        return self._kernels[key]
+        kernel = self._kernels.get(key)
+        if kernel is None:
+            kernel = self._kernels[key] = stored_microkernel(mr, nr, self.lib)
+        return kernel
 
     def family(
         self, shapes: Optional[Tuple[Tuple[int, int], ...]] = None

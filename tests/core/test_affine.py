@@ -11,11 +11,11 @@ from repro.core.affine import (
     diff_constant,
     exprs_equal,
     linearize,
-    simplify_expr,
     try_constant,
 )
 from repro.core.loopir import BinOp, Const, Read, USub
 from repro.core.prelude import Sym
+from repro.core.scheduling.subst import _fold_expr
 from repro.core.typesys import INDEX
 
 
@@ -140,25 +140,25 @@ class TestEquality:
 class TestSimplify:
     def test_folds_constants(self):
         e = add(const(2), mul(const(3), const(4)))
-        assert try_constant(simplify_expr(e)) == 14
+        assert try_constant(_fold_expr(e)) == 14
 
     def test_collects_terms(self):
         x = Sym("x")
         e = add(var(x), add(var(x), var(x)))
-        lin = linearize(simplify_expr(e))
+        lin = linearize(_fold_expr(e))
         assert lin.terms == {x: 3}
 
     def test_preserves_non_affine(self):
         x, y = Sym("x"), Sym("y")
         e = mul(var(x), var(y))
-        out = simplify_expr(e)
+        out = _fold_expr(e)
         assert isinstance(out, BinOp) and out.op == "*"
 
     @given(st.integers(-20, 20), st.integers(-20, 20), st.integers(-5, 5))
     def test_linear_identity_random(self, a, b, c):
         x = Sym("x")
         e = add(mul(const(a), var(x)), add(const(b), mul(const(c), var(x))))
-        lin = linearize(simplify_expr(e))
+        lin = linearize(_fold_expr(e))
         expected_coeff = a + c
         assert lin.terms.get(x, 0) == expected_coeff
         assert lin.offset == b

@@ -239,6 +239,27 @@ def test_error_catalogue_is_complete():
     assert all(ERROR_CODES[code] for code in ERROR_CODES)
 
 
+def test_identity_caches_serve_only_their_own_proc(monkeypatch):
+    """A cache entry left by a freed proc whose ``id`` a live proc now
+    has must not be served: each entry pins and checks its proc."""
+    from repro.analysis import verifier
+    from repro.analysis.verifier import Finding
+
+    fma = target("neon").lib["fmla_lane"].ir
+    stranger = target("neon").lib["load"].ir
+    kinds = verifier._classify_formals(fma)
+    monkeypatch.setitem(
+        verifier._classify_cache, id(fma), (stranger, {"bogus": "write"})
+    )
+    assert verifier._classify_formals(fma) == kinds
+    monkeypatch.setitem(
+        verifier._instr_checked,
+        id(fma),
+        (stranger, [Finding("E_OOB_ACCESS", "stale")]),
+    )
+    assert verifier._verify_instr_proc(fma) == []
+
+
 # ---------------------------------------------------------------------------
 # determinism linter
 

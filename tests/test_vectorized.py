@@ -350,3 +350,21 @@ class TestBatchProfileHook:
                 serial_batch(ctx, [(64, 48, 64)]), profile=False
             )
         assert profiler.records == []
+
+
+class TestPlanArrayCache:
+    def test_bounded_and_reused_while_cached(self, monkeypatch):
+        monkeypatch.setattr(vec, "_PLAN_ARRAY_CACHE", {})
+        monkeypatch.setattr(vec, "_PLAN_ARRAY_CACHE_SIZE", 4)
+        plans = [
+            (vec.PlanCost(i + 1, 2.0, 3.0, 4.0, 5.0),) for i in range(10)
+        ]
+        arrays = [vec._plan_array(p) for p in plans]
+        assert len(vec._PLAN_ARRAY_CACHE) == 4
+        # the same tuple object reuses its array across batches
+        assert vec._plan_array(plans[-1]) is arrays[-1]
+        # an evicted plan is rebuilt, equal
+        rebuilt = vec._plan_array(plans[0])
+        assert rebuilt is not arrays[0]
+        np.testing.assert_array_equal(rebuilt, arrays[0])
+        assert len(vec._PLAN_ARRAY_CACHE) == 4
