@@ -195,24 +195,27 @@ def prewarm_executors(
 
     The placement search prices the same layer shapes once per
     (placement, batch-cap) candidate; doing it lazily costs one
-    grid-search batch per (layer, batch) memo miss.  This collects every miss
-    across ``executors`` x ``batches``, scores *all* their candidate
-    jc/ic/pc grids in a single multi-machine
-    :func:`repro.sim.vectorized.batch_gemm_cycles` call (one obs span,
-    ``candidates`` = total rows), and stores each winner's modelled
-    seconds straight from the batch — the identical candidate set and
-    tie-break as :func:`repro.sim.parallel.parallel_gemm_breakdown`, so
-    the memo entries are bit-identical to lazy pricing.  Returns the
-    number of memo entries filled.
+    grid-search batch per (layer, batch) memo miss.  This collects every
+    miss across ``executors`` x ``batches`` and prices them all through
+    one :func:`repro.sim.parallel.price_grid_requests` call — a single
+    multi-machine grid batch (one obs span, ``candidates`` = total
+    rows) with the candidate set and tie-break of
+    :func:`repro.sim.parallel.parallel_gemm_breakdown`, so the memo
+    entries are bit-identical to lazy pricing.  Returns the number of
+    memo entries filled.
     """
-    import numpy as np
-
     from repro.blis.params import analytical_tile_params, clamp_tiles
     from repro.eval.harness import plane_chunk_plans
     from repro.sim import vectorized as vec
-    from repro.sim.parallel import candidate_grids
+    from repro.sim.memory import GemmShape
+    from repro.sim.parallel import (
+        GridRequest,
+        candidate_grids,
+        price_grid_requests,
+    )
 
-    requests = []  # (ex, key, m, n, k, main, tiles, grids)
+    cells = []  # (executor, memo key, main tile) per request
+    requests = []
     queued = set()
     for ex_idx, ex in enumerate(executors):
         layers = {layer.layer_id: layer for _, layer in ex.instances}
@@ -223,74 +226,34 @@ def prewarm_executors(
                     continue
                 queued.add((ex_idx, key))
                 m, n, k = layer.batched_dims(int(batch))
-                main = ex._main_tile_for(m, n, k)
-                mr, nr = main if main is not None else ex.ctx.main_tile
+                main = ex._main_tile_for(m, n, k) or ex.ctx.main_tile
+                machine = ex.ctx.machine
                 tiles = clamp_tiles(
-                    analytical_tile_params(mr, nr, ex.ctx.machine), m, n, k
+                    analytical_tile_params(*main, machine), m, n, k
                 )
                 grids = candidate_grids(
-                    ex.threads, m, n, ex.ctx.machine, mr, nr,
-                    k=k, kc=tiles.kc,
+                    ex.threads, m, n, machine, *main, k=k, kc=tiles.kc
                 )
-                requests.append((ex_idx, key, m, n, k, main, tiles, grids))
-    if not requests:
-        return 0
-
-    rows_req = []  # row -> request index
-    cols = {f: [] for f in ("m", "n", "k", "mr", "nr", "kc", "nc",
-                            "jc", "ic", "pc", "machine_idx")}
-    offsets = [0]
-    for ri, (ex_idx, _key, m, n, k, main, tiles, grids) in enumerate(
-        requests
-    ):
-        ex = executors[ex_idx]
-        mr, nr = main if main is not None else ex.ctx.main_tile
-        for jc, ic, pc in grids:
-            rows_req.append(ri)
-            cols["m"].append(m)
-            cols["n"].append(n)
-            cols["k"].append(k)
-            cols["mr"].append(mr)
-            cols["nr"].append(nr)
-            cols["kc"].append(tiles.kc)
-            cols["nc"].append(tiles.nc)
-            cols["jc"].append(jc)
-            cols["ic"].append(ic)
-            cols["pc"].append(pc)
-            cols["machine_idx"].append(ex_idx)
-        offsets.append(len(rows_req))
+                cells.append((ex, key, main))
+                requests.append(
+                    GridRequest(
+                        machine, GemmShape(m, n, k), tiles, ex.threads, grids
+                    )
+                )
 
     plan_memo: Dict[tuple, tuple] = {}
 
-    def source(row: int, m_p: int, n_p: int):
-        ex_idx, _key, _m, _n, _k, main, _tiles, _grids = requests[
-            rows_req[row]
-        ]
-        ex = executors[ex_idx]
-        mr, nr = main if main is not None else ex.ctx.main_tile
-        memo_key = (ex_idx, mr, nr, m_p, n_p)
+    def source(request: int, m_p: int, n_p: int):
+        ex, _key, (mr, nr) = cells[request]
+        memo_key = (id(ex), mr, nr, m_p, n_p)
         if memo_key not in plan_memo:
             plan_memo[memo_key] = vec.plan_costs(
                 plane_chunk_plans(ex.ctx, m_p, n_p, mr, nr), ex.ctx.model
             )
         return plan_memo[memo_key]
 
-    scored = vec.batch_gemm_cycles(
-        vec.CandidateBatch(
-            machines=tuple(ex.ctx.machine for ex in executors),
-            plan_source=source,
-            kind="grid",
-            **{f: np.asarray(v) for f, v in cols.items()},
-        )
-    )
-    winners = vec.best_grid_indices(scored, offsets)
-    for (ex_idx, key, _m, _n, _k, main, _t, _g), row in zip(
-        requests, winners
-    ):
-        ex = executors[ex_idx]
-        seconds = float(scored.seconds[row])
-        ex._layer_memo[key] = (
-            seconds, main if main is not None else ex.ctx.main_tile
-        )
-        ex._record_pricing(seconds)
-    return len(requests)
+    breakdowns = price_grid_requests(requests, source)
+    for (ex, key, main), breakdown in zip(cells, breakdowns):
+        ex._layer_memo[key] = (breakdown.seconds, main)
+        ex._record_pricing(breakdown.seconds)
+    return len(cells)

@@ -43,7 +43,9 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import random
+import threading
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -791,18 +793,27 @@ def run_trace(
     return _collect(plane)
 
 
+#: how often :func:`run_http` looks at its ``stop`` event, in ms
+STOP_POLL_MS = 5.0
+
+
 def run_http(
     plane: ServePlane,
     host: str = "127.0.0.1",
     port: int = 8080,
     duration_ms: Optional[float] = None,
     ready=None,
+    stop: Optional[threading.Event] = None,
 ) -> LiveResult:
-    """Serve the HTTP front door until ``duration_ms`` elapses.
+    """Serve the HTTP front door until ``duration_ms`` or ``stop`` ends it.
 
-    Wall-timeline only (a virtual clock cannot pace a socket).  The
-    optional ``ready`` callback receives the bound ``(host, port)``
-    once the server is listening — the tests use it to connect.
+    Serving stops at whichever comes first; with neither it runs
+    forever.  Wall-timeline only (a virtual clock cannot pace a
+    socket).  The optional ``ready`` callback receives the bound
+    ``(host, port)`` once the server is listening — the tests use it
+    to connect.  ``stop`` lets another thread end the run early: the
+    loop checks it every :data:`STOP_POLL_MS` milliseconds, then closes
+    the server and drains the plane as at the deadline.
     """
     if plane.timeline.kind == "virtual":
         raise ValueError(
@@ -816,12 +827,17 @@ def run_http(
         bound = server.sockets[0].getsockname()[:2]
         if ready is not None:
             ready(bound)
+        if duration_ms is None and stop is None:  # pragma: no cover
+            await asyncio.Event().wait()  # interactive: serve forever
+        deadline = math.inf
         if duration_ms is not None:
-            await plane.timeline.sleep_until(
-                plane.timeline.now_ms() + duration_ms
-            )
-        else:  # pragma: no cover - interactive serving waits forever
-            await asyncio.Event().wait()
+            deadline = plane.timeline.now_ms() + duration_ms
+        poll_ms = math.inf if stop is None else STOP_POLL_MS
+        while stop is None or not stop.is_set():
+            now = plane.timeline.now_ms()
+            if now >= deadline:
+                break
+            await plane.timeline.sleep_until(min(deadline, now + poll_ms))
         server.close()
         await server.wait_closed()
         await plane.close()

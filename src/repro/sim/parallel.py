@@ -31,8 +31,10 @@ replicated stream.
 
 This module owns the partition geometry; the threaded cost terms
 themselves live in one place, the ``kind="grid"`` batch of
-:mod:`repro.sim.vectorized`, through which every
-:func:`parallel_gemm_breakdown` call prices.  The scalar implementation
+:mod:`repro.sim.vectorized`.  :func:`price_grid_requests` ranks many
+GEMMs' candidate grids in one such batch (the tuner and the serving
+prewarm price through it), and :func:`parallel_gemm_breakdown` is its
+one-request case.  The scalar implementation
 of the same terms is the test oracle (``tests/parallel_oracle.py``).
 A one-thread partition reproduces :func:`repro.sim.timing.gemm_time_model`
 exactly — the engine mirrors its compute formula
@@ -46,7 +48,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.isa.machine import MachineModel
 from repro.obs import profile as obs_profile
@@ -477,6 +481,116 @@ class ParallelBreakdown:
         return self.total_cycles / (self.machine.freq_ghz * 1e9)
 
 
+class GridRequest(NamedTuple):
+    """One threaded GEMM for :func:`price_grid_requests` to rank.
+
+    Its machine, shape and (clamped) tiles, the requested thread count,
+    and the candidate ``(jc, ic, pc)`` grids its winner is chosen from.
+    """
+
+    machine: MachineModel
+    shape: GemmShape
+    tiles: TileParams
+    threads: int
+    grids: Sequence[Tuple[int, int, int]]
+
+
+#: (request index, plane m, plane n) -> the plan costs covering that
+#: plane — a :class:`repro.sim.vectorized.PlanCost` tuple
+RequestPlanSource = Callable[[int, int, int], tuple]
+
+
+def price_grid_requests(
+    requests: Sequence[GridRequest],
+    plan_source: RequestPlanSource,
+    *,
+    prefetch_c: bool = False,
+    dtype_bytes: int = 4,
+    profile: bool = True,
+) -> List[ParallelBreakdown]:
+    """Price many threaded GEMMs in one ``kind="grid"`` batch.
+
+    Every request's candidate grids become consecutive rows of a single
+    :func:`repro.sim.vectorized.batch_gemm_cycles` call, and each
+    request's winner is chosen over its own row segment by
+    :func:`repro.sim.vectorized.best_grid_indices`.  The engine prices
+    rows independently, so every breakdown is bit-identical to pricing
+    its request alone.  ``plan_source(r, m_t, n_t)`` supplies the plan
+    costs of one thread-slice plane of request ``r``.  The engine calls
+    it once per distinct (machine, mr, nr, m_t, n_t), so on one machine
+    object the costs must depend on (mr, nr, m_t, n_t) alone.
+    ``profile`` lets the batch emit its one ``batch.grid`` obs record.
+    Returns one breakdown per request, in request order.
+    """
+    if not requests:
+        return []
+    # imported here: repro.sim.vectorized imports this module
+    from . import vectorized as _vec
+
+    machines: Dict[int, MachineModel] = {}
+    for req in requests:
+        machines.setdefault(id(req.machine), req.machine)
+    machine_idx = {key: i for i, key in enumerate(machines)}
+    counts = [len(req.grids) for req in requests]
+
+    def per_request(field: Callable[[GridRequest], int]) -> np.ndarray:
+        return np.repeat(
+            np.asarray([field(req) for req in requests], dtype=np.int64),
+            counts,
+        )
+
+    grids = np.asarray(
+        [grid for req in requests for grid in req.grids], dtype=np.int64
+    ).reshape(-1, 3)
+    row_request = np.repeat(np.arange(len(requests)), counts)
+    scored = _vec.batch_gemm_cycles(
+        _vec.CandidateBatch(
+            machines=tuple(machines.values()),
+            m=per_request(lambda req: req.shape.m),
+            n=per_request(lambda req: req.shape.n),
+            k=per_request(lambda req: req.shape.k),
+            mr=per_request(lambda req: req.tiles.mr),
+            nr=per_request(lambda req: req.tiles.nr),
+            kc=per_request(lambda req: req.tiles.kc),
+            nc=per_request(lambda req: req.tiles.nc),
+            jc=grids[:, 0],
+            ic=grids[:, 1],
+            pc=grids[:, 2],
+            machine_idx=per_request(lambda req: machine_idx[id(req.machine)]),
+            dtype_bytes=dtype_bytes,
+            plan_source=lambda row, m_t, n_t: plan_source(
+                int(row_request[row]), m_t, n_t
+            ),
+            kind="grid",
+            prefetch_c=prefetch_c,
+        ),
+        profile=profile,
+    )
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    breakdowns = []
+    for req, row in zip(requests, _vec.best_grid_indices(scored, offsets)):
+        first, stop = scored.slice_offsets[row], scored.slice_offsets[row + 1]
+        breakdowns.append(
+            ParallelBreakdown(
+                threads=req.threads,
+                jc_ways=int(scored.eff_jc[row]),
+                ic_ways=int(scored.eff_ic[row]),
+                pc_ways=int(scored.eff_pc[row]),
+                compute_cycles=float(scored.compute_cycles[row]),
+                pack_cycles=float(scored.pack_cycles[row]),
+                c_stall_cycles=float(scored.c_stall_cycles[row]),
+                reduction_cycles=float(scored.reduction_cycles[row]),
+                dram_limit_cycles=float(scored.dram_limit_cycles[row]),
+                flops=req.shape.flops,
+                machine=req.machine,
+                thread_busy_cycles=tuple(
+                    scored.slice_busy_cycles[first:stop].tolist()
+                ),
+            )
+        )
+    return breakdowns
+
+
 def parallel_gemm_breakdown(
     shape: GemmShape,
     tiles: TileParams,
@@ -520,9 +634,9 @@ def parallel_gemm_breakdown(
       ensemble spanning S sockets replicates the B panel per socket L3
       and pays ``inter_socket_penalty`` on the replicated stream.
 
-    Every call prices in one ``kind="grid"``
-    :func:`repro.sim.vectorized.batch_gemm_cycles` batch, which holds
-    the cost terms above.  When no
+    Every call is the one-request case of :func:`price_grid_requests`:
+    one ``kind="grid"`` :func:`repro.sim.vectorized.batch_gemm_cycles`
+    batch, which holds the cost terms above.  When no
     ``partition`` is pinned, the batch holds every candidate jc x ic x
     pc grid (:func:`candidate_grids`), ranked by its exact modelled
     wall clock, and the best one executes — the partition choice sees
@@ -569,7 +683,7 @@ def parallel_gemm_breakdown(
     # repeated slice shapes never re-run edge/tail kernel selection
     costs_by_plane: dict = {}
 
-    def source(_row: int, m_t: int, n_t: int):
+    def source(_request: int, m_t: int, n_t: int):
         key = (m_t, n_t)
         if key not in costs_by_plane:
             costs_by_plane[key] = _vec.plan_costs(
@@ -577,38 +691,12 @@ def parallel_gemm_breakdown(
             )
         return costs_by_plane[key]
 
-    scored = _vec.batch_gemm_cycles(
-        _vec.CandidateBatch(
-            machines=(machine,),
-            m=m, n=n, k=k,
-            mr=tiles.mr, nr=tiles.nr, kc=tiles.kc, nc=tiles.nc,
-            jc=[g[0] for g in grids],
-            ic=[g[1] for g in grids],
-            pc=[g[2] for g in grids],
-            dtype_bytes=dtype_bytes,
-            plan_source=source,
-            kind="grid",
-            prefetch_c=prefetch_c,
-        ),
+    (breakdown,) = price_grid_requests(
+        [GridRequest(machine, shape, tiles, threads, grids)],
+        source,
+        prefetch_c=prefetch_c,
+        dtype_bytes=dtype_bytes,
         profile=False,
-    )
-    row = _vec.best_grid_indices(scored, (0, len(grids)))[0]
-    first, stop = scored.slice_offsets[row], scored.slice_offsets[row + 1]
-    breakdown = ParallelBreakdown(
-        threads=threads,
-        jc_ways=int(scored.eff_jc[row]),
-        ic_ways=int(scored.eff_ic[row]),
-        pc_ways=int(scored.eff_pc[row]),
-        compute_cycles=float(scored.compute_cycles[row]),
-        pack_cycles=float(scored.pack_cycles[row]),
-        c_stall_cycles=float(scored.c_stall_cycles[row]),
-        reduction_cycles=float(scored.reduction_cycles[row]),
-        dram_limit_cycles=float(scored.dram_limit_cycles[row]),
-        flops=shape.flops,
-        machine=machine,
-        thread_busy_cycles=tuple(
-            scored.slice_busy_cycles[first:stop].tolist()
-        ),
     )
     if prof is not None:
         prof.record(

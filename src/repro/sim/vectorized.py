@@ -74,7 +74,7 @@ MLP = 6.0
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PlanCost:
     """One :class:`~repro.sim.timing.ChunkPlan` reduced to the scalars
     :func:`repro.sim.timing.plans_compute_cycles` actually consumes."""

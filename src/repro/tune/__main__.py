@@ -17,7 +17,7 @@ from pathlib import Path
 from repro import obs as obslib
 from repro.eval.report import render_table
 
-from . import save_artifact, sweep
+from . import best_kernel, save_artifact, sweep
 from .cache import TuneCache, default_cache_root
 from .executor import breakdown_calls, reset_breakdown_calls
 from .space import parse_threads, problem_set, resolve_isas
@@ -70,7 +70,9 @@ def _parse_args(argv):
     parser.add_argument(
         "--verify",
         action="store_true",
-        help="cross-check every winner against serial select_kernel_for",
+        help="cross-check every winner: serial ones against "
+        "select_kernel_for, threaded ones against a fresh "
+        "exo_parallel_breakdown",
     )
     parser.add_argument(
         "--trace",
@@ -89,25 +91,53 @@ def _parse_args(argv):
     return parser.parse_args(argv)
 
 
-def _verify(artifact, isas, problems) -> int:
-    """Re-rank serially through select_kernel_for and compare winners."""
+def _verify(artifact, isas, problems, thread_axis) -> int:
+    """Cross-check every winner; returns the number of mismatches.
+
+    Serial winners are re-ranked through ``select_kernel_for``; each
+    threaded ``MxNxK@tN`` winner's stored ``total_cycles`` must equal a
+    fresh one-GEMM ``exo_parallel_breakdown`` of its tile, which checks
+    the batched grid pricing the sweep used.
+    """
+    from repro.eval.harness import exo_parallel_breakdown, machine_context
     from repro.isa.targets import target
     from repro.ukernel.registry import select_kernel_for
 
     mismatches = 0
     for isa in isas:
+        machine = target(isa).machine
         for m, n, k in problems:
-            shape, _ = select_kernel_for(m, n, k, machine=target(isa).machine)
-            entry = artifact["machines"][isa]["best"][f"{m}x{n}x{k}"]
-            tuned = tuple(entry["kernel"])
-            if tuned != shape:
-                mismatches += 1
-                log.error(
-                    f"MISMATCH {isa} {m}x{n}x{k}: "
-                    f"tune={tuned} select_kernel_for={shape}"
-                )
+            for nthreads in thread_axis:
+                tuned, entry = best_kernel(artifact, isa, m, n, k, nthreads)
+                if nthreads == 1:
+                    shape, _ = select_kernel_for(m, n, k, machine=machine)
+                    if tuned != shape:
+                        mismatches += 1
+                        log.error(
+                            f"MISMATCH {isa} {m}x{n}x{k}: "
+                            f"tune={tuned} select_kernel_for={shape}"
+                        )
+                    continue
+                fresh = exo_parallel_breakdown(
+                    m, n, k, nthreads, ctx=machine_context(machine), main=tuned
+                ).total_cycles
+                if fresh != entry["total_cycles"]:
+                    mismatches += 1
+                    log.error(
+                        f"MISMATCH {isa} {m}x{n}x{k}@t{nthreads} {tuned}: "
+                        f"tune={entry['total_cycles']!r} "
+                        f"exo_parallel_breakdown={fresh!r}"
+                    )
     if mismatches == 0:
-        log.info("verify: every winner agrees with serial select_kernel_for")
+        if 1 in thread_axis:
+            log.info(
+                "verify: every winner agrees with serial select_kernel_for"
+            )
+        if any(nthreads != 1 for nthreads in thread_axis):
+            log.info(
+                "verify: every threaded winner's cycles match a fresh "
+                "exo_parallel_breakdown"
+            )
     return mismatches
 
 
@@ -214,13 +244,7 @@ def main(argv=None) -> int:
             log.info(f"wrote {path}")
 
     if args.verify:
-        if 1 not in thread_axis:
-            log.warning(
-                "verify: skipped (select_kernel_for is the serial path; "
-                "re-run with 1 in --threads)"
-            )
-            return 0
-        return 1 if _verify(artifact, isa_names, problems) else 0
+        return 1 if _verify(artifact, isa_names, problems, thread_axis) else 0
     return 0
 
 

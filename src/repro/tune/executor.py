@@ -1,11 +1,14 @@
 """Parallel evaluation of tune jobs over a process pool.
 
-Each job is one ``exo_gemm_breakdown`` call — a modelled GEMM with one
-candidate main tile.  Jobs travel to workers as plain tuples and come
-back as plain JSON records, so the pool never pickles procedures,
-traces, or machine models; each worker process rebuilds (and memoizes)
-its evaluation context per ISA on first use.  On Linux the pool forks,
-so kernels already generated in the parent are inherited for free.
+Each job is one modelled GEMM with one candidate main tile, serial or
+threaded.  A chunk's jobs are priced together: the serial ones in one
+vectorized batch, the threaded ones in grid batches over every
+candidate thread partition (:func:`evaluate_candidates`).  Jobs travel
+to workers as plain tuples and come back as plain JSON records, so the
+pool never pickles procedures, traces, or machine models; each worker
+process rebuilds (and memoizes) its evaluation context per ISA on first
+use.  On Linux the pool forks, so kernels already generated in the
+parent are inherited for free.
 
 Jobs are *chunked* per ISA before submission — one future per chunk —
 to amortize inter-process overhead, and results are written back by job
@@ -37,6 +40,10 @@ CHUNKS_PER_WORKER = 2
 
 _contexts: Dict[str, object] = {}
 _breakdown_calls = 0
+
+#: threaded specs per grid batch: a chunk's grid batches stay this size
+#: however large the chunk, which bounds their transient slice arrays
+GRID_BATCH_SPECS = 128
 
 #: (isa, mr, nr, m, n) -> PlanCost tuple; plan selection depends only on
 #: the plane and the kernel family, so it is shared across sweeps
@@ -71,79 +78,81 @@ def _context_for(isa: str):
     return _contexts[isa]
 
 
-def evaluate_candidate(
-    isa: str, mr: int, nr: int, m: int, n: int, k: int, threads: int = 1
-) -> Dict[str, float]:
-    """Run the timing model for one candidate and return its record.
-
-    ``threads=1`` runs the serial five-loop model; larger counts run the
-    multi-threaded execution model (:mod:`repro.sim.parallel`) with the
-    same candidate as the main tile, so serial records are bit-identical
-    to the pre-threading tuner's.
-    """
-    global _breakdown_calls
-    _breakdown_calls += 1
-    from repro.eval import harness
-
-    ctx = _context_for(isa)
-    if threads == 1:
-        breakdown = harness.exo_gemm_breakdown(m, n, k, main=(mr, nr), ctx=ctx)
-    else:
-        breakdown = harness.exo_parallel_breakdown(
-            m, n, k, threads, ctx=ctx, main=(mr, nr)
-        )
-    return record_from_breakdown(breakdown)
-
-
 def evaluate_candidates(
     isa: str, specs: Sequence[Tuple[int, int, int, int, int, int]]
 ) -> List[Dict[str, float]]:
     """Evaluate many ``(mr, nr, m, n, k, threads)`` specs at once.
 
     Serial (``threads == 1``) specs are scored in **one** vectorized
-    :func:`repro.sim.vectorized.batch_gemm_cycles` call — the records
-    are bit-identical to per-spec :func:`evaluate_candidate` calls
-    (the engine's oracle contract), just orders of magnitude faster
-    per candidate.  Threaded specs are priced one at a time by
-    :func:`evaluate_candidate`, each through its own
-    :func:`repro.sim.parallel.parallel_gemm_breakdown` grid batch.
-    Records come back in spec order, ready for per-candidate cache
-    keys.
+    ``kind="serial"`` :func:`repro.sim.vectorized.batch_gemm_cycles`
+    call, and threaded specs through
+    :func:`repro.sim.parallel.price_grid_requests`, one grid batch per
+    :data:`GRID_BATCH_SPECS` specs holding every candidate jc x ic x pc
+    grid of each.  Both share the process-wide plane-cost memo.  The
+    records are bit-identical to per-spec ``exo_gemm_breakdown`` /
+    ``exo_parallel_breakdown`` calls (the engine's oracle contract),
+    just far cheaper per candidate.  Records come back in spec order,
+    ready for per-candidate cache keys.
     """
     global _breakdown_calls
-    results: List[Optional[Dict[str, float]]] = [None] * len(specs)
-    serial = []
-    for i, spec in enumerate(specs):
-        if spec[5] == 1:
-            serial.append(i)
-        else:
-            results[i] = evaluate_candidate(isa, *spec)
-    if not serial:
-        return results
-
     from repro.blis.params import analytical_tile_params, clamp_tiles
     from repro.eval.harness import plane_chunk_plans
     from repro.sim import vectorized as vec
+    from repro.sim.memory import GemmShape
+    from repro.sim.parallel import (
+        GridRequest,
+        candidate_grids,
+        price_grid_requests,
+    )
 
     ctx = _context_for(isa)
     machine = ctx.machine
     tile_memo: Dict[Tuple[int, int], object] = {}
-    rows = []
-    for i in serial:
-        mr, nr, m, n, k, _ = specs[i]
+
+    def tiles_for(mr: int, nr: int, m: int, n: int, k: int):
         if (mr, nr) not in tile_memo:
             tile_memo[(mr, nr)] = analytical_tile_params(mr, nr, machine)
-        tiles = clamp_tiles(tile_memo[(mr, nr)], m, n, k)
-        rows.append((mr, nr, m, n, k, tiles.kc, tiles.nc))
+        return clamp_tiles(tile_memo[(mr, nr)], m, n, k)
 
-    def source(row: int, m_p: int, n_p: int):
-        mr, nr = rows[row][0], rows[row][1]
+    def plane_costs(spec: int, m_p: int, n_p: int):
+        mr, nr = specs[spec][0], specs[spec][1]
         key = (isa, mr, nr, m_p, n_p)
         if key not in _plan_cost_memo:
             _plan_cost_memo[key] = vec.plan_costs(
                 plane_chunk_plans(ctx, m_p, n_p, mr, nr), ctx.model
             )
         return _plan_cost_memo[key]
+
+    results: List[Optional[Dict[str, float]]] = [None] * len(specs)
+    serial = [i for i, spec in enumerate(specs) if spec[5] == 1]
+    threaded = [i for i, spec in enumerate(specs) if spec[5] != 1]
+    for start in range(0, len(threaded), GRID_BATCH_SPECS):
+        part = threaded[start : start + GRID_BATCH_SPECS]
+        requests = []
+        for i in part:
+            mr, nr, m, n, k, threads = specs[i]
+            tiles = tiles_for(mr, nr, m, n, k)
+            grids = candidate_grids(
+                threads, m, n, machine, mr, nr, k=k, kc=tiles.kc
+            )
+            requests.append(
+                GridRequest(machine, GemmShape(m, n, k), tiles, threads, grids)
+            )
+        breakdowns = price_grid_requests(
+            requests,
+            lambda request, m_p, n_p: plane_costs(part[request], m_p, n_p),
+        )
+        for i, breakdown in zip(part, breakdowns):
+            results[i] = record_from_breakdown(breakdown)
+    _breakdown_calls += len(threaded)
+    if not serial:
+        return results
+
+    rows = []
+    for i in serial:
+        mr, nr, m, n, k, _ = specs[i]
+        tiles = tiles_for(mr, nr, m, n, k)
+        rows.append((mr, nr, m, n, k, tiles.kc, tiles.nc))
 
     batch = vec.CandidateBatch(
         machines=(machine,),
@@ -154,7 +163,7 @@ def evaluate_candidates(
         nr=[r[1] for r in rows],
         kc=[r[5] for r in rows],
         nc=[r[6] for r in rows],
-        plan_source=source,
+        plan_source=lambda row, m_p, n_p: plane_costs(serial[row], m_p, n_p),
         kind="serial",
     )
     scored = vec.batch_gemm_cycles(batch)

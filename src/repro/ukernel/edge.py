@@ -5,35 +5,46 @@ instead of one monolithic kernel masked over partial tiles, generate a
 small family and cover the plane exactly — full 8-row panels, then 4-row,
 then 1-row tails; 12-wide columns, then 8 and 4.
 
-:func:`decompose_extent` produces the chunk lists; :func:`tile_cover`
-counts every (mr, nr) tile class a shape needs, which both the GEMM driver
-and the timing model consume.
+:func:`extent_counts` counts the chunks of each size that cover one
+extent (:func:`decompose_extent` lists them); :func:`tile_cover` counts
+every (mr, nr) tile class a shape needs, which both the GEMM driver and
+the timing model consume.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from typing import Dict, List, Sequence, Tuple
 
 
-def decompose_extent(extent: int, sizes: Sequence[int]) -> List[int]:
-    """Greedy cover of ``extent`` by chunk sizes (largest first).
+def extent_counts(extent: int, sizes: Sequence[int]) -> Dict[int, int]:
+    """Greedy cover of ``extent`` by chunk sizes, as a count per size.
 
-    A ragged remainder smaller than every size gets one padded chunk of the
-    smallest size, mirroring the zero-padded packing buffers of BLIS.
+    Keys run largest size first.  A ragged remainder smaller than every
+    size adds one padded chunk of the smallest size, mirroring the
+    zero-padded packing buffers of BLIS.
     """
     if extent <= 0:
         raise ValueError(f"extent must be positive, got {extent}")
     ordered = sorted(set(sizes), reverse=True)
-    chunks: List[int] = []
+    counts: Dict[int, int] = {}
     left = extent
     for size in ordered:
         count, left = divmod(left, size)
-        chunks.extend([size] * count)
+        if count:
+            counts[size] = count
     if left:
-        chunks.append(ordered[-1])
-    return chunks
+        counts[ordered[-1]] = counts.get(ordered[-1], 0) + 1
+    return counts
+
+
+def decompose_extent(extent: int, sizes: Sequence[int]) -> List[int]:
+    """The chunks of :func:`extent_counts`, largest first."""
+    return [
+        size
+        for size, count in extent_counts(extent, sizes).items()
+        for _ in range(count)
+    ]
 
 
 def tile_cover(
@@ -47,20 +58,36 @@ def tile_cover(
     (mr, nr) must exist in the family for every (height, width) pair that
     the decomposition produces — the family is validated up front.
     """
-    heights = sorted({s[0] for s in family}, reverse=True)
-    widths = sorted({s[1] for s in family}, reverse=True)
-    m_chunks = Counter(decompose_extent(m, heights))
-    n_chunks = Counter(decompose_extent(n, widths))
+    shapes = set(family)
+    m_chunks = extent_counts(m, [s[0] for s in shapes])
+    n_chunks = extent_counts(n, [s[1] for s in shapes])
     cover: Dict[Tuple[int, int], int] = {}
     for mr, mcount in m_chunks.items():
         for nr, ncount in n_chunks.items():
-            if (mr, nr) not in set(family):
+            if (mr, nr) not in shapes:
                 raise KeyError(
                     f"decomposition needs a {mr}x{nr} kernel but the family "
-                    f"only provides {sorted(set(family))}"
+                    f"only provides {sorted(shapes)}"
                 )
             cover[(mr, nr)] = mcount * ncount
     return cover
+
+
+def vla_extent_counts(extent: int, lanes: int) -> Dict[int, int]:
+    """Exact VLA cover of ``extent``, as a count per chunk size.
+
+    ``extent // lanes`` full-lane chunks, then at most one
+    reduced-``vsetvl`` tail of ``extent % lanes``.
+    """
+    if extent <= 0:
+        raise ValueError(f"extent must be positive, got {extent}")
+    if lanes <= 0:
+        raise ValueError(f"lanes must be positive, got {lanes}")
+    full, tail = divmod(extent, lanes)
+    counts = {lanes: full} if full else {}
+    if tail:
+        counts[tail] = 1
+    return counts
 
 
 def decompose_extent_vla(extent: int, lanes: int) -> List[int]:
@@ -70,16 +97,13 @@ def decompose_extent_vla(extent: int, lanes: int) -> List[int]:
     smallest kernel size (the packed-SIMD reality), a VLA ISA re-runs the
     same instructions with ``vsetvl`` narrowed to the remainder — the
     predicated tail path.  The cover is therefore exact: full-lane chunks
-    plus at most one chunk of ``extent % lanes``.
+    plus at most one chunk of ``extent % lanes`` (:func:`vla_extent_counts`).
     """
-    if extent <= 0:
-        raise ValueError(f"extent must be positive, got {extent}")
-    if lanes <= 0:
-        raise ValueError(f"lanes must be positive, got {lanes}")
-    chunks = [lanes] * (extent // lanes)
-    if extent % lanes:
-        chunks.append(extent % lanes)
-    return chunks
+    return [
+        size
+        for size, count in vla_extent_counts(extent, lanes).items()
+        for _ in range(count)
+    ]
 
 
 def vla_tile_cover(
@@ -100,13 +124,13 @@ def vla_tile_cover(
     :func:`repro.ukernel.generator.generate_vla_microkernel` when the
     height is not a lane multiple).
     """
-    m_chunks = Counter(decompose_extent_vla(m, mr))
-    n_chunks = Counter(decompose_extent_vla(n, nr))
-    cover: Dict[Tuple[int, int], int] = {}
-    for h, mcount in m_chunks.items():
-        for w, ncount in n_chunks.items():
-            cover[(h, w)] = mcount * ncount
-    return cover
+    m_chunks = vla_extent_counts(m, mr)
+    n_chunks = vla_extent_counts(n, nr)
+    return {
+        (h, w): mcount * ncount
+        for h, mcount in m_chunks.items()
+        for w, ncount in n_chunks.items()
+    }
 
 
 def monolithic_cover(m: int, n: int, mr: int, nr: int) -> int:

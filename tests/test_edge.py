@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,9 +11,11 @@ from hypothesis import strategies as st
 from repro.ukernel.edge import (
     decompose_extent,
     decompose_extent_vla,
+    extent_counts,
     monolithic_cover,
     tile_cover,
     useful_fraction,
+    vla_extent_counts,
     vla_tile_cover,
 )
 from repro.ukernel.registry import DEFAULT_FAMILY
@@ -140,6 +144,87 @@ class TestVlaTileCover:
         for h, w in cover:
             plan = generate_vla_microkernel(h, w, factory)
             assert sum(k.mr for _, k in plan.parts) == h
+
+
+SIZES = st.sets(st.integers(1, 16), min_size=1, max_size=4)
+
+
+def greedy_chunks(extent, sizes):
+    """The chunk-list greedy cover the counting code replaced."""
+    ordered = sorted(set(sizes), reverse=True)
+    chunks = []
+    left = extent
+    for size in ordered:
+        count, left = divmod(left, size)
+        chunks.extend([size] * count)
+    if left:
+        chunks.append(ordered[-1])
+    return chunks
+
+
+def vla_chunks(extent, lanes):
+    """The chunk-list VLA cover the counting code replaced."""
+    chunks = [lanes] * (extent // lanes)
+    if extent % lanes:
+        chunks.append(extent % lanes)
+    return chunks
+
+
+def counter_cover(m_chunks, n_chunks):
+    m_counts, n_counts = Counter(m_chunks), Counter(n_chunks)
+    return [
+        ((h, w), mc * nc)
+        for h, mc in m_counts.items()
+        for w, nc in n_counts.items()
+    ]
+
+
+class TestCountsMatchChunkLists:
+    """The covers count chunks by ``divmod``; these pin the counts, and
+    their key order (callers iterate the covers), to the ``Counter`` of
+    the chunk lists they used to build."""
+
+    @given(st.integers(1, 400), SIZES)
+    @settings(max_examples=80)
+    def test_extent_counts(self, extent, sizes):
+        counts = extent_counts(extent, sizes)
+        expected = Counter(greedy_chunks(extent, sizes))
+        assert list(counts.items()) == list(expected.items())
+        assert decompose_extent(extent, sizes) == greedy_chunks(extent, sizes)
+
+    def test_padded_remainder_lands_on_an_existing_size(self):
+        # 13 over [8, 4]: an 8, a 4, and the ragged 1 pads a second 4
+        assert list(extent_counts(13, [8, 4]).items()) == [(8, 1), (4, 2)]
+        # 3 over [8, 4]: no full chunk, the ragged 3 pads a lone 4
+        assert list(extent_counts(3, [8, 4]).items()) == [(4, 1)]
+
+    @given(st.integers(1, 400), st.integers(1, 16))
+    @settings(max_examples=60)
+    def test_vla_extent_counts(self, extent, lanes):
+        counts = vla_extent_counts(extent, lanes)
+        expected = Counter(vla_chunks(extent, lanes))
+        assert list(counts.items()) == list(expected.items())
+        assert decompose_extent_vla(extent, lanes) == vla_chunks(extent, lanes)
+
+    @given(st.integers(1, 300), st.integers(1, 300), SIZES, SIZES)
+    @settings(max_examples=60)
+    def test_tile_cover(self, m, n, heights, widths):
+        family = [(h, w) for h in heights for w in widths]
+        expected = counter_cover(
+            greedy_chunks(m, heights), greedy_chunks(n, widths)
+        )
+        assert list(tile_cover(m, n, family).items()) == expected
+
+    @given(
+        st.integers(1, 300),
+        st.integers(1, 300),
+        st.integers(1, 16),
+        st.integers(1, 16),
+    )
+    @settings(max_examples=60)
+    def test_vla_tile_cover(self, m, n, mr, nr):
+        expected = counter_cover(vla_chunks(m, mr), vla_chunks(n, nr))
+        assert list(vla_tile_cover(m, n, mr, nr).items()) == expected
 
 
 class TestMonolithic:

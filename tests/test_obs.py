@@ -426,6 +426,40 @@ class TestGemmProfiler:
             assert record["total_cycles"] > 0
             assert record["compute_cycles"] > 0
 
+    def test_threaded_sweep_prices_one_grid_batch_per_isa_chunk(self):
+        from repro import tune
+        from repro.blis.params import analytical_tile_params, clamp_tiles
+        from repro.isa.targets import target
+        from repro.sim.parallel import candidate_grids
+        from repro.tune.space import enumerate_space
+
+        isas = ("neon", "rvv128")
+        problems = ((64, 48, 64), (53, 103, 40))
+        jobs = enumerate_space(isas, problems, threads=(2, 4))
+        grid_rows = 0
+        for job in jobs:
+            machine = target(job.isa).machine
+            tiles = clamp_tiles(
+                analytical_tile_params(job.mr, job.nr, machine),
+                job.m, job.n, job.k,
+            )
+            grid_rows += len(
+                candidate_grids(
+                    job.threads, job.m, job.n, machine, job.mr, job.nr,
+                    k=job.k, kc=tiles.kc,
+                )
+            )
+        metrics = MetricsRegistry()
+        profiler = GemmProfiler(metrics=metrics)
+        tune.reset_breakdown_calls()
+        with obs_profile.using(profiler):
+            tune.sweep(isas, problems, workers=0, threads=(2, 4))
+        # one grid batch per ISA chunk, and no per-job "parallel" record
+        assert [r["kind"] for r in profiler.records] == ["batch.grid"] * 2
+        assert sum(r["candidates"] for r in profiler.records) == grid_rows
+        assert metrics["model.candidates_evaluated"].value == grid_rows
+        assert tune.breakdown_calls() == len(jobs)
+
     def test_inactive_profiler_records_nothing(self):
         from repro.eval.harness import exo_gemm_breakdown
 

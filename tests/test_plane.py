@@ -590,30 +590,34 @@ class TestHttpFrontDoor:
         )
         bound = {}
         answers = []
+        done = threading.Event()
 
         def client():
-            deadline = time.monotonic() + 5.0
-            while "addr" not in bound:
-                if time.monotonic() > deadline:  # pragma: no cover
-                    return
-                time.sleep(0.005)
-            host, port = bound["addr"]
-            for path, body in requests:
-                req = urllib.request.Request(
-                    f"http://{host}:{port}{path}", data=body
-                )
-                try:
-                    with urllib.request.urlopen(req, timeout=5) as resp:
-                        answers.append((resp.status, resp.read()))
-                except urllib.error.HTTPError as err:
-                    answers.append((err.code, err.read()))
+            try:
+                deadline = time.monotonic() + 5.0
+                while "addr" not in bound:
+                    if time.monotonic() > deadline:  # pragma: no cover
+                        return
+                    time.sleep(0.005)
+                host, port = bound["addr"]
+                for path, body in requests:
+                    req = urllib.request.Request(
+                        f"http://{host}:{port}{path}", data=body
+                    )
+                    try:
+                        with urllib.request.urlopen(req, timeout=5) as resp:
+                            answers.append((resp.status, resp.read()))
+                    except urllib.error.HTTPError as err:
+                        answers.append((err.code, err.read()))
+            finally:
+                done.set()
 
         thread = threading.Thread(target=client)
         thread.start()
         result = run_http(
             plane,
             port=0,
-            duration_ms=1_000.0,
+            stop=done,
             ready=lambda addr: bound.update(addr=addr),
         )
         thread.join()
@@ -661,6 +665,21 @@ class TestHttpFrontDoor:
         plane = _mock_plane([PoolSpec("resnet50", 1, 2)])
         with pytest.raises(ValueError, match="wall timeline"):
             run_http(plane, duration_ms=1.0)
+
+    @pytest.mark.parametrize("with_stop", [False, True])
+    def test_duration_ends_serving_when_no_stop_fires(self, with_stop):
+        plane = ServePlane(
+            CARMEL,
+            [PoolSpec("resnet50", 1, 2, max_batch=2, max_wait_ms=1.0)],
+            WallTimeline(),
+            controller="mock",
+            mock_service_ms=2.0,
+        )
+        stop = threading.Event() if with_stop else None
+        t0 = time.monotonic()
+        result = run_http(plane, port=0, duration_ms=30.0, stop=stop)
+        assert time.monotonic() - t0 >= 0.03
+        assert result.arrived == 0
 
     def test_malformed_json_body_is_a_400(self):
         answers, result = self._serve(
@@ -719,39 +738,45 @@ class TestHttpFrontDoor:
         )
         bound = {}
         answers = []
+        done = threading.Event()
 
         def client():
-            deadline = time.monotonic() + 5.0
-            while "addr" not in bound:
-                if time.monotonic() > deadline:  # pragma: no cover
-                    return
-                time.sleep(0.005)
-            host, port = bound["addr"]
-            with socket.create_connection((host, port), timeout=5) as sock:
-                # declare a body we never send: the server must answer
-                # from the headers alone
-                sock.sendall(
-                    b"POST /v1/infer HTTP/1.1\r\n"
-                    b"Host: t\r\n"
-                    b"Content-Length: 2000000\r\n"
-                    b"\r\n"
-                )
-                response = b""
-                while b"\r\n\r\n" not in response:
-                    chunk = sock.recv(4096)
-                    if not chunk:
-                        break
-                    response += chunk
-                    if b"}" in response:
-                        break
-                answers.append(response)
+            try:
+                deadline = time.monotonic() + 5.0
+                while "addr" not in bound:
+                    if time.monotonic() > deadline:  # pragma: no cover
+                        return
+                    time.sleep(0.005)
+                host, port = bound["addr"]
+                with socket.create_connection(
+                    (host, port), timeout=5
+                ) as sock:
+                    # declare a body we never send: the server must
+                    # answer from the headers alone
+                    sock.sendall(
+                        b"POST /v1/infer HTTP/1.1\r\n"
+                        b"Host: t\r\n"
+                        b"Content-Length: 2000000\r\n"
+                        b"\r\n"
+                    )
+                    response = b""
+                    while b"\r\n\r\n" not in response:
+                        chunk = sock.recv(4096)
+                        if not chunk:
+                            break
+                        response += chunk
+                        if b"}" in response:
+                            break
+                    answers.append(response)
+            finally:
+                done.set()
 
         thread = threading.Thread(target=client)
         thread.start()
         result = run_http(
             plane,
             port=0,
-            duration_ms=1_000.0,
+            stop=done,
             ready=lambda addr: bound.update(addr=addr),
         )
         thread.join()

@@ -7,12 +7,23 @@ import dataclasses
 import json
 from types import SimpleNamespace
 
+import parallel_oracle
 import pytest
 
 from repro import tune
+from repro.eval.harness import (
+    exo_gemm_breakdown,
+    exo_parallel_breakdown,
+    machine_context,
+)
 from repro.isa.machine import CARMEL, RVV_EDGE_VLEN128
 from repro.isa.targets import ISA_TARGETS, machine_fingerprint, target
-from repro.tune.cache import TuneCache, TunedBreakdown, cache_key
+from repro.tune.cache import (
+    TuneCache,
+    TunedBreakdown,
+    cache_key,
+    record_from_breakdown,
+)
 from repro.tune.executor import run_jobs
 from repro.tune.space import (
     TuneJob,
@@ -181,6 +192,72 @@ class TestExecutor:
         assert parallel == serial
 
 
+class TestThreadedParity:
+    """Batched tune records against per-job oracles, bit for bit.
+
+    A chunk prices all its threaded jobs in one grid batch; each record
+    must equal the scalar threaded model of ``tests/parallel_oracle.py``
+    and the one-request ``exo_parallel_breakdown`` of the same job (and
+    a serial record the scalar ``exo_gemm_breakdown``), down to the JSON
+    bytes.
+    """
+
+    #: the perfbench tune-cold residues: m mod 16 in {5, 11} and
+    #: n mod 48 in {7, 26}, so every tile above 1 x 1 leaves edges.  At
+    #: four threads the 3x1 and 4x1 grids of these shapes tie on wall
+    #: clock for several tiles of every ISA but rvv128 while their DRAM
+    #: ceilings differ, so a wrong tie-break changes the record.
+    RAGGED = ((21, 103, 97), (27, 74, 131), (21, 74, 97))
+
+    @staticmethod
+    def _oracles(job):
+        ctx = machine_context(target(job.isa).machine)
+        args = (job.m, job.n, job.k)
+        if job.threads == 1:
+            return [exo_gemm_breakdown(*args, main=job.tile, ctx=ctx)]
+        return [
+            parallel_oracle.exo_parallel_breakdown(
+                *args, job.threads, ctx=ctx, main=job.tile
+            ),
+            exo_parallel_breakdown(*args, job.threads, ctx=ctx, main=job.tile),
+        ]
+
+    def _check(self, jobs, workers):
+        records = run_jobs(jobs, workers=workers)
+        assert len(records) == len(jobs)
+        for job, record in zip(jobs, records):
+            got = json.dumps(record, sort_keys=True)
+            for oracle in self._oracles(job):
+                want = record_from_breakdown(oracle)
+                assert got == json.dumps(want, sort_keys=True), job
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_ragged_shapes(self, workers):
+        jobs = enumerate_space(("all",), self.RAGGED, threads=(2, 4))
+        assert {job.isa for job in jobs} == set(ISA_TARGETS)
+        self._check(jobs, workers)
+
+    @pytest.mark.parametrize("threads", [2, 4])
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_one_spec_chunks(self, workers, threads):
+        # one job per ISA: every chunk holds a single threaded spec
+        jobs = [
+            TuneJob(isa, *target(isa).main_tile, 96, 96, 96, threads=threads)
+            for isa in sorted(ISA_TARGETS)
+        ]
+        self._check(jobs, workers)
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_chunk_mixing_serial_and_threaded_specs(self, workers):
+        jobs = enumerate_space(
+            ("all",),
+            ((64, 48, 64), (53, 103, 40), (96, 96, 96)),
+            threads=(1, 2, 4),
+        )
+        assert {job.threads for job in jobs} == {1, 2, 4}
+        self._check(jobs, workers)
+
+
 class TestSweep:
     @pytest.mark.smoke
     @pytest.mark.parametrize("isa", sorted(ISA_TARGETS))
@@ -227,6 +304,32 @@ class TestSweep:
         assert strip(warm) == strip(cold)
         out = capsys.readouterr().out
         assert "agrees with serial select_kernel_for" in out
+
+    def test_cli_verify_checks_threaded_winners(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from repro.eval import harness
+        from repro.tune.__main__ import main
+
+        args = [
+            "--machines", "neon",
+            "--shapes", "64x48x64,53x103x40",
+            "--threads", "2,4",
+            "--no-cache",
+            "--out", str(tmp_path / "art.json"),
+            "--verify",
+        ]
+        assert main(args) == 0
+        assert "threaded winner's cycles match" in capsys.readouterr().out
+        fresh = harness.exo_parallel_breakdown
+
+        def one_cycle_off(*args, **kwargs):
+            total = fresh(*args, **kwargs).total_cycles
+            return SimpleNamespace(total_cycles=total + 1.0)
+
+        monkeypatch.setattr(harness, "exo_parallel_breakdown", one_cycle_off)
+        assert main(args) == 1
+        assert "MISMATCH neon 64x48x64@t2" in capsys.readouterr().err
 
     def test_cli_rejects_unknown_machine(self, tmp_path):
         from repro.tune.__main__ import main
