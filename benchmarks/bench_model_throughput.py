@@ -136,8 +136,8 @@ def test_scalar_model_throughput(benchmark, ctx):
 
 def test_vectorized_model_throughput(benchmark, ctx):
     memo: dict = {}
-    # steady state: the plan-cost memo is warm, as in a tune sweep
-    # (tune.executor._plan_cost_memo persists across chunks)
+    # steady state: the plan-cost memo is warm, as within one tune
+    # chunk (evaluate_candidates shares one memo across its specs)
     baseline = _vectorized_eval(ctx, memo)
     times = []
 

@@ -22,6 +22,7 @@ backend (see ``docs/backends.md``) never touches them.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
@@ -46,15 +47,17 @@ __all__ = [
 ]
 
 
+@functools.lru_cache(maxsize=None)
 def machine_fingerprint(machine: MachineModel) -> str:
     """A short stable digest of a machine model's full parameter set.
 
     ``MachineModel`` is a frozen dataclass of plain numbers and tuples,
     so its ``repr`` is a deterministic serialization of every modelled
     parameter (pipes, latencies, cache geometry, ...).  The persistent
-    tune cache folds this digest into its content hash, so editing any
+    tune cache folds this digest into every key, so editing any
     machine parameter automatically invalidates the timings modelled
-    under the old description.
+    under the old description.  Memoized per (hashable, equal-by-value)
+    machine: the tuner builds one key per candidate.
     """
     return hashlib.sha256(repr(machine).encode()).hexdigest()[:12]
 

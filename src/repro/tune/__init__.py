@@ -3,8 +3,8 @@
 The subsystem behind ``python -m repro.tune``: expand (machine x
 register-tile family x GEMM shape set) into candidate jobs
 (:mod:`repro.tune.space`), evaluate them across worker processes
-(:mod:`repro.tune.executor`), persist every modelled timing in a
-content-hashed on-disk cache (:mod:`repro.tune.cache`), and distill the
+(:mod:`repro.tune.executor`), persist every modelled timing in an
+on-disk cache of per-ISA logs (:mod:`repro.tune.cache`), and distill the
 per-(machine, shape) winners into a JSON artifact that the eval harness
 and benchmarks consume instead of re-ranking candidates inline.
 

@@ -1,11 +1,29 @@
 """The persistent kernel/timing cache behind the autotuner.
 
 Every candidate evaluation — one modelled GEMM breakdown for one
-(machine, main tile, problem, thread count) tuple — is content-addressed
-by a SHA-256 digest over ``(isa, vlen, mr, nr, m, n, k, threads,
-model_version)`` and stored as one JSON file under
-``out/tunecache/<isa>/``.  A warm re-run of the tuner (or of
-cache-backed kernel selection) then never calls the timing model at all.
+(machine, main tile, problem, thread count) tuple — is identified by a
+:class:`CacheKey` over ``(isa, vlen, mr, nr, m, n, k, threads,
+model_version)`` and stored as one line of an append-only JSONL log per
+ISA, ``out/tunecache/<isa>.jsonl``::
+
+    {"key": {"isa": "neon", ...}, "record": {"total_cycles": ...}}
+
+A :class:`TuneCache` reads each ISA's log once, on first use, into an
+in-memory index keyed by the ``CacheKey`` itself, so every lookup is a
+dict hit; :meth:`TuneCache.put` appends a chunk of entries in one
+``O_APPEND`` write per ISA.  A warm re-run of the tuner (or of
+cache-backed kernel selection) never calls the timing model at all.
+
+* A line that does not parse, or whose record lacks a field, counts
+  one invalidation and is skipped, so its entry reads as a miss.  The
+  torn last line of an interrupted append is this case; the next
+  append starts a fresh line.  If a key appears on two lines, the
+  later line wins.
+* Several processes may append to one log.  Entries another process
+  appended after this one read the log are misses here and are priced
+  again; no wrong record is ever served.
+* The older one-file-per-entry layout (``<isa>/<sha256>.json``) is not
+  read: the first sweep after upgrading re-tunes cold.
 
 Invalidation is part of the key: ``model_version`` combines the
 hand-bumped :data:`MODEL_VERSION` with a fingerprint of the machine
@@ -20,14 +38,12 @@ its ranking to the active cache when one is present.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
-import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.isa.machine import MachineModel
 from repro.isa.targets import machine_fingerprint
@@ -43,7 +59,8 @@ def default_cache_root() -> Path:
 
 @dataclass(frozen=True)
 class CacheKey:
-    """The content hash identity of one candidate evaluation."""
+    """The identity of one candidate evaluation (hashable, so it keys
+    the in-memory index directly)."""
 
     isa: str
     vlen: int
@@ -67,11 +84,6 @@ class CacheKey:
             "threads": self.threads,
             "model_version": self.model_version,
         }
-
-    @property
-    def digest(self) -> str:
-        blob = json.dumps(self.payload(), sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()
 
 
 def cache_key(
@@ -156,27 +168,24 @@ def breakdown_from_record(record: Dict[str, float]) -> TunedBreakdown:
 
 
 class TuneCache:
-    """One-file-per-entry JSON store under a root directory.
-
-    Writes are atomic (temp file + rename in the destination directory),
-    so concurrent workers and interrupted runs never leave a reader a
-    torn entry; a corrupt or unreadable file simply reads as a miss and
-    is re-evaluated.
-    """
+    """One append-only JSONL log per ISA under a root directory, read
+    once per instance into an in-memory index (see the module notes for
+    the torn-line, duplicate-key and concurrent-append rules)."""
 
     def __init__(self, root: Optional[Union[str, Path]] = None):
         self.root = Path(root) if root is not None else default_cache_root()
         self.hits = 0
         self.misses = 0
-        #: entries found on disk but rejected (torn write, corrupt
-        #: JSON, incomplete record) — each one also counts as a miss
-        #: and is re-evaluated; key-level invalidation (a machine
-        #: fingerprint change) is invisible here because it lands on a
-        #: different digest entirely
+        #: log lines read but skipped (torn append, corrupt JSON,
+        #: incomplete record) — each entry lost this way is a miss and
+        #: is re-evaluated; key-level invalidation (a machine fingerprint
+        #: change) is invisible here because it lands on a different key
         self.invalidations = 0
-
-    def path_for(self, key: CacheKey) -> Path:
-        return self.root / key.isa / f"{key.digest}.json"
+        #: isa -> {key: record}, each log read on first use
+        self._indexes: Dict[str, Dict[CacheKey, Dict[str, float]]] = {}
+        #: ISAs whose log ends in a torn line: the next append first
+        #: closes it with a newline, so the torn line stays one bad line
+        self._torn: set = set()
 
     #: fields a record must carry to reconstruct a TunedBreakdown
     RECORD_FIELDS = frozenset(
@@ -191,53 +200,79 @@ class TuneCache:
         }
     )
 
-    def get(self, key: CacheKey) -> Optional[Dict[str, float]]:
-        path = self.path_for(key)
+    def log_path(self, isa: str) -> Path:
+        return self.root / f"{isa}.jsonl"
+
+    def _index(self, isa: str) -> Dict[CacheKey, Dict[str, float]]:
+        index = self._indexes.get(isa)
+        if index is None:
+            index = self._indexes[isa] = self._read_log(isa)
+        return index
+
+    def _read_log(self, isa: str) -> Dict[CacheKey, Dict[str, float]]:
         try:
-            text = path.read_text()
+            data = self.log_path(isa).read_bytes()
         except OSError:
+            return {}
+        if data and not data.endswith(b"\n"):
+            self._torn.add(isa)
+        index = {}
+        for line in data.splitlines():
+            try:
+                entry = json.loads(line)
+                key = CacheKey(**entry["key"])
+                record = entry["record"]
+                if not self.RECORD_FIELDS <= record.keys():
+                    raise KeyError("incomplete record")
+            except (ValueError, KeyError, TypeError, AttributeError):
+                self.invalidations += 1
+                continue
+            index[key] = record
+        return index
+
+    def get(self, key: CacheKey) -> Optional[Dict[str, float]]:
+        """The indexed record itself (shared: callers must not mutate
+        it), or ``None`` on a miss."""
+        record = self._index(key.isa).get(key)
+        if record is None:
             self.misses += 1
-            return None
-        try:
-            entry = json.loads(text)
-            record = entry["record"]
-            if not self.RECORD_FIELDS <= record.keys():
-                raise KeyError("incomplete record")
-        except (ValueError, KeyError, TypeError, AttributeError):
-            # the entry existed but is unusable: invalidate and re-miss
-            self.invalidations += 1
-            self.misses += 1
-            return None
-        self.hits += 1
+        else:
+            self.hits += 1
         return record
 
-    def put(self, key: CacheKey, record: Dict[str, float]) -> Path:
-        path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        entry = {"key": key.payload(), "record": record}
-        fd, tmp = tempfile.mkstemp(
-            dir=path.parent, prefix=".tmp-", suffix=".json"
-        )
-        try:
-            with os.fdopen(fd, "w") as f:
-                json.dump(entry, f, indent=1, sort_keys=True)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        return path
+    def put(
+        self, entries: Iterable[Tuple[CacheKey, Dict[str, float]]]
+    ) -> None:
+        """Append a batch of ``(key, record)`` pairs: one write per ISA."""
+        by_isa: Dict[str, List[Tuple[CacheKey, Dict[str, float]]]] = {}
+        for key, record in entries:
+            if not self.RECORD_FIELDS <= record.keys():
+                raise ValueError(f"incomplete tune record for {key}")
+            by_isa.setdefault(key.isa, []).append((key, record))
+        for isa, pairs in by_isa.items():
+            # read the log before appending, so a torn tail is known
+            index = self._index(isa)
+            text = "".join(
+                json.dumps({"key": key.payload(), "record": record},
+                           sort_keys=True) + "\n"
+                for key, record in pairs
+            )
+            if isa in self._torn:
+                text = "\n" + text
+            self.root.mkdir(parents=True, exist_ok=True)
+            # O_APPEND, and the buffered writer hands the whole chunk
+            # to one write: concurrent appenders never interleave lines
+            with open(self.log_path(isa), "ab") as log:
+                log.write(text.encode())
+            self._torn.discard(isa)
+            index.update(pairs)
 
     def __len__(self) -> int:
-        if not self.root.is_dir():
-            return 0
-        return sum(
-            1
-            for p in self.root.rglob("*.json")
-            if not p.name.startswith(".tmp-")
-        )
+        """Distinct keys across every ISA log under the root."""
+        if self.root.is_dir():
+            for path in self.root.glob("*.jsonl"):
+                self._index(path.stem)
+        return sum(len(index) for index in self._indexes.values())
 
     def __repr__(self) -> str:
         return (

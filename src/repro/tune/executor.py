@@ -45,10 +45,6 @@ _breakdown_calls = 0
 #: however large the chunk, which bounds their transient slice arrays
 GRID_BATCH_SPECS = 128
 
-#: (isa, mr, nr, m, n) -> PlanCost tuple; plan selection depends only on
-#: the plane and the kernel family, so it is shared across sweeps
-_plan_cost_memo: Dict[Tuple[str, int, int, int, int], tuple] = {}
-
 
 def breakdown_calls() -> int:
     """Modelled-timing evaluations performed through the tune executor.
@@ -88,7 +84,8 @@ def evaluate_candidates(
     call, and threaded specs through
     :func:`repro.sim.parallel.price_grid_requests`, one grid batch per
     :data:`GRID_BATCH_SPECS` specs holding every candidate jc x ic x pc
-    grid of each.  Both share the process-wide plane-cost memo.  The
+    grid of each.  Both share one plane-cost memo, local to the call:
+    plan selection depends only on the plane and the kernel tile.  The
     records are bit-identical to per-spec ``exo_gemm_breakdown`` /
     ``exo_parallel_breakdown`` calls (the engine's oracle contract),
     just far cheaper per candidate.  Records come back in spec order,
@@ -108,6 +105,8 @@ def evaluate_candidates(
     ctx = _context_for(isa)
     machine = ctx.machine
     tile_memo: Dict[Tuple[int, int], object] = {}
+    # (mr, nr, m_plane, n_plane) -> PlanCost tuple
+    plan_cost_memo: Dict[Tuple[int, int, int, int], tuple] = {}
 
     def tiles_for(mr: int, nr: int, m: int, n: int, k: int):
         if (mr, nr) not in tile_memo:
@@ -116,12 +115,12 @@ def evaluate_candidates(
 
     def plane_costs(spec: int, m_p: int, n_p: int):
         mr, nr = specs[spec][0], specs[spec][1]
-        key = (isa, mr, nr, m_p, n_p)
-        if key not in _plan_cost_memo:
-            _plan_cost_memo[key] = vec.plan_costs(
+        key = (mr, nr, m_p, n_p)
+        if key not in plan_cost_memo:
+            plan_cost_memo[key] = vec.plan_costs(
                 plane_chunk_plans(ctx, m_p, n_p, mr, nr), ctx.model
             )
-        return _plan_cost_memo[key]
+        return plan_cost_memo[key]
 
     results: List[Optional[Dict[str, float]]] = [None] * len(specs)
     serial = [i for i, spec in enumerate(specs) if spec[5] == 1]
@@ -222,7 +221,8 @@ def run_jobs(
 
     Cached jobs are answered without any evaluation; the remainder run
     serially in-process (``workers <= 1``) or across a process pool, and
-    their records are persisted back to the cache before returning.
+    each chunk's records are appended to the cache in one ``put`` as the
+    chunk lands (so an interrupted sweep resumes).
 
     Both paths evaluate whole chunks at a time through
     :func:`evaluate_candidates` — serial jobs ride the vectorized
@@ -294,8 +294,8 @@ def run_jobs(
                 busy_s += elapsed_s
                 for i, record in zip(futures[future], records):
                     results[i] = record
-                    if cache is not None:
-                        cache.put(keys[i], record)
+                if cache is not None:
+                    cache.put(zip((keys[i] for i in futures[future]), records))
                 # credit the worker's evaluations to this process's
                 # counter, so the CLI stats stay truthful under -j
                 _breakdown_calls += len(futures[future])
@@ -347,6 +347,6 @@ def run_jobs(
                 )
             for i, record in zip(indices, records):
                 results[i] = record
-                if cache is not None:
-                    cache.put(keys[i], record)
+            if cache is not None:
+                cache.put(zip((keys[i] for i in indices), records))
     return results

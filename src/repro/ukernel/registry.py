@@ -186,7 +186,7 @@ def select_kernel_for(
                 m, n, k, main=shape, registry=registry, ctx=ctx
             )
             if key is not None:
-                cache.put(key, record_from_breakdown(breakdown))
+                cache.put([(key, record_from_breakdown(breakdown))])
         rank = rank_key(breakdown.total_cycles, shape)
         if best_rank is None or rank < best_rank:
             best = (shape, breakdown)

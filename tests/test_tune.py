@@ -5,10 +5,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import struct
+import tempfile
 from types import SimpleNamespace
 
 import parallel_oracle
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import tune
 from repro.eval.harness import (
@@ -89,20 +93,40 @@ class TestSpace:
             problem_set("64x48")
 
 
+def _record(total=111.0, **overrides):
+    record = {
+        "compute_cycles": 100.0,
+        "pack_cycles": 10.0,
+        "c_stall_cycles": 1.0,
+        "dram_limit_cycles": 50.0,
+        "flops": 2 * 64 * 48 * 64,
+        "freq_ghz": 2.3,
+        "total_cycles": total,
+        "gflops": 8.1,
+    }
+    record.update(overrides)
+    return record
+
+
 class TestCache:
-    def test_key_digest_is_stable_and_content_addressed(self):
+    def test_key_is_stable_and_content_addressed(self):
         k1 = cache_key(CARMEL, (8, 12), (256, 256, 256))
         k2 = cache_key(CARMEL, (8, 12), (256, 256, 256))
-        assert k1.digest == k2.digest
-        assert len(k1.digest) == 64
-        assert cache_key(CARMEL, (8, 8), (256, 256, 256)).digest != k1.digest
-        assert cache_key(CARMEL, (8, 12), (256, 256, 512)).digest != k1.digest
+        assert k1 == k2 and hash(k1) == hash(k2)
+        assert cache_key(CARMEL, (8, 8), (256, 256, 256)) != k1
+        assert cache_key(CARMEL, (8, 12), (256, 256, 512)) != k1
+        assert cache_key(CARMEL, (8, 12), (256, 256, 256), threads=2) != k1
 
     def test_machine_parameters_invalidate_the_key(self):
         base = cache_key(CARMEL, (8, 12), (256, 256, 256))
         faster = dataclasses.replace(CARMEL, freq_ghz=2.4)
         assert machine_fingerprint(faster) != machine_fingerprint(CARMEL)
-        assert cache_key(faster, (8, 12), (256, 256, 256)).digest != base.digest
+        assert cache_key(faster, (8, 12), (256, 256, 256)) != base
+
+    def test_fingerprint_is_memoized_by_value(self):
+        copy = dataclasses.replace(CARMEL)
+        assert copy is not CARMEL
+        assert machine_fingerprint(copy) is machine_fingerprint(CARMEL)
 
     def test_target_cache_key_fields(self):
         fields = target("rvv128").cache_key_fields()
@@ -114,42 +138,141 @@ class TestCache:
         cache = TuneCache(tmp_path)
         key = cache_key(CARMEL, (8, 12), (64, 48, 64))
         assert cache.get(key) is None
-        record = {
-            "compute_cycles": 100.0,
-            "pack_cycles": 10.0,
-            "c_stall_cycles": 1.0,
-            "dram_limit_cycles": 50.0,
-            "flops": 2 * 64 * 48 * 64,
-            "freq_ghz": 2.3,
-            "total_cycles": 111.0,
-            "gflops": 8.1,
-        }
-        cache.put(key, record)
+        record = _record()
+        cache.put([(key, record)])
         assert cache.get(key) == record
         assert (cache.hits, cache.misses) == (1, 1)
         assert len(cache) == 1
+        assert cache.log_path("neon").is_file()
 
     def test_corrupt_entry_reads_as_miss(self, tmp_path):
-        cache = TuneCache(tmp_path)
         key = cache_key(CARMEL, (8, 12), (64, 48, 64))
-        cache.put(key, {"total_cycles": 1.0})
-        cache.path_for(key).write_text("{not json")
-        assert cache.get(key) is None
+        TuneCache(tmp_path).put([(key, _record())])
+        TuneCache(tmp_path).log_path("neon").write_text("{not json\n")
+        assert TuneCache(tmp_path).get(key) is None
 
     def test_corrupt_entry_counts_as_invalidation(self, tmp_path):
-        cache = TuneCache(tmp_path)
         key = cache_key(CARMEL, (8, 12), (64, 48, 64))
-        cache.put(key, {"total_cycles": 1.0})  # incomplete record
-        assert cache.get(key) is None
-        cache.path_for(key).write_text("{not json")
+        incomplete = {"key": key.payload(), "record": {"total_cycles": 1.0}}
+        TuneCache(tmp_path).log_path("neon").write_text(
+            json.dumps(incomplete) + "\n{not json\n"
+        )
+        cache = TuneCache(tmp_path)
         assert cache.get(key) is None
         assert cache.invalidations == 2
         assert cache.stats() == {
             "cache_hits": 0,
-            "cache_misses": 2,
+            "cache_misses": 1,
             "cache_invalidations": 2,
         }
         assert "invalidations=2" in repr(cache)
+
+    def test_put_rejects_an_incomplete_record(self, tmp_path):
+        cache = TuneCache(tmp_path)
+        key = cache_key(CARMEL, (8, 12), (64, 48, 64))
+        with pytest.raises(ValueError, match="incomplete"):
+            cache.put([(key, {"total_cycles": 1.0})])
+        assert len(cache) == 0
+
+    def test_torn_last_line_invalidates_only_itself(self, tmp_path):
+        keys = [cache_key(CARMEL, (8, 12), (64, 48, k)) for k in (8, 16, 24)]
+        TuneCache(tmp_path).put(
+            (key, _record(total=float(i))) for i, key in enumerate(keys)
+        )
+        log = TuneCache(tmp_path).log_path("neon")
+        data = log.read_bytes()
+        log.write_bytes(data[: len(data) - 20])  # an interrupted append
+        cache = TuneCache(tmp_path)
+        assert [cache.get(key) for key in keys[:2]] == [
+            _record(total=0.0),
+            _record(total=1.0),
+        ]
+        assert cache.get(keys[2]) is None
+        assert cache.invalidations == 1
+        # the next append starts on a fresh line: the torn line stays
+        # one bad line and the re-priced entry reads back
+        cache.put([(keys[2], _record(total=2.0))])
+        fresh = TuneCache(tmp_path)
+        assert fresh.get(keys[2]) == _record(total=2.0)
+        assert fresh.invalidations == 1
+        assert len(fresh) == 3
+
+    def test_duplicate_key_later_line_wins(self, tmp_path):
+        key = cache_key(CARMEL, (8, 12), (64, 48, 64))
+        cache = TuneCache(tmp_path)
+        cache.put([(key, _record(total=1.0))])
+        cache.put([(key, _record(total=2.0))])
+        assert cache.get(key) == _record(total=2.0)
+        fresh = TuneCache(tmp_path)
+        assert fresh.get(key) == _record(total=2.0)
+        assert len(fresh) == 1
+        assert len(cache.log_path("neon").read_text().splitlines()) == 2
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.lists(
+                    st.floats(allow_nan=False), min_size=7, max_size=7
+                ),
+                st.integers(min_value=0, max_value=2**62),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_fresh_instance_reads_records_bit_for_bit(self, components):
+        fields = sorted(TuneCache.RECORD_FIELDS - {"flops"}) + ["gflops"]
+        entries = [
+            (
+                cache_key(CARMEL, (8, 12), (64, 48, k + 1)),
+                dict(zip(fields, floats), flops=flops),
+            )
+            for k, (floats, flops) in enumerate(components)
+        ]
+        with tempfile.TemporaryDirectory() as root:
+            TuneCache(root).put(entries)
+            fresh = TuneCache(root)
+            for key, record in entries:
+                got = fresh.get(key)
+                assert got.keys() == record.keys()
+                for name, value in record.items():
+                    assert type(got[name]) is type(value)
+                    if isinstance(value, float):
+                        assert struct.pack("<d", got[name]) == struct.pack(
+                            "<d", value
+                        )
+                    else:
+                        assert got[name] == value
+            assert fresh.invalidations == 0
+
+    def test_two_instances_never_serve_a_wrong_record(self, tmp_path):
+        keys = [cache_key(CARMEL, (8, 12), (64, 48, k)) for k in range(1, 9)]
+        truth = {key: _record(total=float(key.k)) for key in keys}
+        a, b = TuneCache(tmp_path), TuneCache(tmp_path)
+        a.put([(keys[0], truth[keys[0]])])
+        assert b.get(keys[0]) == truth[keys[0]]  # b reads the log now
+        for i, key in enumerate(keys[1:], start=1):
+            writer, reader = (a, b) if i % 2 else (b, a)
+            writer.put([(key, truth[key])])
+            # the other instance read the log before this append: a
+            # miss, never another key's record
+            assert reader.get(key) in (None, truth[key])
+            assert writer.get(key) == truth[key]
+        b.put([(keys[1], truth[keys[1]])])  # b re-prices what it missed
+        fresh = TuneCache(tmp_path)
+        assert {key: fresh.get(key) for key in keys} == truth
+        assert fresh.invalidations == 0
+
+    def test_old_layout_entry_is_ignored(self, tmp_path):
+        key = cache_key(CARMEL, (8, 12), (64, 48, 64))
+        old = tmp_path / "neon" / f"{'0' * 64}.json"
+        old.parent.mkdir()
+        old.write_text(json.dumps({"key": key.payload(), "record": _record()}))
+        cache = TuneCache(tmp_path)
+        assert cache.get(key) is None
+        assert len(cache) == 0
+        assert cache.invalidations == 0
 
     def test_cached_breakdown_reproduces_totals(self, registry):
         from repro.eval.harness import exo_gemm_breakdown
@@ -190,6 +313,29 @@ class TestExecutor:
         serial = run_jobs(jobs)
         parallel = run_jobs(jobs, workers=2, cache=TuneCache(tmp_path))
         assert parallel == serial
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_one_put_per_chunk(self, tmp_path, monkeypatch, workers):
+        from repro.tune.executor import _chunk_indices
+
+        jobs = enumerate_space(("neon", "rvv128"), self.PROBLEMS)
+        puts = []
+        real_put = TuneCache.put
+
+        def counting_put(self, entries):
+            entries = list(entries)
+            puts.append(len(entries))
+            return real_put(self, entries)
+
+        monkeypatch.setattr(TuneCache, "put", counting_put)
+        run_jobs(jobs, workers=workers, cache=TuneCache(tmp_path))
+        if workers:
+            chunks = _chunk_indices(range(len(jobs)), jobs, workers)
+        else:
+            chunks = [("neon", None), ("rvv128", None)]  # one per ISA
+        assert len(puts) == len(chunks)
+        assert sum(puts) == len(jobs)
+        assert len(TuneCache(tmp_path)) == len(jobs)
 
 
 class TestThreadedParity:
