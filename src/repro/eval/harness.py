@@ -18,14 +18,21 @@ and reports can render them without touching simulator internals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.baselines.blis_asm import blis_kernel_model
 from repro.baselines.neon_handwritten import neon_kernel_model
 from repro.blis.params import analytical_tile_params, clamp_tiles
 from repro.isa.machine import CARMEL, MachineModel
+from repro.obs import profile as obs_profile
 from repro.sim.memory import GemmShape
-from repro.sim.parallel import ParallelBreakdown, parallel_gemm_breakdown
+from repro.sim.parallel import (
+    GridRequest,
+    ParallelBreakdown,
+    candidate_grids,
+    parallel_gemm_breakdown,
+    price_grid_requests,
+)
 from repro.sim.pipeline import KernelTrace, trace_from_kernel
 from repro.sim.timing import (
     ChunkPlan,
@@ -344,6 +351,66 @@ def exo_parallel_breakdown(
     )
 
 
+#: one threaded GEMM for :func:`exo_parallel_breakdowns`:
+#: ``(ctx, m, n, k, threads, main)``, ``main=None`` for the ISA default
+ParallelCell = Tuple[
+    EvalContext, int, int, int, int, Optional[Tuple[int, int]]
+]
+
+
+def exo_parallel_breakdowns(
+    cells: Sequence[ParallelCell],
+) -> List[ParallelBreakdown]:
+    """Price many :func:`exo_parallel_breakdown` cells in few batches.
+
+    Every cell's candidate jc x ic x pc grids go through one
+    :func:`repro.sim.parallel.price_grid_requests` call, which splits
+    them into grid batches under its thread-slice budget, with one
+    ``(mr, nr, m_t, n_t)`` plane-cost memo per context shared by all
+    cells.  The engine prices rows independently, so each breakdown is
+    bit-identical to ``exo_parallel_breakdown(m, n, k, threads, ctx=ctx,
+    main=main)``.  With a profiler active, each cell still records one
+    ``parallel`` entry (its ``eval_us`` reads 0: the wall time sits on
+    the sub-batch's ``batch.grid`` record).  Returns the breakdowns in
+    cell order.
+    """
+    from repro.sim import vectorized as vec
+
+    requests = []
+    for ctx, m, n, k, threads, main in cells:
+        mr, nr = main if main is not None else ctx.main_tile
+        machine = ctx.machine
+        tiles = clamp_tiles(analytical_tile_params(mr, nr, machine), m, n, k)
+        grids = candidate_grids(
+            threads, m, n, machine, mr, nr, k=k, kc=tiles.kc
+        )
+        requests.append(
+            GridRequest(machine, GemmShape(m, n, k), tiles, threads, grids)
+        )
+
+    plan_memo: Dict[tuple, tuple] = {}
+
+    def source(cell: int, m_t: int, n_t: int):
+        ctx = cells[cell][0]
+        mr, nr = requests[cell].tiles.mr, requests[cell].tiles.nr
+        key = (id(ctx), mr, nr, m_t, n_t)
+        if key not in plan_memo:
+            plan_memo[key] = vec.plan_costs(
+                plane_chunk_plans(ctx, m_t, n_t, mr, nr), ctx.model
+            )
+        return plan_memo[key]
+
+    breakdowns = price_grid_requests(requests, source)
+    prof = obs_profile.ACTIVE
+    if prof is not None:
+        for (_, m, n, k, threads, _), b in zip(cells, breakdowns):
+            prof.record(
+                "parallel", m, n, k, threads=threads,
+                partition=b.partition_label, pc_ways=b.pc_ways, breakdown=b,
+            )
+    return breakdowns
+
+
 def best_exo_breakdown(
     m: int,
     n: int,
@@ -606,24 +673,30 @@ def threaded_instance_time_data(
     rows accumulate seconds per column ``t<threads>``.  With
     ``use_tuned`` the main tile of every layer comes from
     :func:`tuned_layer_breakdown` — the dispatch path shared with the
-    serving executor — instead of the ISA default.
+    serving executor — instead of the ISA default.  Every distinct
+    (layer, thread count) cell is priced up front through
+    :func:`exo_parallel_breakdowns`, bit-identical to one
+    :func:`exo_parallel_breakdown` per cell.
     """
-    totals = {t: 0.0 for t in threads}
-    cache: Dict[Tuple[int, int], float] = {}
-    rows = []
-    for number, layer in instances:
+    instances = list(instances)
+    cells: Dict[Tuple[int, int], ParallelCell] = {}
+    for _, layer in instances:
         for t in threads:
             key = (layer.layer_id, t)
-            if key not in cache:
+            if key not in cells:
                 main = None
                 if use_tuned:
                     main, _ = tuned_layer_breakdown(
                         ctx, layer.m, layer.n, layer.k
                     )
-                cache[key] = exo_parallel_breakdown(
-                    layer.m, layer.n, layer.k, t, ctx=ctx, main=main
-                ).seconds
-            totals[t] += cache[key]
+                cells[key] = (ctx, layer.m, layer.n, layer.k, t, main)
+    breakdowns = exo_parallel_breakdowns(list(cells.values()))
+    seconds = {key: b.seconds for key, b in zip(cells, breakdowns)}
+    totals = {t: 0.0 for t in threads}
+    rows = []
+    for number, layer in instances:
+        for t in threads:
+            totals[t] += seconds[(layer.layer_id, t)]
         rows.append(
             {
                 "layer_number": number,

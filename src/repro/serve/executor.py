@@ -27,6 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from repro.eval.harness import (
     EvalContext,
     exo_parallel_breakdown,
+    exo_parallel_breakdowns,
     machine_context,
     tuned_layer_breakdown,
 )
@@ -197,25 +198,15 @@ def prewarm_executors(
     (placement, batch-cap) candidate; doing it lazily costs one
     grid-search batch per (layer, batch) memo miss.  This collects every
     miss across ``executors`` x ``batches`` and prices them all through
-    one :func:`repro.sim.parallel.price_grid_requests` call — a single
-    multi-machine grid batch (one obs span, ``candidates`` = total
+    one :func:`repro.eval.harness.exo_parallel_breakdowns` call — a few
+    multi-machine grid batches (one obs span each, ``candidates`` = its
     rows) with the candidate set and tie-break of
     :func:`repro.sim.parallel.parallel_gemm_breakdown`, so the memo
     entries are bit-identical to lazy pricing.  Returns the number of
     memo entries filled.
     """
-    from repro.blis.params import analytical_tile_params, clamp_tiles
-    from repro.eval.harness import plane_chunk_plans
-    from repro.sim import vectorized as vec
-    from repro.sim.memory import GemmShape
-    from repro.sim.parallel import (
-        GridRequest,
-        candidate_grids,
-        price_grid_requests,
-    )
-
-    cells = []  # (executor, memo key, main tile) per request
-    requests = []
+    owners = []  # (executor, memo key, main tile) per cell
+    cells = []
     queued = set()
     for ex_idx, ex in enumerate(executors):
         layers = {layer.layer_id: layer for _, layer in ex.instances}
@@ -227,33 +218,11 @@ def prewarm_executors(
                 queued.add((ex_idx, key))
                 m, n, k = layer.batched_dims(int(batch))
                 main = ex._main_tile_for(m, n, k) or ex.ctx.main_tile
-                machine = ex.ctx.machine
-                tiles = clamp_tiles(
-                    analytical_tile_params(*main, machine), m, n, k
-                )
-                grids = candidate_grids(
-                    ex.threads, m, n, machine, *main, k=k, kc=tiles.kc
-                )
-                cells.append((ex, key, main))
-                requests.append(
-                    GridRequest(
-                        machine, GemmShape(m, n, k), tiles, ex.threads, grids
-                    )
-                )
+                owners.append((ex, key, main))
+                cells.append((ex.ctx, m, n, k, ex.threads, main))
 
-    plan_memo: Dict[tuple, tuple] = {}
-
-    def source(request: int, m_p: int, n_p: int):
-        ex, _key, (mr, nr) = cells[request]
-        memo_key = (id(ex), mr, nr, m_p, n_p)
-        if memo_key not in plan_memo:
-            plan_memo[memo_key] = vec.plan_costs(
-                plane_chunk_plans(ex.ctx, m_p, n_p, mr, nr), ex.ctx.model
-            )
-        return plan_memo[memo_key]
-
-    breakdowns = price_grid_requests(requests, source)
-    for (ex, key, main), breakdown in zip(cells, breakdowns):
+    breakdowns = exo_parallel_breakdowns(cells)
+    for (ex, key, main), breakdown in zip(owners, breakdowns):
         ex._layer_memo[key] = (breakdown.seconds, main)
         ex._record_pricing(breakdown.seconds)
     return len(cells)

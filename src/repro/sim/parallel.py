@@ -32,9 +32,10 @@ replicated stream.
 This module owns the partition geometry; the threaded cost terms
 themselves live in one place, the ``kind="grid"`` batch of
 :mod:`repro.sim.vectorized`.  :func:`price_grid_requests` ranks many
-GEMMs' candidate grids in one such batch (the tuner and the serving
-prewarm price through it), and :func:`parallel_gemm_breakdown` is its
-one-request case.  The scalar implementation
+GEMMs' candidate grids in such batches of at most
+:data:`GRID_BATCH_SLICES` thread slices (the tuner, the serving
+prewarm and the threaded eval sweeps price through it), and
+:func:`parallel_gemm_breakdown` is its one-request case.  The scalar implementation
 of the same terms is the test oracle (``tests/parallel_oracle.py``).
 A one-thread partition reproduces :func:`repro.sim.timing.gemm_time_model`
 exactly — the engine mirrors its compute formula
@@ -500,6 +501,35 @@ class GridRequest(NamedTuple):
 RequestPlanSource = Callable[[int, int, int], tuple]
 
 
+#: nominal thread slices (jc x ic x pc summed over a request's candidate
+#: grids) per grid batch: :func:`price_grid_requests` splits larger
+#: request lists into consecutive sub-batches of at most this many, which
+#: bounds the engine's transient per-slice arrays however many GEMMs a
+#: caller prices at once
+GRID_BATCH_SLICES = 2048
+
+
+def grid_sub_batches(requests: Sequence[GridRequest]) -> List[range]:
+    """Consecutive request ranges of at most :data:`GRID_BATCH_SLICES`.
+
+    A request's weight is its nominal slice count, ``jc * ic * pc``
+    summed over its grids.  A request heavier than the budget forms its
+    own sub-batch.
+    """
+    budget = GRID_BATCH_SLICES
+    batches: List[range] = []
+    start, load = 0, 0
+    for i, req in enumerate(requests):
+        weight = sum(jc * ic * pc for jc, ic, pc in req.grids)
+        if i > start and load + weight > budget:
+            batches.append(range(start, i))
+            start, load = i, 0
+        load += weight
+    if start < len(requests):
+        batches.append(range(start, len(requests)))
+    return batches
+
+
 def price_grid_requests(
     requests: Sequence[GridRequest],
     plan_source: RequestPlanSource,
@@ -508,22 +538,45 @@ def price_grid_requests(
     dtype_bytes: int = 4,
     profile: bool = True,
 ) -> List[ParallelBreakdown]:
-    """Price many threaded GEMMs in one ``kind="grid"`` batch.
+    """Price many threaded GEMMs in a few ``kind="grid"`` batches.
 
-    Every request's candidate grids become consecutive rows of a single
+    The requests split into consecutive sub-batches of at most
+    :data:`GRID_BATCH_SLICES` nominal thread slices
+    (:func:`grid_sub_batches`).  Within one, every request's candidate
+    grids become consecutive rows of a single
     :func:`repro.sim.vectorized.batch_gemm_cycles` call, and each
     request's winner is chosen over its own row segment by
     :func:`repro.sim.vectorized.best_grid_indices`.  The engine prices
     rows independently, so every breakdown is bit-identical to pricing
     its request alone.  ``plan_source(r, m_t, n_t)`` supplies the plan
-    costs of one thread-slice plane of request ``r``.  The engine calls
-    it once per distinct (machine, mr, nr, m_t, n_t), so on one machine
-    object the costs must depend on (mr, nr, m_t, n_t) alone.
-    ``profile`` lets the batch emit its one ``batch.grid`` obs record.
-    Returns one breakdown per request, in request order.
+    costs of one thread-slice plane of request ``r`` (an index into
+    ``requests``).  The engine calls it once per distinct (machine, mr,
+    nr, m_t, n_t) of a sub-batch, so on one machine object the costs
+    must depend on (mr, nr, m_t, n_t) alone.  ``profile`` lets each
+    sub-batch emit its one ``batch.grid`` obs record.  Returns one
+    breakdown per request, in request order.
     """
-    if not requests:
-        return []
+    breakdowns: List[ParallelBreakdown] = []
+    for part in grid_sub_batches(requests):
+        breakdowns += _price_grid_batch(
+            requests[part.start : part.stop],
+            lambda r, m_t, n_t: plan_source(part.start + r, m_t, n_t),
+            prefetch_c=prefetch_c,
+            dtype_bytes=dtype_bytes,
+            profile=profile,
+        )
+    return breakdowns
+
+
+def _price_grid_batch(
+    requests: Sequence[GridRequest],
+    plan_source: RequestPlanSource,
+    *,
+    prefetch_c: bool,
+    dtype_bytes: int,
+    profile: bool,
+) -> List[ParallelBreakdown]:
+    """One ``kind="grid"`` engine batch over every request's grids."""
     # imported here: repro.sim.vectorized imports this module
     from . import vectorized as _vec
 

@@ -41,10 +41,6 @@ CHUNKS_PER_WORKER = 2
 _contexts: Dict[str, object] = {}
 _breakdown_calls = 0
 
-#: threaded specs per grid batch: a chunk's grid batches stay this size
-#: however large the chunk, which bounds their transient slice arrays
-GRID_BATCH_SPECS = 128
-
 
 def breakdown_calls() -> int:
     """Modelled-timing evaluations performed through the tune executor.
@@ -82,11 +78,11 @@ def evaluate_candidates(
     Serial (``threads == 1``) specs are scored in **one** vectorized
     ``kind="serial"`` :func:`repro.sim.vectorized.batch_gemm_cycles`
     call, and threaded specs through
-    :func:`repro.sim.parallel.price_grid_requests`, one grid batch per
-    :data:`GRID_BATCH_SPECS` specs holding every candidate jc x ic x pc
-    grid of each.  Both share one plane-cost memo, local to the call:
-    plan selection depends only on the plane and the kernel tile.  The
-    records are bit-identical to per-spec ``exo_gemm_breakdown`` /
+    :func:`repro.sim.parallel.price_grid_requests`, which ranks every
+    candidate jc x ic x pc grid of each in grid batches bounded by its
+    thread-slice budget.  Both share one plane-cost memo, local to the
+    call: plan selection depends only on the plane and the kernel tile.
+    The records are bit-identical to per-spec ``exo_gemm_breakdown`` /
     ``exo_parallel_breakdown`` calls (the engine's oracle contract),
     just far cheaper per candidate.  Records come back in spec order,
     ready for per-candidate cache keys.
@@ -125,24 +121,22 @@ def evaluate_candidates(
     results: List[Optional[Dict[str, float]]] = [None] * len(specs)
     serial = [i for i, spec in enumerate(specs) if spec[5] == 1]
     threaded = [i for i, spec in enumerate(specs) if spec[5] != 1]
-    for start in range(0, len(threaded), GRID_BATCH_SPECS):
-        part = threaded[start : start + GRID_BATCH_SPECS]
-        requests = []
-        for i in part:
-            mr, nr, m, n, k, threads = specs[i]
-            tiles = tiles_for(mr, nr, m, n, k)
-            grids = candidate_grids(
-                threads, m, n, machine, mr, nr, k=k, kc=tiles.kc
-            )
-            requests.append(
-                GridRequest(machine, GemmShape(m, n, k), tiles, threads, grids)
-            )
-        breakdowns = price_grid_requests(
-            requests,
-            lambda request, m_p, n_p: plane_costs(part[request], m_p, n_p),
+    requests = []
+    for i in threaded:
+        mr, nr, m, n, k, threads = specs[i]
+        tiles = tiles_for(mr, nr, m, n, k)
+        grids = candidate_grids(
+            threads, m, n, machine, mr, nr, k=k, kc=tiles.kc
         )
-        for i, breakdown in zip(part, breakdowns):
-            results[i] = record_from_breakdown(breakdown)
+        requests.append(
+            GridRequest(machine, GemmShape(m, n, k), tiles, threads, grids)
+        )
+    breakdowns = price_grid_requests(
+        requests,
+        lambda request, m_p, n_p: plane_costs(threaded[request], m_p, n_p),
+    )
+    for i, breakdown in zip(threaded, breakdowns):
+        results[i] = record_from_breakdown(breakdown)
     _breakdown_calls += len(threaded)
     if not serial:
         return results

@@ -13,15 +13,25 @@ from repro.eval.harness import (
     all_config_breakdowns,
     best_exo_breakdown,
     default_context,
+    exo_parallel_breakdown,
+    exo_parallel_breakdowns,
     fig13_solo_data,
     fig14_square_data,
     fig15_resnet_layer_data,
     fig16_resnet_time_data,
     fig17_vgg_layer_data,
     fig18_vgg_time_data,
+    machine_context,
+    thread_counts_up_to,
+    threaded_instance_time_data,
+    tuned_layer_breakdown,
 )
 from repro.eval.report import render_series, render_table, winners
-from repro.isa.machine import CARMEL
+from repro.isa.machine import CARMEL, MACHINES
+from repro.obs import profile as obs_profile
+from repro.obs.profile import GemmProfiler
+from repro.workloads.resnet50 import resnet50_instances
+from repro.workloads.vgg16 import vgg16_instances
 
 CONFIGS = ["ALG+NEON", "ALG+BLIS", "BLIS", "ALG+EXO"]
 
@@ -163,3 +173,132 @@ class TestReport:
 
     def test_render_empty(self):
         assert "(no data)" in render_table([])
+
+
+# ---------------------------------------------------------------------------
+# Threaded ResNet-50 / VGG16 sweeps: batched pricing vs one call per cell
+# ---------------------------------------------------------------------------
+
+NETWORKS = {"resnet50": resnet50_instances, "vgg16": vgg16_instances}
+
+
+def per_cell_rows(instances, ctx, threads, use_tuned=False):
+    """The sweep as one ``exo_parallel_breakdown`` per (layer, t) cell —
+    the oracle the batched :func:`threaded_instance_time_data` must
+    match bit for bit."""
+    totals = {t: 0.0 for t in threads}
+    cache = {}
+    rows = []
+    for number, layer in instances:
+        for t in threads:
+            key = (layer.layer_id, t)
+            if key not in cache:
+                main = None
+                if use_tuned:
+                    main, _ = tuned_layer_breakdown(
+                        ctx, layer.m, layer.n, layer.k
+                    )
+                cache[key] = exo_parallel_breakdown(
+                    layer.m, layer.n, layer.k, t, ctx=ctx, main=main
+                ).seconds
+            totals[t] += cache[key]
+        rows.append(
+            {
+                "layer_number": number,
+                **{f"t{t}": totals[t] for t in threads},
+            }
+        )
+    return rows
+
+
+class TestThreadedSweepParity:
+    @pytest.mark.parametrize("network", sorted(NETWORKS))
+    @pytest.mark.parametrize(
+        "machine_name, limit",
+        [("carmel", 8), ("avx512", 16), ("rvv128", 4), ("numa2s", 32)],
+    )
+    def test_rows_equal_per_cell_pricing(self, machine_name, limit, network):
+        ctx = machine_context(MACHINES[machine_name])
+        counts = thread_counts_up_to(limit)
+        instances = NETWORKS[network]()
+        got = threaded_instance_time_data(instances, ctx, counts)
+        assert got == per_cell_rows(instances, ctx, counts)
+
+    def test_tuned_rows_equal_per_cell_pricing(self, tmp_path):
+        from repro import tune
+
+        ctx = machine_context(CARMEL)
+        counts = thread_counts_up_to(8)
+        instances = vgg16_instances()
+        with tune.using(tune.TuneCache(tmp_path / "tunecache")):
+            got = threaded_instance_time_data(
+                instances, ctx, counts, use_tuned=True
+            )
+            want = per_cell_rows(instances, ctx, counts, use_tuned=True)
+        assert got == want
+
+    def test_one_parallel_record_per_cell(self):
+        """Under a profiler each cell keeps its ``parallel`` record, with
+        the fields the per-cell path records; the grid batches add
+        ``batch.grid`` records."""
+        ctx = machine_context(MACHINES["numa2s"])
+        cells = [
+            (ctx, 196, 256, 1024, 32, None),
+            (ctx, 3136, 64, 576, 8, None),
+            (ctx, 49, 2048, 512, 1, ctx.main_tile),
+        ]
+        batched, single = GemmProfiler(), GemmProfiler()
+        with obs_profile.using(batched):
+            got = exo_parallel_breakdowns(cells)
+        with obs_profile.using(single):
+            want = [
+                exo_parallel_breakdown(m, n, k, t, ctx=c, main=main)
+                for c, m, n, k, t, main in cells
+            ]
+        assert got == want
+        fields = ("m", "n", "k", "threads", "partition", "pc_ways",
+                  "total_cycles")
+        parallel = [r for r in batched.records if r["kind"] == "parallel"]
+        assert [{f: r[f] for f in fields} for r in parallel] == [
+            {f: r[f] for f in fields} for r in single.records
+        ]
+        kinds = {r["kind"] for r in batched.records}
+        assert kinds == {"parallel", "batch.grid"}
+
+    def test_traced_cli_keeps_one_parallel_event_per_gemm(
+        self, tmp_path, monkeypatch
+    ):
+        """A traced ``eval --isa numa2s --threads 32`` still emits one
+        ``parallel`` gemm event per (layer, thread count) cell plus one
+        per scaling point, as one breakdown call per cell did."""
+        import json
+
+        from repro.eval.__main__ import main
+
+        monkeypatch.setenv("REPRO_TUNECACHE", str(tmp_path / "tunecache"))
+        trace = tmp_path / "eval.trace.json"
+        argv = [str(tmp_path / "out"), "--isa", "numa2s", "--threads", "32",
+                "-q", "--trace", str(trace)]
+        assert main(argv) == 0
+        events = json.loads(trace.read_text())["traceEvents"]
+        kinds = [e["args"]["kind"] for e in events if e.get("cat") == "gemm"]
+        layers = sum(
+            len({layer.layer_id for _, layer in instances()})
+            for instances in NETWORKS.values()
+        )
+        assert kinds.count("parallel") == len(thread_counts_up_to(32)) * (
+            1 + layers
+        )
+        assert kinds.count("batch.grid") > 0
+
+    def test_cells_on_several_machines(self):
+        """Two machines of one ISA share tiles and planes, not costs."""
+        cells = [
+            (machine_context(MACHINES[name]), 500, 300, 700, t, None)
+            for name in ("carmel", "generic-arm")
+            for t in (1, 4)
+        ]
+        assert exo_parallel_breakdowns(cells) == [
+            exo_parallel_breakdown(m, n, k, t, ctx=c, main=main)
+            for c, m, n, k, t, main in cells
+        ]

@@ -393,6 +393,126 @@ class TestSearchEngineParity:
                 assert getattr(got, field) == getattr(want, field), field
 
 
+class TestGridSubBatches:
+    """:func:`price_grid_requests` splits its requests into grid batches
+    of at most ``GRID_BATCH_SLICES`` nominal thread slices; the split
+    never changes a breakdown."""
+
+    @staticmethod
+    def _requests(machine_names, shapes, thread_counts):
+        from repro.blis.params import analytical_tile_params, clamp_tiles
+        from repro.eval.harness import machine_context, plane_chunk_plans
+        from repro.sim import vectorized as vec
+        from repro.sim.parallel import GridRequest
+
+        ctxs, requests = [], []
+        for name, (m, n, k), threads in zip(
+            machine_names, shapes, thread_counts
+        ):
+            ctx = machine_context(MACHINES[name])
+            mr, nr = ctx.main_tile
+            tiles = clamp_tiles(
+                analytical_tile_params(mr, nr, ctx.machine), m, n, k
+            )
+            grids = candidate_grids(
+                threads, m, n, ctx.machine, mr, nr, k=k, kc=tiles.kc
+            )
+            ctxs.append(ctx)
+            requests.append(
+                GridRequest(ctx.machine, GemmShape(m, n, k), tiles,
+                            threads, grids)
+            )
+
+        def source(r, m_t, n_t):
+            ctx, req = ctxs[r], requests[r]
+            return vec.plan_costs(
+                plane_chunk_plans(
+                    ctx, m_t, n_t, req.tiles.mr, req.tiles.nr
+                ),
+                ctx.model,
+            )
+
+        return requests, source
+
+    @given(
+        data=st.lists(
+            st.tuples(
+                st.sampled_from(["carmel", "avx512", "rvv128", "numa2s"]),
+                st.integers(min_value=1, max_value=700),
+                st.integers(min_value=1, max_value=700),
+                st.integers(min_value=1, max_value=3000),
+                st.integers(min_value=1, max_value=32),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        budget=st.sampled_from([1, 7, 64]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_sub_batches_price_like_single_requests(self, data, budget):
+        from unittest import mock
+
+        from repro.obs import profile as obs_profile
+        from repro.obs.profile import GemmProfiler
+        from repro.sim import parallel
+        from repro.sim.parallel import grid_sub_batches, price_grid_requests
+
+        requests, source = self._requests(
+            [d[0] for d in data], [d[1:4] for d in data], [d[4] for d in data]
+        )
+        with mock.patch.object(parallel, "GRID_BATCH_SLICES", budget):
+            parts = grid_sub_batches(requests)
+            profiler = GemmProfiler()
+            with obs_profile.using(profiler):
+                got = price_grid_requests(requests, source)
+            want = [
+                price_grid_requests(
+                    [req], lambda _r, m_t, n_t: source(i, m_t, n_t)
+                )[0]
+                for i, req in enumerate(requests)
+            ]
+        assert got == want
+        assert [b.thread_busy_cycles for b in got] == [
+            b.thread_busy_cycles for b in want
+        ]
+        assert [r["kind"] for r in profiler.records] == (
+            ["batch.grid"] * len(parts)
+        )
+        # the parts are consecutive, cover every request, keep to the
+        # budget unless one request alone exceeds it, and are greedy:
+        # each part is full up to the next request
+        assert [i for part in parts for i in part] == list(
+            range(len(requests))
+        )
+        weights = [
+            sum(jc * ic * pc for jc, ic, pc in req.grids) for req in requests
+        ]
+        loads = [sum(weights[i] for i in part) for part in parts]
+        for part, load in zip(parts, loads):
+            assert load <= budget or len(part) == 1
+        for load, nxt in zip(loads, parts[1:]):
+            assert load + weights[nxt.start] > budget
+
+    def test_sub_batches_fill_to_the_budget(self, monkeypatch):
+        from repro.sim import parallel
+        from repro.sim.parallel import GridRequest, grid_sub_batches
+
+        monkeypatch.setattr(parallel, "GRID_BATCH_SLICES", 7)
+        requests = [
+            GridRequest(CARMEL, GemmShape(8, 12, 8), TILES, w, [(1, 1, w)])
+            for w in (3, 4, 2, 7, 8, 1)
+        ]
+        # 3 + 4 fills the budget exactly; 8 alone exceeds it
+        assert grid_sub_batches(requests) == [
+            range(0, 2), range(2, 3), range(3, 4), range(4, 5), range(5, 6)
+        ]
+
+    def test_empty_request_list(self):
+        from repro.sim.parallel import price_grid_requests
+
+        assert price_grid_requests([], lambda *_: ()) == []
+
+
 # ---------------------------------------------------------------------------
 # pc-loop reduction partition
 # ---------------------------------------------------------------------------
