@@ -91,7 +91,6 @@ def _vectorized_eval(ctx, memo):
         kc=np.minimum(tp.kc, np.maximum(1, _K)),
         nc=np.minimum(tp.nc, np.maximum(nr, _N)),
         plan_source=source,
-        kind="serial",
     )
     return vec.batch_gemm_cycles(batch, profile=False)
 

@@ -285,7 +285,6 @@ def exo_gemm_breakdown(
     n: int,
     k: int,
     main: Optional[Tuple[int, int]] = None,
-    registry: Optional[KernelRegistry] = None,
     ctx: Optional[EvalContext] = None,
 ) -> GemmTimeBreakdown:
     """Five-loop GEMM with the generated family anchored at ``main``.
@@ -294,8 +293,6 @@ def exo_gemm_breakdown(
     ``main`` defaults to the context's ISA main tile (8x12 on Neon).
     """
     ctx = ctx or default_context()
-    if registry is not None and registry is not ctx.registry:
-        ctx = EvalContext(machine=ctx.machine, registry=registry)
     mr_main, nr_main = main if main is not None else ctx.main_tile
     shape = GemmShape(m, n, k)
     tiles = clamp_tiles(
@@ -315,8 +312,6 @@ def exo_parallel_breakdown(
     threads: int,
     ctx: EvalContext,
     main: Optional[Tuple[int, int]] = None,
-    pc_ways: Optional[int] = None,
-    partition=None,
 ) -> ParallelBreakdown:
     """Threaded five-loop GEMM with per-slice edge/tail kernel selection.
 
@@ -325,14 +320,13 @@ def exo_parallel_breakdown(
     :func:`plane_chunk_plans`, so a slice that inherits the ragged tail
     composes VLA ``vsetvl`` tails (or the family's edge kernels) with
     the partition's uneven extents.  ``ctx`` is required: the threaded
-    model never defaults a machine.  ``pc_ways`` pins the reduction
-    axis (``pc_ways=1`` restricts the search to plane-only grids — the
-    pre-NUMA model exactly).  A pinned ``partition`` skips the grid
-    search and prices only its own ways.  Either way the pricing is one
-    :func:`repro.sim.vectorized.batch_gemm_cycles` batch; the scalar
-    oracle it must match is ``tests/parallel_oracle.py``.
+    model never defaults a machine.  The pricing is one
+    :func:`repro.sim.vectorized.batch_gemm_cycles` batch over every
+    candidate grid; the scalar oracle it must match is
+    ``tests/parallel_oracle.py``.
 
-    With ``threads=1`` this equals :func:`exo_gemm_breakdown` exactly.
+    With ``threads=1`` this equals :func:`exo_gemm_breakdown` exactly,
+    on every shape.
     """
     mr_main, nr_main = main if main is not None else ctx.main_tile
     shape = GemmShape(m, n, k)
@@ -346,8 +340,6 @@ def exo_parallel_breakdown(
             ctx, mt, nt, mr_main, nr_main
         ),
         model=ctx.model,
-        pc_ways=pc_ways,
-        partition=partition,
     )
 
 
@@ -673,23 +665,24 @@ def threaded_instance_time_data(
     rows accumulate seconds per column ``t<threads>``.  With
     ``use_tuned`` the main tile of every layer comes from
     :func:`tuned_layer_breakdown` — the dispatch path shared with the
-    serving executor — instead of the ISA default.  Every distinct
-    (layer, thread count) cell is priced up front through
-    :func:`exo_parallel_breakdowns`, bit-identical to one
+    serving executor, asked once per distinct layer — instead of the
+    ISA default.  Every distinct (layer, thread count) cell is priced up
+    front through :func:`exo_parallel_breakdowns`, bit-identical to one
     :func:`exo_parallel_breakdown` per cell.
     """
     instances = list(instances)
-    cells: Dict[Tuple[int, int], ParallelCell] = {}
+    layers: Dict[int, object] = {}
     for _, layer in instances:
+        layers.setdefault(layer.layer_id, layer)
+    cells: Dict[Tuple[int, int], ParallelCell] = {}
+    for layer_id, layer in layers.items():
+        # the tuned winner depends on the layer's shape alone, so it is
+        # ranked once per layer, not once per thread count
+        main = None
+        if use_tuned:
+            main, _ = tuned_layer_breakdown(ctx, layer.m, layer.n, layer.k)
         for t in threads:
-            key = (layer.layer_id, t)
-            if key not in cells:
-                main = None
-                if use_tuned:
-                    main, _ = tuned_layer_breakdown(
-                        ctx, layer.m, layer.n, layer.k
-                    )
-                cells[key] = (ctx, layer.m, layer.n, layer.k, t, main)
+            cells[(layer_id, t)] = (ctx, layer.m, layer.n, layer.k, t, main)
     breakdowns = exo_parallel_breakdowns(list(cells.values()))
     seconds = {key: b.seconds for key, b in zip(cells, breakdowns)}
     totals = {t: 0.0 for t in threads}

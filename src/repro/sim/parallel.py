@@ -30,18 +30,21 @@ B panel per socket L3 and pays the inter-socket link penalty on the
 replicated stream.
 
 This module owns the partition geometry; the threaded cost terms
-themselves live in one place, the ``kind="grid"`` batch of
+themselves live in one place, the batch engine of
 :mod:`repro.sim.vectorized`.  :func:`price_grid_requests` ranks many
-GEMMs' candidate grids in such batches of at most
-:data:`GRID_BATCH_SLICES` thread slices (the tuner, the serving
-prewarm and the threaded eval sweeps price through it), and
-:func:`parallel_gemm_breakdown` is its one-request case.  The scalar implementation
-of the same terms is the test oracle (``tests/parallel_oracle.py``).
-A one-thread partition reproduces :func:`repro.sim.timing.gemm_time_model`
-exactly — the engine mirrors its compute formula
+GEMMs' candidate grids in batches of at most
+:data:`GRID_BATCH_SLICES` thread slices (the tuner, for every
+candidate one-thread ones included, the serving prewarm and the
+threaded eval sweeps price through it), and
+:func:`parallel_gemm_breakdown` is its one-request case.  The scalar
+implementation of the same terms is the test oracle
+(``tests/parallel_oracle.py``).  A one-thread GEMM reproduces
+:func:`repro.sim.timing.gemm_time_model` exactly on every shape — the
+engine mirrors its compute formula
 (:func:`repro.sim.timing.plans_compute_cycles`) and analytical memory
-model operand for operand — and a ``pc_ways=1`` partition on a
-1-socket machine reproduces the pre-NUMA threaded model cycle-for-cycle
+model operand for operand, and a slice that is the whole GEMM keeps the
+unscaled whole-GEMM terms — and the plane-only (``pc = 1``) grids on a
+1-socket machine reproduce the pre-NUMA threaded model cycle-for-cycle
 (pinned by ``tests/test_parallel.py``).
 """
 
@@ -538,7 +541,7 @@ def price_grid_requests(
     dtype_bytes: int = 4,
     profile: bool = True,
 ) -> List[ParallelBreakdown]:
-    """Price many threaded GEMMs in a few ``kind="grid"`` batches.
+    """Price many threaded GEMMs in a few engine batches.
 
     The requests split into consecutive sub-batches of at most
     :data:`GRID_BATCH_SLICES` nominal thread slices
@@ -553,8 +556,9 @@ def price_grid_requests(
     ``requests``).  The engine calls it once per distinct (machine, mr,
     nr, m_t, n_t) of a sub-batch, so on one machine object the costs
     must depend on (mr, nr, m_t, n_t) alone.  ``profile`` lets each
-    sub-batch emit its one ``batch.grid`` obs record.  Returns one
-    breakdown per request, in request order.
+    sub-batch emit its one obs record: ``batch.serial`` when every grid
+    of the sub-batch is ``(1, 1, 1)``, ``batch.grid`` otherwise.
+    Returns one breakdown per request, in request order.
     """
     breakdowns: List[ParallelBreakdown] = []
     for part in grid_sub_batches(requests):
@@ -576,7 +580,7 @@ def _price_grid_batch(
     dtype_bytes: int,
     profile: bool,
 ) -> List[ParallelBreakdown]:
-    """One ``kind="grid"`` engine batch over every request's grids."""
+    """One engine batch over every request's grids."""
     # imported here: repro.sim.vectorized imports this module
     from . import vectorized as _vec
 
@@ -614,7 +618,6 @@ def _price_grid_batch(
             plan_source=lambda row, m_t, n_t: plan_source(
                 int(row_request[row]), m_t, n_t
             ),
-            kind="grid",
             prefetch_c=prefetch_c,
         ),
         profile=profile,
@@ -653,9 +656,7 @@ def parallel_gemm_breakdown(
     plan_builder: PlanBuilder,
     prefetch_c: bool = False,
     model: Optional[TimingModel] = None,
-    partition: Optional[ThreadPartition] = None,
     dtype_bytes: int = 4,
-    pc_ways: Optional[int] = None,
 ) -> ParallelBreakdown:
     """Model a GEMM across ``threads`` cores.
 
@@ -688,20 +689,16 @@ def parallel_gemm_breakdown(
       and pays ``inter_socket_penalty`` on the replicated stream.
 
     Every call is the one-request case of :func:`price_grid_requests`:
-    one ``kind="grid"`` :func:`repro.sim.vectorized.batch_gemm_cycles`
-    batch, which holds the cost terms above.  When no
-    ``partition`` is pinned, the batch holds every candidate jc x ic x
-    pc grid (:func:`candidate_grids`), ranked by its exact modelled
-    wall clock, and the best one executes — the partition choice sees
-    packing replication, reduction, and edge-kernel costs, not just
-    tile counts.  Ties prefer fewer pc ways, so a reduction split is
-    chosen only when it strictly beats every plane-only grid;
-    ``pc_ways=1`` pins the plane-only search (the pre-NUMA model,
-    cycle-for-cycle).  A pinned ``partition`` is a one-row batch of its
-    own ways, so it must come from :func:`partition_plane` with this
-    call's ``tiles`` granules (``mr``, ``nr``, ``kc``).  The scalar
-    model these prices must match bit for bit lives in
-    ``tests/parallel_oracle.py``.
+    one :func:`repro.sim.vectorized.batch_gemm_cycles` batch, which
+    holds the cost terms above, over every candidate jc x ic x pc grid
+    (:func:`candidate_grids`), ranked by its exact modelled wall clock;
+    the best one executes — the partition choice sees packing
+    replication, reduction, and edge-kernel costs, not just tile
+    counts.  Ties prefer fewer pc ways, so a reduction split is chosen
+    only when it strictly beats every plane-only grid.  To price chosen
+    grids instead, pass :func:`price_grid_requests` a
+    :class:`GridRequest` that lists them.  The scalar model these
+    prices must match bit for bit lives in ``tests/parallel_oracle.py``.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
@@ -712,25 +709,10 @@ def parallel_gemm_breakdown(
     from . import vectorized as _vec
 
     model = model or TimingModel(machine=machine)
-    m, n, k = shape.m, shape.n, shape.k
-    if partition is None:
-        grids = candidate_grids(
-            threads, m, n, machine, tiles.mr, tiles.nr, k=k, kc=tiles.kc
-        )
-        if pc_ways is not None:
-            grids = [g for g in grids if g[2] == pc_ways]
-            if not grids:
-                raise ValueError(
-                    f"no candidate grid has pc_ways={pc_ways} for "
-                    f"{threads} threads on k={k} (kc={tiles.kc})"
-                )
-    elif pc_ways is not None and partition.pc_ways != pc_ways:
-        raise ValueError(
-            f"pinned partition has pc_ways={partition.pc_ways}, "
-            f"but pc_ways={pc_ways} was requested"
-        )
-    else:
-        grids = [(partition.jc_ways, partition.ic_ways, partition.pc_ways)]
+    grids = candidate_grids(
+        threads, shape.m, shape.n, machine, tiles.mr, tiles.nr,
+        k=shape.k, kc=tiles.kc,
+    )
 
     # the plans depend only on the (m, n) sub-plane, so the pc axis and
     # repeated slice shapes never re-run edge/tail kernel selection

@@ -12,9 +12,10 @@ and :func:`batch_gemm_cycles` returns per-candidate cycle breakdowns —
 compute, packing (with per-socket B replication), partial-C reduction,
 and the DRAM ceiling — as arrays.
 
-The ``kind="grid"`` batch is the only production implementation of
-the threaded model: :func:`repro.sim.parallel.parallel_gemm_breakdown`
-prices every call through it.
+Every threaded GEMM and every tune candidate is priced here:
+:func:`repro.sim.parallel.price_grid_requests` builds one batch per
+sub-batch of grid requests, and a one-thread GEMM is simply the
+one-slice ``(1, 1, 1)`` grid.
 
 **Oracle contract.**  The scalar paths are the golden oracles —
 ``gemm_time_model`` for serial GEMMs and the scalar threaded model in
@@ -31,14 +32,17 @@ change must land in its oracle (``sim/timing.py``/``sim/memory.py``
 or ``tests/parallel_oracle.py``) *and* here (see docs/model.md for
 the recipe).
 
-Array layout:
+Array layout: one row per (shape, tile, requested jc/ic/pc grid)
+candidate.  :func:`batch_gemm_cycles` picks the path from the data:
 
-* ``kind="serial"`` — one row per candidate GEMM; mirrors
-  ``gemm_time_model`` (jc/ic/pc are ignored and reported as 1).
-* ``kind="grid"`` — one row per (shape, tile, requested jc/ic/pc grid)
-  candidate; internally expanded to one row per *thread slice* in the
-  exact enumeration order of ``partition_plane``, then segment-reduced
-  back to candidates (busiest slice, first-max tie-break).
+* every row asks for ``jc = ic = pc = 1`` — the serial path, which
+  mirrors ``gemm_time_model`` row for row;
+* otherwise the grid path, which expands each row to one row per
+  *thread slice* in the exact enumeration order of ``partition_plane``,
+  then segment-reduces back to candidates (busiest slice, first-max
+  tie-break).  A slice that is the whole GEMM keeps the unscaled
+  whole-GEMM packing and C-stall terms, so a ``(1, 1, 1)`` row prices
+  exactly like the serial path.
 """
 
 from __future__ import annotations
@@ -134,9 +138,9 @@ class CandidateBatch:
     indexes into ``machines`` — a single-machine batch passes one
     machine and may omit the index array.  ``plan_source(i, m, n)``
     returns the :class:`PlanCost` tuple covering the (m, n) plane of
-    candidate ``i`` (the full plane for ``kind="serial"``, one thread
-    slice's plane for ``kind="grid"``); the engine deduplicates calls
-    per distinct (machine, mr, nr, m, n).
+    candidate ``i`` (one thread slice's plane; the full plane for a
+    ``(1, 1, 1)`` grid); the engine deduplicates calls per distinct
+    (machine, mr, nr, m, n).  ``jc``/``ic``/``pc`` default to 1.
     """
 
     machines: Tuple[MachineModel, ...]
@@ -153,14 +157,11 @@ class CandidateBatch:
     pc: np.ndarray = None
     dtype_bytes: np.ndarray = 4
     machine_idx: np.ndarray = 0
-    kind: str = "serial"
     prefetch_c: bool = False
 
     def __post_init__(self):
         if isinstance(self.machines, MachineModel):
             self.machines = (self.machines,)
-        if self.kind not in ("serial", "grid"):
-            raise ValueError(f"unknown batch kind {self.kind!r}")
         size = np.broadcast(
             *(
                 np.asarray(1 if a is None else a)
@@ -191,13 +192,13 @@ class CandidateBatch:
 class BatchBreakdown:
     """Per-candidate cycle breakdowns, as parallel float64/int64 arrays.
 
-    For ``kind="grid"`` the cycle components are the *critical* thread
-    slice's (first-max over the slice enumeration order, exactly like
-    the scalar model) and ``eff_jc``/``eff_ic``/``eff_pc`` are the
-    effective (tile-clamped) ways of each candidate's partition.
+    The cycle components are the *critical* thread slice's (first-max
+    over the slice enumeration order, exactly like the scalar model)
+    and ``eff_jc``/``eff_ic``/``eff_pc`` are the effective
+    (tile-clamped) ways of each candidate's partition.
     ``slice_busy_cycles[slice_offsets[i]:slice_offsets[i + 1]]`` is
     candidate ``i``'s per-thread busy time in slice enumeration order
-    (one slice per candidate for ``kind="serial"``).
+    (one slice per candidate on the serial path).
     """
 
     compute_cycles: np.ndarray
@@ -457,7 +458,7 @@ def _memory_costs(
 
 
 # ---------------------------------------------------------------------------
-# Serial kind: gemm_time_model over rows
+# Serial path: gemm_time_model over all-(1, 1, 1) rows
 # ---------------------------------------------------------------------------
 
 
@@ -494,7 +495,7 @@ def _serial_breakdown(batch: CandidateBatch) -> BatchBreakdown:
 
 
 # ---------------------------------------------------------------------------
-# Grid kind: the threaded model's wall clock over rows
+# Grid path: the threaded model's wall clock over rows
 # ---------------------------------------------------------------------------
 
 
@@ -613,6 +614,12 @@ def _grid_breakdown(batch: CandidateBatch) -> BatchBreakdown:
         1.0, _fceil(sl.n_t, batch.nr[ci])
     )
     c_stall_t = mem["c_stall_cycles"][ci] * tiles_t / mem["total_tiles"][ci]
+    # a slice that is the whole GEMM keeps the whole-GEMM terms: the
+    # part/whole rescale above can round them off by an ulp
+    whole = (sl.m_t == batch.m[ci]) & (sl.n_t == batch.n[ci]) & ~sl.has_ks
+    pack_a_t = np.where(whole, mem["pack_a_cycles"][ci], pack_a_t)
+    pack_b_t = np.where(whole, mem["pack_b_cycles"][ci], pack_b_t)
+    c_stall_t = np.where(whole, mem["c_stall_cycles"][ci], c_stall_t)
     k_frac = sl.k_t / batch.k[ci]
     pack_a_t = np.where(sl.has_ks, pack_a_t * k_frac, pack_a_t)
     pack_b_t = np.where(sl.has_ks, pack_b_t * k_frac, pack_b_t)
@@ -688,20 +695,24 @@ def batch_gemm_cycles(
 ) -> BatchBreakdown:
     """Evaluate the timing model over every candidate of ``batch``.
 
-    One obs profile event covers the whole batch — a single span with a
-    ``candidates`` count plus the ``model.candidates_evaluated``
+    A batch whose every row asks for ``jc = ic = pc = 1`` runs the
+    serial path, any other the grid path; both price a ``(1, 1, 1)``
+    row identically, so the choice only saves the slice expansion.
+    One obs profile event covers the whole batch — a single
+    ``batch.serial`` or ``batch.grid`` span, after the path taken, with
+    a ``candidates`` count plus the ``model.candidates_evaluated``
     counter, never one event per candidate.  Internal callers that
     already emit their own profile record
     (``parallel_gemm_breakdown``) pass ``profile=False``.
     """
     prof = obs_profile.ACTIVE if profile else None
     started = time.perf_counter() if prof is not None else None  # det: ok DET101 (wall profiling span)
-    if batch.kind == "serial":
-        breakdown = _serial_breakdown(batch)
+    if np.all((batch.jc == 1) & (batch.ic == 1) & (batch.pc == 1)):
+        kind, breakdown = "serial", _serial_breakdown(batch)
     else:
-        breakdown = _grid_breakdown(batch)
+        kind, breakdown = "grid", _grid_breakdown(batch)
     if prof is not None:
-        prof.record_batch(batch.kind, len(batch), started=started)
+        prof.record_batch(kind, len(batch), started=started)
     return breakdown
 
 

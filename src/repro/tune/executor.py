@@ -1,9 +1,9 @@
 """Parallel evaluation of tune jobs over a process pool.
 
 Each job is one modelled GEMM with one candidate main tile, serial or
-threaded.  A chunk's jobs are priced together: the serial ones in one
-vectorized batch, the threaded ones in grid batches over every
-candidate thread partition (:func:`evaluate_candidates`).  Jobs travel
+threaded.  A chunk's jobs are priced together, in grid batches over
+every candidate thread partition — a serial job is the one-slice grid
+(:func:`evaluate_candidates`).  Jobs travel
 to workers as plain tuples and come back as plain JSON records, so the
 pool never pickles procedures, traces, or machine models; each worker
 process rebuilds (and memoizes) its evaluation context per ISA on first
@@ -75,17 +75,16 @@ def evaluate_candidates(
 ) -> List[Dict[str, float]]:
     """Evaluate many ``(mr, nr, m, n, k, threads)`` specs at once.
 
-    Serial (``threads == 1``) specs are scored in **one** vectorized
-    ``kind="serial"`` :func:`repro.sim.vectorized.batch_gemm_cycles`
-    call, and threaded specs through
-    :func:`repro.sim.parallel.price_grid_requests`, which ranks every
-    candidate jc x ic x pc grid of each in grid batches bounded by its
-    thread-slice budget.  Both share one plane-cost memo, local to the
-    call: plan selection depends only on the plane and the kernel tile.
-    The records are bit-identical to per-spec ``exo_gemm_breakdown`` /
-    ``exo_parallel_breakdown`` calls (the engine's oracle contract),
-    just far cheaper per candidate.  Records come back in spec order,
-    ready for per-candidate cache keys.
+    Every spec becomes one :class:`repro.sim.parallel.GridRequest` over
+    its candidate jc x ic x pc grids (``[(1, 1, 1)]`` for a serial
+    spec), and **one** :func:`repro.sim.parallel.price_grid_requests`
+    call ranks them all in grid batches bounded by its thread-slice
+    budget, with one plane-cost memo local to the call: plan selection
+    depends only on the plane and the kernel tile.  The records are
+    bit-identical to per-spec ``exo_gemm_breakdown`` /
+    ``exo_parallel_breakdown`` calls (a one-slice grid is the serial
+    model), just far cheaper per candidate.  Records come back in spec
+    order, ready for per-candidate cache keys.
     """
     global _breakdown_calls
     from repro.blis.params import analytical_tile_params, clamp_tiles
@@ -104,11 +103,6 @@ def evaluate_candidates(
     # (mr, nr, m_plane, n_plane) -> PlanCost tuple
     plan_cost_memo: Dict[Tuple[int, int, int, int], tuple] = {}
 
-    def tiles_for(mr: int, nr: int, m: int, n: int, k: int):
-        if (mr, nr) not in tile_memo:
-            tile_memo[(mr, nr)] = analytical_tile_params(mr, nr, machine)
-        return clamp_tiles(tile_memo[(mr, nr)], m, n, k)
-
     def plane_costs(spec: int, m_p: int, n_p: int):
         mr, nr = specs[spec][0], specs[spec][1]
         key = (mr, nr, m_p, n_p)
@@ -118,63 +112,20 @@ def evaluate_candidates(
             )
         return plan_cost_memo[key]
 
-    results: List[Optional[Dict[str, float]]] = [None] * len(specs)
-    serial = [i for i, spec in enumerate(specs) if spec[5] == 1]
-    threaded = [i for i, spec in enumerate(specs) if spec[5] != 1]
     requests = []
-    for i in threaded:
-        mr, nr, m, n, k, threads = specs[i]
-        tiles = tiles_for(mr, nr, m, n, k)
+    for mr, nr, m, n, k, threads in specs:
+        if (mr, nr) not in tile_memo:
+            tile_memo[(mr, nr)] = analytical_tile_params(mr, nr, machine)
+        tiles = clamp_tiles(tile_memo[(mr, nr)], m, n, k)
         grids = candidate_grids(
             threads, m, n, machine, mr, nr, k=k, kc=tiles.kc
         )
         requests.append(
             GridRequest(machine, GemmShape(m, n, k), tiles, threads, grids)
         )
-    breakdowns = price_grid_requests(
-        requests,
-        lambda request, m_p, n_p: plane_costs(threaded[request], m_p, n_p),
-    )
-    for i, breakdown in zip(threaded, breakdowns):
-        results[i] = record_from_breakdown(breakdown)
-    _breakdown_calls += len(threaded)
-    if not serial:
-        return results
-
-    rows = []
-    for i in serial:
-        mr, nr, m, n, k, _ = specs[i]
-        tiles = tiles_for(mr, nr, m, n, k)
-        rows.append((mr, nr, m, n, k, tiles.kc, tiles.nc))
-
-    batch = vec.CandidateBatch(
-        machines=(machine,),
-        m=[r[2] for r in rows],
-        n=[r[3] for r in rows],
-        k=[r[4] for r in rows],
-        mr=[r[0] for r in rows],
-        nr=[r[1] for r in rows],
-        kc=[r[5] for r in rows],
-        nc=[r[6] for r in rows],
-        plan_source=lambda row, m_p, n_p: plane_costs(serial[row], m_p, n_p),
-        kind="serial",
-    )
-    scored = vec.batch_gemm_cycles(batch)
-    _breakdown_calls += len(serial)
-    freq = machine.freq_ghz
-    for pos, i in enumerate(serial):
-        # json can't serialize numpy scalars, so cast each component
-        results[i] = {
-            "compute_cycles": float(scored.compute_cycles[pos]),
-            "pack_cycles": float(scored.pack_cycles[pos]),
-            "c_stall_cycles": float(scored.c_stall_cycles[pos]),
-            "dram_limit_cycles": float(scored.dram_limit_cycles[pos]),
-            "flops": int(scored.flops[pos]),
-            "freq_ghz": freq,
-            "total_cycles": float(scored.total_cycles[pos]),
-            "gflops": float(scored.gflops[pos]),
-        }
-    return results
+    breakdowns = price_grid_requests(requests, plane_costs)
+    _breakdown_calls += len(specs)
+    return [record_from_breakdown(b) for b in breakdowns]
 
 
 def _evaluate_chunk(
@@ -219,7 +170,7 @@ def run_jobs(
     chunk lands (so an interrupted sweep resumes).
 
     Both paths evaluate whole chunks at a time through
-    :func:`evaluate_candidates` — serial jobs ride the vectorized
+    :func:`evaluate_candidates` — every job rides the vectorized
     batch engine — and ``obs`` instruments the run with per-chunk
     spans (one ``chunk <isa>`` span carrying the job count; parallel
     runs place one trace track per chunk by the worker's self-reported

@@ -114,17 +114,15 @@ def select_kernel_for(
     m: int,
     n: int,
     k: int,
-    candidates: Optional[Tuple[Tuple[int, int], ...]] = None,
-    registry: Optional[KernelRegistry] = None,
     machine: Optional[MachineModel] = None,
 ):
     """Pick the best main kernel for a GEMM shape by modelled time.
 
     Returns ``(shape, breakdown)`` for the fastest candidate.  This is the
     selection the paper applies in Section IV-B, where specific square
-    sizes favour 8x4 or 8x8 over the default 8x12.  Passing ``machine``
-    ranks on that core with its own ISA library and family — e.g. an RVV
-    machine selects among RVV register tiles.
+    sizes favour 8x4 or 8x8 over the default 8x12.  ``machine``
+    (Carmel when omitted) ranks on that core with its own ISA library
+    and family — e.g. an RVV machine selects among RVV register tiles.
 
     The candidate enumeration and the ranking order
     (:func:`repro.tune.space.rank_key`) are shared with
@@ -145,46 +143,29 @@ def select_kernel_for(
     )
     from repro.tune.space import candidate_tiles, rank_key
 
-    ctx = machine_context(machine) if machine is not None else None
-    if registry is None:
-        registry = ctx.registry if ctx is not None else default_registry()
-    vla = bool(registry.lib.get("vla"))
-    if candidates is None:
-        # already bounds-filtered, with the shape-respecting fallback
-        # substituted when nothing fits
-        fitting = list(candidate_tiles(registry.family_shapes, m, n, vla=vla))
-    else:
-        fitting = [s for s in candidates if s[0] <= m and s[1] <= n]
-        if not fitting:
-            # honour the caller's restriction: smallest area (the least
-            # padded work), ties lexicographic, evaluated as-is
-            fitting = [min(candidates, key=lambda s: (s[0] * s[1], s))]
+    ctx = machine_context(machine if machine is not None else CARMEL)
+    # already bounds-filtered, with the shape-respecting fallback
+    # substituted when nothing fits
+    fitting = candidate_tiles(
+        ctx.registry.family_shapes, m, n, vla=bool(ctx.registry.lib.get("vla"))
+    )
     cache = active_cache()
-    # cache keys identify timings by machine only, so they are valid
-    # solely for the machine's canonical registry — a caller-supplied
-    # registry (different library, same machine tag) must not read or
-    # poison those entries.  Key by the machine the memoized context
-    # actually models (contexts are shared by machine name), so a
-    # same-named-but-edited machine never caches the shared context's
-    # timings under its own fingerprint.
-    canonical = ctx.registry if ctx is not None else _default_registry
-    key_machine = None
-    if registry is canonical:
-        key_machine = ctx.machine if ctx is not None else CARMEL
     best = None
     best_rank = None
     for shape in fitting:
         breakdown = None
         key = None
-        if cache is not None and key_machine is not None:
-            key = cache_key(key_machine, shape, (m, n, k))
+        if cache is not None:
+            # key by the machine the memoized context models (contexts
+            # are shared by machine name), so a same-named but edited
+            # machine never caches the shared context's timings under
+            # its own fingerprint
+            key = cache_key(ctx.machine, shape, (m, n, k))
             record = cache.get(key)
             if record is not None:
                 breakdown = breakdown_from_record(record)
         if breakdown is None:
-            breakdown = exo_gemm_breakdown(
-                m, n, k, main=shape, registry=registry, ctx=ctx
-            )
+            breakdown = exo_gemm_breakdown(m, n, k, main=shape, ctx=ctx)
             if key is not None:
                 cache.put([(key, record_from_breakdown(breakdown))])
         rank = rank_key(breakdown.total_cycles, shape)

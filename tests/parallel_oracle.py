@@ -15,7 +15,7 @@ here (docs/model.md, "Adding a cost term").
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.blis.params import analytical_tile_params, clamp_tiles
 from repro.isa.machine import MachineModel
@@ -40,21 +40,16 @@ def candidate_partitions(
     mr: int,
     nr: int,
     kc: int,
-    pin_pc: Optional[int] = None,
+    grids: Optional[Sequence[Tuple[int, int, int]]] = None,
 ) -> List[ThreadPartition]:
     """Partitions of every candidate grid, for exact wall-clock ranking.
 
-    ``pin_pc`` restricts the reduction axis (``pin_pc=1`` recovers the
-    plane-only search of the pre-NUMA model exactly).
+    ``grids`` replaces the :func:`candidate_grids` enumeration with
+    chosen ``(jc, ic, pc)`` grids, as a
+    :class:`repro.sim.parallel.GridRequest` listing them does.
     """
-    grids = candidate_grids(threads, m, n, machine, mr, nr, k=k, kc=kc)
-    if pin_pc is not None:
-        grids = [g for g in grids if g[2] == pin_pc]
-        if not grids:
-            raise ValueError(
-                f"no candidate grid has pc_ways={pin_pc} for "
-                f"{threads} threads on k={k} (kc={kc})"
-            )
+    if grids is None:
+        grids = candidate_grids(threads, m, n, machine, mr, nr, k=k, kc=kc)
     return [
         partition_plane(
             m, n, threads, machine, mr, nr,
@@ -73,12 +68,13 @@ def parallel_gemm_breakdown(
     plan_builder: PlanBuilder,
     prefetch_c: bool = False,
     model: Optional[TimingModel] = None,
-    partition: Optional[ThreadPartition] = None,
     dtype_bytes: int = 4,
-    pc_ways: Optional[int] = None,
+    grids: Optional[Sequence[Tuple[int, int, int]]] = None,
 ) -> ParallelBreakdown:
-    """The scalar threaded model: same signature and result as
-    :func:`repro.sim.parallel.parallel_gemm_breakdown`."""
+    """The scalar threaded model: same result as
+    :func:`repro.sim.parallel.parallel_gemm_breakdown`, or, given
+    ``grids``, as :func:`repro.sim.parallel.price_grid_requests` on a
+    request that lists them."""
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     model = model or TimingModel(machine=machine)
@@ -125,6 +121,12 @@ def parallel_gemm_breakdown(
                 1, math.ceil(sl.n / tiles.nr)
             )
             c_stall_t = mem.c_stall_cycles * tiles_t / total_tiles
+            if sl.m == m and sl.n == n and sl.ks is None:
+                # the whole GEMM keeps its unscaled terms: the part /
+                # whole rescale above can round them off by an ulp
+                pack_a_t = mem.pack_a_cycles
+                pack_b_t = mem.pack_b_cycles
+                c_stall_t = mem.c_stall_cycles
             if sl.ks is not None:
                 # a pc way touches only its k slice: packing scales
                 # with the slice's share of k, the C-stall with its
@@ -180,22 +182,13 @@ def parallel_gemm_breakdown(
         )
         return max(busy, dram_limit_for(part))
 
-    if partition is None:
-        partition = min(
-            candidate_partitions(
-                m, n, k, threads, machine,
-                tiles.mr, tiles.nr, tiles.kc,
-                pin_pc=pc_ways,
-            ),
-            key=lambda p: (
-                wall_clock(p), p.pc_ways, -p.jc_ways, p.ic_ways
-            ),
-        )
-    elif pc_ways is not None and partition.pc_ways != pc_ways:
-        raise ValueError(
-            f"pinned partition has pc_ways={partition.pc_ways}, "
-            f"but pc_ways={pc_ways} was requested"
-        )
+    partition = min(
+        candidate_partitions(
+            m, n, k, threads, machine, tiles.mr, tiles.nr, tiles.kc,
+            grids=grids,
+        ),
+        key=lambda p: (wall_clock(p), p.pc_ways, -p.jc_ways, p.ic_ways),
+    )
 
     busy: List[float] = []
     components: List[Tuple[float, float, float, float]] = []
@@ -231,8 +224,7 @@ def exo_parallel_breakdown(
     threads: int,
     ctx,
     main: Optional[Tuple[int, int]] = None,
-    pc_ways: Optional[int] = None,
-    partition: Optional[ThreadPartition] = None,
+    grids: Optional[Sequence[Tuple[int, int, int]]] = None,
 ) -> ParallelBreakdown:
     """The oracle behind :func:`repro.eval.harness.exo_parallel_breakdown`:
     the same tiles and per-slice plan builder, priced by the scalar
@@ -250,6 +242,5 @@ def exo_parallel_breakdown(
             ctx, mt, nt, mr_main, nr_main
         ),
         model=ctx.model,
-        pc_ways=pc_ways,
-        partition=partition,
+        grids=grids,
     )

@@ -6,6 +6,7 @@ import pytest
 
 from repro.baselines.blis_asm import blis_kernel_model
 from repro.baselines.neon_handwritten import neon_kernel_model
+from repro.isa.machine import CARMEL
 from repro.sim.pipeline import PipelineModel, trace_from_kernel
 from repro.sim.timing import solo_kernel_gflops
 from repro.ukernel.registry import (
@@ -73,11 +74,11 @@ class TestRegistry:
             for w in widths:
                 assert (h, w) in DEFAULT_FAMILY
 
-    def test_select_kernel_returns_candidate(self, registry):
-        shape, breakdown = select_kernel_for(512, 512, 512, registry=registry)
+    def test_select_kernel_returns_candidate(self):
+        shape, breakdown = select_kernel_for(512, 512, 512, machine=CARMEL)
         assert shape in DEFAULT_FAMILY
         assert breakdown.total_cycles > 0
 
-    def test_select_kernel_small_problem(self, registry):
-        shape, _ = select_kernel_for(4, 8, 64, registry=registry)
+    def test_select_kernel_small_problem(self):
+        shape, _ = select_kernel_for(4, 8, 64, machine=CARMEL)
         assert shape[0] <= 4 and shape[1] <= 8

@@ -237,6 +237,32 @@ class TestThreadedSweepParity:
             want = per_cell_rows(instances, ctx, counts, use_tuned=True)
         assert got == want
 
+    def test_tuned_tile_ranked_once_per_layer(self, monkeypatch):
+        """The tuned winner depends on the layer's shape alone, so the
+        sweep ranks it once per distinct layer, not once per (layer,
+        thread count) cell — with the rows unchanged."""
+        from repro.ukernel import registry
+
+        ctx = machine_context(MACHINES["numa2s"])
+        counts = thread_counts_up_to(32)
+        instances = resnet50_instances()
+        want = per_cell_rows(instances, ctx, counts, use_tuned=True)
+        calls = []
+        real = registry.select_kernel_for
+
+        def counting(m, n, k, **kwargs):
+            calls.append((m, n, k))
+            return real(m, n, k, **kwargs)
+
+        monkeypatch.setattr(registry, "select_kernel_for", counting)
+        got = threaded_instance_time_data(
+            instances, ctx, counts, use_tuned=True
+        )
+        layers = {layer.layer_id for _, layer in instances}
+        assert len(counts) > 1
+        assert len(calls) == len(layers)
+        assert got == want
+
     def test_one_parallel_record_per_cell(self):
         """Under a profiler each cell keeps its ``parallel`` record, with
         the fields the per-cell path records; the grid batches add

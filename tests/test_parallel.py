@@ -3,7 +3,7 @@
 Invariants of the thread partitioner and the threaded breakdown:
 
 * a one-thread run matches the serial :func:`gemm_time_model` exactly,
-  on every registered machine;
+  on every registered machine and every shape (a hypothesis property);
 * modelled GFLOPS is monotonically non-decreasing in the thread count,
   up to (and past) the modelled DRAM ceiling;
 * partition slices cover the (m, n) plane exactly once — no overlap,
@@ -21,8 +21,9 @@ import json
 from pathlib import Path
 
 import parallel_oracle as oracle
+import pinned_grids
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.isa.machine import (
@@ -137,25 +138,94 @@ class TestPartition:
 # ---------------------------------------------------------------------------
 
 
-class TestThreadedBreakdown:
-    @pytest.mark.parametrize("machine_name", sorted(MACHINES))
-    def test_one_thread_matches_serial_model(
-        self, machine_name, plan_builder
-    ):
-        machine = MACHINES[machine_name]
-        shape = GemmShape(2000, 2000, 2000)
-        serial = gemm_time_model(
-            shape, plan_builder(2000, 2000), TILES, machine=machine
-        )
-        par = parallel_gemm_breakdown(
-            shape, TILES, 1, machine=machine, plan_builder=plan_builder
-        )
-        assert par.total_cycles == serial.total_cycles
-        assert par.compute_cycles == serial.compute_cycles
-        assert par.pack_cycles == serial.pack_cycles
-        assert par.c_stall_cycles == serial.c_stall_cycles
-        assert par.dram_limit_cycles == serial.dram_limit_cycles
+class TestOneSliceIsSerial:
+    """A one-thread GEMM is the one-slice grid, and the one-slice grid is
+    the serial model: the whole-GEMM slice keeps the unscaled packing
+    and C-stall terms, so no part/whole rescale can round it off."""
 
+    FIELDS = (
+        "compute_cycles", "pack_cycles", "c_stall_cycles",
+        "dram_limit_cycles", "total_cycles",
+    )
+
+    @given(
+        name=st.sampled_from(sorted(MACHINES)),
+        m=st.integers(min_value=1, max_value=3000),
+        n=st.integers(min_value=1, max_value=3000),
+        k=st.integers(min_value=1, max_value=3000),
+    )
+    # shapes whose part/whole rescale rounds off: the C stall on both,
+    # and the total on numa2s
+    @example(name="avx512", m=946, n=2773, k=897)
+    @example(name="numa2s", m=1462, n=2165, k=1326)
+    @settings(max_examples=150, deadline=None)
+    def test_one_thread_matches_serial_model(self, name, m, n, k):
+        """Production and the scalar oracle both price one thread as
+        the serial model."""
+        from repro.eval.harness import (
+            exo_gemm_breakdown,
+            exo_parallel_breakdown,
+            machine_context,
+        )
+
+        ctx = machine_context(MACHINES[name])
+        got = exo_parallel_breakdown(m, n, k, 1, ctx)
+        scalar = oracle.exo_parallel_breakdown(m, n, k, 1, ctx)
+        want = exo_gemm_breakdown(m, n, k, ctx=ctx)
+        for field in self.FIELDS:
+            assert getattr(got, field) == getattr(want, field), field
+            assert getattr(scalar, field) == getattr(want, field), field
+        assert got.reduction_cycles == 0.0
+        assert got.thread_busy_cycles == (
+            want.compute_cycles + want.pack_cycles + want.c_stall_cycles,
+        )
+
+    @given(
+        name=st.sampled_from(sorted(MACHINES)),
+        m=st.integers(min_value=1, max_value=3000),
+        n=st.integers(min_value=1, max_value=3000),
+        k=st.integers(min_value=1, max_value=3000),
+        threads=st.integers(min_value=2, max_value=32),
+    )
+    @example(name="avx512", m=946, n=2773, k=897, threads=4)
+    @settings(max_examples=60, deadline=None)
+    def test_one_slice_row_of_a_grid_batch_is_serial(
+        self, name, m, n, k, threads
+    ):
+        """Next to a threaded request, a ``(1, 1, 1)`` request rides the
+        grid path — and still prices as ``gemm_time_model``."""
+        from repro.eval.harness import machine_context, plane_chunk_plans
+        from repro.obs import profile as obs_profile
+        from repro.obs.profile import GemmProfiler
+        from repro.sim import vectorized as vec
+        from repro.sim.parallel import GridRequest, price_grid_requests
+
+        ctx = machine_context(MACHINES[name])
+        tiles = pinned_grids.exo_tiles(ctx, m, n, k)
+        mr, nr = tiles.mr, tiles.nr
+        shape = GemmShape(m, n, k)
+        requests = [
+            GridRequest(ctx.machine, shape, tiles, threads, [(2, 1, 1)]),
+            GridRequest(ctx.machine, shape, tiles, 1, [(1, 1, 1)]),
+        ]
+        profiler = GemmProfiler()
+        with obs_profile.using(profiler):
+            _, got = price_grid_requests(
+                requests,
+                lambda _r, m_t, n_t: vec.plan_costs(
+                    plane_chunk_plans(ctx, m_t, n_t, mr, nr), ctx.model
+                ),
+            )
+        assert [r["kind"] for r in profiler.records] == ["batch.grid"]
+        want = gemm_time_model(
+            shape, plane_chunk_plans(ctx, m, n, mr, nr), tiles,
+            machine=ctx.machine, model=ctx.model,
+        )
+        for field in self.FIELDS:
+            assert getattr(got, field) == getattr(want, field), field
+
+
+class TestThreadedBreakdown:
     def test_machine_is_explicit(self, plan_builder):
         """No Carmel default: the threaded model names its machine."""
         with pytest.raises(TypeError):
@@ -213,11 +283,9 @@ class TestThreadedBreakdown:
         """
         shape = GemmShape(2000, 2000, 2000)
         mem = memory_cost(shape, TILES, machine=CARMEL)
-        part = partition_plane(2000, 2000, 4, CARMEL, 8, 12,
-                               jc_ways=1, ic_ways=4)
-        b = parallel_gemm_breakdown(
-            shape, TILES, 4,
-            machine=CARMEL, plan_builder=plan_builder, partition=part,
+        b = pinned_grids.price_grids(
+            shape, TILES, 4, [(1, 4, 1)],
+            machine=CARMEL, plan_builder=plan_builder,
         )
         assert b.ic_ways == 4
         # full B pack + this thread's A share: strictly more than the
@@ -235,11 +303,9 @@ class TestThreadedBreakdown:
         jc_only = parallel_gemm_breakdown(
             shape, TILES, 4, machine=machine, plan_builder=plan_builder
         )
-        forced = parallel_gemm_breakdown(
-            shape, TILES, 4, machine=machine, plan_builder=plan_builder,
-            partition=partition_plane(
-                2000, 2000, 4, machine, 8, 12, jc_ways=1, ic_ways=4
-            ),
+        forced = pinned_grids.price_grids(
+            shape, TILES, 4, [(1, 4, 1)],
+            machine=machine, plan_builder=plan_builder,
         )
         assert forced.dram_limit_cycles > jc_only.dram_limit_cycles
 
@@ -317,8 +383,9 @@ class TestGoldenParity:
     ``tests/data/threaded_golden.json`` holds component breakdowns
     captured from the model *before* the pc-loop reduction partition
     and NUMA topologies existed.  Restricting the new model to
-    plane-only grids (``pc_ways=1``) on these 1-socket machines must
-    reproduce every component exactly — equality, not approx.
+    plane-only grids (``pc = 1``, listed explicitly in a grid request)
+    on these 1-socket machines must reproduce every component exactly —
+    equality, not approx.
     """
 
     @pytest.mark.parametrize("key", sorted(GOLDEN))
@@ -332,7 +399,10 @@ class TestGoldenParity:
         m, n, k = (int(d) for d in shape_spec.split("x"))
         threads = int(t_spec[1:])
         ctx = machine_context(MACHINES[name])
-        b = exo_parallel_breakdown(m, n, k, threads, ctx=ctx, pc_ways=1)
+        b = pinned_grids.price_exo_grids(
+            m, n, k, threads, ctx,
+            pinned_grids.plane_only_grids(ctx, m, n, k, threads),
+        )
         want = GOLDEN[key]
         assert b.total_cycles == want["total"]
         assert b.compute_cycles == want["compute"]
@@ -475,9 +545,14 @@ class TestGridSubBatches:
         assert [b.thread_busy_cycles for b in got] == [
             b.thread_busy_cycles for b in want
         ]
-        assert [r["kind"] for r in profiler.records] == (
-            ["batch.grid"] * len(parts)
-        )
+        # the label follows the path: all-(1, 1, 1) sub-batches price
+        # on the serial path
+        assert [r["kind"] for r in profiler.records] == [
+            "batch.serial"
+            if all(requests[i].grids == [(1, 1, 1)] for i in part)
+            else "batch.grid"
+            for part in parts
+        ]
         # the parts are consecutive, cover every request, keep to the
         # budget unless one request alone exceeds it, and are greedy:
         # each part is full up to the next request
@@ -577,9 +652,16 @@ class TestReductionPartition:
         free = parallel_gemm_breakdown(
             shape, tiles, 8, machine=CARMEL, plan_builder=plan_builder
         )
-        pinned = parallel_gemm_breakdown(
-            shape, tiles, 8,
-            machine=CARMEL, plan_builder=plan_builder, pc_ways=1,
+        plane_only = [
+            g
+            for g in candidate_grids(
+                8, 16, 24, CARMEL, 8, 12, k=200000, kc=tiles.kc
+            )
+            if g[2] == 1
+        ]
+        pinned = pinned_grids.price_grids(
+            shape, tiles, 8, plane_only,
+            machine=CARMEL, plan_builder=plan_builder,
         )
         assert free.pc_ways > 1
         assert free.reduction_cycles > 0.0
@@ -604,16 +686,6 @@ class TestReductionPartition:
         )
         assert b.ic_ways == 1
         assert b.pc_ways > 1
-
-    def test_pinned_partition_pc_mismatch_rejected(self, plan_builder):
-        part = partition_plane(2000, 2000, 4, CARMEL, 8, 12,
-                               jc_ways=2, ic_ways=2)
-        with pytest.raises(ValueError):
-            parallel_gemm_breakdown(
-                GemmShape(2000, 2000, 2000), TILES, 4,
-                machine=CARMEL, plan_builder=plan_builder,
-                partition=part, pc_ways=2,
-            )
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import parallel_oracle as oracle
+import pinned_grids
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -45,7 +46,8 @@ def ctx_for(name):
 
 
 def serial_batch(ctx, shapes):
-    """One ``kind="serial"`` batch over ``shapes`` on ``ctx``'s machine."""
+    """One all-``(1, 1, 1)`` batch over ``shapes`` on ``ctx``'s machine:
+    the serial path."""
     machine = ctx.machine
     mr, nr = ctx.main_tile
     tiles = [
@@ -64,12 +66,11 @@ def serial_batch(ctx, shapes):
         plan_source=lambda i, m, n: vec.plan_costs(
             plane_chunk_plans(ctx, m, n, mr, nr), ctx.model
         ),
-        kind="serial",
     )
 
 
 def grid_batch(ctx, m, n, k, grids):
-    """One ``kind="grid"`` batch: every grid of one shape on one machine."""
+    """One batch over every grid of one shape on one machine."""
     machine = ctx.machine
     mr, nr = ctx.main_tile
     tiles = clamp_tiles(analytical_tile_params(mr, nr, machine), m, n, k)
@@ -89,7 +90,6 @@ def grid_batch(ctx, m, n, k, grids):
         ic=[g[1] for g in grids],
         pc=[g[2] for g in grids],
         plan_source=source,
-        kind="grid",
     ), tiles
 
 
@@ -100,7 +100,7 @@ SERIAL_FIELDS = (
 
 
 class TestSerialParity:
-    """``kind="serial"`` rows == ``gemm_time_model``, bitwise."""
+    """Serial-path rows == ``gemm_time_model``, bitwise."""
 
     @given(
         name=st.sampled_from(sorted(MACHINES)),
@@ -155,7 +155,6 @@ class TestSerialParity:
                 nc=[r[3] for r in rows],
                 machine_idx=[0, 1],
                 plan_source=source,
-                kind="serial",
             )
         )
         for i, ctx in enumerate(ctxs):
@@ -165,7 +164,7 @@ class TestSerialParity:
 
 
 class TestGridParity:
-    """``kind="grid"`` rows == pinned-partition scalar breakdowns."""
+    """Grid-path rows == pinned-grid scalar breakdowns."""
 
     @pytest.mark.parametrize("name", sorted(MACHINES))
     @pytest.mark.parametrize(
@@ -194,7 +193,7 @@ class TestGridParity:
                 plan_builder=lambda mt, nt: plane_chunk_plans(
                     ctx, mt, nt, mr, nr
                 ),
-                partition=part,
+                grids=[(jc, ic, pc)],
             )
             assert got.total_cycles[gi] == want.total_cycles
             assert got.compute_cycles[gi] == want.compute_cycles
@@ -226,25 +225,16 @@ class TestGridParity:
         self, name, m, n, k, threads, pin
     ):
         """Searched grids (every thread count, 1 included) and pinned
-        partitions price identically through the engine and the oracle."""
+        grids price identically through the engine and the oracle."""
         ctx = ctx_for(name)
-        partition = None
-        if pin is not None:
-            jc, ic, pc = pin
-            mr, nr = ctx.main_tile
-            kc = clamp_tiles(
-                analytical_tile_params(mr, nr, ctx.machine), m, n, k
-            ).kc
-            partition = partition_plane(
-                m, n, threads, ctx.machine, mr, nr,
-                jc_ways=jc, ic_ways=ic, pc_ways=pc, k=k, kc=kc,
+        if pin is None:
+            want = oracle.exo_parallel_breakdown(m, n, k, threads, ctx=ctx)
+            got = exo_parallel_breakdown(m, n, k, threads, ctx=ctx)
+        else:
+            want = oracle.exo_parallel_breakdown(
+                m, n, k, threads, ctx=ctx, grids=[pin]
             )
-        want = oracle.exo_parallel_breakdown(
-            m, n, k, threads, ctx=ctx, partition=partition
-        )
-        got = exo_parallel_breakdown(
-            m, n, k, threads, ctx=ctx, partition=partition
-        )
+            got = pinned_grids.price_exo_grids(m, n, k, threads, ctx, [pin])
         assert got.partition_label == want.partition_label
         for field in (
             "compute_cycles", "pack_cycles", "c_stall_cycles",
@@ -290,22 +280,12 @@ class TestGoldenCrossCheck:
 
 
 class TestBatchValidation:
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown batch kind"):
-            vec.CandidateBatch(
-                machines=(MACHINES["carmel"],),
-                m=1, n=1, k=1, mr=8, nr=12, kc=256, nc=1788,
-                plan_source=lambda *a: (),
-                kind="tensor",
-            )
-
     def test_scalars_broadcast_against_arrays(self):
         batch = vec.CandidateBatch(
             machines=(MACHINES["carmel"],),
             m=100, n=200, k=300, mr=8, nr=12, kc=256, nc=1788,
             jc=[1, 2, 4], ic=[4, 2, 1],
             plan_source=lambda *a: (),
-            kind="grid",
         )
         assert len(batch) == 3
         assert batch.m.tolist() == [100, 100, 100]
