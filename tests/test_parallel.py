@@ -235,6 +235,30 @@ class TestThreadedBreakdown:
             )
 
     @pytest.mark.parametrize("machine_name", sorted(MACHINES))
+    def test_one_thread_matches_serial_model(
+        self, machine_name, plan_builder
+    ):
+        """The library entry point, with caller-given tiles and plans:
+        one thread prices as :func:`gemm_time_model`, on the square
+        shape and on two ragged ones.  (The property above covers the
+        harness entry point over random shapes.)"""
+        machine = MACHINES[machine_name]
+        for m, n, k in ((2000, 2000, 2000), (946, 2773, 897),
+                        (1462, 2165, 1326)):
+            shape = GemmShape(m, n, k)
+            serial = gemm_time_model(
+                shape, plan_builder(m, n), TILES, machine=machine
+            )
+            par = parallel_gemm_breakdown(
+                shape, TILES, 1, machine=machine, plan_builder=plan_builder
+            )
+            assert par.total_cycles == serial.total_cycles
+            assert par.compute_cycles == serial.compute_cycles
+            assert par.pack_cycles == serial.pack_cycles
+            assert par.c_stall_cycles == serial.c_stall_cycles
+            assert par.dram_limit_cycles == serial.dram_limit_cycles
+
+    @pytest.mark.parametrize("machine_name", sorted(MACHINES))
     def test_gflops_monotone_in_threads(self, machine_name, plan_builder):
         machine = MACHINES[machine_name]
         rates = [
