@@ -67,7 +67,6 @@ from .report import (
     serving_metrics,
 )
 from .timeline import (
-    DEADLINE,
     VirtualTimeline,
     WallTimeline,
     timeline_for,
@@ -88,7 +87,6 @@ __all__ = [
     "CONTROLLER_KINDS",
     "ConfigOutcome",
     "Controller",
-    "DEADLINE",
     "ExecutedBatch",
     "LiveBatch",
     "LiveResult",

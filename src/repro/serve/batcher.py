@@ -187,7 +187,8 @@ def simulate_serving(
 
     ``service_time_ms(b)`` prices one batched inference of size ``b``
     (milliseconds), once per batch.  The executor memoizes per (layer,
-    batch) and re-sums the layers (53 for ResNet-50) on every call.
+    batch) and per batch size, so it sums the layers (53 for
+    ResNet-50) once per size and every later call is a lookup.
 
     A discrete-event loop drives one :class:`BatchFormer` over the next
     arrival, batch completions and the open batch's close, in time

@@ -1,19 +1,22 @@
 """Pluggable executor controllers: the real / sim / mock pattern.
 
 A controller is the thing a replica pool hands a formed batch to; its
-single job is to *take the time the batch takes* on its timeline and
-report the service milliseconds.  Three implementations share the
-interface, so the whole plane — admission, queueing, batching, report —
-runs identically against any of them:
+single job is to *price* the batch: :meth:`Controller.execute` returns
+the service milliseconds, and the pool takes that time on its timeline
+(a ``call_at`` at dispatch + service).  ``execute`` stays a coroutine
+function, but it must return without suspending — the pool drives it
+with a single ``send`` and raises ``TypeError`` if it awaits anything.
+Three implementations share the interface, so the whole plane —
+admission, queueing, batching, report — runs identically against any
+of them:
 
 * :class:`SimController` prices the batch with the exact batched
-  threaded cost model (:class:`repro.serve.executor.ModelExecutor`) and
-  advances the **virtual** timeline by that amount — the plane becomes
-  a byte-deterministic discrete-event simulation, testable without
-  hardware.
-* :class:`RealController` prices with the same model but waits the
-  service time out in **wall** time (``asyncio`` sleep), pacing a live
-  HTTP deployment to the hardware the model describes.
+  threaded cost model (:class:`repro.serve.executor.ModelExecutor`);
+  on the **virtual** timeline the plane becomes a byte-deterministic
+  discrete-event simulation, testable without hardware.
+* :class:`RealController` prices with the same model on the **wall**
+  timeline, so the pool waits the service time out in real time,
+  pacing a live HTTP deployment to the hardware the model describes.
 * :class:`MockController` returns scripted constant-plus-linear service
   times — the unit-test double, with no model in the loop.
 
@@ -36,7 +39,7 @@ class Controller:
     kind = "abstract"
 
     def __init__(self, timeline):
-        """Bind the controller to the timeline it advances."""
+        """Bind the controller to the timeline its pool runs on."""
         self.timeline = timeline
 
     def service_estimate_ms(self, batch: int) -> float:
@@ -48,10 +51,12 @@ class Controller:
         raise NotImplementedError
 
     async def execute(self, batch: int) -> float:
-        """Run one batch: occupy the timeline, return the service ms."""
-        service_ms = self.service_estimate_ms(batch)
-        await self.timeline.sleep_until(self.timeline.now_ms() + service_ms)
-        return service_ms
+        """Run one batch: return its service ms without suspending.
+
+        The pool, not the controller, occupies the timeline for the
+        returned time.
+        """
+        return self.service_estimate_ms(batch)
 
     def layer_breakdown_ms(self, batch: int) -> Optional[Dict[str, float]]:
         """Per-layer millisecond attribution of one batch, if priced.
@@ -85,10 +90,10 @@ class SimController(Controller):
 class RealController(SimController):
     """Wall-time execution paced to the same model.
 
-    Identical pricing to :class:`SimController`; the base-class
-    ``execute`` waits the service time out on the wall timeline, so a
-    live HTTP front door exhibits the latency the model predicts for
-    the target machine — the stand-in for dispatching to hardware.
+    Identical pricing to :class:`SimController`; on the wall timeline
+    the pool waits the service time out, so a live HTTP front door
+    exhibits the latency the model predicts for the target machine —
+    the stand-in for dispatching to hardware.
     """
 
     kind = "real"

@@ -17,7 +17,11 @@ The plane is written against the timeline interface
 traffic on the wall clock (``real`` controller) or runs as a
 byte-deterministic discrete-event simulation on the virtual clock
 (``sim`` controller) — the property the determinism tests and the CI
-smoke gate pin down.  Batch forming is the offline batcher's own
+smoke gate pin down.  Its hot path is timeline callbacks, not
+coroutines: a pool's dispatch step, batch start and batch finish are
+``call_soon``/``call_at`` callbacks, and :func:`run_trace` injects
+arrivals as a chain of ``call_at`` callbacks under one task.  Batch
+forming is the offline batcher's own
 :class:`repro.serve.batcher.BatchFormer`: with admission disabled, a
 sim-mode run reproduces :func:`repro.serve.batcher.simulate_serving`
 record for record, replica index included.
@@ -47,7 +51,7 @@ import math
 import random
 import threading
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.isa.machine import MachineModel
 from repro.obs import Obs, SloMonitor, TraceContext, batch_id_for
@@ -176,10 +180,20 @@ class _QueuedRequest:
 class ReplicaPool:
     """One model's servers: a queue, R replicas, and the batch former.
 
-    The dispatch coroutine drives the offline batcher's
-    :class:`repro.serve.batcher.BatchFormer`: it sleeps on one wake
-    future, bounded by the open batch's close instant, and hands every
-    batch the former closes to the controller.
+    The pool drives the offline batcher's
+    :class:`repro.serve.batcher.BatchFormer` with timeline callbacks
+    only — no task per batch, no coroutine per wake:
+
+    * a wake of the parked pool queues one :meth:`_dispatch` step
+      (``call_soon``); the open batch's close instant is a ``call_at``
+      that a wake cancels;
+    * each batch the former closes starts in its own ``call_soon``
+      step, which prices it through ``controller.execute``;
+    * the batch finishes in a ``call_at(dispatch + service)``.
+
+    Each callback takes the ready-queue and timer position the
+    coroutine step it stands for would, so the schedule is the one the
+    offline batcher and the timeline oracle pin.
     """
 
     def __init__(
@@ -190,13 +204,19 @@ class ReplicaPool:
         obs: Optional[Obs] = None,
         track_base: int = 0,
         slo: Optional[SloMonitor] = None,
+        on_served: Optional[Callable[[int], None]] = None,
     ):
-        """Bind the pool to its controller, timeline, and trace tracks."""
+        """Bind the pool to its controller, timeline, and trace tracks.
+
+        ``on_served(count)`` hears of every finished batch's request
+        count, before the finish wakes the pool.
+        """
         self.spec = spec
         self.controller = controller
         self.timeline = timeline
         self.obs = obs
         self.slo = slo
+        self.on_served = on_served
         self.track_base = track_base  # queue track; replica r is base+1+r
         self.former = BatchFormer(
             spec.replicas, BatchPolicy(spec.max_batch, spec.max_wait_ms)
@@ -204,8 +224,10 @@ class ReplicaPool:
         self.closing = False
         self.served: List[LiveServed] = []
         self.batches: List[LiveBatch] = []
-        self._wake = None
-        self._dispatcher = None
+        self._parked = False  # no dispatch step queued: a wake queues one
+        self._close_timer = None  # the open batch's close callback
+        self._drained = None  # fired once closing and nothing is left
+        self._full_batch_ms: Optional[float] = None  # cached at start
         self._batch_seq = 0  # dispatch sequence, names batch ids
 
     @property
@@ -227,76 +249,110 @@ class ReplicaPool:
             self.spec.replicas,
             self.in_flight,
             self.spec.max_batch,
-            self.controller.service_estimate_ms(self.spec.max_batch),
+            self._full_batch_ms,
         )
 
     # -- the request path ---------------------------------------------
 
     def start(self) -> None:
-        """Spawn the dispatch loop."""
-        self._dispatcher = self.timeline.spawn(self._dispatch_loop())
+        """Queue the first dispatch step; cache the full-batch price."""
+        self._full_batch_ms = self.controller.service_estimate_ms(
+            self.spec.max_batch
+        )
+        self._drained = self.timeline.create_future()
+        self.timeline.call_soon(self._dispatch)
 
     def submit(self, item: _QueuedRequest) -> None:
-        """Enqueue one admitted arrival; wake the dispatcher if it acts."""
+        """Enqueue one admitted arrival; wake the pool if it acts."""
         woken = self.former.push(item)
         self._emit_queue_depth()
         if woken:
             self._fire_wake()
 
     async def close(self) -> None:
-        """Drain and stop: the dispatcher returns once nothing is left."""
+        """Drain and stop: returns once nothing is left to serve."""
         self.closing = True
         self._fire_wake()
-        if self._dispatcher is not None:
-            await self.timeline.join(self._dispatcher)
+        if self._drained is not None:
+            await self.timeline.wait(self._drained)
 
     def _fire_wake(self) -> None:
-        if self._wake is not None:
-            wake, self._wake = self._wake, None
-            self.timeline.fire(wake)
+        if self._parked:
+            self._parked = False
+            if self._close_timer is not None:
+                self._close_timer.cancel()
+                self._close_timer = None
+            self.timeline.call_soon(self._dispatch)
 
-    async def _dispatch_loop(self) -> None:
+    def _close_due(self) -> None:
+        self._parked = False
+        self._close_timer = None
+        self._dispatch()
+
+    def _dispatch(self) -> None:
+        """Start every batch the former closes now, then park."""
+        timeline = self.timeline
         while True:
-            decision = self.former.poll(self.timeline.now_ms())
-            if isinstance(decision, tuple):
-                replica, formed_ms, items = decision
-                self._emit_queue_depth()
-                self.timeline.spawn(self._run_batch(replica, items, formed_ms))
-                continue
-            if self.closing and not self.former.queue and not self.in_flight:
-                return  # closing, fully drained
-            self._wake = self.timeline.create_future()
-            if decision is None:
-                await self.timeline.wait(self._wake)
-            else:
-                await self.timeline.wait_or_deadline(self._wake, decision)
+            decision = self.former.poll(timeline.now_ms())
+            if not isinstance(decision, tuple):
+                break
+            self._emit_queue_depth()
+            timeline.call_soon(self._start_batch, *decision)
+        if self.closing and not self.former.queue and not self.in_flight:
+            timeline.fire(self._drained)  # closing, fully drained
+            return
+        self._parked = True
+        if decision is not None:
+            self._close_timer = timeline.call_at(decision, self._close_due)
 
-    async def _run_batch(
-        self, replica: int, items: List[_QueuedRequest], formed_ms: float
+    def _start_batch(
+        self, replica: int, formed_ms: float, items: List[_QueuedRequest]
     ) -> None:
+        """Price one closed batch; its finish is due after the service."""
         seq = self._batch_seq
         self._batch_seq += 1
         dispatch_ms = self.timeline.now_ms()
-        service_ms = await self.controller.execute(len(items))
-        completion_ms = self.timeline.now_ms()
-        batch = LiveBatch(
-            model=self.spec.model,
-            replica=replica,
-            size=len(items),
-            dispatch_ms=dispatch_ms,
-            service_ms=service_ms,
-            formed_ms=formed_ms,
-            batch_id=batch_id_for(self.spec.model, seq),
+        pricing = self.controller.execute(len(items))
+        try:
+            pricing.send(None)
+        except StopIteration as priced:
+            service_ms = priced.value
+        else:
+            pricing.close()
+            raise TypeError(
+                f"{type(self.controller).__name__}.execute suspended: a "
+                "controller returns the service ms without awaiting; "
+                "the pool takes that time on its timeline"
+            )
+        self.timeline.call_at(
+            dispatch_ms + service_ms,
+            self._finish_batch,
+            LiveBatch(
+                model=self.spec.model,
+                replica=replica,
+                size=len(items),
+                dispatch_ms=dispatch_ms,
+                service_ms=service_ms,
+                formed_ms=formed_ms,
+                batch_id=batch_id_for(self.spec.model, seq),
+            ),
+            items,
         )
+
+    def _finish_batch(
+        self, batch: LiveBatch, items: List[_QueuedRequest]
+    ) -> None:
+        """Answer a served batch's requests and free its replica."""
+        completion_ms = self.timeline.now_ms()
         self.batches.append(batch)
         for item in items:
             record = LiveServed(
                 request_id=item.request_id,
                 model=self.spec.model,
-                replica=replica,
-                batch_size=len(items),
+                replica=batch.replica,
+                batch_size=batch.size,
                 arrival_ms=item.arrival_ms,
-                dispatch_ms=dispatch_ms,
+                dispatch_ms=batch.dispatch_ms,
                 completion_ms=completion_ms,
             )
             self.served.append(record)
@@ -305,7 +361,9 @@ class ReplicaPool:
                     completion_ms, completion_ms - item.arrival_ms
                 )
             self.timeline.fire(item.future, record)
-        if self.former.release(replica) or self.closing:
+        if self.on_served is not None:
+            self.on_served(batch.size)
+        if self.former.release(batch.replica) or self.closing:
             self._fire_wake()
         self._emit_batch_obs(batch, items, completion_ms)
 
@@ -468,7 +526,7 @@ class ServePlane:
             )
             self.pools[spec.model] = ReplicaPool(
                 spec, ctrl, timeline, obs=obs, track_base=track_base,
-                slo=slo,
+                slo=slo, on_served=self._served,
             )
             track_base += spec.replicas + 1
         if executors:
@@ -479,9 +537,11 @@ class ServePlane:
         self.shed: List[SheddedRequest] = []
         self.arrived = 0
         self._next_id = 0
+        self._unserved = 0  # admitted requests not yet served
+        self._all_served = None  # fired when _unserved drops to zero
 
     def start(self) -> None:
-        """Name the trace tracks and spawn every pool's dispatcher."""
+        """Name the trace tracks and start every pool's dispatch."""
         if self.obs is not None and self.obs.tracer.enabled:
             tracer = self.obs.tracer
             tracer.metadata("process_name", "repro.serve.live")
@@ -560,6 +620,7 @@ class ServePlane:
                 )
             return record
         future = self.timeline.create_future()
+        self._unserved += 1
         pool.submit(_QueuedRequest(request_id, now_ms, future, ctx=ctx))
         self._count("serve.live.admitted", "requests admitted to a queue")
         self._count(f"serve.live.{model}.admitted", f"{model} admissions")
@@ -579,6 +640,23 @@ class ServePlane:
                     ),
                 )
         return future
+
+    def fire_when_served(self, future) -> None:
+        """Fire ``future`` once every request admitted so far is served.
+
+        At once when nothing is outstanding, else in the finish step
+        of the batch that serves the last one.
+        """
+        if self._unserved:
+            self._all_served = future
+        else:
+            self.timeline.fire(future)
+
+    def _served(self, count: int) -> None:
+        self._unserved -= count
+        if not self._unserved and self._all_served is not None:
+            self.timeline.fire(self._all_served)
+            self._all_served = None
 
     async def close(self) -> None:
         """Drain every pool (all responses must be resolved)."""
@@ -768,25 +846,35 @@ def run_trace(
     The injector replays each arrival at its trace time on the plane's
     timeline — virtual for the sim controller (the run completes in
     milliseconds of real time however long the trace is), wall for the
-    real controller.  Returns once every admitted request completed
-    and the pools drained.
+    real controller — as a chain of ``call_at`` callbacks, one per
+    distinct arrival instant.  The run's one task waits for the last
+    admitted request to be served, then drains the pools.
     """
     if not arrivals:
         raise ValueError(
             "trace is empty — raise the arrival rate or duration "
             "(or check the replayed CSV)"
         )
+    timeline = plane.timeline
+    count = len(arrivals)
 
     async def _main():
+        served = timeline.create_future()
+
+        def inject(index: int) -> None:
+            now_ms = timeline.now_ms()
+            while index < count:
+                model, request = arrivals[index]
+                if request.arrival_ms > now_ms:
+                    timeline.call_at(request.arrival_ms, inject, index)
+                    return
+                plane.submit(model, request.request_id)
+                index += 1
+            plane.fire_when_served(served)
+
         plane.start()
-        pending = []
-        for model, request in arrivals:
-            await plane.timeline.sleep_until(request.arrival_ms)
-            outcome = plane.submit(model, request.request_id)
-            if not isinstance(outcome, SheddedRequest):
-                pending.append(outcome)
-        for future in pending:
-            await plane.timeline.wait(future)
+        inject(0)
+        await timeline.wait(served)
         await plane.close()
 
     plane.timeline.execute(_main())

@@ -1,19 +1,27 @@
 """Virtual- and wall-clock schedulers for the serving plane.
 
-The live plane (:mod:`repro.serve.plane`) is ordinary ``async`` code —
-coroutines queue, batch, and execute requests — but it never calls
-``asyncio.sleep`` or reads a wall clock directly.  Every blocking
-operation goes through a *timeline*:
+The live plane (:mod:`repro.serve.plane`) never calls
+``asyncio.sleep`` or reads a wall clock directly.  Everything that
+takes time goes through a *timeline*, whose primitives come in two
+shapes: coroutine ones (``spawn``, ``sleep_until``, ``wait``,
+``join``) for code that reads best as a straight line, and callback
+ones (``call_soon``, ``call_at``) for the plane's hot path, where a
+step per batch or per arrival would cost a coroutine wake each.
 
 * :class:`WallTimeline` maps the primitives straight onto asyncio —
-  real sleeps, real time — for serving actual HTTP traffic.
-* :class:`VirtualTimeline` runs the identical coroutines in simulated
-  time on its own loop, without asyncio: spawned coroutines are tasks
-  on a FIFO ready queue; a task awaiting an unfired future parks on
-  it, and ``fire`` re-queues its waiters in parking order.  Sleeps
-  register on a heap of ``(wake_ms, seq)`` timers, and the clock
-  advances to the earliest live one only when no task is ready, so
-  virtual time never passes work already scheduled to run.
+  real sleeps, real time, ``loop.call_soon``/``loop.call_later`` — for
+  serving actual HTTP traffic.
+* :class:`VirtualTimeline` runs the identical code in simulated time
+  on its own loop, without asyncio.  Spawned coroutines and
+  ``call_soon`` callbacks share one FIFO ready queue; a task awaiting
+  an unfired future parks on it, and ``fire`` re-queues its waiters in
+  parking order.  Sleeps and ``call_at`` callbacks are timers on one
+  heap of ``(wake_ms, seq)`` entries, ``seq`` taken when the timer is
+  armed; a due timer joins the ready queue, a cancelled one is skipped
+  without moving the clock.  The clock advances to the earliest live
+  timer only when nothing is ready, so virtual time never passes work
+  already scheduled to run.  An exception raised in a callback leaves
+  :meth:`VirtualTimeline.execute` at once.
 
 Every choice is FIFO or ``(wake_ms, seq)`` order and nothing reads real
 time or does I/O, so the sim plane is a deterministic discrete-event
@@ -28,10 +36,7 @@ import asyncio
 import heapq
 import time
 from collections import deque
-from typing import Any, Coroutine, Deque, List, Optional, Tuple
-
-#: the value a deadline-expired :meth:`Timeline.wait_or_deadline` yields
-DEADLINE = object()
+from typing import Any, Callable, Coroutine, Deque, List, Optional, Tuple
 
 
 class WallTimeline:
@@ -56,6 +61,15 @@ class WallTimeline:
         if not future.done():
             future.set_result(value)
 
+    def call_soon(self, fn: Callable, *args) -> None:
+        """Queue ``fn(*args)`` on the running loop."""
+        asyncio.get_running_loop().call_soon(fn, *args)
+
+    def call_at(self, wake_ms: float, fn: Callable, *args):
+        """Run ``fn(*args)`` at ``wake_ms``; the handle has ``cancel()``."""
+        delay = max(0.0, (wake_ms - self.now_ms()) / 1e3)
+        return asyncio.get_running_loop().call_later(delay, fn, *args)
+
     async def sleep_until(self, wake_ms: float) -> None:
         """Sleep until the timeline reaches ``wake_ms``."""
         delay = (wake_ms - self.now_ms()) / 1e3
@@ -65,20 +79,6 @@ class WallTimeline:
     async def wait(self, future: "asyncio.Future") -> Any:
         """Block until ``future`` resolves; return its value."""
         return await future
-
-    async def wait_or_deadline(
-        self, future: "asyncio.Future", deadline_ms: float
-    ) -> Any:
-        """Wait for ``future`` or the deadline, whichever comes first.
-
-        Returns the future's value, or :data:`DEADLINE` on expiry (the
-        future is left pending for its producer to resolve later).
-        """
-        if future.done():
-            return future.result()
-        timeout = max(0.0, (deadline_ms - self.now_ms()) / 1e3)
-        done, _ = await asyncio.wait((future,), timeout=timeout)
-        return future.result() if done else DEADLINE
 
     def spawn(self, coro: Coroutine) -> "asyncio.Task":
         """Run ``coro`` concurrently as a task."""
@@ -122,6 +122,20 @@ class _Task(_Future):
         self._coro = coro
 
 
+class _Timer:
+    """An armed :meth:`VirtualTimeline.call_at`; done once due or cancelled."""
+
+    __slots__ = ("_done", "_call")
+
+    def __init__(self, call: Tuple[Callable, tuple]):
+        self._done = False
+        self._call = call
+
+    def cancel(self) -> None:
+        """Never run the callback; its heap entry is skipped."""
+        self._done = True
+
+
 class VirtualTimeline:
     """The simulated-time timeline: a deterministic discrete-event loop."""
 
@@ -131,10 +145,11 @@ class VirtualTimeline:
         """Start the virtual clock at ``start_ms``."""
         self._now_ms = start_ms
         self._seq = 0
-        #: (wake_ms, seq, future, value) pending virtual timers
-        self._sleepers: List[Tuple[float, int, _Future, Any]] = []
-        #: tasks ready to run, in the order they became ready
-        self._ready: Deque[_Task] = deque()
+        #: (wake_ms, seq, timer) pending virtual timers
+        self._timers: List[Tuple[float, int, _Timer]] = []
+        #: tasks and ``(fn, args)`` callbacks ready to run, in the
+        #: order they became ready
+        self._ready: Deque = deque()
         self._failure: Optional[Exception] = None  # the last task error
 
     def now_ms(self) -> float:
@@ -153,35 +168,32 @@ class VirtualTimeline:
         future._value = value
         self._ready.extend(future._waiters)
 
-    def _timer(self, wake_ms: float, future: _Future, value: Any) -> _Future:
-        """Register a timer firing ``future`` with ``value`` at ``wake_ms``."""
+    def call_soon(self, fn: Callable, *args) -> None:
+        """Queue ``fn(*args)`` at the ready queue's tail."""
+        self._ready.append((fn, args))
+
+    def call_at(self, wake_ms: float, fn: Callable, *args) -> _Timer:
+        """Arm a ``(wake_ms, seq)`` timer that queues ``fn(*args)``.
+
+        ``seq`` is taken now, so timers due at one instant run in the
+        order they were armed; the returned handle's ``cancel()``
+        keeps the callback from ever running.
+        """
         self._seq += 1
-        heapq.heappush(self._sleepers, (wake_ms, self._seq, future, value))
-        return future
+        timer = _Timer((fn, args))
+        heapq.heappush(self._timers, (wake_ms, self._seq, timer))
+        return timer
 
     async def sleep_until(self, wake_ms: float) -> None:
         """Park until the virtual clock reaches ``wake_ms``."""
         if wake_ms > self._now_ms:
-            await self._timer(wake_ms, _Future(), None)
+            future = _Future()
+            self.call_at(wake_ms, self.fire, future)
+            await future
 
     async def wait(self, future: _Future) -> Any:
         """Park until ``future`` is :meth:`fire`-d; return its value."""
         return await future
-
-    async def wait_or_deadline(
-        self, future: _Future, deadline_ms: float
-    ) -> Any:
-        """Wait for ``future`` or virtual time ``deadline_ms``.
-
-        Returns the fired value, or :data:`DEADLINE` when the deadline
-        arrives first; a deadline entry whose future was already fired
-        is skipped by :meth:`_advance`, so stale timers are harmless.
-        """
-        if future._done:
-            return future._value
-        if deadline_ms <= self._now_ms:
-            return DEADLINE
-        return await self._timer(deadline_ms, future, DEADLINE)
 
     def spawn(self, coro: Coroutine) -> _Task:
         """Queue ``coro`` as a task; it starts at the ready queue's head."""
@@ -194,14 +206,15 @@ class VirtualTimeline:
         return await task
 
     def _advance(self) -> None:
-        """Wake the earliest pending virtual timer."""
-        while self._sleepers:
-            wake_ms, _, future, value = heapq.heappop(self._sleepers)
-            if future._done:
-                continue  # a deadline timer whose wait already fired
+        """Queue the earliest live timer's callback, moving the clock."""
+        while self._timers:
+            wake_ms, _, timer = heapq.heappop(self._timers)
+            if timer._done:
+                continue  # cancelled: the clock stays where it is
+            timer._done = True
             if wake_ms > self._now_ms:
                 self._now_ms = wake_ms
-            self.fire(future, value)
+            self._ready.append(timer._call)
             return
         raise RuntimeError(
             "virtual-time deadlock: every task is blocked but no "
@@ -210,7 +223,11 @@ class VirtualTimeline:
         ) from self._failure
 
     def execute(self, main: Coroutine) -> Any:
-        """Run ``main`` to completion; return (or raise) its result."""
+        """Run ``main`` to completion; return (or raise) its result.
+
+        A task's exception is its outcome, raised by :meth:`join`; a
+        callback's exception propagates out of ``execute`` at once.
+        """
         main_task = self.spawn(main)
         ready = self._ready
         while not main_task._done:
@@ -218,6 +235,10 @@ class VirtualTimeline:
                 self._advance()
                 continue
             task = ready.popleft()
+            if task.__class__ is tuple:  # a (fn, args) callback
+                fn, args = task
+                fn(*args)
+                continue
             try:
                 awaited = task._coro.send(None)
             except StopIteration as stop:
@@ -231,7 +252,7 @@ class VirtualTimeline:
                 raise TypeError(
                     f"{task._coro.__qualname__} awaited {awaited!r}: the "
                     "virtual timeline only schedules its own primitives "
-                    "(sleep_until, wait, wait_or_deadline, join)"
+                    "(sleep_until, wait, join)"
                 )
             awaited._waiters.append(task)
         if main_task._error is not None:

@@ -14,15 +14,13 @@ micro-architectural model with the same observable mechanisms:
 * :mod:`repro.sim.timing` — composition: solo-mode kernel timing and
   five-loop GEMM timing.
 * :mod:`repro.sim.parallel` — the multi-threaded execution model: the
-  jc/ic/pc thread partitioner (with the partial-C reduction split),
+  jc/ic/pc candidate grids (with the partial-C reduction split),
   NUMA-aware replica topology views, and the threaded GEMM breakdown.
 """
 
 from .parallel import (
     ParallelBreakdown,
-    ThreadPartition,
     parallel_gemm_breakdown,
-    partition_plane,
     replica_numa_nodes,
     replica_topology,
 )
@@ -33,10 +31,8 @@ __all__ = [
     "KernelTrace",
     "ParallelBreakdown",
     "PipelineModel",
-    "ThreadPartition",
     "gemm_time_model",
     "parallel_gemm_breakdown",
-    "partition_plane",
     "plans_compute_cycles",
     "replica_numa_nodes",
     "replica_topology",

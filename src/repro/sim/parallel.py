@@ -4,11 +4,12 @@ The paper evaluates a single Carmel core; the Jetson AGX Xavier has
 eight.  BLIS parallelizes the jc loop (columns of B/C) and the ic loop
 (rows of A/C) across cores.  This module makes that a first-class model:
 
-* :func:`partition_plane` splits the (m, n, k) traversal into a
-  ``jc_ways x ic_ways x pc_ways`` grid of contiguous, tile-aligned
-  thread slices — residue-aware, so uneven extents spread by at most
-  one tile column/row (or one ``kc`` chunk along k) and the ragged
-  remainder rides in the last slice;
+* :func:`candidate_grids` enumerates the ``jc_ways x ic_ways x
+  pc_ways`` grids a GEMM may split into, and :func:`partition_extent`
+  cuts one dimension into contiguous, tile-aligned spans —
+  residue-aware, so uneven extents spread by at most one tile
+  column/row (or one ``kc`` chunk along k) and the ragged remainder
+  rides in the last span;
 * :func:`parallel_gemm_breakdown` charges each thread its own chunk
   plans (built per slice, so edge/tail kernels — including reduced-
   ``vsetvl`` VLA tails — compose with uneven partitions), divides the
@@ -115,49 +116,6 @@ def partition_extent(
     return tuple(spans)
 
 
-@dataclass(frozen=True)
-class ThreadSlice:
-    """One thread's sub-volume of the (m, n, k) traversal."""
-
-    thread: int
-    jc: int  #: column-group index (which B-panel slice it works on)
-    ic: int  #: row-group index within the column group
-    rows: Span
-    cols: Span
-    #: reduction-group index along k (0 when the k loop is not split)
-    pc: int = 0
-    #: this way's k range; ``None`` means the full k extent (the
-    #: pc_ways=1 case, which keeps the slice bit-identical to the
-    #: pre-reduction-partition model)
-    ks: Optional[Span] = None
-
-    @property
-    def m(self) -> int:
-        return self.rows.extent
-
-    @property
-    def n(self) -> int:
-        return self.cols.extent
-
-    def k_extent(self, k: int) -> int:
-        return self.ks.extent if self.ks is not None else k
-
-
-@dataclass(frozen=True)
-class ThreadPartition:
-    """A jc x ic x pc decomposition of the GEMM into thread slices."""
-
-    threads: int  #: requested thread count (slices may be fewer)
-    jc_ways: int
-    ic_ways: int
-    slices: Tuple[ThreadSlice, ...]
-    pc_ways: int = 1
-
-    @property
-    def active_threads(self) -> int:
-        return len(self.slices)
-
-
 def candidate_grids(
     threads: int,
     m: int,
@@ -170,8 +128,8 @@ def candidate_grids(
 ) -> List[Tuple[int, int, int]]:
     """Distinct ``(jc, ic, pc)`` grids with ``jc * ic * pc <= threads``.
 
-    The single enumeration behind both :func:`split_ways` and
-    :func:`parallel_gemm_breakdown`'s partition search.  A prime thread
+    The single enumeration behind :func:`parallel_gemm_breakdown`'s
+    partition search.  A prime thread
     count may leave a core idle rather than accept a pathological 1-D
     split, which also keeps the modelled time monotone in the thread
     count (the candidate set only grows with it).  Each (jc, pc) takes
@@ -183,7 +141,7 @@ def candidate_grids(
 
     pc ways are enumerated only when ``k``/``kc`` are given, bounded by
     the number of ``kc`` chunks; callers that never split the reduction
-    (``split_ways``) simply omit them and get pc=1 grids.
+    simply omit them and get pc=1 grids.
     """
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
@@ -214,103 +172,6 @@ def candidate_grids(
             seen.add(effective)
             grids.append((jc, ic, pc))
     return grids
-
-
-def split_ways(
-    threads: int,
-    m: int,
-    n: int,
-    machine: MachineModel,
-    mr: int,
-    nr: int,
-) -> Tuple[int, int]:
-    """Choose the ``jc_ways x ic_ways`` factorization of ``threads``.
-
-    This is the cheap standalone heuristic (used by
-    :func:`partition_plane` when no ways are pinned): every plane-only
-    candidate grid (:func:`candidate_grids` without a k axis) is scored
-    by the largest slice it produces in register tiles, residue-aware,
-    and the smallest wins; ties prefer more jc ways, whose smaller
-    B-panel slices ease LLC pressure.  :func:`parallel_gemm_breakdown`
-    refines this by ranking the full jc x ic x pc candidate set on its
-    exact modelled wall clock.
-    """
-    row_tiles = math.ceil(m / mr)
-    col_tiles = math.ceil(n / nr)
-    best: Optional[Tuple[int, int, int]] = None
-    for jc, ic, _ in candidate_grids(threads, m, n, machine, mr, nr):
-        score = math.ceil(col_tiles / min(jc, col_tiles)) * math.ceil(
-            row_tiles / min(ic, row_tiles)
-        )
-        if best is None or (score, -jc) < (best[0], -best[1]):
-            best = (score, jc, ic)
-    return (best[1], best[2])
-
-
-def partition_plane(
-    m: int,
-    n: int,
-    threads: int,
-    machine: MachineModel,
-    mr: int,
-    nr: int,
-    jc_ways: Optional[int] = None,
-    ic_ways: Optional[int] = None,
-    pc_ways: int = 1,
-    k: Optional[int] = None,
-    kc: Optional[int] = None,
-) -> ThreadPartition:
-    """Split an (m, n[, k]) traversal into per-thread slices.
-
-    The plane factorization defaults to :func:`split_ways`; passing
-    ``jc_ways``/``ic_ways`` pins it (both must be given together).
-    Slices tile the volume exactly — no overlap, no gap — with column
-    spans aligned to ``nr``, row spans to ``mr``, and (when
-    ``pc_ways > 1``) k spans to ``kc``, except for the ragged
-    remainders, which stay in the trailing slices.  ``pc_ways > 1``
-    requires ``k`` and ``kc``; with the default ``pc_ways=1`` the
-    slices carry no k span and the partition is identical to the
-    plane-only decomposition.
-    """
-    if (jc_ways is None) != (ic_ways is None):
-        raise ValueError("pass both jc_ways and ic_ways, or neither")
-    if pc_ways < 1:
-        raise ValueError(f"pc_ways must be >= 1, got {pc_ways}")
-    if pc_ways > 1 and (k is None or kc is None):
-        raise ValueError("a pc (k-dimension) split needs k and kc")
-    if jc_ways is None:
-        # the pc ways multiply the plane grid, so the plane only gets
-        # the threads left after the k split — never over-subscribing
-        # the requested count
-        jc_ways, ic_ways = split_ways(
-            max(1, threads // pc_ways), m, n, machine, mr, nr
-        )
-    col_spans = partition_extent(n, jc_ways, nr)
-    row_spans = partition_extent(m, ic_ways, mr)
-    k_spans: Tuple[Optional[Span], ...] = (None,)
-    if pc_ways > 1:
-        k_spans = partition_extent(k, pc_ways, kc)
-    slices = tuple(
-        ThreadSlice(
-            thread=(jc * len(row_spans) + ic) * len(k_spans) + pc,
-            jc=jc,
-            ic=ic,
-            rows=rows,
-            cols=cols,
-            pc=pc,
-            ks=ks,
-        )
-        for jc, cols in enumerate(col_spans)
-        for ic, rows in enumerate(row_spans)
-        for pc, ks in enumerate(k_spans)
-    )
-    return ThreadPartition(
-        threads=threads,
-        jc_ways=len(col_spans),
-        ic_ways=len(row_spans),
-        pc_ways=len(k_spans),
-        slices=slices,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -38,8 +38,9 @@ candidate.  :func:`batch_gemm_cycles` picks the path from the data:
 * every row asks for ``jc = ic = pc = 1`` — the serial path, which
   mirrors ``gemm_time_model`` row for row;
 * otherwise the grid path, which expands each row to one row per
-  *thread slice* in the exact enumeration order of ``partition_plane``,
-  then segment-reduces back to candidates (busiest slice, first-max
+  *thread slice* in the exact enumeration order of the scalar oracle's
+  ``partition_plane`` (``tests/parallel_oracle.py``), then
+  segment-reduces back to candidates (busiest slice, first-max
   tie-break).  A slice that is the whole GEMM keeps the unscaled
   whole-GEMM packing and C-stall terms, so a ``(1, 1, 1)`` row prices
   exactly like the serial path.
@@ -519,7 +520,8 @@ class _SliceRows:
 def _expand_slices(batch: CandidateBatch) -> _SliceRows:
     """Enumerate every candidate's thread slices via the *same*
     :func:`repro.sim.parallel.partition_extent` calls, in the same
-    jc-outer / ic / pc-inner order as ``partition_plane``."""
+    jc-outer / ic / pc-inner order as the oracle's ``partition_plane``
+    (``tests/parallel_oracle.py``)."""
     cand: List[int] = []
     m_t: List[int] = []
     n_t: List[int] = []

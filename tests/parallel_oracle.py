@@ -3,10 +3,14 @@
 Production prices every threaded GEMM through the vectorized engine
 (:func:`repro.sim.parallel.parallel_gemm_breakdown` ->
 :func:`repro.sim.vectorized.batch_gemm_cycles`).  This module keeps the
-original per-partition Python implementation — ``slice_parts``,
-``reduction_for``, ``dram_limit_for`` and the ``min`` over every
-candidate partition — as the golden oracle the engine must match bit
-for bit (``tests/test_parallel.py``, ``tests/test_vectorized.py``).
+original per-partition Python implementation — the thread
+partitioner (``partition_plane``, ``split_ways``, ``ThreadPartition``,
+``ThreadSlice``), ``slice_parts``, ``reduction_for``,
+``dram_limit_for`` and the ``min`` over every candidate partition — as
+the golden oracle the engine must match bit for bit
+(``tests/test_parallel.py``, ``tests/test_vectorized.py``).  The
+engine enumerates the same slices in the same jc-outer / ic /
+pc-inner order straight from ``partition_extent``.
 
 Any threaded cost-term change lands in ``sim/vectorized.py`` *and*
 here (docs/model.md, "Adding a cost term").
@@ -15,6 +19,7 @@ here (docs/model.md, "Adding a cost term").
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.blis.params import analytical_tile_params, clamp_tiles
@@ -23,12 +28,164 @@ from repro.sim.memory import GemmShape, TileParams, memory_cost
 from repro.sim.parallel import (
     ParallelBreakdown,
     PlanBuilder,
-    ThreadPartition,
-    ThreadSlice,
+    Span,
     candidate_grids,
-    partition_plane,
+    partition_extent,
 )
 from repro.sim.timing import TimingModel, plans_compute_cycles
+
+
+# ---------------------------------------------------------------------------
+# Thread partitions: the per-slice geometry the oracle prices
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ThreadSlice:
+    """One thread's sub-volume of the (m, n, k) traversal."""
+
+    thread: int
+    jc: int  #: column-group index (which B-panel slice it works on)
+    ic: int  #: row-group index within the column group
+    rows: Span
+    cols: Span
+    #: reduction-group index along k (0 when the k loop is not split)
+    pc: int = 0
+    #: this way's k range; ``None`` means the full k extent (the
+    #: pc_ways=1 case, which keeps the slice bit-identical to the
+    #: pre-reduction-partition model)
+    ks: Optional[Span] = None
+
+    @property
+    def m(self) -> int:
+        return self.rows.extent
+
+    @property
+    def n(self) -> int:
+        return self.cols.extent
+
+    def k_extent(self, k: int) -> int:
+        return self.ks.extent if self.ks is not None else k
+
+
+@dataclass(frozen=True)
+class ThreadPartition:
+    """A jc x ic x pc decomposition of the GEMM into thread slices."""
+
+    threads: int  #: requested thread count (slices may be fewer)
+    jc_ways: int
+    ic_ways: int
+    slices: Tuple[ThreadSlice, ...]
+    pc_ways: int = 1
+
+    @property
+    def active_threads(self) -> int:
+        return len(self.slices)
+
+
+
+
+def split_ways(
+    threads: int,
+    m: int,
+    n: int,
+    machine: MachineModel,
+    mr: int,
+    nr: int,
+) -> Tuple[int, int]:
+    """Choose the ``jc_ways x ic_ways`` factorization of ``threads``.
+
+    This is the cheap standalone heuristic (used by
+    :func:`partition_plane` when no ways are pinned): every plane-only
+    candidate grid (:func:`candidate_grids` without a k axis) is scored
+    by the largest slice it produces in register tiles, residue-aware,
+    and the smallest wins; ties prefer more jc ways, whose smaller
+    B-panel slices ease LLC pressure.  :func:`parallel_gemm_breakdown`
+    refines this by ranking the full jc x ic x pc candidate set on its
+    exact modelled wall clock.
+    """
+    row_tiles = math.ceil(m / mr)
+    col_tiles = math.ceil(n / nr)
+    best: Optional[Tuple[int, int, int]] = None
+    for jc, ic, _ in candidate_grids(threads, m, n, machine, mr, nr):
+        score = math.ceil(col_tiles / min(jc, col_tiles)) * math.ceil(
+            row_tiles / min(ic, row_tiles)
+        )
+        if best is None or (score, -jc) < (best[0], -best[1]):
+            best = (score, jc, ic)
+    return (best[1], best[2])
+
+
+def partition_plane(
+    m: int,
+    n: int,
+    threads: int,
+    machine: MachineModel,
+    mr: int,
+    nr: int,
+    jc_ways: Optional[int] = None,
+    ic_ways: Optional[int] = None,
+    pc_ways: int = 1,
+    k: Optional[int] = None,
+    kc: Optional[int] = None,
+) -> ThreadPartition:
+    """Split an (m, n[, k]) traversal into per-thread slices.
+
+    The plane factorization defaults to :func:`split_ways`; passing
+    ``jc_ways``/``ic_ways`` pins it (both must be given together).
+    Slices tile the volume exactly — no overlap, no gap — with column
+    spans aligned to ``nr``, row spans to ``mr``, and (when
+    ``pc_ways > 1``) k spans to ``kc``, except for the ragged
+    remainders, which stay in the trailing slices.  ``pc_ways > 1``
+    requires ``k`` and ``kc``; with the default ``pc_ways=1`` the
+    slices carry no k span and the partition is identical to the
+    plane-only decomposition.
+    """
+    if (jc_ways is None) != (ic_ways is None):
+        raise ValueError("pass both jc_ways and ic_ways, or neither")
+    if pc_ways < 1:
+        raise ValueError(f"pc_ways must be >= 1, got {pc_ways}")
+    if pc_ways > 1 and (k is None or kc is None):
+        raise ValueError("a pc (k-dimension) split needs k and kc")
+    if jc_ways is None:
+        # the pc ways multiply the plane grid, so the plane only gets
+        # the threads left after the k split — never over-subscribing
+        # the requested count
+        jc_ways, ic_ways = split_ways(
+            max(1, threads // pc_ways), m, n, machine, mr, nr
+        )
+    col_spans = partition_extent(n, jc_ways, nr)
+    row_spans = partition_extent(m, ic_ways, mr)
+    k_spans: Tuple[Optional[Span], ...] = (None,)
+    if pc_ways > 1:
+        k_spans = partition_extent(k, pc_ways, kc)
+    slices = tuple(
+        ThreadSlice(
+            thread=(jc * len(row_spans) + ic) * len(k_spans) + pc,
+            jc=jc,
+            ic=ic,
+            rows=rows,
+            cols=cols,
+            pc=pc,
+            ks=ks,
+        )
+        for jc, cols in enumerate(col_spans)
+        for ic, rows in enumerate(row_spans)
+        for pc, ks in enumerate(k_spans)
+    )
+    return ThreadPartition(
+        threads=threads,
+        jc_ways=len(col_spans),
+        ic_ways=len(row_spans),
+        pc_ways=len(k_spans),
+        slices=slices,
+    )
+
+
+# ---------------------------------------------------------------------------
+# The scalar threaded model
+# ---------------------------------------------------------------------------
+
 
 
 def candidate_partitions(

@@ -21,6 +21,7 @@ import json
 from pathlib import Path
 
 import parallel_oracle as oracle
+from parallel_oracle import partition_plane, split_ways
 import pinned_grids
 import pytest
 from hypothesis import example, given, settings
@@ -37,8 +38,6 @@ from repro.sim.parallel import (
     candidate_grids,
     parallel_gemm_breakdown,
     partition_extent,
-    partition_plane,
-    split_ways,
 )
 from repro.sim.pipeline import trace_from_kernel
 from repro.sim.timing import ChunkPlan, gemm_time_model

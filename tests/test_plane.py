@@ -3,8 +3,10 @@
 The load-bearing invariants:
 
 * the virtual timeline is a sound discrete-event scheduler: timers
-  wake in order, deadlines race waits correctly, and a wait nothing
-  will fire is a diagnosed deadlock, not a hang;
+  wake in order, a cancellable deadline timer races a wait correctly,
+  and a wait nothing will fire is a diagnosed deadlock, not a hang;
+* a controller's failure leaves ``run_trace`` as itself, and a
+  controller whose ``execute`` suspends is a ``TypeError``;
 * two identical sim-controller runs are **byte-identical** — reports,
   Chrome traces, and metrics — the property that makes the plane
   testable without hardware;
@@ -37,7 +39,6 @@ from repro import obs as obslib
 from repro.obs.context import trace_id_for
 from repro.isa.machine import CARMEL, machine_by_name
 from repro.serve import (
-    DEADLINE,
     AdmissionPolicy,
     BatchPolicy,
     MockController,
@@ -81,6 +82,10 @@ def _mock_plane(
     )
 
 
+#: the value a deadline timer fires its future with
+DEADLINE = object()
+
+
 class TestVirtualTimeline:
     def test_sleepers_wake_in_time_order(self):
         timeline = VirtualTimeline()
@@ -120,7 +125,8 @@ class TestVirtualTimeline:
 
         async def main():
             future = timeline.create_future()
-            got = await timeline.wait_or_deadline(future, 7.0)
+            timeline.call_at(7.0, timeline.fire, future, DEADLINE)
+            got = await timeline.wait(future)
             return got, timeline.now_ms()
 
         got, now = timeline.execute(main())
@@ -132,13 +138,17 @@ class TestVirtualTimeline:
 
         async def main():
             future = timeline.create_future()
+            deadline = timeline.call_at(
+                100.0, timeline.fire, future, DEADLINE
+            )
 
             async def firer():
                 await timeline.sleep_until(3.0)
+                deadline.cancel()
                 timeline.fire(future, "won")
 
             timeline.spawn(firer())
-            got = await timeline.wait_or_deadline(future, 100.0)
+            got = await timeline.wait(future)
             return got, timeline.now_ms()
 
         got, now = timeline.execute(main())
@@ -181,7 +191,7 @@ class TestControllers:
         with pytest.raises(ValueError, match="unknown controller"):
             controller_for("hardware", VirtualTimeline())
 
-    def test_execute_occupies_the_timeline(self):
+    def test_execute_prices_without_moving_the_clock(self):
         timeline = VirtualTimeline()
         ctrl = MockController(timeline, base_ms=8.0)
 
@@ -189,7 +199,7 @@ class TestControllers:
             service = await ctrl.execute(3)
             return service, timeline.now_ms()
 
-        assert timeline.execute(main()) == (8.0, 8.0)
+        assert timeline.execute(main()) == (8.0, 0.0)
 
 
 class TestAdmission:
@@ -335,6 +345,24 @@ class TestLivePlaneBatching:
         )
         assert [b.size for b in result.batches] == [1, 3]
         assert result.batches[1].dispatch_ms == 13.0
+
+    def test_a_close_due_with_a_finish_runs_first(self):
+        # requests 0 and 1 fill a batch served on replica 0 over
+        # [0, 5); request 2 forms on replica 1 at 0 with its close due
+        # at 5 too.  The close timer was armed before the service
+        # timer, so at 5 the close's dispatch (the queue-depth sample)
+        # comes before the finish's completions.
+        obs = obslib.Obs(tracer=obslib.Tracer(clock=obslib.VirtualClock()))
+        plane = _mock_plane(
+            [PoolSpec("resnet50", 2, 2, max_batch=2, max_wait_ms=5.0)],
+            service_ms=5.0,
+            obs=obs,
+        )
+        run_trace(plane, [("resnet50", Request(i, 0.0)) for i in range(3)])
+        at_5 = [e["name"] for e in obs.tracer.events() if e["ts"] == 5e3]
+        assert at_5 == [
+            "queue_depth_resnet50", "complete", "complete", "batch"
+        ]
 
     def test_two_replicas_serve_concurrently(self):
         result = self._run(
@@ -970,11 +998,72 @@ class TestLiveCli:
         assert report["trace"]["kind"] == "diurnal"
 
 
+class _FailingController(MockController):
+    """Fails its second batch."""
+
+    def __init__(self, timeline):
+        super().__init__(timeline, base_ms=5.0)
+        self.calls = 0
+
+    async def execute(self, batch):
+        self.calls += 1
+        if self.calls == 2:
+            raise ValueError("replica lost")
+        return self.service_estimate_ms(batch)
+
+
+class _SleepingController(MockController):
+    """Takes its own time, as controllers did before the pool did."""
+
+    async def execute(self, batch):
+        service_ms = self.service_estimate_ms(batch)
+        await self.timeline.sleep_until(self.timeline.now_ms() + service_ms)
+        return service_ms
+
+
 class TestRunTraceGuards:
     def test_empty_trace_is_actionable(self):
         plane = _mock_plane([PoolSpec("resnet50", 1, 2)])
         with pytest.raises(ValueError, match="trace is empty"):
             run_trace(plane, [])
+
+    @staticmethod
+    def _replay_with(controller_cls):
+        plane = _mock_plane([PoolSpec("resnet50", 1, 2, max_batch=1)])
+        pool = plane.pools["resnet50"]
+        pool.controller = controller_cls(plane.timeline)
+        trace = [Request(i, 10.0 * i) for i in range(4)]
+        return run_trace(plane, assign_models(trace, {"resnet50": 1.0}))
+
+    def test_controller_exception_leaves_run_trace(self):
+        with pytest.raises(ValueError, match="replica lost"):
+            self._replay_with(_FailingController)
+
+    def test_suspending_controller_is_a_type_error(self):
+        with pytest.raises(TypeError, match="execute suspended"):
+            self._replay_with(_SleepingController)
+
+    def test_replay_spawns_one_task(self, monkeypatch):
+        spawned = []
+        spawn = VirtualTimeline.spawn
+
+        def counting_spawn(self, coro):
+            spawned.append(coro)
+            return spawn(self, coro)
+
+        monkeypatch.setattr(VirtualTimeline, "spawn", counting_spawn)
+        plane = _mock_plane(
+            [PoolSpec("resnet50", 2, 2), PoolSpec("vgg16", 1, 2)],
+            admission=AdmissionPolicy(max_queue_depth=3),
+        )
+        trace = synthetic_trace(400.0, 500.0, seed=3)
+        result = run_trace(
+            plane,
+            assign_models(trace, {"resnet50": 2.0, "vgg16": 1.0}, seed=3),
+        )
+        assert result.arrived == len(trace) > 100
+        assert result.shed and result.served
+        assert len(spawned) == 1
 
 
 def test_shedded_request_records_are_frozen():
@@ -995,3 +1084,20 @@ def test_wall_timeline_sleeps_approximately():
 
     elapsed = timeline.execute(main())
     assert elapsed >= 19.0
+
+
+def test_wall_timeline_callbacks_run_and_cancel():
+    timeline = WallTimeline()
+    ran = []
+
+    async def main():
+        done = timeline.create_future()
+        start = timeline.now_ms()
+        timeline.call_at(start + 5.0, ran.append, "cancelled").cancel()
+        timeline.call_at(start + 10.0, timeline.fire, done)
+        timeline.call_soon(ran.append, "soon")
+        await timeline.wait(done)
+        return timeline.now_ms() - start
+
+    assert timeline.execute(main()) >= 9.0
+    assert ran == ["soon"]

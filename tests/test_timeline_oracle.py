@@ -1,13 +1,15 @@
 """The virtual timeline against its asyncio-stepped oracle.
 
 :class:`AsyncioVirtualTimeline` below is the virtual timeline as it was
-when the sim plane ran on asyncio, kept verbatim: coroutines are
-asyncio tasks, and a stepper task advances the clock whenever a
-runnable counter, adjusted at every block and wake, reaches zero.  The
+when the sim plane ran on asyncio: coroutines are asyncio tasks, and a
+stepper task advances the clock whenever a runnable counter, adjusted
+at every block and wake, reaches zero.  Its ``call_soon`` and
+``call_at`` are built from those primitives — a callback is a spawned
+task, and a timed one parks on a timer armed at call time.  The
 production :class:`repro.serve.VirtualTimeline` runs the same
-coroutines on its own FIFO ready queue and advances when that queue is
-empty.  asyncio's ready queue is FIFO too, so the two must schedule
-identically:
+coroutines and callbacks on its own FIFO ready queue and advances when
+that queue is empty.  asyncio's ready queue is FIFO too, so the two
+must schedule identically:
 
 * the property replays random traces (Poisson or MMPP, optionally with
   integer-valued arrival times so events tie) through one or two
@@ -16,11 +18,13 @@ identically:
   requires equal ``LiveResult`` records and byte-identical report,
   Chrome trace, JSONL log, metrics JSON and Prometheus text;
 * the edge-case tests pin the loop's ordering and failure rules on
-  both timelines: same-instant sleepers, two fires in one step, the
-  waiters of one future, exceptions in ``main`` and in a joined task, and the diagnosed
-  deadlock; under the production timeline a foreign awaitable (an
-  asyncio sleep or future) is a ``TypeError``, not a hang, and a
-  failed task nobody joined is the cause of the deadlock it leads to.
+  both timelines: same-instant sleepers and timers, ``call_soon``'s
+  queue place, two fires in one step, the waiters of one future,
+  exceptions in ``main`` and in a joined task, cancelled timers, and
+  the diagnosed deadlock; under the production timeline a foreign
+  awaitable (an asyncio sleep or future) is a ``TypeError``, not a
+  hang, and a failed task nobody joined is the cause of the deadlock
+  it leads to.
 """
 
 from __future__ import annotations
@@ -52,7 +56,6 @@ from repro.serve import (
     save_report,
     synthetic_trace,
 )
-from repro.serve.timeline import DEADLINE
 
 
 class AsyncioVirtualTimeline:
@@ -132,24 +135,27 @@ class AsyncioVirtualTimeline:
         self._block_on(future)
         return await self._await_blocked(future)
 
-    async def wait_or_deadline(
-        self, future: "asyncio.Future", deadline_ms: float
-    ) -> Any:
-        """Wait for ``future`` or virtual time ``deadline_ms``.
+    def call_soon(self, fn, *args) -> None:
+        """``fn(*args)`` as a spawned one-step task."""
 
-        Returns the fired value, or :data:`DEADLINE` when the deadline
-        arrives first; a deadline entry whose future was already fired
-        is skipped by the stepper, so stale timers are harmless.
-        """
-        if future.done():
-            return future.result()
-        if deadline_ms <= self._now_ms:
-            return DEADLINE
+        async def step():
+            fn(*args)
+
+        self.spawn(step())
+
+    def call_at(self, wake_ms: float, fn, *args) -> "_OracleTimer":
+        """``fn(*args)`` as a spawned task parked on a timer armed now."""
+        timer = _OracleTimer(self, self.create_future())
         self._seq += 1
-        heapq.heappush(
-            self._sleepers, (deadline_ms, self._seq, future, DEADLINE)
-        )
-        return await self.wait(future)
+        heapq.heappush(self._sleepers, (wake_ms, self._seq, timer.due, None))
+
+        async def step():
+            await self.wait(timer.due)
+            if not timer.cancelled:
+                fn(*args)
+
+        self.spawn(step())
+        return timer
 
     def spawn(self, coro: Coroutine) -> "asyncio.Task":
         """Run ``coro`` as a task tracked by the runnable accounting.
@@ -186,7 +192,7 @@ class AsyncioVirtualTimeline:
         while self._sleepers:
             wake_ms, _, future, value = heapq.heappop(self._sleepers)
             if future.done():
-                continue  # a deadline timer whose wait already fired
+                continue  # a cancelled call_at timer
             if wake_ms > self._now_ms:
                 self._now_ms = wake_ms
             self.fire(future, value)
@@ -208,6 +214,24 @@ class AsyncioVirtualTimeline:
     def execute(self, main: Coroutine) -> Any:
         """Run ``main`` under the stepper on a fresh event loop."""
         return asyncio.run(self._drive(main))
+
+
+class _OracleTimer:
+    """A :meth:`AsyncioVirtualTimeline.call_at` handle.
+
+    ``cancel`` fires the timer's future early, so the stepper skips
+    its heap entry without moving the clock and the parked task ends
+    without running the callback.
+    """
+
+    def __init__(self, timeline: AsyncioVirtualTimeline, due):
+        self.timeline = timeline
+        self.due = due
+        self.cancelled = False
+
+    def cancel(self) -> None:
+        self.cancelled = True
+        self.timeline.fire(self.due)
 
 
 TIMELINES = (VirtualTimeline, AsyncioVirtualTimeline)
@@ -431,34 +455,90 @@ class TestLoopEdgeCases:
         assert timeline.execute(main()) == 2.0
 
     def test_deadlock_is_diagnosed_past_stale_timers(self, timeline_cls):
-        # the deadline timer at 50 ms is stale once the fire at 5 ms
+        # the close timer at 50 ms is cancelled once the fire at 5 ms
         # wins; the loop must skip it and report the deadlock
         timeline = timeline_cls()
 
         async def main():
             won = timeline.create_future()
+            close = timeline.call_at(50.0, timeline.fire, won, "closed")
 
-            async def firer():
-                await timeline.sleep_until(5.0)
+            def firer():
+                close.cancel()
                 timeline.fire(won, "won")
 
-            timeline.spawn(firer())
-            assert await timeline.wait_or_deadline(won, 50.0) == "won"
+            timeline.call_at(5.0, firer)
+            assert await timeline.wait(won) == "won"
             await timeline.wait(timeline.create_future())
 
         with pytest.raises(RuntimeError, match="virtual-time deadlock"):
             timeline.execute(main())
         assert timeline.now_ms() == 5.0
 
-    def test_deadline_value_is_the_sentinel(self, timeline_cls):
+    def test_same_instant_timers_and_sleepers_run_in_seq_order(
+        self, timeline_cls
+    ):
+        # seq order at t=10: c0 (armed by main), s (the sleeper's first
+        # step, after main parks), c1 (armed by main at t=5)
         timeline = timeline_cls()
+        order = []
+
+        def record(name):
+            order.append((name, timeline.now_ms()))
+
+        async def sleeper():
+            await timeline.sleep_until(10.0)
+            record("s")
 
         async def main():
-            return await timeline.wait_or_deadline(
-                timeline.create_future(), 3.0
-            )
+            timeline.call_at(10.0, record, "c0")
+            task = timeline.spawn(sleeper())
+            await timeline.sleep_until(5.0)
+            timeline.call_at(10.0, record, "c1")
+            await timeline.join(task)
+            await timeline.sleep_until(11.0)
 
-        assert timeline.execute(main()) is DEADLINE
+        timeline.execute(main())
+        assert order == [("c0", 10.0), ("s", 10.0), ("c1", 10.0)]
+
+    def test_call_soon_takes_its_ready_queue_place(self, timeline_cls):
+        timeline = timeline_cls()
+        order = []
+
+        async def worker(name):
+            order.append(name)
+
+        async def main():
+            tasks = [timeline.spawn(worker("a"))]
+            timeline.call_soon(order.append, "callback")
+            tasks.append(timeline.spawn(worker("b")))
+            for task in tasks:
+                await timeline.join(task)
+
+        timeline.execute(main())
+        assert order == ["a", "callback", "b"]
+
+    def test_cancelled_timer_never_runs_nor_moves_the_clock(
+        self, timeline_cls
+    ):
+        timeline = timeline_cls()
+        ran = []
+
+        async def main():
+            woken = timeline.create_future()
+            timeline.call_at(2.0, ran.append, "cancelled").cancel()
+            late = timeline.call_at(20.0, ran.append, "late")
+            timeline.call_at(8.0, timeline.fire, woken)
+            await timeline.wait(woken)
+            late.cancel()
+            now = timeline.now_ms()
+            await timeline.wait(timeline.create_future())
+            return now
+
+        with pytest.raises(RuntimeError, match="virtual-time deadlock"):
+            timeline.execute(main())
+        assert ran == []
+        assert timeline.now_ms() == 8.0
 
 
 class TestVirtualLoopDiagnostics:

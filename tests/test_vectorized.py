@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import parallel_oracle as oracle
+from parallel_oracle import partition_plane
 import pinned_grids
 import pytest
 from hypothesis import given, settings
@@ -34,7 +35,7 @@ from repro.obs import MetricsRegistry, Tracer, VirtualClock
 from repro.obs import profile as obs_profile
 from repro.sim import vectorized as vec
 from repro.sim.memory import GemmShape
-from repro.sim.parallel import candidate_grids, partition_plane
+from repro.sim.parallel import candidate_grids
 
 _CTX = {}
 
