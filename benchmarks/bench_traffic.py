@@ -99,7 +99,6 @@ def test_live_plane_sim_throughput(benchmark):
         )
         for pool in plane.pools.values():
             pool.controller = MockController(
-                timeline,
                 base_ms=REPLAY_BASE_MS,
                 per_item_ms=REPLAY_PER_ITEM_MS,
             )

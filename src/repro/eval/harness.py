@@ -81,8 +81,11 @@ class EvalContext:
             self.model = TimingModel(machine=self.machine)
         self._neon_trace: Optional[KernelTrace] = None
         self._blis_trace: Optional[KernelTrace] = None
-        #: (mr, nr) -> trace, plus ("vla", h, w) -> part trace lists
-        self._exo_traces: Dict[tuple, object] = {}
+        #: (h, w) -> the VLA tile's part traces; the traces themselves
+        #: live on the kernels, shared with every other context
+        self._vla_parts: Dict[
+            Tuple[int, int], List[Tuple[int, KernelTrace]]
+        ] = {}
 
     @property
     def main_tile(self) -> Tuple[int, int]:
@@ -114,10 +117,7 @@ class EvalContext:
         return self._blis_trace
 
     def exo_trace(self, mr: int, nr: int) -> KernelTrace:
-        key = (mr, nr)
-        if key not in self._exo_traces:
-            self._exo_traces[key] = trace_from_kernel(self.registry.get(mr, nr))
-        return self._exo_traces[key]
+        return trace_from_kernel(self.registry.get(mr, nr))
 
     # -- VLA tiles ---------------------------------------------------------
 
@@ -138,14 +138,14 @@ class EvalContext:
         """
         from repro.ukernel.generator import generate_vla_microkernel
 
-        key = ("vla", h, w)
-        if key not in self._exo_traces:
+        key = (h, w)
+        if key not in self._vla_parts:
             plan = generate_vla_microkernel(h, w, self.vla_lib_factory())
-            self._exo_traces[key] = [
+            self._vla_parts[key] = [
                 (kernel.mr, trace_from_kernel(kernel))
                 for _, kernel in plan.parts
             ]
-        return self._exo_traces[key]
+        return self._vla_parts[key]
 
 
 _default_context: Optional[EvalContext] = None

@@ -38,10 +38,6 @@ class Controller:
 
     kind = "abstract"
 
-    def __init__(self, timeline):
-        """Bind the controller to the timeline its pool runs on."""
-        self.timeline = timeline
-
     def service_estimate_ms(self, batch: int) -> float:
         """Predicted service milliseconds of a size-``batch`` dispatch.
 
@@ -73,9 +69,8 @@ class SimController(Controller):
 
     kind = "sim"
 
-    def __init__(self, timeline, executor: ModelExecutor):
-        """Wrap ``executor`` (one replica's model view) on ``timeline``."""
-        super().__init__(timeline)
+    def __init__(self, executor: ModelExecutor):
+        """Wrap ``executor``, one replica's model view."""
         self.executor = executor
 
     def service_estimate_ms(self, batch: int) -> float:
@@ -104,11 +99,8 @@ class MockController(Controller):
 
     kind = "mock"
 
-    def __init__(
-        self, timeline, base_ms: float = 1.0, per_item_ms: float = 0.0
-    ):
+    def __init__(self, base_ms: float = 1.0, per_item_ms: float = 0.0):
         """Serve every batch in ``base_ms + per_item_ms * batch``."""
-        super().__init__(timeline)
         if base_ms <= 0 and per_item_ms <= 0:
             raise ValueError(
                 "mock service time must be positive: got "
@@ -124,7 +116,6 @@ class MockController(Controller):
 
 def controller_for(
     name: str,
-    timeline,
     executor: Optional[ModelExecutor] = None,
     mock_service_ms: float = 1.0,
 ) -> Controller:
@@ -136,13 +127,13 @@ def controller_for(
     if name == "sim":
         if executor is None:
             raise ValueError("sim controller needs a ModelExecutor")
-        return SimController(timeline, executor)
+        return SimController(executor)
     if name == "real":
         if executor is None:
             raise ValueError("real controller needs a ModelExecutor")
-        return RealController(timeline, executor)
+        return RealController(executor)
     if name == "mock":
-        return MockController(timeline, base_ms=mock_service_ms)
+        return MockController(base_ms=mock_service_ms)
     raise ValueError(
         f"unknown controller {name!r}; known: {', '.join(CONTROLLER_KINDS)}"
     )

@@ -67,13 +67,12 @@ class ModelExecutor:
             self.instances = list(model)
         self.base_ctx = machine_context(machine)
         replica_machine = replica_topology(machine, replicas, threads)
+        # the shared registry's kernels carry their traces, and a
+        # replica view schedules them like its base machine, so the
+        # replica context re-traces and re-schedules nothing
         self.ctx = EvalContext(
             machine=replica_machine, registry=self.base_ctx.registry
         )
-        # kernel traces are machine-independent (pipeline-of-the-kernel
-        # objects): share the base context's memo instead of re-tracing
-        # the family once per (replicas, threads) configuration
-        self.ctx._exo_traces = self.base_ctx._exo_traces
         #: (layer_id, batch) -> (seconds, main tile)
         self._layer_memo: Dict[Tuple[int, int], tuple] = {}
         #: batch -> modelled milliseconds of one forward pass

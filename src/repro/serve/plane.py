@@ -520,7 +520,6 @@ class ServePlane:
                 executors.append((executor, spec.max_batch))
             ctrl = controller_for(
                 controller,
-                timeline,
                 executor=executor,
                 mock_service_ms=mock_service_ms,
             )
@@ -534,6 +533,14 @@ class ServePlane:
             # sweep so the event loop never prices lazily mid-run
             batches = range(1, max(cap for _, cap in executors) + 1)
             prewarm_executors([ex for ex, _ in executors], list(batches))
+        #: model -> its (name, help) shed and admission counters
+        self._model_counters = {
+            model: (
+                (f"serve.live.{model}.shed", f"{model} sheds"),
+                (f"serve.live.{model}.admitted", f"{model} admissions"),
+            )
+            for model in models
+        }
         self.shed: List[SheddedRequest] = []
         self.arrived = 0
         self._next_id = 0
@@ -577,12 +584,16 @@ class ServePlane:
             request_id = self._next_id
         self._next_id = max(self._next_id, request_id) + 1
         self.arrived += 1
-        self._count("serve.live.arrived", "requests that reached the plane")
-        tracing = self.obs is not None and self.obs.tracer.enabled
+        obs = self.obs
+        tracing = obs is not None and obs.tracer.enabled
+        if obs is not None:
+            self._count(
+                "serve.live.arrived", "requests that reached the plane"
+            )
         ctx = TraceContext.for_request(request_id) if tracing else None
         if tracing:
             # every arrival opens a causal chain, shed or admitted
-            self.obs.tracer.instant(
+            obs.tracer.instant(
                 "arrive",
                 ts_us=now_ms * 1e3,
                 tid=pool.track_base,
@@ -603,13 +614,15 @@ class ServePlane:
             self.shed.append(record)
             if self.slo is not None:
                 self.slo.record_shed(now_ms)
+            if obs is None:
+                return record
             self._count("serve.live.shed", "requests rejected at the door")
             self._count(
                 f"serve.live.shed.{reason}", f"sheds for reason {reason}"
             )
-            self._count(f"serve.live.{model}.shed", f"{model} sheds")
+            self._count(*self._model_counters[model][0])
             if tracing:
-                self.obs.tracer.instant(
+                obs.tracer.instant(
                     "shed",
                     ts_us=now_ms * 1e3,
                     tid=pool.track_base,
@@ -622,23 +635,22 @@ class ServePlane:
         future = self.timeline.create_future()
         self._unserved += 1
         pool.submit(_QueuedRequest(request_id, now_ms, future, ctx=ctx))
+        if obs is None:
+            return future
         self._count("serve.live.admitted", "requests admitted to a queue")
-        self._count(f"serve.live.{model}.admitted", f"{model} admissions")
-        if self.obs is not None:
-            self.obs.metrics.gauge(
-                "serve.live.queue_depth",
-                help="pool queue depth (max observed)",
-            ).set(pool.queue_depth())
-            if tracing:
-                self.obs.tracer.instant(
-                    "admit",
-                    ts_us=now_ms * 1e3,
-                    tid=pool.track_base,
-                    cat="admission",
-                    args=ctx.child("admit").args(
-                        request_id=request_id, **detail
-                    ),
-                )
+        self._count(*self._model_counters[model][1])
+        obs.metrics.gauge(
+            "serve.live.queue_depth",
+            help="pool queue depth (max observed)",
+        ).set(pool.queue_depth())
+        if tracing:
+            obs.tracer.instant(
+                "admit",
+                ts_us=now_ms * 1e3,
+                tid=pool.track_base,
+                cat="admission",
+                args=ctx.child("admit").args(request_id=request_id, **detail),
+            )
         return future
 
     def fire_when_served(self, future) -> None:
@@ -664,8 +676,8 @@ class ServePlane:
             await pool.close()
 
     def _count(self, name: str, help_text: str) -> None:
-        if self.obs is not None:
-            self.obs.metrics.counter(name, help=help_text).inc()
+        """Increment one counter of the attached obs bundle."""
+        self.obs.metrics.counter(name, help=help_text).inc()
 
     # -- the HTTP front door ------------------------------------------
 
@@ -912,21 +924,23 @@ def run_http(
     async def _main():
         plane.start()
         server = await asyncio.start_server(plane.handle_client, host, port)
-        bound = server.sockets[0].getsockname()[:2]
-        if ready is not None:
-            ready(bound)
-        if duration_ms is None and stop is None:  # pragma: no cover
-            await asyncio.Event().wait()  # interactive: serve forever
-        deadline = math.inf
-        if duration_ms is not None:
-            deadline = plane.timeline.now_ms() + duration_ms
-        poll_ms = math.inf if stop is None else STOP_POLL_MS
-        while stop is None or not stop.is_set():
-            now = plane.timeline.now_ms()
-            if now >= deadline:
-                break
-            await plane.timeline.sleep_until(min(deadline, now + poll_ms))
-        server.close()
+        try:  # a failed callback cancels this task: release the port
+            bound = server.sockets[0].getsockname()[:2]
+            if ready is not None:
+                ready(bound)
+            if duration_ms is None and stop is None:  # pragma: no cover
+                await asyncio.Event().wait()  # interactive: serve forever
+            deadline = math.inf
+            if duration_ms is not None:
+                deadline = plane.timeline.now_ms() + duration_ms
+            poll_ms = math.inf if stop is None else STOP_POLL_MS
+            while stop is None or not stop.is_set():
+                now = plane.timeline.now_ms()
+                if now >= deadline:
+                    break
+                await plane.timeline.sleep_until(min(deadline, now + poll_ms))
+        finally:
+            server.close()
         await server.wait_closed()
         await plane.close()
 

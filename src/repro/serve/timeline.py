@@ -10,7 +10,9 @@ step per batch or per arrival would cost a coroutine wake each.
 
 * :class:`WallTimeline` maps the primitives straight onto asyncio —
   real sleeps, real time, ``loop.call_soon``/``loop.call_later`` — for
-  serving actual HTTP traffic.
+  serving actual HTTP traffic.  asyncio only logs an exception raised
+  in a callback, so the timeline catches it, cancels the main task and
+  raises it from :meth:`WallTimeline.execute`.
 * :class:`VirtualTimeline` runs the identical code in simulated time
   on its own loop, without asyncio.  Spawned coroutines and
   ``call_soon`` callbacks share one FIFO ready queue; a task awaiting
@@ -47,6 +49,8 @@ class WallTimeline:
     def __init__(self):
         """Anchor ``now_ms`` at construction time."""
         self._t0 = time.perf_counter()  # det: ok DET101 (WallTimeline is the real-time backend)
+        self._main: Optional["asyncio.Task"] = None  # execute's task
+        self._error: Optional[Exception] = None  # the first callback error
 
     def now_ms(self) -> float:
         """Milliseconds since the timeline was created."""
@@ -63,12 +67,25 @@ class WallTimeline:
 
     def call_soon(self, fn: Callable, *args) -> None:
         """Queue ``fn(*args)`` on the running loop."""
-        asyncio.get_running_loop().call_soon(fn, *args)
+        asyncio.get_running_loop().call_soon(self._guarded, fn, args)
 
     def call_at(self, wake_ms: float, fn: Callable, *args):
         """Run ``fn(*args)`` at ``wake_ms``; the handle has ``cancel()``."""
         delay = max(0.0, (wake_ms - self.now_ms()) / 1e3)
-        return asyncio.get_running_loop().call_later(delay, fn, *args)
+        return asyncio.get_running_loop().call_later(
+            delay, self._guarded, fn, args
+        )
+
+    def _guarded(self, fn: Callable, args: tuple) -> None:
+        """Run a callback; its exception ends :meth:`execute`."""
+        try:
+            fn(*args)
+        except Exception as error:
+            if self._main is None:
+                raise  # not under execute: asyncio reports it
+            if self._error is None:
+                self._error = error
+                self._main.cancel()
 
     async def sleep_until(self, wake_ms: float) -> None:
         """Sleep until the timeline reaches ``wake_ms``."""
@@ -89,8 +106,28 @@ class WallTimeline:
         return await task
 
     def execute(self, main: Coroutine) -> Any:
-        """Run ``main`` to completion on a fresh event loop."""
-        return asyncio.run(main)
+        """Run ``main`` to completion on a fresh event loop.
+
+        Returns its result or raises its exception; the first exception
+        raised in a callback cancels ``main`` and is raised instead.
+        """
+
+        async def run():
+            self._main = asyncio.ensure_future(main)
+            try:
+                result = await self._main
+            except asyncio.CancelledError:
+                if self._error is None:
+                    raise
+                result = None
+            finally:
+                self._main = None
+            if self._error is not None:
+                raise self._error
+            return result
+
+        self._error = None
+        return asyncio.run(run())
 
 
 class _Future:

@@ -22,6 +22,14 @@ abstract core described by a :class:`~repro.isa.machine.MachineModel`:
 Steady-state cycles per k-iteration are measured by simulating a window of
 iterations and differencing completion times across the middle of the run.
 
+Both inputs are built once per process.  :func:`trace_from_kernel`
+caches a kernel's trace on the :class:`GeneratedKernel` itself, so every
+consumer (eval contexts, serving executors, VLA part lists, the
+verifier) reads one :class:`KernelTrace` object; and
+:meth:`PipelineModel.steady_cycles_per_iter` memoizes its schedule on
+that trace, keyed by exactly the machine fields the scheduler reads.
+Neither may be mutated once built.
+
 The scheduler is first-fit in trace order: each operation issues at the
 first cycle at or after its operands are ready where its pipe, the vector
 dispatch slots (for ``chime`` consecutive cycles) and the issue width all
@@ -36,7 +44,7 @@ oracle and checks the two agree exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.codegen.asm import _flatten_calls, _find_k_loop, _window_key
@@ -65,6 +73,8 @@ class KernelTrace:
 
     ``prologue_vector_ops``/``epilogue_vector_ops`` count the C-tile loads
     and stores outside the k-loop (amortized per kernel invocation).
+    A trace is shared and never mutated: build a new one (e.g. with
+    ``dataclasses.replace``, which starts an empty schedule memo).
     """
 
     ops: List[TraceOp]
@@ -72,6 +82,10 @@ class KernelTrace:
     prologue_vector_ops: int
     epilogue_vector_ops: int
     extra_call_cycles: float = 0.0
+    #: scheduler key -> steady-state cycles/iter (see PipelineModel)
+    schedules: Dict[tuple, float] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def counts(self) -> Dict[str, int]:
         """Operations per pipe."""
@@ -82,12 +96,22 @@ class KernelTrace:
 
 
 def trace_from_kernel(kernel, extra_alu_per_iter: int = 0) -> KernelTrace:
-    """Build the per-iteration trace of a :class:`GeneratedKernel`.
+    """The per-iteration trace of a :class:`GeneratedKernel`.
 
-    ``extra_alu_per_iter`` injects bookkeeping operations — used by the
-    baseline models to represent compiler-generated addressing overhead in
-    intrinsics code.
+    The plain trace is built once per kernel and cached on it, so every
+    caller shares one object.  ``extra_alu_per_iter`` injects bookkeeping
+    operations — used by the baseline models to represent
+    compiler-generated addressing overhead in intrinsics code — and
+    builds a fresh, uncached trace.
     """
+    if extra_alu_per_iter:
+        return _build_trace(kernel, extra_alu_per_iter)
+    if kernel.trace is None:
+        kernel.trace = _build_trace(kernel, 0)
+    return kernel.trace
+
+
+def _build_trace(kernel, extra_alu_per_iter: int) -> KernelTrace:
     ir: Proc = kernel.proc.ir
     kloop = _find_k_loop(ir)
     calls = _flatten_calls(kloop.body)
@@ -210,9 +234,30 @@ class PipelineModel:
     def steady_cycles_per_iter(
         self, trace: KernelTrace, window: int = 48
     ) -> float:
-        """Simulate ``window`` k-iterations; return steady-state cycles/iter."""
+        """Simulate ``window`` k-iterations; return steady-state cycles/iter.
+
+        Memoized on ``trace`` under the fields the scheduler reads, so
+        machines that differ only elsewhere (a ``replica_topology``
+        view and its base machine) share one schedule.
+        """
         machine = self.machine
         vec_width = self._dispatch_width()
+        key = (
+            machine.issue_width, machine.pipes, machine.vector_chime,
+            vec_width, window,
+        )
+        cycles = trace.schedules.get(key)
+        if cycles is None:
+            cycles = trace.schedules[key] = self._schedule(
+                trace, vec_width, window
+            )
+        return cycles
+
+    def _schedule(
+        self, trace: KernelTrace, vec_width: int, window: int
+    ) -> float:
+        """The first-fit schedule of ``window`` iterations of ``trace``."""
+        machine = self.machine
         issue_width = machine.issue_width
         # one op can push the schedule's last busy cycle or completion
         # out by at most chime + latency, which bounds every cycle index

@@ -517,73 +517,92 @@ class _SliceRows:
     spanned: np.ndarray  # per candidate
 
 
+def _span_table(
+    extent: np.ndarray, ways: np.ndarray, granule: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every row's :func:`repro.sim.parallel.partition_extent` spans.
+
+    Each distinct ``(extent, ways, granule)`` is split once.  Returns
+    ``(first, count, extents)``: row ``i``'s span extents are
+    ``extents[first[i]:first[i] + count[i]]``.
+    """
+    keys = list(zip(extent.tolist(), ways.tolist(), granule.tolist()))
+    table: Dict[Tuple[int, int, int], Tuple[int, int]] = {}
+    extents: List[int] = []
+    for key in dict.fromkeys(keys):
+        spans = partition_extent(*key)
+        table[key] = (len(extents), len(spans))
+        extents.extend(span.extent for span in spans)
+    first, count = np.array(
+        [table[key] for key in keys], dtype=np.int64
+    ).reshape(-1, 2).T
+    return first, count, np.array(extents, dtype=np.int64)
+
+
 def _expand_slices(batch: CandidateBatch) -> _SliceRows:
-    """Enumerate every candidate's thread slices via the *same*
-    :func:`repro.sim.parallel.partition_extent` calls, in the same
-    jc-outer / ic / pc-inner order as the oracle's ``partition_plane``
-    (``tests/parallel_oracle.py``)."""
-    cand: List[int] = []
-    m_t: List[int] = []
-    n_t: List[int] = []
-    k_t: List[int] = []
-    has_ks: List[bool] = []
-    offsets = [0]
-    eff = np.empty((len(batch), 3), dtype=np.int64)
-    stream_bw = np.empty(len(batch))
-    spanned = np.empty(len(batch), dtype=np.int64)
-    span_memo: Dict[Tuple[int, int, int], Tuple] = {}
-    bw_memo: Dict[Tuple[int, int], Tuple[float, int]] = {}
+    """Every candidate's thread slices, one row each, as arrays.
 
-    def spans(extent: int, ways: int, granule: int):
-        key = (extent, ways, granule)
-        if key not in span_memo:
-            span_memo[key] = partition_extent(extent, ways, granule)
-        return span_memo[key]
+    The spans come from :func:`_span_table`, so from the *same*
+    :func:`repro.sim.parallel.partition_extent` calls as the oracle's
+    ``partition_plane`` (``tests/parallel_oracle.py``), and the rows
+    follow its jc-outer / ic / pc-inner order: a candidate's slice
+    ``s`` is column span ``s // (ic * pc)``, row span
+    ``s // pc % ic`` and k span ``s % pc``, in effective ways.  A
+    ``pc = 1`` row splits k into its one full span.
+    ``tests/parallel_oracle.py::expand_slices`` is the per-slice loop
+    this must equal.
+    """
+    col_first, eff_jc, col_ext = _span_table(batch.n, batch.jc, batch.nr)
+    row_first, eff_ic, row_ext = _span_table(batch.m, batch.ic, batch.mr)
+    k_first, eff_pc, k_ext = _span_table(batch.k, batch.pc, batch.kc)
+    active = eff_jc * eff_ic * eff_pc
+    offsets = np.zeros(len(batch) + 1, dtype=np.int64)
+    np.cumsum(active, out=offsets[1:])
+    cand = np.repeat(np.arange(len(batch), dtype=np.int64), active)
+    local = np.arange(offsets[-1], dtype=np.int64) - offsets[:-1][cand]
+    col, rest = np.divmod(local, (eff_ic * eff_pc)[cand])
+    row, ks = np.divmod(rest, eff_pc[cand])
 
-    for i in range(len(batch)):
-        m, n, k = int(batch.m[i]), int(batch.n[i]), int(batch.k[i])
-        col_spans = spans(n, int(batch.jc[i]), int(batch.nr[i]))
-        row_spans = spans(m, int(batch.ic[i]), int(batch.mr[i]))
-        pc_req = int(batch.pc[i])
-        if pc_req > 1:
-            k_spans = spans(k, pc_req, int(batch.kc[i]))
-            with_ks = True
-        else:
-            k_spans = (None,)
-            with_ks = False
-        eff[i] = (len(col_spans), len(row_spans), len(k_spans))
-        for cols in col_spans:
-            for rows in row_spans:
-                for ks in k_spans:
-                    cand.append(i)
-                    m_t.append(rows.extent)
-                    n_t.append(cols.extent)
-                    k_t.append(ks.extent if ks is not None else k)
-                    has_ks.append(with_ks)
-        offsets.append(len(cand))
-        active = len(col_spans) * len(row_spans) * len(k_spans)
-        mi = int(batch.machine_idx[i])
-        bw_key = (mi, active)
-        if bw_key not in bw_memo:
-            machine = batch.machines[mi]
-            bw_memo[bw_key] = (
-                machine.stream_bandwidth(active),
-                machine.sockets_spanned(active),
-            )
-        stream_bw[i], spanned[i] = bw_memo[bw_key]
+    bw_keys = list(zip(batch.machine_idx.tolist(), active.tolist()))
+    bw_memo = {
+        (mi, threads): (
+            batch.machines[mi].stream_bandwidth(threads),
+            batch.machines[mi].sockets_spanned(threads),
+        )
+        for mi, threads in dict.fromkeys(bw_keys)
+    }
     return _SliceRows(
-        cand=np.asarray(cand, dtype=np.int64),
-        m_t=np.asarray(m_t, dtype=np.int64),
-        n_t=np.asarray(n_t, dtype=np.int64),
-        k_t=np.asarray(k_t, dtype=np.int64),
-        has_ks=np.asarray(has_ks, dtype=bool),
-        offsets=np.asarray(offsets, dtype=np.int64),
-        eff_jc=eff[:, 0],
-        eff_ic=eff[:, 1],
-        eff_pc=eff[:, 2],
-        stream_bw=stream_bw,
-        spanned=spanned,
+        cand=cand,
+        m_t=row_ext[row_first[cand] + row],
+        n_t=col_ext[col_first[cand] + col],
+        k_t=k_ext[k_first[cand] + ks],
+        has_ks=(batch.pc > 1)[cand],
+        offsets=offsets,
+        eff_jc=eff_jc,
+        eff_ic=eff_ic,
+        eff_pc=eff_pc,
+        stream_bw=np.array(
+            [bw_memo[key][0] for key in bw_keys], dtype=np.float64
+        ),
+        spanned=np.array(
+            [bw_memo[key][1] for key in bw_keys], dtype=np.int64
+        ),
     )
+
+
+def _segment_first_max(
+    values: np.ndarray, segment: np.ndarray, starts: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Each segment's maximum and the row of its first occurrence.
+
+    ``segment`` maps rows to segments, which start at ``starts`` and
+    are non-empty.  The first maximum is ``np.argmax``'s tie rule, the
+    scalar oracle's ``max`` over slices in enumeration order.
+    """
+    top = np.maximum.reduceat(values, starts)
+    rows = np.arange(len(values), dtype=np.int64)
+    at_top = np.where(values == top[segment], rows, len(values))
+    return top, np.minimum.reduceat(at_top, starts)
 
 
 def _grid_breakdown(batch: CandidateBatch) -> BatchBreakdown:
@@ -643,11 +662,7 @@ def _grid_breakdown(batch: CandidateBatch) -> BatchBreakdown:
 
     # -- per-candidate reductions ------------------------------------------
     seg_start = sl.offsets[:-1]
-    busy_max = np.maximum.reduceat(busy, seg_start)
-    critical = np.empty(len(batch), dtype=np.int64)
-    for c in range(len(batch)):
-        a, b = sl.offsets[c], sl.offsets[c + 1]
-        critical[c] = a + int(np.argmax(busy[a:b]))
+    busy_max, critical = _segment_first_max(busy, ci, seg_start)
 
     # -- DRAM ceiling (oracle: dram_limit_for) -----------------------------
     dram = mem["dram_bytes"]

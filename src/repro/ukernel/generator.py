@@ -24,8 +24,9 @@ lane FMA such as AVX-512) and **row** (1 x NR tails).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+import functools
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.core import DRAM, Procedure, proc
 from repro.core.scheduling import (
@@ -43,6 +44,11 @@ from repro.core.scheduling import (
     stage_mem,
     unroll_loop,
 )
+
+if TYPE_CHECKING:
+    from repro.sim.pipeline import KernelTrace
+
+
 def _default_lib() -> dict:
     """The historical default target (lazy so non-Neon stacks never import
     the Neon library — retargeting must not depend on it)."""
@@ -78,6 +84,17 @@ def make_reference_kernel() -> Procedure:
                     C[j, i] += Ac[k, i] * Bc[k, j]
 
     return ukernel_ref
+
+
+@functools.lru_cache(maxsize=None)
+def _shared_reference() -> Procedure:
+    """The Figure-5 reference, parsed once per process.
+
+    Scheduling never mutates a procedure, so every generation can start
+    from the same one; :func:`make_reference_kernel` still returns a
+    fresh parse.
+    """
+    return make_reference_kernel()
 
 
 def make_scaled_reference_kernel() -> Procedure:
@@ -135,6 +152,11 @@ class GeneratedKernel:
             (Section III-B), "nopack" or "scaled" (``extended``).
         steps: the intermediate procedures v1..v6, keyed by step name, kept
             for inspection and for the generation tests.
+        trace: the timing model's k-loop trace of ``proc``, built on
+            first use by :func:`repro.sim.pipeline.trace_from_kernel`
+            and shared by every consumer.  It belongs to this ``proc``:
+            derive a changed kernel with ``dataclasses.replace``, which
+            starts without one.
     """
 
     proc: Procedure
@@ -144,6 +166,9 @@ class GeneratedKernel:
     dtype: str
     variant: str
     steps: Dict[str, Procedure]
+    trace: Optional[KernelTrace] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def name(self) -> str:
@@ -171,10 +196,12 @@ def generate_microkernel(
     or "auto" (the first of those the tile and library allow — the
     paper's edge-case recipe).  Every call schedules a fresh kernel;
     :func:`stored_microkernel` builds each distinct one once per process.
+    Without ``base`` the schedule starts from the one reference kernel
+    parsed per process.
     """
     lib = lib if lib is not None else _default_lib()
     variant = _resolve_variant(mr, nr, lib, variant)
-    reference = base or make_reference_kernel()
+    reference = base or _shared_reference()
     if lib["dtype"] != "f32":
         reference = _retype_reference(reference, lib["dtype"])
     name = f"uk_{mr}x{nr}_{lib['dtype']}_{variant}"

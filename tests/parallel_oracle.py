@@ -10,7 +10,9 @@ partitioner (``partition_plane``, ``split_ways``, ``ThreadPartition``,
 the golden oracle the engine must match bit for bit
 (``tests/test_parallel.py``, ``tests/test_vectorized.py``).  The
 engine enumerates the same slices in the same jc-outer / ic /
-pc-inner order straight from ``partition_extent``.
+pc-inner order straight from ``partition_extent``, with array index
+arithmetic; :func:`expand_slices` keeps the per-slice loop it must
+equal.
 
 Any threaded cost-term change lands in ``sim/vectorized.py`` *and*
 here (docs/model.md, "Adding a cost term").
@@ -20,7 +22,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.blis.params import analytical_tile_params, clamp_tiles
 from repro.isa.machine import MachineModel
@@ -33,6 +37,7 @@ from repro.sim.parallel import (
     partition_extent,
 )
 from repro.sim.timing import TimingModel, plans_compute_cycles
+from repro.sim.vectorized import CandidateBatch, _SliceRows
 
 
 # ---------------------------------------------------------------------------
@@ -400,4 +405,72 @@ def exo_parallel_breakdown(
         ),
         model=ctx.model,
         grids=grids,
+    )
+
+
+# ---------------------------------------------------------------------------
+# The grid engine's slice expansion, one slice per loop step
+# ---------------------------------------------------------------------------
+
+
+def expand_slices(batch: CandidateBatch) -> _SliceRows:
+    """The per-slice loop behind :func:`repro.sim.vectorized._expand_slices`.
+
+    Every candidate's slices via the same ``partition_extent`` calls,
+    appended in the jc-outer / ic / pc-inner order of
+    :func:`partition_plane`; a ``pc = 1`` candidate keeps the full k.
+    """
+    cand: List[int] = []
+    m_t: List[int] = []
+    n_t: List[int] = []
+    k_t: List[int] = []
+    has_ks: List[bool] = []
+    offsets = [0]
+    eff = np.empty((len(batch), 3), dtype=np.int64)
+    stream_bw = np.empty(len(batch))
+    spanned = np.empty(len(batch), dtype=np.int64)
+    bw_memo: Dict[Tuple[int, int], Tuple[float, int]] = {}
+    for i in range(len(batch)):
+        m, n, k = int(batch.m[i]), int(batch.n[i]), int(batch.k[i])
+        col_spans = partition_extent(n, int(batch.jc[i]), int(batch.nr[i]))
+        row_spans = partition_extent(m, int(batch.ic[i]), int(batch.mr[i]))
+        pc_req = int(batch.pc[i])
+        if pc_req > 1:
+            k_spans = partition_extent(k, pc_req, int(batch.kc[i]))
+            with_ks = True
+        else:
+            k_spans = (None,)
+            with_ks = False
+        eff[i] = (len(col_spans), len(row_spans), len(k_spans))
+        for cols in col_spans:
+            for rows in row_spans:
+                for ks in k_spans:
+                    cand.append(i)
+                    m_t.append(rows.extent)
+                    n_t.append(cols.extent)
+                    k_t.append(ks.extent if ks is not None else k)
+                    has_ks.append(with_ks)
+        offsets.append(len(cand))
+        active = len(col_spans) * len(row_spans) * len(k_spans)
+        mi = int(batch.machine_idx[i])
+        bw_key = (mi, active)
+        if bw_key not in bw_memo:
+            machine = batch.machines[mi]
+            bw_memo[bw_key] = (
+                machine.stream_bandwidth(active),
+                machine.sockets_spanned(active),
+            )
+        stream_bw[i], spanned[i] = bw_memo[bw_key]
+    return _SliceRows(
+        cand=np.asarray(cand, dtype=np.int64),
+        m_t=np.asarray(m_t, dtype=np.int64),
+        n_t=np.asarray(n_t, dtype=np.int64),
+        k_t=np.asarray(k_t, dtype=np.int64),
+        has_ks=np.asarray(has_ks, dtype=bool),
+        offsets=np.asarray(offsets, dtype=np.int64),
+        eff_jc=eff[:, 0],
+        eff_ic=eff[:, 1],
+        eff_pc=eff[:, 2],
+        stream_bw=stream_bw,
+        spanned=spanned,
     )

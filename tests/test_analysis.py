@@ -18,7 +18,6 @@ Four angles on ``repro.analysis``:
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 from pathlib import Path
 
@@ -114,9 +113,8 @@ def _rewrite_calls(stmts, fn):
 
 
 def _with_body(kernel, bad_ir):
-    corrupted = copy.copy(kernel)
-    corrupted.proc = type(kernel.proc)(bad_ir)
-    return corrupted
+    # replace() leaves the cached trace behind: it belongs to the old body
+    return dataclasses.replace(kernel, proc=type(kernel.proc)(bad_ir))
 
 
 def test_out_of_bounds_window_is_E_OOB_ACCESS():

@@ -219,3 +219,27 @@ class TestScaledReference:
             "v5_fma",
             "v6_unrolled",
         ]
+
+
+class TestReferenceParsedOnce:
+    def test_generation_reuses_one_parsed_reference(self, monkeypatch):
+        from repro.ukernel import generator
+
+        generator.generate_microkernel(4, 4)  # the shared parse exists
+
+        def reparse():
+            raise AssertionError("the reference kernel was parsed again")
+
+        monkeypatch.setattr(generator, "make_reference_kernel", reparse)
+        assert generator.generate_microkernel(8, 8).mr == 8
+        assert generator._shared_reference.cache_info().misses == 1
+
+    def test_make_reference_kernel_returns_a_fresh_parse(self):
+        from repro.ukernel.generator import (
+            _shared_reference,
+            make_reference_kernel,
+        )
+
+        fresh = make_reference_kernel()
+        assert fresh is not make_reference_kernel()
+        assert fresh is not _shared_reference()

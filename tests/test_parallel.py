@@ -17,9 +17,11 @@ Invariants of the thread partitioner and the threaded breakdown:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
+import numpy as np
 import parallel_oracle as oracle
 from parallel_oracle import partition_plane, split_ways
 import pinned_grids
@@ -484,6 +486,118 @@ class TestSearchEngineParity:
                 "thread_busy_cycles",
             ):
                 assert getattr(got, field) == getattr(want, field), field
+
+
+#: every registered machine, indexed by a slice-expansion row
+_MACHINE_NAMES = sorted(MACHINES)
+
+#: one candidate row: (machine index, m, n, k, mr, nr, kc, jc, ic, pc)
+_SLICE_ROW = st.tuples(
+    st.integers(min_value=0, max_value=len(_MACHINE_NAMES) - 1),
+    st.integers(min_value=1, max_value=300),
+    st.integers(min_value=1, max_value=300),
+    st.integers(min_value=1, max_value=3000),
+    st.integers(min_value=1, max_value=16),
+    st.integers(min_value=1, max_value=24),
+    st.integers(min_value=1, max_value=512),
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=1, max_value=6),
+)
+
+
+class TestSliceExpansion:
+    """The grid engine's array slice expansion equals the per-slice loop.
+
+    ``_expand_slices`` in ``sim/vectorized.py`` builds every
+    candidate's thread slices with ``np.repeat`` and index arithmetic;
+    ``parallel_oracle.expand_slices`` appends them one loop step at a
+    time.  Every field must match, dtype included.
+    """
+
+    @staticmethod
+    def _batch(rows):
+        from repro.sim import vectorized as vec
+
+        mi, m, n, k, mr, nr, kc, jc, ic, pc = (list(c) for c in zip(*rows))
+        return vec.CandidateBatch(
+            machines=tuple(MACHINES[name] for name in _MACHINE_NAMES),
+            machine_idx=mi, m=m, n=n, k=k, mr=mr, nr=nr, kc=kc, nc=4096,
+            jc=jc, ic=ic, pc=pc,
+            plan_source=lambda i, m_t, n_t: (),
+        )
+
+    @staticmethod
+    def _assert_same(batch):
+        from repro.sim import vectorized as vec
+
+        got = vec._expand_slices(batch)
+        want = oracle.expand_slices(batch)
+        for field in dataclasses.fields(want):
+            a, b = getattr(got, field.name), getattr(want, field.name)
+            assert a.dtype == b.dtype, field.name
+            assert np.array_equal(a, b), field.name
+
+    @given(rows=st.lists(_SLICE_ROW, min_size=1, max_size=12))
+    # pc > 1 with a ragged k, on the 2-socket NUMA machine
+    @example(rows=[(_MACHINE_NAMES.index("numa2s"), 97, 1003, 1500,
+                    8, 12, 256, 2, 2, 4)])
+    # extents smaller than the ways: fewer tiles than ways on every axis
+    @example(rows=[(0, 3, 5, 7, 8, 12, 64, 4, 4, 4)])
+    # ragged extents, and a mixed-machine batch with all-(1, 1, 1) rows
+    @example(rows=[
+        (i, 31 + i, 17 * (i + 1), 1000 + i, 8, 12, 100, 1 + i % 3,
+         1 + i % 2, 1 + i % 4)
+        for i in range(len(_MACHINE_NAMES))
+    ] + [(1, 50, 50, 50, 4, 4, 32, 1, 1, 1)])
+    @settings(max_examples=80, deadline=None)
+    def test_vectorized_expansion_equals_the_loop(self, rows):
+        self._assert_same(self._batch(rows))
+
+    @pytest.mark.parametrize("threads", [2, 8, 64])
+    def test_search_batches_match_on_every_machine(self, threads):
+        """The candidate grids the search really prices, all machines
+        in one batch."""
+        rows = []
+        for mi, name in enumerate(_MACHINE_NAMES):
+            machine = MACHINES[name]
+            for m, n, k in ((2000, 2000, 2000), (49, 500, 64)):
+                for jc, ic, pc in candidate_grids(
+                    threads, m, n, machine, 8, 12, k=k, kc=256
+                ):
+                    rows.append((mi, m, n, k, 8, 12, 256, jc, ic, pc))
+        self._assert_same(self._batch(rows))
+
+    def test_critical_slice_is_the_first_maximum_on_ties(self):
+        from repro.sim import vectorized as vec
+
+        values = np.array([1.0, 3.0, 3.0, 2.0, 5.0, 2.0, 2.0, 0.5, 7.0, 7.0])
+        offsets = np.array([0, 4, 5, 7, 10])
+        segment = np.repeat(np.arange(4), np.diff(offsets))
+        top, first = vec._segment_first_max(values, segment, offsets[:-1])
+        assert top.tolist() == [3.0, 5.0, 2.0, 7.0]
+        assert first.tolist() == [1, 4, 5, 8]
+
+    @given(
+        segments=st.lists(
+            st.lists(st.integers(min_value=0, max_value=3), min_size=1,
+                     max_size=6),
+            min_size=1, max_size=8,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_critical_slice_matches_argmax(self, segments):
+        from repro.sim import vectorized as vec
+
+        values = np.array([v for seg in segments for v in seg], dtype=float)
+        sizes = [len(seg) for seg in segments]
+        offsets = np.concatenate(([0], np.cumsum(sizes)))
+        segment = np.repeat(np.arange(len(sizes)), sizes)
+        _, first = vec._segment_first_max(values, segment, offsets[:-1])
+        assert first.tolist() == [
+            int(a) + int(np.argmax(values[a:b]))
+            for a, b in zip(offsets[:-1], offsets[1:])
+        ]
 
 
 class TestGridSubBatches:

@@ -172,28 +172,25 @@ class TestVirtualTimeline:
 
 class TestControllers:
     def test_mock_controller_prices_affinely(self):
-        ctrl = MockController(
-            VirtualTimeline(), base_ms=2.0, per_item_ms=0.5
-        )
+        ctrl = MockController(base_ms=2.0, per_item_ms=0.5)
         assert ctrl.service_estimate_ms(4) == 4.0
 
     def test_mock_controller_rejects_nonpositive_service(self):
         with pytest.raises(ValueError, match="must be positive"):
-            MockController(VirtualTimeline(), base_ms=0.0)
+            MockController(base_ms=0.0)
 
     def test_sim_and_real_need_an_executor(self):
-        timeline = VirtualTimeline()
         for kind in ("sim", "real"):
             with pytest.raises(ValueError, match="needs a ModelExecutor"):
-                controller_for(kind, timeline)
+                controller_for(kind)
 
     def test_unknown_controller_rejected(self):
         with pytest.raises(ValueError, match="unknown controller"):
-            controller_for("hardware", VirtualTimeline())
+            controller_for("hardware")
 
     def test_execute_prices_without_moving_the_clock(self):
         timeline = VirtualTimeline()
-        ctrl = MockController(timeline, base_ms=8.0)
+        ctrl = MockController(base_ms=8.0)
 
         async def main():
             service = await ctrl.execute(3)
@@ -399,7 +396,7 @@ def _parity_schedules(trace, replicas, policy, base_ms, per_item_ms):
     timeline = VirtualTimeline()
     plane = ServePlane(CARMEL, [spec], timeline, controller="mock")
     plane.pools["resnet50"].controller = MockController(
-        timeline, base_ms=base_ms, per_item_ms=per_item_ms
+        base_ms=base_ms, per_item_ms=per_item_ms
     )
     live = run_trace(plane, [("resnet50", r) for r in trace])
     offline_requests = sorted(
@@ -1002,7 +999,7 @@ class _FailingController(MockController):
     """Fails its second batch."""
 
     def __init__(self, timeline):
-        super().__init__(timeline, base_ms=5.0)
+        super().__init__(base_ms=5.0)
         self.calls = 0
 
     async def execute(self, batch):
@@ -1015,10 +1012,30 @@ class _FailingController(MockController):
 class _SleepingController(MockController):
     """Takes its own time, as controllers did before the pool did."""
 
+    def __init__(self, timeline):
+        super().__init__()
+        self.timeline = timeline
+
     async def execute(self, batch):
         service_ms = self.service_estimate_ms(batch)
         await self.timeline.sleep_until(self.timeline.now_ms() + service_ms)
         return service_ms
+
+
+def test_submit_without_obs_does_no_counter_work(monkeypatch):
+    """Without an obs bundle an arrival never reaches the counters."""
+
+    def count(self, name, help_text):
+        raise AssertionError(f"counted {name} with no obs attached")
+
+    monkeypatch.setattr(ServePlane, "_count", count)
+    plane = _mock_plane(
+        [PoolSpec("resnet50", 1, 2)],
+        admission=AdmissionPolicy(max_queue_depth=2),
+    )
+    trace = [Request(i, 0.0) for i in range(8)]
+    result = run_trace(plane, [("resnet50", r) for r in trace])
+    assert result.shed and result.served
 
 
 class TestRunTraceGuards:
@@ -1038,6 +1055,38 @@ class TestRunTraceGuards:
     def test_controller_exception_leaves_run_trace(self):
         with pytest.raises(ValueError, match="replica lost"):
             self._replay_with(_FailingController)
+
+    def test_controller_exception_leaves_a_wall_run(self):
+        """A raising callback ends the wall timeline's run, not hangs it.
+
+        The replay runs in a daemon thread joined with a timeout, so a
+        regression fails here instead of hanging the suite.
+        """
+
+        class Raising(MockController):
+            async def execute(self, batch):
+                raise ValueError("replica lost")
+
+        plane = ServePlane(
+            CARMEL, [PoolSpec("resnet50", 1, 2)], WallTimeline(),
+            controller="mock", mock_service_ms=1.0,
+        )
+        plane.pools["resnet50"].controller = Raising()
+        outcome = []
+
+        def replay():
+            try:
+                run_trace(plane, [("resnet50", Request(0, 0.0))])
+            except Exception as error:
+                outcome.append(error)
+
+        worker = threading.Thread(target=replay, daemon=True)
+        worker.start()
+        worker.join(timeout=10.0)
+        assert not worker.is_alive(), "the wall run hung"
+        assert len(outcome) == 1
+        assert isinstance(outcome[0], ValueError)
+        assert str(outcome[0]) == "replica lost"
 
     def test_suspending_controller_is_a_type_error(self):
         with pytest.raises(TypeError, match="execute suspended"):

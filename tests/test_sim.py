@@ -7,6 +7,8 @@ strided access, and the composition rules of the timing model.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.isa.machine import CARMEL, GENERIC_ARM
@@ -68,6 +70,119 @@ class TestPipelineMechanisms:
         assert counts["load"] == 5
         assert trace.prologue_vector_ops == 24
         assert trace.epilogue_vector_ops == 24
+
+
+class TestPricingInputsBuiltOnce:
+    """A kernel's trace and steady-state schedule are built once."""
+
+    def test_one_trace_per_kernel_across_consumers(self, monkeypatch):
+        from repro.analysis import verifier
+        from repro.eval.harness import EvalContext
+        from repro.isa.machine import RVV_EDGE_VLEN128
+        from repro.serve.executor import ModelExecutor
+        from repro.sim import pipeline
+        from repro.ukernel.generator import generate_vla_microkernel
+        from repro.ukernel.registry import registry_for_machine
+
+        built = []
+        build = pipeline._build_trace
+
+        def counting_build(kernel, extra):
+            built.append(kernel)
+            return build(kernel, extra)
+
+        checked = []
+        check = verifier._check_census
+
+        def recording_check(census, kernel, trace, report):
+            checked.append((kernel, trace))
+            return check(census, kernel, trace, report)
+
+        monkeypatch.setattr(pipeline, "_build_trace", counting_build)
+        monkeypatch.setattr(verifier, "_check_census", recording_check)
+
+        kernel = registry_for_machine(CARMEL).get(8, 12)
+        one, two = EvalContext(machine=CARMEL), EvalContext(machine=CARMEL)
+        trace = one.exo_trace(8, 12)
+        assert two.exo_trace(8, 12) is trace
+        assert trace_from_kernel(kernel) is trace
+        executor = ModelExecutor(CARMEL, threads=2, replicas=2)
+        assert executor.ctx.machine != executor.base_ctx.machine
+        assert executor.ctx.exo_trace(8, 12) is trace
+        assert verifier.verify_kernel(kernel, machine=CARMEL).ok
+        assert checked[-1][1] is trace
+
+        # a ragged VLA tile: a full-width part plus a vsetvl tail part
+        ctx = EvalContext(machine=RVV_EDGE_VLEN128)
+        plan = generate_vla_microkernel(6, 8, ctx.vla_lib_factory())
+        parts = ctx.vla_part_traces(6, 8)
+        assert len(parts) == len(plan.parts) == 2
+        assert verifier.verify_plan(plan, machine=ctx.machine).ok
+        for (mr, part_trace), (_, part) in zip(parts, plan.parts):
+            assert mr == part.mr
+            assert part_trace is trace_from_kernel(part)
+            assert (part, part_trace) in checked
+        assert len({id(k) for k in built}) == len(built)
+
+    def test_shared_trace_is_never_mutated(self, registry):
+        from repro.baselines.blis_asm import blis_kernel_model
+        from repro.baselines.neon_handwritten import neon_kernel_model
+
+        kernel = registry.get(8, 12)
+        trace = trace_from_kernel(kernel)
+        before = dataclasses.astuple(trace)
+        loaded = trace_from_kernel(kernel, extra_alu_per_iter=3)
+        assert loaded is not trace
+        assert len(loaded.ops) == len(trace.ops) + 3
+        neon_kernel_model(kernel=kernel)
+        blis_kernel_model(kernel=kernel)
+        assert trace_from_kernel(kernel) is trace
+        assert dataclasses.astuple(trace) == before
+
+    def test_schedule_memo_follows_what_the_scheduler_reads(
+        self, monkeypatch
+    ):
+        from repro.isa.machine import NUMA_SERVER_2S
+        from repro.sim.parallel import replica_topology
+        from repro.sim.timing import TimingModel
+        from repro.ukernel.generator import generate_microkernel
+
+        # a fresh kernel, so its trace starts with an empty memo
+        trace = trace_from_kernel(generate_microkernel(8, 12))
+        runs = []
+        schedule = PipelineModel._schedule
+
+        def counting_schedule(self, *args):
+            runs.append(self.machine)
+            return schedule(self, *args)
+
+        monkeypatch.setattr(PipelineModel, "_schedule", counting_schedule)
+        base = NUMA_SERVER_2S
+        view = replica_topology(base, 4, 8)
+        assert view != base
+        cycles = PipelineModel(machine=base).steady_cycles_per_iter(trace)
+        assert PipelineModel(machine=view).steady_cycles_per_iter(
+            trace
+        ) == cycles
+        timing = TimingModel(machine=view).timing_for(trace, 8, 12)
+        assert timing.cycles_per_iter == cycles
+        assert runs == [base]
+
+        narrow = dataclasses.replace(
+            base, pipes=(("fma", 1), ("load", 2), ("store", 1), ("alu", 2))
+        )
+        chimed = dataclasses.replace(base, vector_chime=2)
+        for machine in (narrow, chimed):
+            PipelineModel(machine=machine).steady_cycles_per_iter(trace)
+        assert runs == [base, narrow, chimed]
+        assert len(trace.schedules) == 3
+
+        # a memoized schedule equals a fresh one (replace starts a new memo)
+        fresh = dataclasses.replace(trace)
+        assert not fresh.schedules
+        assert PipelineModel(machine=base).steady_cycles_per_iter(
+            fresh
+        ) == cycles
 
 
 class TestSoloTiming:
