@@ -17,11 +17,12 @@ modelled substrate as the figure benchmarks:
 
 from __future__ import annotations
 
+from parallel_oracle import memory_cost
 
 from repro.isa.machine import AVX512_SERVER, CARMEL
 from repro.isa.avx512 import AVX512_F32_LIB
 from repro.isa.neon_fp16 import NEON_F16_LIB
-from repro.sim.memory import GemmShape, TileParams, memory_cost
+from repro.sim.memory import GemmShape, TileParams
 from repro.sim.pipeline import trace_from_kernel
 from repro.sim.timing import solo_kernel_gflops
 from repro.ukernel.extended import generate_nopack_microkernel

@@ -2,19 +2,22 @@
 
 The analytic time model is the tuner's and planner's inner loop, so its
 evaluation throughput bounds every search.  This benchmark times the
-same candidate sweep both ways — one ``exo_gemm_breakdown`` call per
-candidate (the golden oracle) vs one ``repro.sim.vectorized`` batch for
-the whole sweep — and records candidates/second for each plus their
-ratio.  The workload is tune-sweep shaped: a pool of (m, n) planes swept
-across many k depths, so plan selection (pure Python in both paths)
-amortizes across the sweep exactly as ``tune.executor``'s plan-cost
-memo amortizes it.
+same candidate sweep both ways — one call per candidate of the scalar
+serial oracle (``exo_gemm_breakdown`` in ``tests/parallel_oracle.py``)
+vs one ``repro.sim.vectorized`` batch for the whole sweep — and records
+candidates/second for each plus their ratio.  The workload is
+tune-sweep shaped: a pool of (m, n) planes swept across many k depths,
+so plan selection (pure Python in both paths) amortizes across the
+sweep exactly as ``tune.executor``'s plan-cost memo amortizes it.
 
 The ratio is the gate: the vectorized engine must clear 100x the scalar
-path's steady-state rate (the ISSUE-7 tentpole target), and the
-committed baseline (``benchmarks/baselines/``) holds a conservative
-floor so the CI regression check fails only on a real collapse, not on
-runner-to-runner jitter.
+path's steady-state rate, and the committed baseline
+(``benchmarks/baselines/``) holds a conservative floor so the CI
+regression check fails only on a real collapse, not on
+runner-to-runner jitter.  The ratio's two rates are timed in
+alternating rounds, each the best of :data:`SPEEDUP_ROUNDS`, so a
+slow spell of the host hits both alike; every round of the
+speedup benchmark adds its timings to both bests.
 """
 
 from __future__ import annotations
@@ -23,9 +26,10 @@ import random
 import time
 
 import numpy as np
+import parallel_oracle
 
 from repro.blis.params import analytical_tile_params
-from repro.eval.harness import exo_gemm_breakdown, plane_chunk_plans
+from repro.eval.harness import plane_chunk_plans
 from repro.sim import vectorized as vec
 
 #: the sweep: PLANES distinct (m, n) planes x DEPTHS k values each
@@ -35,6 +39,8 @@ DEPTHS = 30
 SCALAR_SAMPLE = 120
 #: the vectorized engine must beat the scalar oracle by this factor
 SPEEDUP_TARGET = 100.0
+#: alternating scalar/vectorized timing rounds behind the speedup
+SPEEDUP_ROUNDS = 5
 
 _rng = random.Random(20240207)
 _PLANE_POOL = [
@@ -50,15 +56,11 @@ _M = np.asarray([s[0] for s in SPECS])
 _N = np.asarray([s[1] for s in SPECS])
 _K = np.asarray([s[2] for s in SPECS])
 
-#: rates measured by the two throughput benchmarks, consumed by the
-#: speedup record (re-measured inline when a test runs standalone)
-RATES: dict = {}
-
 
 def _scalar_eval(ctx, specs):
     mr, nr = ctx.main_tile
     for m, n, k in specs:
-        exo_gemm_breakdown(m, n, k, main=(mr, nr), ctx=ctx)
+        parallel_oracle.exo_gemm_breakdown(m, n, k, main=(mr, nr), ctx=ctx)
 
 
 def _vectorized_eval(ctx, memo):
@@ -96,18 +98,27 @@ def _vectorized_eval(ctx, memo):
 
 
 def _measure_rates(ctx) -> dict:
-    """Inline fallback when the speedup test runs without the others."""
+    """Both rates, from :data:`SPEEDUP_ROUNDS` alternating rounds.
+
+    Each round times the scalar sample, then the vectorized sweep; each
+    rate is the best of its rounds.
+    """
     sample = SPECS[:SCALAR_SAMPLE]
     _scalar_eval(ctx, sample[:4])  # warm kernel traces
-    t0 = time.perf_counter()
-    _scalar_eval(ctx, sample)
-    rates = {"scalar": len(sample) / (time.perf_counter() - t0)}
     memo: dict = {}
     _vectorized_eval(ctx, memo)  # warm the plan-cost memo
-    t0 = time.perf_counter()
-    _vectorized_eval(ctx, memo)
-    rates["vectorized"] = len(SPECS) / (time.perf_counter() - t0)
-    return rates
+    scalar_s, vectorized_s = [], []
+    for _ in range(SPEEDUP_ROUNDS):
+        t0 = time.perf_counter()
+        _scalar_eval(ctx, sample)
+        t1 = time.perf_counter()
+        _vectorized_eval(ctx, memo)
+        vectorized_s.append(time.perf_counter() - t1)
+        scalar_s.append(t1 - t0)
+    return {
+        "scalar": len(sample) / min(scalar_s),
+        "vectorized": len(SPECS) / min(vectorized_s),
+    }
 
 
 def test_scalar_model_throughput(benchmark, ctx):
@@ -122,7 +133,6 @@ def test_scalar_model_throughput(benchmark, ctx):
 
     benchmark(run)
     rate = len(sample) / min(times)
-    RATES["scalar"] = rate
     benchmark.extra_info.update(
         machine="carmel",
         isa="neon",
@@ -150,7 +160,6 @@ def test_vectorized_model_throughput(benchmark, ctx):
     # determinism: repeated evaluations are bit-identical
     assert scored.total_cycles.tolist() == baseline.total_cycles.tolist()
     rate = len(SPECS) / min(times)
-    RATES["vectorized"] = rate
     benchmark.extra_info.update(
         machine="carmel",
         isa="neon",
@@ -161,18 +170,19 @@ def test_vectorized_model_throughput(benchmark, ctx):
     # spot parity: the batch agrees with the oracle on the first spec
     mr, nr = ctx.main_tile
     m, n, k = SPECS[0]
-    want = exo_gemm_breakdown(m, n, k, main=(mr, nr), ctx=ctx)
+    want = parallel_oracle.exo_gemm_breakdown(m, n, k, main=(mr, nr), ctx=ctx)
     assert scored.total_cycles[0] == want.total_cycles
 
 
 def test_vectorized_speedup(benchmark, ctx):
+    # each benchmark round adds SPEEDUP_ROUNDS alternating timings of
+    # both paths; each rate is the best over every round so far
+    best = {"scalar": 0.0, "vectorized": 0.0}
+
     def speedup():
-        rates = (
-            RATES
-            if "scalar" in RATES and "vectorized" in RATES
-            else _measure_rates(ctx)
-        )
-        return rates["vectorized"] / rates["scalar"]
+        for name, rate in _measure_rates(ctx).items():
+            best[name] = max(best[name], rate)
+        return best["vectorized"] / best["scalar"]
 
     ratio = benchmark(speedup)
     print(f"\n  vectorized/scalar speedup: {ratio:.0f}x")

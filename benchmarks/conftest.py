@@ -21,11 +21,16 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from pathlib import Path
 
 import pytest
 
-from repro.eval.harness import EvalContext, default_context
+# the scalar oracles (tests/parallel_oracle.py): the throughput
+# reference and the scalar memory model
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+
+from repro.eval.harness import EvalContext, default_context  # noqa: E402
 
 
 def pytest_configure(config):

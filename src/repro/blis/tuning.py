@@ -20,7 +20,12 @@ from typing import Iterable, Optional, Tuple
 
 from repro.isa.machine import CARMEL, MachineModel
 from repro.sim.memory import GemmShape, TileParams
-from repro.sim.timing import ChunkPlan, TimingModel, gemm_time_model
+from repro.sim.timing import (
+    ChunkPlan,
+    TimingModel,
+    gemm_time_model,
+    gemm_time_models,
+)
 
 from .params import analytical_tile_params, clamp_tiles
 
@@ -59,30 +64,34 @@ def grid_search_tiles(
     """Exhaustively score the candidate grid with the GEMM timing model.
 
     ``trace`` is the kernel trace the plan runs (the monolithic-kernel
-    configuration: one tile class covering the plane).
+    configuration: one tile class covering the plane).  Every candidate
+    is priced in one :func:`repro.sim.timing.gemm_time_models` call;
+    the first with the highest GFLOPS wins.
     """
-    model = model or TimingModel(machine=machine)
-    best: Optional[Tuple[TileParams, float]] = None
-    evaluated = 0
     count = math.ceil(shape.m / mr) * math.ceil(shape.n / nr)
-    plan = ChunkPlan(
-        trace=trace, mr=mr, nr=nr, count=count, call_overhead=call_overhead
-    )
-    for mc, kc, nc in _candidate_grid(mr, nr, machine):
-        tiles = clamp_tiles(
+    plans = [
+        ChunkPlan(
+            trace=trace, mr=mr, nr=nr, count=count, call_overhead=call_overhead
+        )
+    ]
+    candidates = [
+        clamp_tiles(
             TileParams(mc=mc, kc=kc, nc=nc, mr=mr, nr=nr),
             shape.m,
             shape.n,
             shape.k,
         )
-        breakdown = gemm_time_model(
-            shape, [plan], tiles, machine=machine, model=model
-        )
-        evaluated += 1
-        if best is None or breakdown.gflops > best[1]:
-            best = (tiles, breakdown.gflops)
-    assert best is not None
-    return TunedResult(tiles=best[0], gflops=best[1], evaluated=evaluated)
+        for mc, kc, nc in _candidate_grid(mr, nr, machine)
+    ]
+    priced = gemm_time_models(
+        [(shape, plans, tiles) for tiles in candidates],
+        machine=machine,
+        model=model,
+    )
+    tiles, best = max(zip(candidates, priced), key=lambda o: o[1].gflops)
+    return TunedResult(
+        tiles=tiles, gflops=best.gflops, evaluated=len(candidates)
+    )
 
 
 def analytical_result(

@@ -25,7 +25,7 @@ from repro.baselines.neon_handwritten import neon_kernel_model
 from repro.blis.params import analytical_tile_params, clamp_tiles
 from repro.isa.machine import CARMEL, MachineModel
 from repro.obs import profile as obs_profile
-from repro.sim.memory import GemmShape
+from repro.sim.memory import GemmShape, TileParams
 from repro.sim.parallel import (
     GridRequest,
     ParallelBreakdown,
@@ -36,9 +36,9 @@ from repro.sim.parallel import (
 from repro.sim.pipeline import KernelTrace, trace_from_kernel
 from repro.sim.timing import (
     ChunkPlan,
-    GemmTimeBreakdown,
     TimingModel,
     gemm_time_model,
+    gemm_time_models,
     solo_kernel_gflops,
 )
 from repro.ukernel.edge import monolithic_cover, tile_cover, vla_tile_cover
@@ -210,6 +210,14 @@ def fig13_solo_data(
 # ---------------------------------------------------------------------------
 
 
+def _baseline_gemm(ctx: EvalContext, m: int, n: int, k: int, trace):
+    tiles = clamp_tiles(analytical_tile_params(8, 12, ctx.machine), m, n, k)
+    plan = ChunkPlan(
+        trace=trace, mr=8, nr=12, count=monolithic_cover(m, n, 8, 12)
+    )
+    return GemmShape(m, n, k), [plan], tiles
+
+
 def baseline_gemm_breakdown(
     m: int,
     n: int,
@@ -217,17 +225,27 @@ def baseline_gemm_breakdown(
     trace: KernelTrace,
     prefetch_c: bool = False,
     ctx: Optional[EvalContext] = None,
-) -> GemmTimeBreakdown:
+) -> ParallelBreakdown:
     """Five-loop GEMM with one monolithic 8x12 kernel (NEON/BLIS models)."""
     ctx = ctx or default_context()
-    shape = GemmShape(m, n, k)
-    tiles = clamp_tiles(analytical_tile_params(8, 12, ctx.machine), m, n, k)
-    plan = ChunkPlan(
-        trace=trace, mr=8, nr=12, count=monolithic_cover(m, n, 8, 12)
-    )
     return gemm_time_model(
-        shape, [plan], tiles, prefetch_c=prefetch_c,
+        *_baseline_gemm(ctx, m, n, k, trace), prefetch_c=prefetch_c,
         machine=ctx.machine, model=ctx.model,
+    )
+
+
+def baseline_gemm_breakdowns(
+    shapes: Sequence[Tuple[int, int, int]],
+    trace: KernelTrace,
+    prefetch_c: bool = False,
+    ctx: Optional[EvalContext] = None,
+) -> List[ParallelBreakdown]:
+    """:func:`baseline_gemm_breakdown` of many ``(m, n, k)`` shapes, in
+    one :func:`repro.sim.timing.gemm_time_models` call."""
+    ctx = ctx or default_context()
+    return gemm_time_models(
+        [_baseline_gemm(ctx, m, n, k, trace) for m, n, k in shapes],
+        prefetch_c=prefetch_c, machine=ctx.machine, model=ctx.model,
     )
 
 
@@ -280,27 +298,49 @@ def plane_chunk_plans(
     ]
 
 
+def exo_tiles(
+    ctx: EvalContext, m: int, n: int, k: int, main: Optional[Tuple[int, int]]
+) -> TileParams:
+    """The analytical tiles of the family anchored at ``main`` (the
+    context's ISA main tile when ``None``), clamped to the GEMM."""
+    mr, nr = main if main is not None else ctx.main_tile
+    return clamp_tiles(analytical_tile_params(mr, nr, ctx.machine), m, n, k)
+
+
+def _exo_gemm(ctx: EvalContext, m: int, n: int, k: int, main):
+    tiles = exo_tiles(ctx, m, n, k, main)
+    plans = plane_chunk_plans(ctx, m, n, tiles.mr, tiles.nr)
+    return GemmShape(m, n, k), plans, tiles
+
+
 def exo_gemm_breakdown(
     m: int,
     n: int,
     k: int,
     main: Optional[Tuple[int, int]] = None,
     ctx: Optional[EvalContext] = None,
-) -> GemmTimeBreakdown:
+) -> ParallelBreakdown:
     """Five-loop GEMM with the generated family anchored at ``main``.
 
     The (m, n) plane decomposes through :func:`plane_chunk_plans`;
     ``main`` defaults to the context's ISA main tile (8x12 on Neon).
     """
     ctx = ctx or default_context()
-    mr_main, nr_main = main if main is not None else ctx.main_tile
-    shape = GemmShape(m, n, k)
-    tiles = clamp_tiles(
-        analytical_tile_params(mr_main, nr_main, ctx.machine), m, n, k
-    )
-    plans = plane_chunk_plans(ctx, m, n, mr_main, nr_main)
     return gemm_time_model(
-        shape, plans, tiles, prefetch_c=False,
+        *_exo_gemm(ctx, m, n, k, main), machine=ctx.machine, model=ctx.model
+    )
+
+
+def exo_gemm_breakdowns(
+    cells: Sequence[Tuple[int, int, int, Tuple[int, int]]],
+    ctx: Optional[EvalContext] = None,
+) -> List[ParallelBreakdown]:
+    """:func:`exo_gemm_breakdown` of many ``(m, n, k, main)`` cells on
+    one context, in one :func:`repro.sim.timing.gemm_time_models`
+    call."""
+    ctx = ctx or default_context()
+    return gemm_time_models(
+        [_exo_gemm(ctx, *cell) for cell in cells],
         machine=ctx.machine, model=ctx.model,
     )
 
@@ -328,16 +368,12 @@ def exo_parallel_breakdown(
     With ``threads=1`` this equals :func:`exo_gemm_breakdown` exactly,
     on every shape.
     """
-    mr_main, nr_main = main if main is not None else ctx.main_tile
-    shape = GemmShape(m, n, k)
-    tiles = clamp_tiles(
-        analytical_tile_params(mr_main, nr_main, ctx.machine), m, n, k
-    )
+    tiles = exo_tiles(ctx, m, n, k, main)
     return parallel_gemm_breakdown(
-        shape, tiles, threads,
+        GemmShape(m, n, k), tiles, threads,
         machine=ctx.machine,
         plan_builder=lambda mt, nt: plane_chunk_plans(
-            ctx, mt, nt, mr_main, nr_main
+            ctx, mt, nt, tiles.mr, tiles.nr
         ),
         model=ctx.model,
     )
@@ -370,11 +406,10 @@ def exo_parallel_breakdowns(
 
     requests = []
     for ctx, m, n, k, threads, main in cells:
-        mr, nr = main if main is not None else ctx.main_tile
         machine = ctx.machine
-        tiles = clamp_tiles(analytical_tile_params(mr, nr, machine), m, n, k)
+        tiles = exo_tiles(ctx, m, n, k, main)
         grids = candidate_grids(
-            threads, m, n, machine, mr, nr, k=k, kc=tiles.kc
+            threads, m, n, machine, tiles.mr, tiles.nr, k=k, kc=tiles.kc
         )
         requests.append(
             GridRequest(machine, GemmShape(m, n, k), tiles, threads, grids)
@@ -403,26 +438,42 @@ def exo_parallel_breakdowns(
     return breakdowns
 
 
+#: the main tiles ALG+EXO chooses from (the paper's Section IV-B move)
+EXO_CANDIDATES: Tuple[Tuple[int, int], ...] = ((8, 12), (8, 8), (8, 4))
+
+
 def best_exo_breakdown(
     m: int,
     n: int,
     k: int,
-    candidates: Tuple[Tuple[int, int], ...] = ((8, 12), (8, 8), (8, 4)),
+    candidates: Tuple[Tuple[int, int], ...] = EXO_CANDIDATES,
     ctx: Optional[EvalContext] = None,
-) -> Tuple[Tuple[int, int], GemmTimeBreakdown]:
+) -> Tuple[Tuple[int, int], ParallelBreakdown]:
     """Model-driven main-kernel selection (the paper's Section IV-B move)."""
-    ctx = ctx or default_context()
-    best = None
-    for shape in candidates:
-        if shape[0] > m or shape[1] > n:
-            continue
-        b = exo_gemm_breakdown(m, n, k, main=shape, ctx=ctx)
-        if best is None or b.total_cycles < best[1].total_cycles:
-            best = (shape, b)
-    if best is None:
-        b = exo_gemm_breakdown(m, n, k, main=(8, 4), ctx=ctx)
-        best = ((8, 4), b)
-    return best
+    return best_exo_breakdowns([(m, n, k)], candidates, ctx=ctx)[0]
+
+
+def best_exo_breakdowns(
+    shapes: Sequence[Tuple[int, int, int]],
+    candidates: Tuple[Tuple[int, int], ...] = EXO_CANDIDATES,
+    ctx: Optional[EvalContext] = None,
+) -> List[Tuple[Tuple[int, int], ParallelBreakdown]]:
+    """:func:`best_exo_breakdown` of many ``(m, n, k)`` shapes.
+
+    Every candidate that fits a shape (8x4 when none does) is priced in
+    one :func:`exo_gemm_breakdowns` call; per shape the first candidate
+    with the least total cycles wins.
+    """
+    mains = [
+        [c for c in candidates if c[0] <= m and c[1] <= n] or [(8, 4)]
+        for m, n, _ in shapes
+    ]
+    cells = [(*s, c) for s, fits in zip(shapes, mains) for c in fits]
+    priced = iter(exo_gemm_breakdowns(cells, ctx=ctx))
+    return [
+        min(((c, next(priced)) for c in fits), key=lambda o: o[1].total_cycles)
+        for fits in mains
+    ]
 
 
 def tuned_layer_breakdown(ctx: EvalContext, m: int, n: int, k: int):
@@ -435,7 +486,8 @@ def tuned_layer_breakdown(ctx: EvalContext, m: int, n: int, k: int):
     reads the cached winners instead of re-running the timing model.
     Returns ``(main_tile, breakdown)``; the breakdown is a cached
     :class:`repro.tune.TunedBreakdown` on a hit, the modelled
-    ``GemmTimeBreakdown`` otherwise, with identical timing surfaces.
+    :class:`repro.sim.parallel.ParallelBreakdown` otherwise, with
+    identical timing surfaces.
     """
     from repro.ukernel.registry import select_kernel_for
 
@@ -444,17 +496,34 @@ def tuned_layer_breakdown(ctx: EvalContext, m: int, n: int, k: int):
 
 def all_config_breakdowns(
     m: int, n: int, k: int, ctx: Optional[EvalContext] = None
-) -> Dict[str, GemmTimeBreakdown]:
+) -> Dict[str, ParallelBreakdown]:
     """The four Section-IV configurations for one GEMM shape."""
-    ctx = ctx or default_context()
-    return {
-        "ALG+NEON": baseline_gemm_breakdown(m, n, k, ctx.neon_trace(), ctx=ctx),
-        "ALG+BLIS": baseline_gemm_breakdown(m, n, k, ctx.blis_trace(), ctx=ctx),
-        "BLIS": baseline_gemm_breakdown(
-            m, n, k, ctx.blis_trace(), prefetch_c=True, ctx=ctx
-        ),
-        "ALG+EXO": best_exo_breakdown(m, n, k, ctx=ctx)[1],
-    }
+    return _config_breakdowns([(m, n, k)], ctx or default_context())[0][0]
+
+
+def _config_breakdowns(
+    shapes: Sequence[Tuple[int, int, int]], ctx: EvalContext
+) -> List[Tuple[Dict[str, ParallelBreakdown], Tuple[int, int]]]:
+    """Each shape's four configurations and its ALG+EXO main tile.
+
+    One batched pricing call per configuration: the engine asks for a
+    plane's plans once per (machine, mr, nr, m, n), which ALG+NEON,
+    ALG+BLIS and an 8x12 ALG+EXO cell share without sharing traces, and
+    BLIS alone prefetches C.
+    """
+    neon = baseline_gemm_breakdowns(shapes, ctx.neon_trace(), ctx=ctx)
+    alg_blis = baseline_gemm_breakdowns(shapes, ctx.blis_trace(), ctx=ctx)
+    blis = baseline_gemm_breakdowns(
+        shapes, ctx.blis_trace(), prefetch_c=True, ctx=ctx
+    )
+    exo = best_exo_breakdowns(shapes, ctx=ctx)
+    return [
+        (
+            {"ALG+NEON": a, "ALG+BLIS": b, "BLIS": c, "ALG+EXO": e},
+            main,
+        )
+        for a, b, c, (main, e) in zip(neon, alg_blis, blis, exo)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -468,12 +537,11 @@ def fig14_square_data(
     """GFLOPS of the four configurations on square GEMMs (Figure 14)."""
     ctx = ctx or default_context()
     rows = []
-    for s in sizes:
-        configs = all_config_breakdowns(s, s, s, ctx=ctx)
+    priced = _config_breakdowns([(s, s, s) for s in sizes], ctx)
+    for s, (configs, main) in zip(sizes, priced):
         row = {"size": s}
         row.update({name: b.gflops for name, b in configs.items()})
-        best_shape, _ = best_exo_breakdown(s, s, s, ctx=ctx)
-        row["exo_kernel"] = f"{best_shape[0]}x{best_shape[1]}"
+        row["exo_kernel"] = f"{main[0]}x{main[1]}"
         rows.append(row)
     return rows
 
@@ -487,8 +555,10 @@ def _layer_rows(
     layers, ctx: EvalContext, use_tuned: bool = False
 ) -> List[dict]:
     rows = []
-    for layer in layers:
-        configs = all_config_breakdowns(layer.m, layer.n, layer.k, ctx=ctx)
+    priced = _config_breakdowns(
+        [(layer.m, layer.n, layer.k) for layer in layers], ctx
+    )
+    for layer, (configs, _) in zip(layers, priced):
         row = {
             "layer": layer.layer_id,
             "m": layer.m,
@@ -510,20 +580,24 @@ def _instance_time_rows(
     instances, ctx: EvalContext, use_tuned: bool = False
 ) -> List[dict]:
     """Cumulative per-configuration time over layer instances (Figs 16/18)."""
+    instances = list(instances)
+    layers: Dict[int, object] = {}
+    for _, layer in instances:
+        layers.setdefault(layer.layer_id, layer)
+    priced = _config_breakdowns(
+        [(layer.m, layer.n, layer.k) for layer in layers.values()], ctx
+    )
+    by_layer: Dict[int, Dict[str, float]] = {}
+    for (layer_id, layer), (configs, _) in zip(layers.items(), priced):
+        seconds = {name: b.seconds for name, b in configs.items()}
+        if use_tuned:
+            _, b = tuned_layer_breakdown(ctx, layer.m, layer.n, layer.k)
+            seconds["ALG+EXO"] = b.seconds
+        by_layer[layer_id] = seconds
     totals = {"ALG+NEON": 0.0, "ALG+BLIS": 0.0, "BLIS": 0.0, "ALG+EXO": 0.0}
     rows = []
-    cache: Dict[int, Dict[str, float]] = {}
     for number, layer in instances:
-        if layer.layer_id not in cache:
-            configs = all_config_breakdowns(layer.m, layer.n, layer.k, ctx=ctx)
-            seconds = {name: b.seconds for name, b in configs.items()}
-            if use_tuned:
-                _, b = tuned_layer_breakdown(
-                    ctx, layer.m, layer.n, layer.k
-                )
-                seconds["ALG+EXO"] = b.seconds
-            cache[layer.layer_id] = seconds
-        for name, seconds in cache[layer.layer_id].items():
+        for name, seconds in by_layer[layer.layer_id].items():
             totals[name] += seconds
         rows.append({"layer_number": number, **dict(totals)})
     return rows

@@ -1,11 +1,14 @@
 """Per-GEMM profile hooks for the timing model.
 
-The eval/tune hot path — one modelled GEMM breakdown per call into
-:func:`repro.sim.timing.gemm_time_model` or
-:func:`repro.sim.parallel.parallel_gemm_breakdown` — reports into the
-process-wide active :class:`GemmProfiler` when one is installed.  The
-disabled path costs a single module-global ``is None`` check, so
-profiling is free when off (the no-op default).
+The eval/tune hot path reports into the process-wide active
+:class:`GemmProfiler` when one is installed: one ``serial`` record per
+GEMM priced through :func:`repro.sim.timing.gemm_time_model` or
+:func:`repro.sim.timing.gemm_time_models`, one ``parallel`` record per
+:func:`repro.sim.parallel.parallel_gemm_breakdown` or eval threaded
+cell, and one ``batch.grid`` record per engine batch
+(:meth:`GemmProfiler.record_batch`).  The disabled path costs a single
+module-global ``is None`` check, so profiling is free when off (the
+no-op default).
 
 Each record captures the problem (m, n, k, threads), the partition the
 threaded model chose (label and pc_ways), and the cycle components; the

@@ -12,7 +12,8 @@ micro-architectural model with the same observable mechanisms:
 * :mod:`repro.sim.memory` — the analytical memory model for full GEMM:
   packing traffic, C streaming, per-level residency of the BLIS tiles.
 * :mod:`repro.sim.timing` — composition: solo-mode kernel timing and
-  five-loop GEMM timing.
+  five-loop GEMM timing (the one-slice case of the batch engine,
+  :mod:`repro.sim.vectorized`).
 * :mod:`repro.sim.parallel` — the multi-threaded execution model: the
   jc/ic/pc candidate grids (with the partial-C reduction split),
   NUMA-aware replica topology views, and the threaded GEMM breakdown.
@@ -25,15 +26,15 @@ from .parallel import (
     replica_topology,
 )
 from .pipeline import KernelTrace, PipelineModel, trace_from_kernel
-from .timing import gemm_time_model, plans_compute_cycles, solo_kernel_gflops
+from .timing import gemm_time_model, gemm_time_models, solo_kernel_gflops
 
 __all__ = [
     "KernelTrace",
     "ParallelBreakdown",
     "PipelineModel",
     "gemm_time_model",
+    "gemm_time_models",
     "parallel_gemm_breakdown",
-    "plans_compute_cycles",
     "replica_numa_nodes",
     "replica_topology",
     "solo_kernel_gflops",

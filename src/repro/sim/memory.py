@@ -1,20 +1,19 @@
-"""Analytical memory model for the five-loop BLIS GEMM.
+"""GEMM shapes and BLIS tile parameters for the analytical memory model.
 
 The BLIS loop structure pins each operand at a known level (Figure 2 of the
 paper): the packed Bc panel lives in L3, Ac in L2, the Br sliver in L1, and
 the C micro-tile streams from main memory through the hierarchy.  Given the
 tiling parameters, traffic per level is a closed-form function of the
-problem shape — this module computes it, along with the packing costs and
-the C-tile streaming penalty that the in-kernel prefetch of the BLIS
-library hides (the mechanism behind the paper's Figure 14 ordering).
+problem shape: the packing costs and the C-tile streaming penalty that the
+in-kernel prefetch of the BLIS library hides (the mechanism behind the
+paper's Figure 14 ordering).  The batch engine
+(:mod:`repro.sim.vectorized`) evaluates that closed form; its scalar form,
+``memory_cost``, is the test oracle (``tests/parallel_oracle.py``).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-
-from repro.isa.machine import CARMEL, MachineModel
 
 
 @dataclass(frozen=True)
@@ -35,86 +34,3 @@ class TileParams:
     nc: int
     mr: int
     nr: int
-
-
-@dataclass
-class MemoryCost:
-    """Cycle costs of the memory-system work of one GEMM invocation."""
-
-    pack_a_cycles: float
-    pack_b_cycles: float
-    c_stream_cycles: float
-    c_stall_cycles: float  # exposed only without prefetch
-    dram_bytes: float
-
-    @property
-    def total_overlappable(self) -> float:
-        return self.pack_a_cycles + self.pack_b_cycles + self.c_stream_cycles
-
-
-def memory_cost(
-    shape: GemmShape,
-    tiles: TileParams,
-    machine: MachineModel = CARMEL,
-    dtype_bytes: int = 4,
-    prefetch_c: bool = False,
-) -> MemoryCost:
-    """Analytical memory cycles for one C = C + A*B.
-
-    Components:
-
-    * **A packing** — every Ac block (mc x kc) is repacked once per jc
-      iteration: ``ceil(n/nc) * m * k`` elements read + written.
-    * **B packing** — Bc blocks are packed once: ``k * n`` elements.
-      Packing bandwidth is store-limited at the L2/L3 write rate.
-    * **C streaming** — the C tile is read and written once per pc
-      iteration: ``2 * m * n * ceil(k/kc)`` elements moving at DRAM
-      bandwidth.
-    * **C stall** — without the in-kernel prefetch of the BLIS library,
-      each micro-kernel invocation eats the latency of its C-tile line
-      misses before the accumulation loop saturates; prefetching overlaps
-      this entirely.  Misses are served with a modest memory-level
-      parallelism (6 outstanding), matching an OoO core's load queue.
-    """
-    m, n, k = shape.m, shape.n, shape.k
-    jc_iters = max(1, math.ceil(n / tiles.nc))
-    pc_iters = max(1, math.ceil(k / tiles.kc))
-
-    # packing: read + write each element; throughput limited by the copy
-    # engine (two elements per cycle through the vector pipes)
-    copy_rate = 2.0 * machine.pipe_count("load") * dtype_bytes  # bytes/cycle
-    pack_a_bytes = 2.0 * m * k * dtype_bytes * jc_iters
-    pack_b_bytes = 2.0 * k * n * dtype_bytes
-    pack_a_cycles = pack_a_bytes / copy_rate
-    pack_b_cycles = pack_b_bytes / copy_rate
-
-    # C streaming traffic
-    c_bytes = 2.0 * m * n * dtype_bytes * pc_iters
-    c_stream_cycles = c_bytes / machine.dram_bandwidth_bytes_per_cycle
-
-    # exposed C-tile miss latency per micro-kernel call (no prefetch)
-    line = machine.caches[0].line_bytes
-    tiles_per_pass = max(1, math.ceil(m / tiles.mr)) * max(
-        1, math.ceil(n / tiles.nr)
-    )
-    lines_per_tile = max(
-        1, math.ceil(tiles.mr * tiles.nr * dtype_bytes / line)
-    )
-    mlp = 6.0
-    stall_per_tile = lines_per_tile / mlp * machine.dram_latency_cycles
-    c_stall_cycles = 0.0 if prefetch_c else (
-        stall_per_tile * tiles_per_pass * pc_iters
-    )
-
-    dram_bytes = (
-        m * k * dtype_bytes * jc_iters  # A read per repack
-        + k * n * dtype_bytes  # B read once
-        + c_bytes
-    )
-    return MemoryCost(
-        pack_a_cycles=pack_a_cycles,
-        pack_b_cycles=pack_b_cycles,
-        c_stream_cycles=c_stream_cycles,
-        c_stall_cycles=c_stall_cycles,
-        dram_bytes=dram_bytes,
-    )

@@ -5,11 +5,11 @@ eight.  BLIS parallelizes the jc loop (columns of B/C) and the ic loop
 (rows of A/C) across cores.  This module makes that a first-class model:
 
 * :func:`candidate_grids` enumerates the ``jc_ways x ic_ways x
-  pc_ways`` grids a GEMM may split into, and :func:`partition_extent`
-  cuts one dimension into contiguous, tile-aligned spans —
-  residue-aware, so uneven extents spread by at most one tile
-  column/row (or one ``kc`` chunk along k) and the ragged remainder
-  rides in the last span;
+  pc_ways`` grids a GEMM may split into; each way owns a contiguous,
+  tile-aligned span of its dimension — residue-aware, so uneven
+  extents spread by at most one tile column/row (or one ``kc`` chunk
+  along k) and the ragged remainder rides in the last span (the
+  oracle's ``partition_extent``; the engine splits in closed form);
 * :func:`parallel_gemm_breakdown` charges each thread its own chunk
   plans (built per slice, so edge/tail kernels — including reduced-
   ``vsetvl`` VLA tails — compose with uneven partitions), divides the
@@ -30,23 +30,23 @@ second socket gains that socket's memory controllers but replicates the
 B panel per socket L3 and pays the inter-socket link penalty on the
 replicated stream.
 
-This module owns the partition geometry; the threaded cost terms
-themselves live in one place, the batch engine of
-:mod:`repro.sim.vectorized`.  :func:`price_grid_requests` ranks many
-GEMMs' candidate grids in batches of at most
-:data:`GRID_BATCH_SLICES` thread slices (the tuner, for every
-candidate one-thread ones included, the serving prewarm and the
-threaded eval sweeps price through it), and
-:func:`parallel_gemm_breakdown` is its one-request case.  The scalar
-implementation of the same terms is the test oracle
-(``tests/parallel_oracle.py``).  A one-thread GEMM reproduces
-:func:`repro.sim.timing.gemm_time_model` exactly on every shape — the
-engine mirrors its compute formula
-(:func:`repro.sim.timing.plans_compute_cycles`) and analytical memory
-model operand for operand, and a slice that is the whole GEMM keeps the
-unscaled whole-GEMM terms — and the plane-only (``pc = 1``) grids on a
-1-socket machine reproduce the pre-NUMA threaded model cycle-for-cycle
-(pinned by ``tests/test_parallel.py``).
+This module owns the partition geometry; the cost terms themselves
+live in one place, the batch engine of :mod:`repro.sim.vectorized`.
+:func:`price_grid_requests` ranks many GEMMs' candidate grids in
+batches of at most :data:`GRID_BATCH_SLICES` thread slices, and every
+modelled GEMM prices through it: the tuner, the serving prewarm, the
+threaded eval sweeps, :func:`parallel_gemm_breakdown` as the
+one-request case and a serial GEMM
+(:func:`repro.sim.timing.gemm_time_model`) as the one-slice
+``(1, 1, 1)`` grid.  The scalar implementations of the same terms,
+serial and threaded, are the test oracle (``tests/parallel_oracle.py``).
+A one-thread GEMM reproduces the scalar serial model exactly on every
+shape — the engine mirrors its compute formula and analytical memory
+model (the oracle's ``memory_cost``) operand for operand, and a
+slice that is the whole GEMM keeps the unscaled whole-GEMM terms — and
+the plane-only (``pc = 1``) grids on a 1-socket machine reproduce the
+pre-NUMA threaded model cycle-for-cycle (pinned by
+``tests/test_parallel.py``).
 """
 
 from __future__ import annotations
@@ -69,51 +69,8 @@ PlanBuilder = Callable[[int, int], List[ChunkPlan]]
 
 
 # ---------------------------------------------------------------------------
-# Thread partitioner
+# Candidate grids
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Span:
-    """A contiguous range of one GEMM dimension owned by one way."""
-
-    start: int
-    extent: int
-
-    @property
-    def stop(self) -> int:
-        return self.start + self.extent
-
-
-def partition_extent(
-    extent: int, ways: int, granule: int
-) -> Tuple[Span, ...]:
-    """Residue-aware split of ``extent`` into at most ``ways`` spans.
-
-    The extent is measured in ``granule``-sized tiles (the register-tile
-    height or width); tiles distribute as evenly as possible (spans
-    differ by at most one tile) and the ragged sub-``granule`` remainder
-    rides in the final span, where the per-slice plan builder selects an
-    edge/tail kernel for it.  When there are fewer tiles than ways the
-    surplus ways receive no span — they would have no tile to run.
-    """
-    if extent <= 0:
-        raise ValueError(f"extent must be positive, got {extent}")
-    if ways < 1:
-        raise ValueError(f"ways must be >= 1, got {ways}")
-    if granule < 1:
-        raise ValueError(f"granule must be >= 1, got {granule}")
-    tiles = math.ceil(extent / granule)
-    ways = min(ways, tiles)
-    base, rem = divmod(tiles, ways)
-    spans: List[Span] = []
-    start = 0
-    for w in range(ways):
-        count = base + (1 if w < rem else 0)
-        stop = min(start + count * granule, extent)
-        spans.append(Span(start=start, extent=stop - start))
-        start = stop
-    return tuple(spans)
 
 
 def candidate_grids(
@@ -297,8 +254,10 @@ def replica_topology(
 
 @dataclass
 class ParallelBreakdown:
-    """Modelled multi-threaded GEMM time.
+    """Modelled GEMM time, threaded or serial.
 
+    Every modelled GEMM breakdown is one of these; a serial GEMM is the
+    one-thread, ``1x1`` case with a single busy thread.
     The cycle components are those of the *critical* thread (the one
     whose busy time sets the wall clock); ``thread_busy_cycles`` keeps
     the full per-thread distribution for imbalance analysis.
@@ -361,8 +320,8 @@ class GridRequest(NamedTuple):
 
 
 #: (request index, plane m, plane n) -> the plan costs covering that
-#: plane — a :class:`repro.sim.vectorized.PlanCost` tuple
-RequestPlanSource = Callable[[int, int, int], tuple]
+#: plane — a :func:`repro.sim.vectorized.plan_costs` array
+RequestPlanSource = Callable[[int, int, int], np.ndarray]
 
 
 #: nominal thread slices (jc x ic x pc summed over a request's candidate
@@ -417,9 +376,8 @@ def price_grid_requests(
     ``requests``).  The engine calls it once per distinct (machine, mr,
     nr, m_t, n_t) of a sub-batch, so on one machine object the costs
     must depend on (mr, nr, m_t, n_t) alone.  ``profile`` lets each
-    sub-batch emit its one obs record: ``batch.serial`` when every grid
-    of the sub-batch is ``(1, 1, 1)``, ``batch.grid`` otherwise.
-    Returns one breakdown per request, in request order.
+    sub-batch emit its one ``batch.grid`` obs record.  Returns one
+    breakdown per request, in request order.
     """
     breakdowns: List[ParallelBreakdown] = []
     for part in grid_sub_batches(requests):

@@ -8,19 +8,29 @@ stalls) into the numbers the paper's evaluation plots:
   back on resident operands.
 * :func:`gemm_time_model` — Figures 14-18: a full GEMM with packing, with
   or without in-kernel C prefetch, for any kernel plan (one monolithic
-  kernel, or a family with per-chunk selection).
+  kernel, or a family with per-chunk selection);
+  :func:`gemm_time_models` prices many at once.
+
+Both are the one-slice case of the threaded model: a serial GEMM is
+the ``(1, 1, 1)`` grid request of
+:func:`repro.sim.parallel.price_grid_requests`, priced by the batch
+engine of :mod:`repro.sim.vectorized` and returned as a
+:class:`repro.sim.parallel.ParallelBreakdown`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.isa.machine import CARMEL, MachineModel
 from repro.obs import profile as obs_profile
 
-from .memory import GemmShape, TileParams, memory_cost
+from .memory import GemmShape, TileParams
 from .pipeline import KernelTrace, PipelineModel
+
+if TYPE_CHECKING:
+    from .parallel import ParallelBreakdown
 
 
 @dataclass(frozen=True)
@@ -112,61 +122,23 @@ class ChunkPlan:
     call_overhead: float = 15.0
 
 
-@dataclass
-class GemmTimeBreakdown:
-    """Modelled cycles of one GEMM, by component."""
+def gemm_time_models(
+    gemms: Sequence[Tuple[GemmShape, Sequence[ChunkPlan], TileParams]],
+    prefetch_c: bool = False,
+    machine: MachineModel = CARMEL,
+    model: Optional[TimingModel] = None,
+) -> List["ParallelBreakdown"]:
+    """Model many ``(shape, chunk_plans, tiles)`` GEMMs on one machine.
 
-    compute_cycles: float
-    pack_cycles: float
-    c_stall_cycles: float
-    dram_limit_cycles: float
-    flops: int
-    machine: MachineModel
-
-    @property
-    def total_cycles(self) -> float:
-        busy = self.compute_cycles + self.pack_cycles + self.c_stall_cycles
-        return max(busy, self.dram_limit_cycles)
-
-    @property
-    def seconds(self) -> float:
-        return self.total_cycles / (self.machine.freq_ghz * 1e9)
-
-    @property
-    def gflops(self) -> float:
-        return self.flops / self.total_cycles * self.machine.freq_ghz
-
-
-def plans_compute_cycles(
-    chunk_plans: List[ChunkPlan],
-    k: int,
-    kc: int,
-    model: TimingModel,
-) -> float:
-    """Compute cycles of a chunk-plan list over the k extent.
-
-    The k extent splits into full ``kc`` chunks plus one ragged
-    remainder; every plan runs once per pc iteration.  This is the
-    single compute formula of the timing model: the serial
-    :func:`gemm_time_model` calls it, and the vectorized engine behind
-    :func:`repro.sim.parallel.parallel_gemm_breakdown` mirrors it
-    operand for operand
-    (:func:`repro.sim.vectorized._compute_cycles`), so a one-thread
-    partition reproduces the serial compute exactly.
+    Each is the one-slice ``(1, 1, 1)`` request of
+    :func:`repro.sim.parallel.price_grid_requests`, so the list prices
+    in a few grid batches of the one engine.  The engine asks for plans
+    once per distinct (mr, nr, m, n) of a sub-batch, so GEMMs sharing
+    those must share their plans.  Under a profiler each GEMM records
+    one ``serial`` entry with ``eval_us`` 0: the wall time sits on the
+    sub-batch's ``batch.grid`` record.
     """
-    kc_full, kc_rem = divmod(k, kc)
-    compute = 0.0
-    for plan in chunk_plans:
-        timing = model.timing_for(plan.trace, plan.mr, plan.nr)
-        cycles = kc_full * model.invocation_cycles(
-            timing, kc, plan.call_overhead
-        )
-        if kc_rem:
-            cycles += model.invocation_cycles(
-                timing, kc_rem, plan.call_overhead
-            )
-        compute += plan.count * cycles
-    return compute
+    return _price_serial(gemms, prefetch_c, machine, model, started=None)
 
 
 def gemm_time_model(
@@ -176,42 +148,50 @@ def gemm_time_model(
     prefetch_c: bool = False,
     machine: MachineModel = CARMEL,
     model: Optional[TimingModel] = None,
-) -> GemmTimeBreakdown:
+) -> "ParallelBreakdown":
     """Model one C += A*B through the five-loop algorithm.
 
     ``chunk_plans`` enumerates the micro-tile classes covering the (m, n)
     plane; each runs once per pc iteration.  The k extent is split into
     full ``kc`` chunks plus one ragged remainder; packing and C-streaming
-    costs come from the analytical memory model.
+    costs come from the analytical memory model.  This is the one-GEMM
+    case of :func:`gemm_time_models`, whose one ``serial`` profile
+    record times the call; the scalar model it must match bit for bit
+    lives in ``tests/parallel_oracle.py``.
     """
-    # the profile hook is a single global check when observability is
-    # off — this is the hot path of every tune sweep
+    # the profile hook is a single global check when observability is off
     prof = obs_profile.ACTIVE
     started = prof.start() if prof is not None else None
-    model = model or TimingModel(machine=machine)
-    compute = plans_compute_cycles(chunk_plans, shape.k, tiles.kc, model)
-
-    mem = memory_cost(shape, tiles, machine=machine, prefetch_c=prefetch_c)
-    pack = mem.pack_a_cycles + mem.pack_b_cycles
-    dram_limit = mem.dram_bytes / machine.dram_bandwidth_bytes_per_cycle
-    breakdown = GemmTimeBreakdown(
-        compute_cycles=compute,
-        pack_cycles=pack,
-        c_stall_cycles=mem.c_stall_cycles,
-        dram_limit_cycles=dram_limit,
-        flops=shape.flops,
-        machine=machine,
+    (breakdown,) = _price_serial(
+        [(shape, chunk_plans, tiles)], prefetch_c, machine, model, started
     )
-    if prof is not None:
-        prof.record(
-            "serial",
-            shape.m,
-            shape.n,
-            shape.k,
-            threads=1,
-            partition="serial",
-            pc_ways=1,
-            breakdown=breakdown,
-            started=started,
-        )
     return breakdown
+
+
+def _price_serial(gemms, prefetch_c, machine, model, started):
+    """:func:`gemm_time_models`; a ``started`` time (one timed GEMM)
+    puts the wall time on its ``serial`` record, not a batch record."""
+    # imported here: repro.sim.parallel and repro.sim.vectorized import
+    # this module
+    from .parallel import GridRequest, price_grid_requests
+    from .vectorized import plan_costs
+
+    model = model or TimingModel(machine=machine)
+    breakdowns = price_grid_requests(
+        [
+            GridRequest(machine, shape, tiles, 1, ((1, 1, 1),))
+            for shape, _, tiles in gemms
+        ],
+        lambda i, _m, _n: plan_costs(gemms[i][1], model),
+        prefetch_c=prefetch_c,
+        profile=started is None,
+    )
+    prof = obs_profile.ACTIVE
+    if prof is not None:
+        for (shape, _, _), breakdown in zip(gemms, breakdowns):
+            prof.record(
+                "serial", shape.m, shape.n, shape.k, threads=1,
+                partition="serial", pc_ways=1, breakdown=breakdown,
+                started=started,
+            )
+    return breakdowns

@@ -1,49 +1,41 @@
 """Vectorized (NumPy) evaluation of the GEMM timing model over batches.
 
-The scalar serial model, :func:`repro.sim.timing.gemm_time_model`,
-evaluates one (shape, tile, machine) point per pure-Python call.  Tune
-sweeps, the jc/ic/pc grid search, and the serving placement
-enumeration would all be bottlenecked on that throughput.
+This module evaluates the five-loop GEMM model's closed form over
+whole candidate batches at once: a :class:`CandidateBatch` holds
+parallel arrays of (m, n, k, mr, nr, kc, nc, jc, ic, pc, dtype_bytes)
+plus the machine(s), and :func:`batch_gemm_cycles` returns
+per-candidate cycle breakdowns — compute, packing (with per-socket B
+replication), partial-C reduction, and the DRAM ceiling — as arrays.
 
-This module evaluates the *same closed-form model* over whole candidate
-batches at once: a :class:`CandidateBatch` holds parallel arrays of
-(m, n, k, mr, nr, kc, nc, jc, ic, pc, dtype_bytes) plus the machine(s),
-and :func:`batch_gemm_cycles` returns per-candidate cycle breakdowns —
-compute, packing (with per-socket B replication), partial-C reduction,
-and the DRAM ceiling — as arrays.
+It is the only production pricing path: every GEMM, serial or
+threaded, is priced here through
+:func:`repro.sim.parallel.price_grid_requests`, which builds one batch
+per sub-batch of grid requests.  A serial GEMM
+(:func:`repro.sim.timing.gemm_time_model`) is simply the one-slice
+``(1, 1, 1)`` grid.
 
-Every threaded GEMM and every tune candidate is priced here:
-:func:`repro.sim.parallel.price_grid_requests` builds one batch per
-sub-batch of grid requests, and a one-thread GEMM is simply the
-one-slice ``(1, 1, 1)`` grid.
-
-**Oracle contract.**  The scalar paths are the golden oracles —
-``gemm_time_model`` for serial GEMMs and the scalar threaded model in
-``tests/parallel_oracle.py`` — and this engine must match them *bit
-for bit*, not approximately (the grid search breaks wall-clock ties on
-exact float equality, so "close" would pick different partitions).
-Every expression here therefore mirrors the scalar expression tree —
-same operand order, same association, same int-vs-float promotion
-points — because IEEE-754 float64 arithmetic is deterministic per
-operation but not associative across them.  The parity suites
-(``tests/test_vectorized.py``, ``tests/test_parallel.py``) cross-check
-the paths cycle-for-cycle under hypothesis fuzzing; any cost-term
-change must land in its oracle (``sim/timing.py``/``sim/memory.py``
-or ``tests/parallel_oracle.py``) *and* here (see docs/model.md for
-the recipe).
+**Oracle contract.**  The scalar models in ``tests/parallel_oracle.py``
+— the serial ``gemm_time_model`` and the threaded
+``parallel_gemm_breakdown`` — are the golden oracles, and this engine
+must match them *bit for bit*, not approximately (the grid search
+breaks wall-clock ties on exact float equality, so "close" would pick
+different partitions).  Every expression here therefore mirrors the
+scalar expression tree — same operand order, same association, same
+int-vs-float promotion points — because IEEE-754 float64 arithmetic is
+deterministic per operation but not associative across them.  The
+parity suites (``tests/test_vectorized.py``,
+``tests/test_parallel.py``) cross-check the paths cycle-for-cycle under
+hypothesis fuzzing; any cost-term change must land in the oracle
+(``tests/parallel_oracle.py``) *and* here (see docs/model.md for the
+recipe).
 
 Array layout: one row per (shape, tile, requested jc/ic/pc grid)
-candidate.  :func:`batch_gemm_cycles` picks the path from the data:
-
-* every row asks for ``jc = ic = pc = 1`` — the serial path, which
-  mirrors ``gemm_time_model`` row for row;
-* otherwise the grid path, which expands each row to one row per
-  *thread slice* in the exact enumeration order of the scalar oracle's
-  ``partition_plane`` (``tests/parallel_oracle.py``), then
-  segment-reduces back to candidates (busiest slice, first-max
-  tie-break).  A slice that is the whole GEMM keeps the unscaled
-  whole-GEMM packing and C-stall terms, so a ``(1, 1, 1)`` row prices
-  exactly like the serial path.
+candidate.  :func:`batch_gemm_cycles` expands each row to one row per
+*thread slice* in the exact enumeration order of the scalar oracle's
+``partition_plane``, then segment-reduces back to candidates (busiest
+slice, first-max tie-break).  A slice that is the whole GEMM keeps the
+unscaled whole-GEMM packing and C-stall terms, so a ``(1, 1, 1)`` row
+prices exactly like the scalar serial model.
 """
 
 from __future__ import annotations
@@ -57,11 +49,9 @@ import numpy as np
 from repro.isa.machine import MachineModel
 from repro.obs import profile as obs_profile
 
-from .parallel import partition_extent
 from .timing import ChunkPlan, TimingModel
 
 __all__ = [
-    "PlanCost",
     "plan_costs",
     "CandidateBatch",
     "BatchBreakdown",
@@ -70,7 +60,7 @@ __all__ = [
 ]
 
 #: memory-level parallelism of the C-stall model — must equal the
-#: ``mlp`` constant inside :func:`repro.sim.memory.memory_cost`
+#: ``mlp`` constant inside the oracle's ``memory_cost``
 MLP = 6.0
 
 
@@ -79,50 +69,35 @@ MLP = 6.0
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class PlanCost:
-    """One :class:`~repro.sim.timing.ChunkPlan` reduced to the scalars
-    :func:`repro.sim.timing.plans_compute_cycles` actually consumes."""
+def plan_costs(plans: Sequence[ChunkPlan], model: TimingModel) -> np.ndarray:
+    """Reduce chunk plans to the scalars the compute formula consumes.
 
-    count: int
-    cycles_per_iter: float
-    edge_cycles: float
-    call_overhead: float
-    extra_call_cycles: float
-
-
-def plan_costs(
-    plans: Sequence[ChunkPlan], model: TimingModel
-) -> Tuple[PlanCost, ...]:
-    """Reduce chunk plans to :class:`PlanCost` tuples via ``model``.
-
-    ``edge_cycles`` is precomputed exactly as
-    :meth:`~repro.sim.timing.TimingModel.invocation_cycles` computes it
-    per call — the value is invariant in ``kc``, so hoisting it out of
-    the batch loop changes nothing.
+    Returns a (5, plans) float64 array: per plan its count, cycles per
+    k iteration, edge cycles, call overhead and extra call cycles, the
+    rows of :func:`_plan_tables`.  The edge cycles are precomputed
+    exactly as :meth:`~repro.sim.timing.TimingModel.invocation_cycles`
+    computes them per call — the value is invariant in ``kc``, so
+    hoisting it out of the batch loop changes nothing.
     """
     vec = model.pipeline._dispatch_width()
     chime = model.machine.vector_chime
-    costs = []
-    for plan in plans:
-        timing = model.timing_for(plan.trace, plan.mr, plan.nr)
-        edge = (
-            plan.trace.prologue_vector_ops + plan.trace.epilogue_vector_ops
-        ) * chime / vec
-        costs.append(
-            PlanCost(
-                count=plan.count,
-                cycles_per_iter=timing.cycles_per_iter,
-                edge_cycles=edge,
-                call_overhead=plan.call_overhead,
-                extra_call_cycles=plan.trace.extra_call_cycles,
-            )
+    rows = [
+        (
+            plan.count,
+            model.timing_for(plan.trace, plan.mr, plan.nr).cycles_per_iter,
+            (plan.trace.prologue_vector_ops + plan.trace.epilogue_vector_ops)
+            * chime / vec,
+            plan.call_overhead,
+            plan.trace.extra_call_cycles,
         )
-    return tuple(costs)
+        for plan in plans
+    ]
+    return np.array(rows, dtype=np.float64).reshape(-1, 5).T.copy()
 
 
-#: (row index, plane m, plane n) -> the plan costs covering that plane
-PlanSource = Callable[[int, int, int], Tuple[PlanCost, ...]]
+#: (row index, plane m, plane n) -> the :func:`plan_costs` array
+#: covering that plane
+PlanSource = Callable[[int, int, int], np.ndarray]
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +113,7 @@ class CandidateBatch:
     normalized to an int64 array (scalars broadcast).  ``machine_idx``
     indexes into ``machines`` — a single-machine batch passes one
     machine and may omit the index array.  ``plan_source(i, m, n)``
-    returns the :class:`PlanCost` tuple covering the (m, n) plane of
+    returns the :func:`plan_costs` array covering the (m, n) plane of
     candidate ``i`` (one thread slice's plane; the full plane for a
     ``(1, 1, 1)`` grid); the engine deduplicates calls per distinct
     (machine, mr, nr, m, n).  ``jc``/``ic``/``pc`` default to 1.
@@ -163,27 +138,21 @@ class CandidateBatch:
     def __post_init__(self):
         if isinstance(self.machines, MachineModel):
             self.machines = (self.machines,)
-        size = np.broadcast(
-            *(
-                np.asarray(1 if a is None else a)
-                for a in (
-                    self.m, self.n, self.k, self.mr, self.nr,
-                    self.kc, self.nc, self.jc, self.ic, self.pc,
-                    self.dtype_bytes, self.machine_idx,
-                )
-            )
-        ).size
-        for name in (
+        names = (
             "m", "n", "k", "mr", "nr", "kc", "nc",
             "jc", "ic", "pc", "dtype_bytes", "machine_idx",
-        ):
-            value = getattr(self, name)
-            if value is None:
-                value = 1
-            arr = np.broadcast_to(
-                np.asarray(value, dtype=np.int64), (size,)
-            ).copy()
-            setattr(self, name, arr)
+        )
+        columns = [
+            np.asarray(
+                1 if getattr(self, name) is None else getattr(self, name),
+                dtype=np.int64,
+            )
+            for name in names
+        ]
+        size = np.broadcast(*columns).size
+        for name, column in zip(names, columns):
+            # a new array per field, the batch never aliases its inputs
+            setattr(self, name, np.full(size, column, dtype=np.int64))
 
     def __len__(self) -> int:
         return self.m.shape[0]
@@ -199,7 +168,7 @@ class BatchBreakdown:
     (tile-clamped) ways of each candidate's partition.
     ``slice_busy_cycles[slice_offsets[i]:slice_offsets[i + 1]]`` is
     candidate ``i``'s per-thread busy time in slice enumeration order
-    (one slice per candidate on the serial path).
+    (one slice for a ``(1, 1, 1)`` candidate).
     """
 
     compute_cycles: np.ndarray
@@ -273,8 +242,13 @@ def _dedup_rows(columns: Sequence[np.ndarray]) -> Tuple[np.ndarray, ...]:
     plane extents), so the rows pack losslessly into one mixed-radix
     int64 key and the dedup runs as a fast 1-D unique — the axis-0 form
     argsorts void row-views, which dominated the whole engine in
-    profiles.  Falls back to the axis-0 form if the radix product could
-    overflow (never for physical GEMM shapes).
+    profiles.  Returns ``(first, inverse)``: each distinct row's first
+    occurrence, and each row's distinct-row index.  The keys sort with
+    the default (unstable) argsort, half the cost of the stable one
+    ``np.unique(..., return_index=True)`` needs, and ``np.minimum.at``
+    finds the first occurrences instead.  Falls back to the axis-0 form
+    if the radix product could overflow (never for physical GEMM
+    shapes).
     """
     key = columns[0].astype(np.int64, copy=True)
     key_max = int(columns[0].max(initial=0))
@@ -291,68 +265,42 @@ def _dedup_rows(columns: Sequence[np.ndarray]) -> Tuple[np.ndarray, ...]:
             return first, inverse.ravel()
         key *= radix
         key += col
-    _, first, inverse = np.unique(
-        key, return_index=True, return_inverse=True
-    )
-    return first, inverse.ravel()
-
-
-#: id(plan tuple) -> (plan, its (5, len) dense column array), least
-#: recently used first.  Consumers memoize ``plan_costs`` results so
-#: steady-state sweeps pass the same tuple objects every batch — keying
-#: by identity skips re-hashing five floats per plan per batch, and
-#: keeping the tuple in the value pins its id so it can never be
-#: recycled for a different plan.  Callers that build fresh tuples per
-#: call (the threaded model, per slice plane) would grow it without
-#: bound, so it keeps the ``_PLAN_ARRAY_CACHE_SIZE`` most recent plans.
-_PLAN_ARRAY_CACHE: Dict[int, Tuple[Tuple[PlanCost, ...], np.ndarray]] = {}
-_PLAN_ARRAY_CACHE_SIZE = 1024
-
-
-def _plan_array(plan: Tuple[PlanCost, ...]) -> np.ndarray:
-    hit = _PLAN_ARRAY_CACHE.pop(id(plan), None)
-    if hit is not None:
-        _PLAN_ARRAY_CACHE[id(plan)] = hit
-        return hit[1]
-    arr = np.array(
-        [
-            (
-                c.count,
-                c.cycles_per_iter,
-                c.edge_cycles,
-                c.call_overhead,
-                c.extra_call_cycles,
-            )
-            for c in plan
-        ]
-    ).T.copy() if plan else np.zeros((5, 0))
-    _PLAN_ARRAY_CACHE[id(plan)] = (plan, arr)
-    if len(_PLAN_ARRAY_CACHE) > _PLAN_ARRAY_CACHE_SIZE:
-        del _PLAN_ARRAY_CACHE[next(iter(_PLAN_ARRAY_CACHE))]
-    return arr
+    order = key.argsort()
+    ordered = key[order]
+    new = np.empty(len(key), dtype=bool)
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    inverse = np.empty(len(key), dtype=np.int64)
+    inverse[order] = np.cumsum(new) - 1
+    first = np.full(int(new.sum()), len(key))
+    np.minimum.at(first, inverse, np.arange(len(key)))
+    return first, inverse
 
 
 def _plan_tables(
-    keys: Sequence[np.ndarray], fetch: Callable[[int], Tuple[PlanCost, ...]]
+    keys: Sequence[np.ndarray],
+    fetch: Callable[[np.ndarray], List[np.ndarray]],
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Pad the distinct planes' plan lists into dense per-slot tables.
 
     ``keys`` is a sequence of int64 columns jointly identifying each
-    row's plane; ``fetch(row)`` produces the plan costs of that row's
-    plane.  Returns ``(plane_id per row, tables)`` where ``tables`` is
-    a (5, slots, planes) array — counts, cycles-per-iter, edge,
+    row's plane; ``fetch(rows)`` lists the :func:`plan_costs` arrays of
+    those rows' planes.  Returns ``(plane_id per row, tables)``, where
+    ``tables`` is a (5, planes, slots) array — counts, cycles-per-iter, edge,
     overhead, extra per slot — and shorter plans are padded with
     all-zero slots — a zero-count, zero-cost slot contributes exactly
-    ``+0.0`` to the accumulation, which is a bitwise no-op.  (The slot
-    axis comes before the plane axis so per-slot row slices stay
-    contiguous after the per-row gather in :func:`_compute_cycles`.)
+    ``+0.0`` to the accumulation, which is a bitwise no-op.
     """
     first, inverse = _dedup_rows(keys)
-    plans = [_plan_array(fetch(int(r))) for r in first]
-    slots = max((p.shape[1] for p in plans), default=1)
-    tables = np.zeros((5, max(slots, 1), len(plans)))
-    for pid, plan in enumerate(plans):
-        tables[:, : plan.shape[1], pid] = plan
+    plans = fetch(first)
+    lengths = np.array([p.shape[1] for p in plans], dtype=np.int64)
+    tables = np.zeros((5, len(plans), max(1, lengths.max(initial=0))))
+    if plans:
+        plane = np.repeat(np.arange(len(plans)), lengths)
+        slot = np.arange(len(plane)) - np.repeat(
+            np.cumsum(lengths) - lengths, lengths
+        )
+        tables[:, plane, slot] = np.concatenate(plans, axis=1)
     return inverse, tables
 
 
@@ -362,44 +310,49 @@ def _compute_cycles(
     k: np.ndarray,
     kc: np.ndarray,
 ) -> np.ndarray:
-    """:func:`repro.sim.timing.plans_compute_cycles` over rows.
+    """The scalar compute formula over rows (``tests/parallel_oracle.py``).
 
     Mirrors the scalar accumulation exactly: per plan slot,
     ``kc_full * inv(kc)`` plus ``inv(kc_rem)`` when a remainder exists,
-    scaled by the slot count and summed in slot order.  The slot axis is
+    scaled by the slot count and summed in slot order.  The slots are
     evaluated as (rows, slots) 2-D elementwise ops — bit-identical to a
     per-slot loop since every operation stays elementwise — but the
     final slot accumulation is an explicit in-order loop: the scalar
     path sums plan contributions left to right and ``np.sum`` would
     reassociate.  The int operands convert to float64 up front (each
     mixed int*float ufunc converts element-wise anyway, exactly below
-    2**53) and every 2-D op writes into a reused scratch buffer — same
+    2**53) and the 2-D ops write into reused scratch buffers — same
     operations in the same order, so bit-identical, but without the
-    malloc churn of one fresh temporary per ufunc, which profiles as
-    the bulk of the runtime at tune-sweep batch sizes.
+    malloc churn of one fresh temporary per ufunc.  The per-row gather
+    is a ``take`` along the plane axis, so every (rows, slots) operand
+    is C-contiguous.  The operands and both buffers share one
+    allocation: glibc hands memory back to the system once the free
+    space at the top of the heap passes twice the largest block it has
+    mapped, and several smaller blocks freed together passed that mark
+    and page-faulted back in on every batch.
     """
-    counts, cpi, edge, overhead, extra = tables[:, :, plane_id]
+    work = np.empty((7, len(plane_id), tables.shape[2]))
+    # mode="clip" (the ids are in range): "raise" buffers ``out``
+    np.take(tables, plane_id, axis=1, out=work[:5], mode="clip")
+    counts, cpi, edge, overhead, extra, inv, cycles = work
     kc_full, kc_rem = np.divmod(k, kc)
-    has_rem = kc_rem > 0
-    inv = np.empty_like(cpi)
-    cycles = np.empty_like(cpi)
     # inv_full = ((kc * cpi + edge) + overhead) + extra
-    np.multiply(kc.astype(np.float64), cpi, out=inv)
+    np.multiply(kc.astype(np.float64)[:, None], cpi, out=inv)
     np.add(inv, edge, out=inv)
     np.add(inv, overhead, out=inv)
     np.add(inv, extra, out=inv)
-    np.multiply(kc_full.astype(np.float64), inv, out=cycles)
+    np.multiply(kc_full.astype(np.float64)[:, None], inv, out=cycles)
     # inv_rem, same shape; added only where a kc remainder exists — the
     # scalar path adds +0.0 there, a bitwise no-op on these >= 0 values
-    np.multiply(kc_rem.astype(np.float64), cpi, out=inv)
+    np.multiply(kc_rem.astype(np.float64)[:, None], cpi, out=inv)
     np.add(inv, edge, out=inv)
     np.add(inv, overhead, out=inv)
     np.add(inv, extra, out=inv)
-    np.add(cycles, inv, out=cycles, where=has_rem)
+    np.add(cycles, inv, out=cycles, where=(kc_rem > 0)[:, None])
     np.multiply(counts, cycles, out=cycles)
     compute = np.zeros(len(plane_id))
-    for s in range(cycles.shape[0]):
-        compute = compute + cycles[s]
+    for s in range(cycles.shape[1]):
+        compute += cycles[:, s]
     return compute
 
 
@@ -415,8 +368,8 @@ def _memory_costs(
     props: Dict[str, np.ndarray],
     prefetch_c: bool,
 ) -> Dict[str, np.ndarray]:
-    """:func:`repro.sim.memory.memory_cost` over rows, operand for
-    operand (see that function for the component derivations)."""
+    """The oracle's ``memory_cost`` (``tests/parallel_oracle.py``) over
+    rows, operand for operand (see it for the component derivations)."""
     jc_iters = np.maximum(1.0, _fceil(n, nc))
     pc_iters = np.maximum(1.0, _fceil(k, kc))
 
@@ -459,44 +412,7 @@ def _memory_costs(
 
 
 # ---------------------------------------------------------------------------
-# Serial path: gemm_time_model over all-(1, 1, 1) rows
-# ---------------------------------------------------------------------------
-
-
-def _serial_breakdown(batch: CandidateBatch) -> BatchBreakdown:
-    props = _machine_props(batch.machines, batch.machine_idx)
-    mem = _memory_costs(
-        batch.m, batch.n, batch.k, batch.mr, batch.nr,
-        batch.kc, batch.nc, batch.dtype_bytes, props, batch.prefetch_c,
-    )
-    plane_id, tables = _plan_tables(
-        (batch.machine_idx, batch.mr, batch.nr, batch.m, batch.n),
-        lambda r: batch.plan_source(r, int(batch.m[r]), int(batch.n[r])),
-    )
-    compute = _compute_cycles(plane_id, tables, batch.k, batch.kc)
-    pack = mem["pack_a_cycles"] + mem["pack_b_cycles"]
-    busy = compute + pack + mem["c_stall_cycles"]
-    dram_limit = mem["dram_bytes"] / props["per_core_bw"]
-    ones = np.ones(len(batch), dtype=np.int64)
-    return BatchBreakdown(
-        compute_cycles=compute,
-        pack_cycles=pack,
-        c_stall_cycles=mem["c_stall_cycles"],
-        reduction_cycles=np.zeros(len(batch)),
-        dram_limit_cycles=dram_limit,
-        total_cycles=np.maximum(busy, dram_limit),
-        flops=2 * batch.m * batch.n * batch.k,
-        freq_ghz=props["freq_ghz"],
-        eff_jc=ones,
-        eff_ic=ones.copy(),
-        eff_pc=ones.copy(),
-        slice_busy_cycles=busy,
-        slice_offsets=np.arange(len(batch) + 1),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Grid path: the threaded model's wall clock over rows
+# The threaded model's wall clock over rows
 # ---------------------------------------------------------------------------
 
 
@@ -517,76 +433,115 @@ class _SliceRows:
     spanned: np.ndarray  # per candidate
 
 
-def _span_table(
-    extent: np.ndarray, ways: np.ndarray, granule: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every row's :func:`repro.sim.parallel.partition_extent` spans.
+def _gather(column: np.ndarray, cand: np.ndarray) -> np.ndarray:
+    """A new array of ``column[cand]``: a candidate column on the slice
+    rows.  Every candidate has a slice, so as many slice rows as
+    candidates means one slice each, and the gather is a copy."""
+    if len(cand) == len(column):
+        return column.copy()
+    return column[cand]
 
-    Each distinct ``(extent, ways, granule)`` is split once.  Returns
-    ``(first, count, extents)``: row ``i``'s span extents are
-    ``extents[first[i]:first[i] + count[i]]``.
+
+def _effective_ways(
+    extent: np.ndarray, ways: np.ndarray, granule: np.ndarray
+) -> np.ndarray:
+    """Every row's span count: ``min(ways, tiles)`` over the extent's
+    ``granule`` tiles, as the oracle's ``partition_extent`` splits it.
+    Computed only where more than one way is asked for.
     """
-    keys = list(zip(extent.tolist(), ways.tolist(), granule.tolist()))
-    table: Dict[Tuple[int, int, int], Tuple[int, int]] = {}
-    extents: List[int] = []
-    for key in dict.fromkeys(keys):
-        spans = partition_extent(*key)
-        table[key] = (len(extents), len(spans))
-        extents.extend(span.extent for span in spans)
-    first, count = np.array(
-        [table[key] for key in keys], dtype=np.int64
-    ).reshape(-1, 2).T
-    return first, count, np.array(extents, dtype=np.int64)
+    if len(extent) and min(extent.min(), ways.min(), granule.min()) < 1:
+        raise ValueError("extents, ways and granules must be >= 1")
+    eff = ways.copy()
+    split = np.flatnonzero(ways > 1)
+    if split.size:
+        eff[split] = np.minimum(
+            ways[split], -(-extent[split] // granule[split])
+        )
+    return eff
+
+
+def _span_extents(
+    cand: np.ndarray,
+    offsets: np.ndarray,
+    extent: np.ndarray,
+    eff: np.ndarray,
+    granule: np.ndarray,
+    stride: np.ndarray,
+) -> np.ndarray:
+    """Each slice's span extent along one dimension.
+
+    A candidate's slice ``s`` (counted from ``offsets``) sits in span
+    ``s // stride % eff`` of the dimension.  A one-way dimension's span
+    is the whole extent; a split one is the oracle's
+    ``partition_extent`` span, in closed form: the extent's ``granule``
+    tiles spread ``base`` per span plus one more for each of the first
+    ``rem``, so the spans before span ``j`` hold ``j * base + min(j,
+    rem)`` tiles.  Only the
+    last span can reach past the extent — every earlier one ends at
+    least one tile short of it — and it is clipped there: the ragged
+    sub-``granule`` remainder rides in the final span.
+    """
+    out = _gather(extent, cand)
+    split = np.flatnonzero(_gather(eff, cand) > 1)
+    if not split.size:
+        return out
+    c = cand[split]
+    ways, size = eff[c], granule[c]
+    j = (split - offsets[c]) // stride[c] % ways
+    base, rem = np.divmod(-(-extent[c] // size), ways)
+    start = (j * base + np.minimum(j, rem)) * size
+    stop = np.minimum(start + (base + (j < rem)) * size, extent[c])
+    out[split] = stop - start
+    return out
 
 
 def _expand_slices(batch: CandidateBatch) -> _SliceRows:
     """Every candidate's thread slices, one row each, as arrays.
 
-    The spans come from :func:`_span_table`, so from the *same*
-    :func:`repro.sim.parallel.partition_extent` calls as the oracle's
-    ``partition_plane`` (``tests/parallel_oracle.py``), and the rows
-    follow its jc-outer / ic / pc-inner order: a candidate's slice
-    ``s`` is column span ``s // (ic * pc)``, row span
-    ``s // pc % ic`` and k span ``s % pc``, in effective ways.  A
-    ``pc = 1`` row splits k into its one full span.
-    ``tests/parallel_oracle.py::expand_slices`` is the per-slice loop
-    this must equal.
+    The spans are the ones the oracle's ``partition_plane``
+    (``tests/parallel_oracle.py``) cuts with ``partition_extent``, in
+    closed form (:func:`_span_extents`), and the rows follow its
+    jc-outer / ic / pc-inner order: a candidate's slice ``s`` is
+    column span ``s // (ic * pc)``, row span ``s // pc % ic`` and k
+    span ``s % pc``, in effective ways.  A ``pc = 1`` row splits k into
+    its one full span.  ``tests/parallel_oracle.py::expand_slices`` is
+    the per-slice loop this must equal.
     """
-    col_first, eff_jc, col_ext = _span_table(batch.n, batch.jc, batch.nr)
-    row_first, eff_ic, row_ext = _span_table(batch.m, batch.ic, batch.mr)
-    k_first, eff_pc, k_ext = _span_table(batch.k, batch.pc, batch.kc)
+    eff_jc = _effective_ways(batch.n, batch.jc, batch.nr)
+    eff_ic = _effective_ways(batch.m, batch.ic, batch.mr)
+    eff_pc = _effective_ways(batch.k, batch.pc, batch.kc)
     active = eff_jc * eff_ic * eff_pc
     offsets = np.zeros(len(batch) + 1, dtype=np.int64)
     np.cumsum(active, out=offsets[1:])
     cand = np.repeat(np.arange(len(batch), dtype=np.int64), active)
-    local = np.arange(offsets[-1], dtype=np.int64) - offsets[:-1][cand]
-    col, rest = np.divmod(local, (eff_ic * eff_pc)[cand])
-    row, ks = np.divmod(rest, eff_pc[cand])
 
-    bw_keys = list(zip(batch.machine_idx.tolist(), active.tolist()))
-    bw_memo = {
-        (mi, threads): (
-            batch.machines[mi].stream_bandwidth(threads),
-            batch.machines[mi].sockets_spanned(threads),
-        )
-        for mi, threads in dict.fromkeys(bw_keys)
-    }
+    # the ensemble's stream bandwidth and socket span, once per distinct
+    # (machine, active threads)
+    width = int(active.max(initial=0)) + 1
+    ensemble = batch.machine_idx * width + active
+    stream_bw = np.zeros(len(batch.machines) * width)
+    spanned = np.zeros(len(batch.machines) * width, dtype=np.int64)
+    for code in np.flatnonzero(np.bincount(ensemble)).tolist():
+        machine, threads = batch.machines[code // width], code % width
+        stream_bw[code] = machine.stream_bandwidth(threads)
+        spanned[code] = machine.sockets_spanned(threads)
+
     return _SliceRows(
         cand=cand,
-        m_t=row_ext[row_first[cand] + row],
-        n_t=col_ext[col_first[cand] + col],
-        k_t=k_ext[k_first[cand] + ks],
-        has_ks=(batch.pc > 1)[cand],
+        m_t=_span_extents(cand, offsets, batch.m, eff_ic, batch.mr, eff_pc),
+        n_t=_span_extents(
+            cand, offsets, batch.n, eff_jc, batch.nr, eff_ic * eff_pc
+        ),
+        k_t=_span_extents(
+            cand, offsets, batch.k, eff_pc, batch.kc, np.ones_like(eff_pc)
+        ),
+        has_ks=_gather(batch.pc > 1, cand),
         offsets=offsets,
         eff_jc=eff_jc,
         eff_ic=eff_ic,
         eff_pc=eff_pc,
-        stream_bw=np.array(
-            [bw_memo[key][0] for key in bw_keys], dtype=np.float64
-        ),
-        spanned=np.array(
-            [bw_memo[key][1] for key in bw_keys], dtype=np.int64
-        ),
+        stream_bw=stream_bw[ensemble],
+        spanned=spanned[ensemble],
     )
 
 
@@ -599,6 +554,8 @@ def _segment_first_max(
     are non-empty.  The first maximum is ``np.argmax``'s tie rule, the
     scalar oracle's ``max`` over slices in enumeration order.
     """
+    if len(values) == len(starts):  # every segment is one row
+        return values, np.arange(len(values), dtype=np.int64)
     top = np.maximum.reduceat(values, starts)
     rows = np.arange(len(values), dtype=np.int64)
     at_top = np.where(values == top[segment], rows, len(values))
@@ -606,82 +563,101 @@ def _segment_first_max(
 
 
 def _grid_breakdown(batch: CandidateBatch) -> BatchBreakdown:
+    sl = _expand_slices(batch)
     props = _machine_props(batch.machines, batch.machine_idx)
     mem = _memory_costs(
         batch.m, batch.n, batch.k, batch.mr, batch.nr,
         batch.kc, batch.nc, batch.dtype_bytes, props, batch.prefetch_c,
     )
-    sl = _expand_slices(batch)
-    ci = sl.cand  # gather index: slice row -> candidate row
+
+    def take(column: np.ndarray) -> np.ndarray:
+        return _gather(column, sl.cand)
 
     # -- per-slice busy cycles (oracle: slice_parts + reduction_for) -------
     plane_id, tables = _plan_tables(
-        (
-            batch.machine_idx[ci], batch.mr[ci], batch.nr[ci],
-            sl.m_t, sl.n_t,
-        ),
-        lambda r: batch.plan_source(
-            int(ci[r]), int(sl.m_t[r]), int(sl.n_t[r])
-        ),
+        (take(batch.machine_idx), take(batch.mr), take(batch.nr),
+         sl.m_t, sl.n_t),
+        lambda rows: [
+            batch.plan_source(*plane)
+            for plane in zip(
+                sl.cand[rows].tolist(),
+                sl.m_t[rows].tolist(),
+                sl.n_t[rows].tolist(),
+            )
+        ],
     )
-    compute_t = _compute_cycles(plane_id, tables, sl.k_t, batch.kc[ci])
+    compute_t = _compute_cycles(plane_id, tables, sl.k_t, take(batch.kc))
 
-    jc_iters_t = np.maximum(1.0, _fceil(sl.n_t, batch.nc[ci]))
-    pack_a_t = mem["pack_a_cycles"][ci] * (sl.m_t * jc_iters_t) / (
-        batch.m[ci] * mem["jc_iters"].astype(np.int64)[ci]
+    # a slice that is the whole GEMM keeps the whole-GEMM packing and
+    # C-stall terms; every other one rescales them to its part (the
+    # rescale can round the whole off by an ulp)
+    pack_a_t = take(mem["pack_a_cycles"])
+    pack_b_t = take(mem["pack_b_cycles"])
+    c_stall_t = take(mem["c_stall_cycles"])
+    part = np.flatnonzero(
+        (sl.m_t != take(batch.m)) | (sl.n_t != take(batch.n)) | sl.has_ks
     )
-    pack_b_t = mem["pack_b_cycles"][ci] * sl.n_t / batch.n[ci]
-    tiles_t = np.maximum(1.0, _fceil(sl.m_t, batch.mr[ci])) * np.maximum(
-        1.0, _fceil(sl.n_t, batch.nr[ci])
-    )
-    c_stall_t = mem["c_stall_cycles"][ci] * tiles_t / mem["total_tiles"][ci]
-    # a slice that is the whole GEMM keeps the whole-GEMM terms: the
-    # part/whole rescale above can round them off by an ulp
-    whole = (sl.m_t == batch.m[ci]) & (sl.n_t == batch.n[ci]) & ~sl.has_ks
-    pack_a_t = np.where(whole, mem["pack_a_cycles"][ci], pack_a_t)
-    pack_b_t = np.where(whole, mem["pack_b_cycles"][ci], pack_b_t)
-    c_stall_t = np.where(whole, mem["c_stall_cycles"][ci], c_stall_t)
-    k_frac = sl.k_t / batch.k[ci]
-    pack_a_t = np.where(sl.has_ks, pack_a_t * k_frac, pack_a_t)
-    pack_b_t = np.where(sl.has_ks, pack_b_t * k_frac, pack_b_t)
-    stall_frac = (
-        np.maximum(1.0, _fceil(sl.k_t, batch.kc[ci])) / mem["pc_iters"][ci]
-    )
-    c_stall_t = np.where(sl.has_ks, c_stall_t * stall_frac, c_stall_t)
+    if part.size:
+        c = sl.cand[part]
+        m_p, n_p = sl.m_t[part], sl.n_t[part]
+        jc_iters_p = np.maximum(1.0, _fceil(n_p, batch.nc[c]))
+        pack_a_t[part] = mem["pack_a_cycles"][c] * (m_p * jc_iters_p) / (
+            batch.m[c] * mem["jc_iters"].astype(np.int64)[c]
+        )
+        pack_b_t[part] = mem["pack_b_cycles"][c] * n_p / batch.n[c]
+        tiles_p = np.maximum(1.0, _fceil(m_p, batch.mr[c])) * np.maximum(
+            1.0, _fceil(n_p, batch.nr[c])
+        )
+        c_stall_t[part] = (
+            mem["c_stall_cycles"][c] * tiles_p / mem["total_tiles"][c]
+        )
+    # a pc way touches only its k slice
+    ks = np.flatnonzero(sl.has_ks)
+    if ks.size:
+        c = sl.cand[ks]
+        k_frac = sl.k_t[ks] / batch.k[c]
+        pack_a_t[ks] *= k_frac
+        pack_b_t[ks] *= k_frac
+        c_stall_t[ks] *= np.maximum(
+            1.0, _fceil(sl.k_t[ks], batch.kc[c])
+        ) / mem["pc_iters"][c]
     pack_t = pack_a_t + pack_b_t
 
-    eff_pc_row = sl.eff_pc[ci]
-    extra = eff_pc_row - 1
-    move = (2.0 * sl.m_t * sl.n_t * batch.dtype_bytes[ci] * extra) / (
-        props["per_core_bw"][ci]
-    )
-    adds = (sl.m_t * sl.n_t * extra) / props["reduce_den"][ci]
-    red_t = np.where(eff_pc_row > 1, move + adds, 0.0)
+    # the partial-C combine of a pc split
+    red_t = np.zeros(len(sl.cand))
+    reduced = np.flatnonzero(take(sl.eff_pc) > 1)
+    if reduced.size:
+        c = sl.cand[reduced]
+        m_r, n_r = sl.m_t[reduced], sl.n_t[reduced]
+        extra = sl.eff_pc[c] - 1
+        move = (2.0 * m_r * n_r * batch.dtype_bytes[c] * extra) / (
+            props["per_core_bw"][c]
+        )
+        adds = (m_r * n_r * extra) / props["reduce_den"][c]
+        red_t[reduced] = move + adds
 
     busy = compute_t + pack_t + c_stall_t + red_t
 
     # -- per-candidate reductions ------------------------------------------
-    seg_start = sl.offsets[:-1]
-    busy_max, critical = _segment_first_max(busy, ci, seg_start)
+    busy_max, critical = _segment_first_max(
+        busy, sl.cand, sl.offsets[:-1]
+    )
 
     # -- DRAM ceiling (oracle: dram_limit_for) -----------------------------
-    dram = mem["dram_bytes"]
-    b_panel = batch.k * batch.n * batch.dtype_bytes
-    dram = np.where(
-        (sl.eff_ic > 1) & (props["shared_l3"] == 0),
-        dram + (sl.eff_ic - 1) * b_panel,
-        dram,
-    )
-    dram = np.where(
-        sl.eff_pc > 1,
-        dram + (sl.eff_pc - 1) * 2.0 * batch.m * batch.n * batch.dtype_bytes,
-        dram,
-    )
-    dram = np.where(
-        sl.spanned > 1,
-        dram + (sl.spanned - 1) * batch.k * batch.n * batch.dtype_bytes
-        * props["penalty"],
-        dram,
+    # each extra traffic term lands only on the candidates it applies to
+    dram = mem["dram_bytes"].copy()
+    k, n, width = batch.k, batch.n, batch.dtype_bytes
+    # no shared LLC: each extra row way streams its own B panel copy
+    at = np.flatnonzero((sl.eff_ic > 1) & (props["shared_l3"] == 0))
+    dram[at] += (sl.eff_ic[at] - 1) * (k[at] * n[at] * width[at])
+    # partial C copies, written and read back once per extra pc way
+    at = np.flatnonzero(sl.eff_pc > 1)
+    dram[at] += (sl.eff_pc[at] - 1) * 2.0 * batch.m[at] * n[at] * width[at]
+    # each extra socket's L3 streams its own B panel over the link
+    at = np.flatnonzero(sl.spanned > 1)
+    dram[at] += (
+        (sl.spanned[at] - 1) * k[at] * n[at] * width[at]
+        * props["penalty"][at]
     )
     dram_limit = dram / sl.stream_bw
 
@@ -712,24 +688,18 @@ def batch_gemm_cycles(
 ) -> BatchBreakdown:
     """Evaluate the timing model over every candidate of ``batch``.
 
-    A batch whose every row asks for ``jc = ic = pc = 1`` runs the
-    serial path, any other the grid path; both price a ``(1, 1, 1)``
-    row identically, so the choice only saves the slice expansion.
     One obs profile event covers the whole batch — a single
-    ``batch.serial`` or ``batch.grid`` span, after the path taken, with
-    a ``candidates`` count plus the ``model.candidates_evaluated``
-    counter, never one event per candidate.  Internal callers that
-    already emit their own profile record
-    (``parallel_gemm_breakdown``) pass ``profile=False``.
+    ``batch.grid`` span with a ``candidates`` count plus the
+    ``model.candidates_evaluated`` counter, never one event per
+    candidate.  Internal callers that already emit their own profile
+    record (``gemm_time_model``, ``parallel_gemm_breakdown``) pass
+    ``profile=False``.
     """
     prof = obs_profile.ACTIVE if profile else None
     started = time.perf_counter() if prof is not None else None  # det: ok DET101 (wall profiling span)
-    if np.all((batch.jc == 1) & (batch.ic == 1) & (batch.pc == 1)):
-        kind, breakdown = "serial", _serial_breakdown(batch)
-    else:
-        kind, breakdown = "grid", _grid_breakdown(batch)
+    breakdown = _grid_breakdown(batch)
     if prof is not None:
-        prof.record_batch(kind, len(batch), started=started)
+        prof.record_batch("grid", len(batch), started=started)
     return breakdown
 
 

@@ -108,11 +108,12 @@ def cache_key(
 
 @dataclass(frozen=True)
 class TunedBreakdown:
-    """A cached GEMM breakdown with the timing surface of
-    ``GemmTimeBreakdown`` — the cycle components plus ``total_cycles``,
-    ``seconds``, and ``gflops``.  It carries the machine's frequency but
-    *not* the ``MachineModel`` itself (``machine`` does not exist here);
-    consumers needing the full model must evaluate uncached.
+    """A cached GEMM breakdown with the timing surface of a modelled
+    :class:`repro.sim.parallel.ParallelBreakdown` — the cycle components
+    plus ``total_cycles``, ``seconds``, and ``gflops``.  It carries the
+    machine's frequency but *not* the ``MachineModel`` itself
+    (``machine`` does not exist here), nor the partition fields;
+    consumers needing them must evaluate uncached.
 
     Reconstructed from a cache record instead of the timing model; the
     component fields round-trip exactly through JSON, so ``total_cycles``

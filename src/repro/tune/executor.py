@@ -100,7 +100,7 @@ def evaluate_candidates(
     ctx = _context_for(isa)
     machine = ctx.machine
     tile_memo: Dict[Tuple[int, int], object] = {}
-    # (mr, nr, m_plane, n_plane) -> PlanCost tuple
+    # (mr, nr, m_plane, n_plane) -> plan_costs array
     plan_cost_memo: Dict[Tuple[int, int, int, int], tuple] = {}
 
     def plane_costs(spec: int, m_p: int, n_p: int):

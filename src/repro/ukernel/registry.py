@@ -127,14 +127,16 @@ def select_kernel_for(
     The candidate enumeration and the ranking order
     (:func:`repro.tune.space.rank_key`) are shared with
     :mod:`repro.tune`, so the parallel tuner and this serial path always
-    agree on a winner.  When a tune cache is active
-    (:func:`repro.tune.activate`), ranking reads cached timings and only
-    evaluates the model for misses, which it persists back; a cache hit
-    returns a :class:`repro.tune.TunedBreakdown` (same
-    ``total_cycles``/``gflops``/``seconds`` surface as the modelled
-    ``GemmTimeBreakdown``, but no ``machine`` field).
+    agree on a winner.  The candidates are priced together, in one
+    :func:`repro.eval.harness.exo_gemm_breakdowns` call.  When a tune
+    cache is active (:func:`repro.tune.activate`), ranking reads cached
+    timings and only prices the misses, which it persists back in one
+    ``put``; a cache hit returns a :class:`repro.tune.TunedBreakdown`
+    (same ``total_cycles``/``gflops``/``seconds`` surface as the
+    modelled :class:`repro.sim.parallel.ParallelBreakdown`, but no
+    ``machine`` field).
     """
-    from repro.eval.harness import exo_gemm_breakdown, machine_context
+    from repro.eval.harness import exo_gemm_breakdowns, machine_context
     from repro.tune.cache import (
         active_cache,
         breakdown_from_record,
@@ -150,26 +152,26 @@ def select_kernel_for(
         ctx.registry.family_shapes, m, n, vla=bool(ctx.registry.lib.get("vla"))
     )
     cache = active_cache()
-    best = None
-    best_rank = None
-    for shape in fitting:
-        breakdown = None
-        key = None
+    # key by the machine the memoized context models (contexts are
+    # shared by machine name), so a same-named but edited machine never
+    # caches the shared context's timings under its own fingerprint
+    keys = {}
+    breakdowns = {}
+    for shape in fitting if cache is not None else ():
+        keys[shape] = cache_key(ctx.machine, shape, (m, n, k))
+        record = cache.get(keys[shape])
+        if record is not None:
+            breakdowns[shape] = breakdown_from_record(record)
+    misses = [s for s in fitting if s not in breakdowns]
+    if misses:
+        priced = exo_gemm_breakdowns([(m, n, k, s) for s in misses], ctx=ctx)
+        breakdowns.update(zip(misses, priced))
         if cache is not None:
-            # key by the machine the memoized context models (contexts
-            # are shared by machine name), so a same-named but edited
-            # machine never caches the shared context's timings under
-            # its own fingerprint
-            key = cache_key(ctx.machine, shape, (m, n, k))
-            record = cache.get(key)
-            if record is not None:
-                breakdown = breakdown_from_record(record)
-        if breakdown is None:
-            breakdown = exo_gemm_breakdown(m, n, k, main=shape, ctx=ctx)
-            if key is not None:
-                cache.put([(key, record_from_breakdown(breakdown))])
-        rank = rank_key(breakdown.total_cycles, shape)
-        if best_rank is None or rank < best_rank:
-            best = (shape, breakdown)
-            best_rank = rank
-    return best
+            cache.put(
+                (keys[s], record_from_breakdown(b))
+                for s, b in zip(misses, priced)
+            )
+    return min(
+        ((s, breakdowns[s]) for s in fitting),
+        key=lambda option: rank_key(option[1].total_cycles, option[0]),
+    )

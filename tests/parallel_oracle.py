@@ -1,21 +1,31 @@
-"""Scalar oracle for the threaded GEMM model.
+"""Scalar oracles for the GEMM model, serial and threaded.
 
-Production prices every threaded GEMM through the vectorized engine
-(:func:`repro.sim.parallel.parallel_gemm_breakdown` ->
-:func:`repro.sim.vectorized.batch_gemm_cycles`).  This module keeps the
-original per-partition Python implementation — the thread
-partitioner (``partition_plane``, ``split_ways``, ``ThreadPartition``,
-``ThreadSlice``), ``slice_parts``, ``reduction_for``,
-``dram_limit_for`` and the ``min`` over every candidate partition — as
-the golden oracle the engine must match bit for bit
-(``tests/test_parallel.py``, ``tests/test_vectorized.py``).  The
-engine enumerates the same slices in the same jc-outer / ic /
-pc-inner order straight from ``partition_extent``, with array index
-arithmetic; :func:`expand_slices` keeps the per-slice loop it must
-equal.
+Production prices every GEMM through the vectorized engine
+(:func:`repro.sim.parallel.price_grid_requests` ->
+:func:`repro.sim.vectorized.batch_gemm_cycles`): a threaded GEMM over
+its candidate grids, a serial one
+(:func:`repro.sim.timing.gemm_time_model`) as the one-slice
+``(1, 1, 1)`` grid.  This module keeps the original pure-Python models
+as the golden oracles the engine must match bit for bit
+(``tests/test_parallel.py``, ``tests/test_vectorized.py``):
 
-Any threaded cost-term change lands in ``sim/vectorized.py`` *and*
-here (docs/model.md, "Adding a cost term").
+* the analytical memory model — :func:`memory_cost`;
+* the serial model — :func:`gemm_time_model` over
+  :func:`plans_compute_cycles` and :func:`memory_cost`, with
+  :class:`GemmTimeBreakdown` and the harness-shaped
+  :func:`baseline_gemm_breakdown` and :func:`exo_gemm_breakdown`;
+* the threaded model — the thread partitioner (:func:`partition_extent`,
+  ``partition_plane``, ``split_ways``, ``ThreadPartition``,
+  ``ThreadSlice``), ``slice_parts``, ``reduction_for``,
+  ``dram_limit_for`` and the ``min`` over every candidate partition.
+
+The engine enumerates the same slices in the same jc-outer / ic /
+pc-inner order with array index arithmetic, and splits each dimension
+as :func:`partition_extent` does, in closed form; :func:`expand_slices`
+keeps the per-slice loop it must equal.
+
+Any cost-term change lands in ``sim/vectorized.py`` *and* here
+(docs/model.md, "Adding a cost term").
 """
 
 from __future__ import annotations
@@ -27,22 +37,280 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.blis.params import analytical_tile_params, clamp_tiles
-from repro.isa.machine import MachineModel
-from repro.sim.memory import GemmShape, TileParams, memory_cost
+from repro.isa.machine import CARMEL, MachineModel
+from repro.sim.memory import GemmShape, TileParams
 from repro.sim.parallel import (
     ParallelBreakdown,
     PlanBuilder,
-    Span,
     candidate_grids,
-    partition_extent,
 )
-from repro.sim.timing import TimingModel, plans_compute_cycles
+from repro.sim.timing import ChunkPlan, TimingModel
 from repro.sim.vectorized import CandidateBatch, _SliceRows
+
+
+# ---------------------------------------------------------------------------
+# The scalar memory model
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class MemoryCost:
+    """Cycle costs of the memory-system work of one GEMM invocation."""
+
+    pack_a_cycles: float
+    pack_b_cycles: float
+    c_stream_cycles: float
+    c_stall_cycles: float  # exposed only without prefetch
+    dram_bytes: float
+
+    @property
+    def total_overlappable(self) -> float:
+        return self.pack_a_cycles + self.pack_b_cycles + self.c_stream_cycles
+
+
+def memory_cost(
+    shape: GemmShape,
+    tiles: TileParams,
+    machine: MachineModel = CARMEL,
+    dtype_bytes: int = 4,
+    prefetch_c: bool = False,
+) -> MemoryCost:
+    """Analytical memory cycles for one C = C + A*B.
+
+    Components:
+
+    * **A packing** — every Ac block (mc x kc) is repacked once per jc
+      iteration: ``ceil(n/nc) * m * k`` elements read + written.
+    * **B packing** — Bc blocks are packed once: ``k * n`` elements.
+      Packing bandwidth is store-limited at the L2/L3 write rate.
+    * **C streaming** — the C tile is read and written once per pc
+      iteration: ``2 * m * n * ceil(k/kc)`` elements moving at DRAM
+      bandwidth.
+    * **C stall** — without the in-kernel prefetch of the BLIS library,
+      each micro-kernel invocation eats the latency of its C-tile line
+      misses before the accumulation loop saturates; prefetching overlaps
+      this entirely.  Misses are served with a modest memory-level
+      parallelism (6 outstanding), matching an OoO core's load queue.
+    """
+    m, n, k = shape.m, shape.n, shape.k
+    jc_iters = max(1, math.ceil(n / tiles.nc))
+    pc_iters = max(1, math.ceil(k / tiles.kc))
+
+    # packing: read + write each element; throughput limited by the copy
+    # engine (two elements per cycle through the vector pipes)
+    copy_rate = 2.0 * machine.pipe_count("load") * dtype_bytes  # bytes/cycle
+    pack_a_bytes = 2.0 * m * k * dtype_bytes * jc_iters
+    pack_b_bytes = 2.0 * k * n * dtype_bytes
+    pack_a_cycles = pack_a_bytes / copy_rate
+    pack_b_cycles = pack_b_bytes / copy_rate
+
+    # C streaming traffic
+    c_bytes = 2.0 * m * n * dtype_bytes * pc_iters
+    c_stream_cycles = c_bytes / machine.dram_bandwidth_bytes_per_cycle
+
+    # exposed C-tile miss latency per micro-kernel call (no prefetch)
+    line = machine.caches[0].line_bytes
+    tiles_per_pass = max(1, math.ceil(m / tiles.mr)) * max(
+        1, math.ceil(n / tiles.nr)
+    )
+    lines_per_tile = max(
+        1, math.ceil(tiles.mr * tiles.nr * dtype_bytes / line)
+    )
+    mlp = 6.0
+    stall_per_tile = lines_per_tile / mlp * machine.dram_latency_cycles
+    c_stall_cycles = 0.0 if prefetch_c else (
+        stall_per_tile * tiles_per_pass * pc_iters
+    )
+
+    dram_bytes = (
+        m * k * dtype_bytes * jc_iters  # A read per repack
+        + k * n * dtype_bytes  # B read once
+        + c_bytes
+    )
+    return MemoryCost(
+        pack_a_cycles=pack_a_cycles,
+        pack_b_cycles=pack_b_cycles,
+        c_stream_cycles=c_stream_cycles,
+        c_stall_cycles=c_stall_cycles,
+        dram_bytes=dram_bytes,
+    )
+
+
+# ---------------------------------------------------------------------------
+# The scalar serial model
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class GemmTimeBreakdown:
+    """Modelled cycles of one serial GEMM, by component."""
+
+    compute_cycles: float
+    pack_cycles: float
+    c_stall_cycles: float
+    dram_limit_cycles: float
+    flops: int
+    machine: MachineModel
+
+    @property
+    def total_cycles(self) -> float:
+        busy = self.compute_cycles + self.pack_cycles + self.c_stall_cycles
+        return max(busy, self.dram_limit_cycles)
+
+    @property
+    def seconds(self) -> float:
+        return self.total_cycles / (self.machine.freq_ghz * 1e9)
+
+    @property
+    def gflops(self) -> float:
+        return self.flops / self.total_cycles * self.machine.freq_ghz
+
+
+def plans_compute_cycles(
+    chunk_plans: Sequence[ChunkPlan],
+    k: int,
+    kc: int,
+    model: TimingModel,
+) -> float:
+    """Compute cycles of a chunk-plan list over the k extent.
+
+    The k extent splits into full ``kc`` chunks plus one ragged
+    remainder; every plan runs once per pc iteration.  Both scalar
+    models use this one compute formula, and the engine mirrors it
+    operand for operand (``repro.sim.vectorized._compute_cycles``).
+    """
+    kc_full, kc_rem = divmod(k, kc)
+    compute = 0.0
+    for plan in chunk_plans:
+        timing = model.timing_for(plan.trace, plan.mr, plan.nr)
+        cycles = kc_full * model.invocation_cycles(
+            timing, kc, plan.call_overhead
+        )
+        if kc_rem:
+            cycles += model.invocation_cycles(
+                timing, kc_rem, plan.call_overhead
+            )
+        compute += plan.count * cycles
+    return compute
+
+
+def gemm_time_model(
+    shape: GemmShape,
+    chunk_plans: Sequence[ChunkPlan],
+    tiles: TileParams,
+    prefetch_c: bool = False,
+    machine: MachineModel = CARMEL,
+    model: Optional[TimingModel] = None,
+) -> GemmTimeBreakdown:
+    """The scalar serial model: same result as
+    :func:`repro.sim.timing.gemm_time_model`."""
+    model = model or TimingModel(machine=machine)
+    compute = plans_compute_cycles(chunk_plans, shape.k, tiles.kc, model)
+    mem = memory_cost(shape, tiles, machine=machine, prefetch_c=prefetch_c)
+    return GemmTimeBreakdown(
+        compute_cycles=compute,
+        pack_cycles=mem.pack_a_cycles + mem.pack_b_cycles,
+        c_stall_cycles=mem.c_stall_cycles,
+        dram_limit_cycles=(
+            mem.dram_bytes / machine.dram_bandwidth_bytes_per_cycle
+        ),
+        flops=shape.flops,
+        machine=machine,
+    )
+
+
+def baseline_gemm_breakdown(
+    m: int,
+    n: int,
+    k: int,
+    trace,
+    prefetch_c: bool = False,
+    ctx=None,
+) -> GemmTimeBreakdown:
+    """The oracle behind
+    :func:`repro.eval.harness.baseline_gemm_breakdown`: one monolithic
+    8x12 kernel, priced by the scalar serial model."""
+    from repro.eval.harness import default_context
+    from repro.ukernel.edge import monolithic_cover
+
+    ctx = ctx or default_context()
+    tiles = clamp_tiles(analytical_tile_params(8, 12, ctx.machine), m, n, k)
+    plan = ChunkPlan(
+        trace=trace, mr=8, nr=12, count=monolithic_cover(m, n, 8, 12)
+    )
+    return gemm_time_model(
+        GemmShape(m, n, k), [plan], tiles, prefetch_c=prefetch_c,
+        machine=ctx.machine, model=ctx.model,
+    )
+
+
+def exo_gemm_breakdown(
+    m: int,
+    n: int,
+    k: int,
+    main: Optional[Tuple[int, int]] = None,
+    ctx=None,
+) -> GemmTimeBreakdown:
+    """The oracle behind :func:`repro.eval.harness.exo_gemm_breakdown`:
+    the same tiles and plane plans, priced by the scalar serial
+    model."""
+    from repro.eval.harness import default_context, plane_chunk_plans
+
+    ctx = ctx or default_context()
+    mr, nr = main if main is not None else ctx.main_tile
+    tiles = clamp_tiles(analytical_tile_params(mr, nr, ctx.machine), m, n, k)
+    return gemm_time_model(
+        GemmShape(m, n, k), plane_chunk_plans(ctx, m, n, mr, nr), tiles,
+        machine=ctx.machine, model=ctx.model,
+    )
 
 
 # ---------------------------------------------------------------------------
 # Thread partitions: the per-slice geometry the oracle prices
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Span:
+    """A contiguous range of one GEMM dimension owned by one way."""
+
+    start: int
+    extent: int
+
+    @property
+    def stop(self) -> int:
+        return self.start + self.extent
+
+
+def partition_extent(
+    extent: int, ways: int, granule: int
+) -> Tuple[Span, ...]:
+    """Residue-aware split of ``extent`` into at most ``ways`` spans.
+
+    The extent is measured in ``granule``-sized tiles (the register-tile
+    height or width); tiles distribute as evenly as possible (spans
+    differ by at most one tile) and the ragged sub-``granule`` remainder
+    rides in the final span, where the per-slice plan builder selects an
+    edge/tail kernel for it.  When there are fewer tiles than ways the
+    surplus ways receive no span — they would have no tile to run.
+    """
+    if extent <= 0:
+        raise ValueError(f"extent must be positive, got {extent}")
+    if ways < 1:
+        raise ValueError(f"ways must be >= 1, got {ways}")
+    if granule < 1:
+        raise ValueError(f"granule must be >= 1, got {granule}")
+    tiles = math.ceil(extent / granule)
+    ways = min(ways, tiles)
+    base, rem = divmod(tiles, ways)
+    spans: List[Span] = []
+    start = 0
+    for w in range(ways):
+        count = base + (1 if w < rem else 0)
+        stop = min(start + count * granule, extent)
+        spans.append(Span(start=start, extent=stop - start))
+        start = stop
+    return tuple(spans)
 
 
 @dataclass(frozen=True)

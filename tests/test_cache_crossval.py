@@ -94,7 +94,9 @@ class TestAgainstAnalyticalTraffic:
     def test_pack_traffic_matches_formula(self):
         """Trace the packing reads of a small GEMM and compare with the
         analytical model's A-repacking rule (m*k per jc iteration)."""
-        from repro.sim.memory import GemmShape, TileParams, memory_cost
+        from parallel_oracle import memory_cost
+
+        from repro.sim.memory import GemmShape, TileParams
 
         m, n, k = 32, 48, 16
         tiles = TileParams(mc=16, kc=8, nc=24, mr=8, nr=12)
@@ -107,7 +109,9 @@ class TestAgainstAnalyticalTraffic:
         )
 
     def test_dram_bytes_counts_all_streams(self):
-        from repro.sim.memory import GemmShape, TileParams, memory_cost
+        from parallel_oracle import memory_cost
+
+        from repro.sim.memory import GemmShape, TileParams
 
         m = n = k = 64
         tiles = TileParams(mc=64, kc=64, nc=64, mr=8, nr=12)

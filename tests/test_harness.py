@@ -7,12 +7,18 @@ conclusions rest on, figure by figure.
 
 from __future__ import annotations
 
+import parallel_oracle as oracle
 import pytest
 
+from repro.eval import harness
 from repro.eval.harness import (
+    EXO_CANDIDATES,
     all_config_breakdowns,
+    baseline_gemm_breakdowns,
     best_exo_breakdown,
+    best_exo_breakdowns,
     default_context,
+    exo_gemm_breakdowns,
     exo_parallel_breakdown,
     exo_parallel_breakdowns,
     fig13_solo_data,
@@ -160,6 +166,82 @@ class TestSelection:
     def test_all_config_keys(self, ctx):
         configs = all_config_breakdowns(196, 256, 1024, ctx=ctx)
         assert set(configs) == set(CONFIGS)
+
+
+#: ragged planes, a main tile that does not fit, k below kc and with a
+#: ragged kc remainder
+SERIAL_SHAPES = (
+    (1000, 1000, 1000), (49, 1024, 576), (4, 6, 70), (2000, 2000, 2000),
+    (196, 256, 1024), (7, 3, 513),
+)
+SERIAL_FIELDS = (
+    "compute_cycles", "pack_cycles", "c_stall_cycles", "dram_limit_cycles",
+    "total_cycles", "gflops", "seconds",
+)
+
+
+class TestBatchedSerialPricing:
+    """Figures 14-18 price each configuration in one batched call, and
+    every breakdown is the scalar serial oracle's, field for field."""
+
+    def test_baselines_match_the_oracle(self, ctx):
+        for trace, prefetch in (
+            (ctx.neon_trace(), False),
+            (ctx.blis_trace(), False),
+            (ctx.blis_trace(), True),
+        ):
+            got = baseline_gemm_breakdowns(
+                SERIAL_SHAPES, trace, prefetch_c=prefetch, ctx=ctx
+            )
+            for (m, n, k), b in zip(SERIAL_SHAPES, got):
+                want = oracle.baseline_gemm_breakdown(
+                    m, n, k, trace, prefetch_c=prefetch, ctx=ctx
+                )
+                for field in SERIAL_FIELDS:
+                    assert getattr(b, field) == getattr(want, field), field
+
+    @pytest.mark.parametrize("machine_name", ["carmel", "rvv128"])
+    def test_exo_cells_match_the_oracle(self, machine_name):
+        ctx = machine_context(MACHINES[machine_name])
+        cells = [
+            (m, n, k, main)
+            for m, n, k in SERIAL_SHAPES
+            for main in EXO_CANDIDATES
+        ]
+        for cell, b in zip(cells, exo_gemm_breakdowns(cells, ctx=ctx)):
+            m, n, k, main = cell
+            want = oracle.exo_gemm_breakdown(m, n, k, main=main, ctx=ctx)
+            for field in SERIAL_FIELDS:
+                assert getattr(b, field) == getattr(want, field), cell
+
+    def test_best_exo_is_the_oracle_first_minimum(self, ctx):
+        for (m, n, k), (main, b) in zip(
+            SERIAL_SHAPES, best_exo_breakdowns(SERIAL_SHAPES, ctx=ctx)
+        ):
+            fits = [c for c in EXO_CANDIDATES if c[0] <= m and c[1] <= n]
+            want = min(
+                (
+                    (c, oracle.exo_gemm_breakdown(m, n, k, main=c, ctx=ctx))
+                    for c in fits or [(8, 4)]
+                ),
+                key=lambda option: option[1].total_cycles,
+            )
+            assert main == want[0]
+            assert b.total_cycles == want[1].total_cycles
+
+    def test_figures_make_no_single_gemm_calls(self, ctx, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a figure priced one GEMM at a time")
+
+        monkeypatch.setattr(harness, "gemm_time_model", refuse)
+        assert fig14_square_data(sizes=(256, 1000), ctx=ctx)
+        for figure in (
+            fig15_resnet_layer_data,
+            fig16_resnet_time_data,
+            fig17_vgg_layer_data,
+            fig18_vgg_time_data,
+        ):
+            assert figure(ctx=ctx)
 
 
 class TestReport:

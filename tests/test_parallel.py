@@ -2,8 +2,9 @@
 
 Invariants of the thread partitioner and the threaded breakdown:
 
-* a one-thread run matches the serial :func:`gemm_time_model` exactly,
-  on every registered machine and every shape (a hypothesis property);
+* a one-thread run matches the scalar serial model
+  (``parallel_oracle.gemm_time_model``) exactly, on every registered
+  machine and every shape (a hypothesis property);
 * modelled GFLOPS is monotonically non-decreasing in the thread count,
   up to (and past) the modelled DRAM ceiling;
 * partition slices cover the (m, n) plane exactly once — no overlap,
@@ -23,7 +24,12 @@ from pathlib import Path
 
 import numpy as np
 import parallel_oracle as oracle
-from parallel_oracle import partition_plane, split_ways
+from parallel_oracle import (
+    memory_cost,
+    partition_extent,
+    partition_plane,
+    split_ways,
+)
 import pinned_grids
 import pytest
 from hypothesis import example, given, settings
@@ -35,14 +41,10 @@ from repro.isa.machine import (
     NUMA_SERVER_2S,
     RVV_EDGE_VLEN128,
 )
-from repro.sim.memory import GemmShape, TileParams, memory_cost
-from repro.sim.parallel import (
-    candidate_grids,
-    parallel_gemm_breakdown,
-    partition_extent,
-)
+from repro.sim.memory import GemmShape, TileParams
+from repro.sim.parallel import candidate_grids, parallel_gemm_breakdown
 from repro.sim.pipeline import trace_from_kernel
-from repro.sim.timing import ChunkPlan, gemm_time_model
+from repro.sim.timing import ChunkPlan
 from repro.ukernel.edge import monolithic_cover
 
 TILES = TileParams(mc=896, kc=512, nc=1788, mr=8, nr=12)
@@ -163,16 +165,12 @@ class TestOneSliceIsSerial:
     def test_one_thread_matches_serial_model(self, name, m, n, k):
         """Production and the scalar oracle both price one thread as
         the serial model."""
-        from repro.eval.harness import (
-            exo_gemm_breakdown,
-            exo_parallel_breakdown,
-            machine_context,
-        )
+        from repro.eval.harness import exo_parallel_breakdown, machine_context
 
         ctx = machine_context(MACHINES[name])
         got = exo_parallel_breakdown(m, n, k, 1, ctx)
         scalar = oracle.exo_parallel_breakdown(m, n, k, 1, ctx)
-        want = exo_gemm_breakdown(m, n, k, ctx=ctx)
+        want = oracle.exo_gemm_breakdown(m, n, k, ctx=ctx)
         for field in self.FIELDS:
             assert getattr(got, field) == getattr(want, field), field
             assert getattr(scalar, field) == getattr(want, field), field
@@ -194,7 +192,7 @@ class TestOneSliceIsSerial:
         self, name, m, n, k, threads
     ):
         """Next to a threaded request, a ``(1, 1, 1)`` request rides the
-        grid path — and still prices as ``gemm_time_model``."""
+        grid path — and still prices as the serial model."""
         from repro.eval.harness import machine_context, plane_chunk_plans
         from repro.obs import profile as obs_profile
         from repro.obs.profile import GemmProfiler
@@ -218,7 +216,7 @@ class TestOneSliceIsSerial:
                 ),
             )
         assert [r["kind"] for r in profiler.records] == ["batch.grid"]
-        want = gemm_time_model(
+        want = oracle.gemm_time_model(
             shape, plane_chunk_plans(ctx, m, n, mr, nr), tiles,
             machine=ctx.machine, model=ctx.model,
         )
@@ -240,14 +238,14 @@ class TestThreadedBreakdown:
         self, machine_name, plan_builder
     ):
         """The library entry point, with caller-given tiles and plans:
-        one thread prices as :func:`gemm_time_model`, on the square
+        one thread prices as the serial model, on the square
         shape and on two ragged ones.  (The property above covers the
         harness entry point over random shapes.)"""
         machine = MACHINES[machine_name]
         for m, n, k in ((2000, 2000, 2000), (946, 2773, 897),
                         (1462, 2165, 1326)):
             shape = GemmShape(m, n, k)
-            serial = gemm_time_model(
+            serial = oracle.gemm_time_model(
                 shape, plan_builder(m, n), TILES, machine=machine
             )
             par = parallel_gemm_breakdown(
@@ -352,14 +350,10 @@ class TestHarnessThreading:
         "machine_name", ["carmel", "avx512", "rvv128", "rvv256"]
     )
     def test_threads1_matches_serial_harness_path(self, machine_name):
-        from repro.eval.harness import (
-            exo_gemm_breakdown,
-            exo_parallel_breakdown,
-            machine_context,
-        )
+        from repro.eval.harness import exo_parallel_breakdown, machine_context
 
         ctx = machine_context(MACHINES[machine_name])
-        serial = exo_gemm_breakdown(96, 96, 64, ctx=ctx)
+        serial = oracle.exo_gemm_breakdown(96, 96, 64, ctx=ctx)
         par = exo_parallel_breakdown(96, 96, 64, 1, ctx=ctx)
         assert par.total_cycles == serial.total_cycles
 
@@ -682,14 +676,11 @@ class TestGridSubBatches:
         assert [b.thread_busy_cycles for b in got] == [
             b.thread_busy_cycles for b in want
         ]
-        # the label follows the path: all-(1, 1, 1) sub-batches price
-        # on the serial path
-        assert [r["kind"] for r in profiler.records] == [
-            "batch.serial"
-            if all(requests[i].grids == [(1, 1, 1)] for i in part)
-            else "batch.grid"
-            for part in parts
-        ]
+        # one engine path: every sub-batch, all-(1, 1, 1) ones too,
+        # records one batch.grid
+        assert [r["kind"] for r in profiler.records] == ["batch.grid"] * len(
+            parts
+        )
         # the parts are consecutive, cover every request, keep to the
         # budget unless one request alone exceeds it, and are greedy:
         # each part is full up to the next request

@@ -10,6 +10,7 @@ instructions with ``vsetvl`` narrowed to the tail.
 from __future__ import annotations
 
 import numpy as np
+import parallel_oracle
 import pytest
 
 from repro.blis.reference import naive_gemm
@@ -267,11 +268,11 @@ class TestRvvSimulation:
 
     def test_gemm_model_uses_vla_exact_cover(self):
         """Ragged GEMM shapes on RVV go through the vsetvl tail path."""
-        from repro.eval.harness import exo_gemm_breakdown, machine_context
+        from repro.eval.harness import machine_context
 
         ctx = machine_context(RVV_EDGE_VLEN128)
         for m, n in ((50, 70), (3, 12), (49, 500)):
-            b = exo_gemm_breakdown(m, n, 64, ctx=ctx)
+            b = parallel_oracle.exo_gemm_breakdown(m, n, 64, ctx=ctx)
             assert b.gflops > 0
         # the ragged tiles' part traces are cached per (h, w)
         assert ctx._vla_parts

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 
+import parallel_oracle
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,7 +28,6 @@ from hypothesis import strategies as st
 from repro import obs as obslib
 from repro import tune
 from repro.eval.harness import (
-    exo_gemm_breakdown,
     machine_context,
     threaded_instance_time_data,
     tuned_layer_breakdown,
@@ -591,7 +591,9 @@ class TestTunedDispatch:
                 [(1, SMALL_LAYER)], ctx, (1,), use_tuned=True
             )
             tile, _ = tuned_layer_breakdown(ctx, *problem)
-            serial = exo_gemm_breakdown(*problem, main=tile, ctx=ctx)
+            serial = parallel_oracle.exo_gemm_breakdown(
+                *problem, main=tile, ctx=ctx
+            )
         assert rows[-1]["t1"] == serial.seconds
 
 

@@ -9,13 +9,20 @@ from __future__ import annotations
 
 import dataclasses
 
+import parallel_oracle as oracle
 import pytest
 
 from repro.isa.machine import CARMEL, GENERIC_ARM
 from repro.sim.cache import Cache, hierarchy_for
-from repro.sim.memory import GemmShape, TileParams, memory_cost
+from parallel_oracle import memory_cost
+from repro.sim.memory import GemmShape, TileParams
 from repro.sim.pipeline import PipelineModel, trace_from_kernel
-from repro.sim.timing import ChunkPlan, gemm_time_model, solo_kernel_gflops
+from repro.sim.timing import (
+    ChunkPlan,
+    gemm_time_model,
+    gemm_time_models,
+    solo_kernel_gflops,
+)
 
 
 @pytest.fixture(scope="module")
@@ -279,7 +286,7 @@ class TestGemmTimeModel:
         shape = GemmShape(2000, 2000, 2000)
         tiles = TileParams(mc=896, kc=512, nc=1788, mr=8, nr=12)
         plan = ChunkPlan(trace=trace, mr=8, nr=12, count=(2000 // 8) * (2000 // 12 + 1))
-        b = gemm_time_model(shape, [plan], tiles)
+        b = oracle.gemm_time_model(shape, [plan], tiles)
         assert b.compute_cycles > b.pack_cycles
         assert b.gflops < CARMEL.peak_gflops()
 
@@ -288,7 +295,71 @@ class TestGemmTimeModel:
         shape = GemmShape(1000, 996, 512)
         tiles = TileParams(mc=896, kc=512, nc=1788, mr=8, nr=12)
         plan = ChunkPlan(trace=trace, mr=8, nr=12, count=125 * 83)
-        b = gemm_time_model(shape, [plan], tiles)
+        b = oracle.gemm_time_model(shape, [plan], tiles)
         assert b.gflops == pytest.approx(
             shape.flops / b.seconds / 1e9, rel=1e-9
+        )
+
+
+class TestGemmTimeModels:
+    """The production serial model is the one-slice grid of the batch
+    engine: one GEMM or many, it prices as the scalar oracle."""
+
+    FIELDS = (
+        "compute_cycles", "pack_cycles", "c_stall_cycles",
+        "dram_limit_cycles", "total_cycles", "gflops", "seconds",
+    )
+    SHAPES = ((2000, 2000, 2000), (1000, 996, 512), (9, 13, 700), (96, 1, 1))
+
+    @staticmethod
+    def _gemms(registry):
+        """``(shape, plans, tiles)`` of a monolithic 8x12 kernel."""
+        trace = trace_from_kernel(registry.get(8, 12))
+        tiles = TileParams(mc=896, kc=512, nc=1788, mr=8, nr=12)
+        return [
+            (
+                GemmShape(m, n, k),
+                [
+                    ChunkPlan(
+                        trace=trace, mr=8, nr=12,
+                        count=-(-m // 8) * -(-n // 12),
+                    )
+                ],
+                tiles,
+            )
+            for m, n, k in TestGemmTimeModels.SHAPES
+        ]
+
+    @pytest.mark.parametrize("prefetch_c", [False, True])
+    @pytest.mark.parametrize("machine", [CARMEL, GENERIC_ARM])
+    def test_batch_and_single_calls_match_the_oracle(
+        self, registry, machine, prefetch_c
+    ):
+        gemms = self._gemms(registry)
+        batch = gemm_time_models(gemms, prefetch_c=prefetch_c, machine=machine)
+        for gemm, got in zip(gemms, batch):
+            want = oracle.gemm_time_model(
+                *gemm, prefetch_c=prefetch_c, machine=machine
+            )
+            single = gemm_time_model(
+                *gemm, prefetch_c=prefetch_c, machine=machine
+            )
+            for field in self.FIELDS:
+                assert getattr(got, field) == getattr(want, field), field
+                assert getattr(single, field) == getattr(want, field), field
+            assert (got.threads, got.partition_label) == (1, "1x1")
+
+    def test_one_serial_record_per_gemm(self, registry):
+        from repro.obs import profile as obs_profile
+        from repro.obs.profile import GemmProfiler
+
+        gemms = self._gemms(registry)
+        profiler = GemmProfiler()
+        with obs_profile.using(profiler):
+            gemm_time_models(gemms)
+            gemm_time_model(*gemms[0])
+        kinds = [r["kind"] for r in profiler.records]
+        assert kinds == ["batch.grid"] + ["serial"] * (len(gemms) + 1)
+        assert [r["eval_us"] for r in profiler.records[1:-1]] == [0.0] * len(
+            gemms
         )

@@ -2,10 +2,21 @@
 
 from __future__ import annotations
 
-import pytest
+import math
 
-from repro.blis.tuning import analytical_result, grid_search_tiles
-from repro.sim.memory import GemmShape, TileParams, memory_cost
+import parallel_oracle as oracle
+import pytest
+from parallel_oracle import memory_cost
+
+from repro.blis.params import clamp_tiles
+from repro.blis.tuning import (
+    _candidate_grid,
+    analytical_result,
+    grid_search_tiles,
+)
+from repro.isa.machine import CARMEL
+from repro.sim.timing import ChunkPlan
+from repro.sim.memory import GemmShape, TileParams
 from repro.sim.pipeline import trace_from_kernel
 from repro.sim.tracegen import simulate_gemm_trace
 
@@ -75,6 +86,26 @@ class TestTuning:
         result = grid_search_tiles(GemmShape(1000, 1000, 1000), trace)
         assert result.evaluated > 100
         assert result.gflops > 0
+
+    def test_grid_search_is_the_oracle_first_maximum(self, trace):
+        """One batched pricing call picks what one scalar serial model
+        call per candidate picks: the first highest GFLOPS."""
+        shape = GemmShape(1000, 600, 700)
+        tuned = grid_search_tiles(shape, trace)
+        plan = ChunkPlan(
+            trace=trace, mr=8, nr=12,
+            count=math.ceil(shape.m / 8) * math.ceil(shape.n / 12),
+        )
+        best = None
+        for mc, kc, nc in _candidate_grid(8, 12, CARMEL):
+            tiles = clamp_tiles(
+                TileParams(mc=mc, kc=kc, nc=nc, mr=8, nr=12),
+                shape.m, shape.n, shape.k,
+            )
+            gflops = oracle.gemm_time_model(shape, [plan], tiles).gflops
+            if best is None or gflops > best[1]:
+                best = (tiles, gflops)
+        assert (tuned.tiles, tuned.gflops) == best
 
     def test_analytical_is_enough(self, trace):
         """Reproduce [9]'s headline inside the model: the closed-form

@@ -15,11 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import tune
-from repro.eval.harness import (
-    exo_gemm_breakdown,
-    exo_parallel_breakdown,
-    machine_context,
-)
+from repro.eval.harness import exo_parallel_breakdown, machine_context
 from repro.isa.machine import CARMEL, RVV_EDGE_VLEN128
 from repro.isa.targets import ISA_TARGETS, machine_fingerprint, target
 from repro.tune.cache import (
@@ -344,8 +340,8 @@ class TestThreadedParity:
     A chunk prices all its threaded jobs in one grid batch; each record
     must equal the scalar threaded model of ``tests/parallel_oracle.py``
     and the one-request ``exo_parallel_breakdown`` of the same job (and
-    a serial record the scalar ``exo_gemm_breakdown``), down to the JSON
-    bytes.
+    a serial record the oracle's scalar ``exo_gemm_breakdown``), down to
+    the JSON bytes.
     """
 
     #: the perfbench tune-cold residues: m mod 16 in {5, 11} and
@@ -360,7 +356,11 @@ class TestThreadedParity:
         ctx = machine_context(target(job.isa).machine)
         args = (job.m, job.n, job.k)
         if job.threads == 1:
-            return [exo_gemm_breakdown(*args, main=job.tile, ctx=ctx)]
+            return [
+                parallel_oracle.exo_gemm_breakdown(
+                    *args, main=job.tile, ctx=ctx
+                )
+            ]
         return [
             parallel_oracle.exo_parallel_breakdown(
                 *args, job.threads, ctx=ctx, main=job.tile
@@ -419,7 +419,9 @@ class TestThreadedParity:
             serial += 1
             ctx = machine_context(target(job.isa).machine)
             want = record_from_breakdown(
-                exo_gemm_breakdown(job.m, job.n, job.k, main=job.tile, ctx=ctx)
+                parallel_oracle.exo_gemm_breakdown(
+                    job.m, job.n, job.k, main=job.tile, ctx=ctx
+                )
             )
             assert record.keys() == want.keys()
             for field in want:
@@ -511,10 +513,13 @@ class TestSelectKernelFor:
         # every tile of area >= 32 ties; of those, 4x8 and 8x4 share
         # the smallest area, and 4x8 is first lexicographically
         monkeypatch.setattr(
-            "repro.eval.harness.exo_gemm_breakdown",
-            lambda *a, main, **kw: SimpleNamespace(
-                total_cycles=1000.0 if main[0] * main[1] >= 32 else 2000.0
-            ),
+            "repro.eval.harness.exo_gemm_breakdowns",
+            lambda cells, **kw: [
+                SimpleNamespace(
+                    total_cycles=1000.0 if mr * nr >= 32 else 2000.0
+                )
+                for _, _, _, (mr, nr) in cells
+            ],
         )
         shape, _ = select_kernel_for(64, 64, 64, machine=CARMEL)
         assert shape == (4, 8)
@@ -539,13 +544,13 @@ class TestSelectKernelFor:
             first = select_kernel_for(96, 96, 96, machine=machine)
             assert len(cache) > 0
             calls = {"n": 0}
-            real = harness.exo_gemm_breakdown
+            real = harness.exo_gemm_breakdowns
 
-            def counting(*args, **kwargs):
-                calls["n"] += 1
-                return real(*args, **kwargs)
+            def counting(cells, **kwargs):
+                calls["n"] += len(cells)
+                return real(cells, **kwargs)
 
-            monkeypatch.setattr(harness, "exo_gemm_breakdown", counting)
+            monkeypatch.setattr(harness, "exo_gemm_breakdowns", counting)
             second = select_kernel_for(96, 96, 96, machine=machine)
         assert tune.active_cache() is None
         assert calls["n"] == 0

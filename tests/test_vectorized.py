@@ -2,9 +2,8 @@
 
 :mod:`repro.sim.vectorized` must match the scalar model *bit for bit* —
 equality, never ``approx`` — because the grid search breaks wall-clock
-ties on exact float comparison.  The scalar paths — the serial
-:func:`repro.eval.harness.exo_gemm_breakdown` and the threaded model in
-``tests/parallel_oracle.py`` — are the golden oracles; these tests fuzz
+ties on exact float comparison.  The scalar serial and threaded models
+in ``tests/parallel_oracle.py`` are the golden oracles; these tests fuzz
 shapes, machines, thread counts, and jc/ic/pc grids against them,
 cross-check the pre-NUMA golden pins, and pin the batch profile hook's
 event shape.
@@ -25,7 +24,6 @@ from hypothesis import strategies as st
 
 from repro.blis.params import analytical_tile_params, clamp_tiles
 from repro.eval.harness import (
-    exo_gemm_breakdown,
     exo_parallel_breakdown,
     machine_context,
     plane_chunk_plans,
@@ -48,7 +46,7 @@ def ctx_for(name):
 
 def serial_batch(ctx, shapes):
     """One all-``(1, 1, 1)`` batch over ``shapes`` on ``ctx``'s machine:
-    the serial path."""
+    one serial GEMM per row."""
     machine = ctx.machine
     mr, nr = ctx.main_tile
     tiles = [
@@ -101,7 +99,7 @@ SERIAL_FIELDS = (
 
 
 class TestSerialParity:
-    """Serial-path rows == ``gemm_time_model``, bitwise."""
+    """``(1, 1, 1)`` rows == the oracle's ``gemm_time_model``, bitwise."""
 
     @given(
         name=st.sampled_from(sorted(MACHINES)),
@@ -112,7 +110,7 @@ class TestSerialParity:
     @settings(max_examples=60, deadline=None)
     def test_fuzzed_shapes_match_exactly(self, name, m, n, k):
         ctx = ctx_for(name)
-        want = exo_gemm_breakdown(m, n, k, main=ctx.main_tile, ctx=ctx)
+        want = oracle.exo_gemm_breakdown(m, n, k, main=ctx.main_tile, ctx=ctx)
         got = vec.batch_gemm_cycles(serial_batch(ctx, [(m, n, k)]))
         for field in SERIAL_FIELDS:
             assert getattr(got, field)[0] == getattr(want, field), field
@@ -123,7 +121,9 @@ class TestSerialParity:
         got = vec.batch_gemm_cycles(serial_batch(ctx, shapes))
         assert len(got) == len(shapes)
         for i, (m, n, k) in enumerate(shapes):
-            want = exo_gemm_breakdown(m, n, k, main=ctx.main_tile, ctx=ctx)
+            want = oracle.exo_gemm_breakdown(
+                m, n, k, main=ctx.main_tile, ctx=ctx
+            )
             for field in SERIAL_FIELDS:
                 assert getattr(got, field)[i] == getattr(want, field), field
         assert got.eff_jc.tolist() == [1] * len(shapes)
@@ -159,7 +159,9 @@ class TestSerialParity:
             )
         )
         for i, ctx in enumerate(ctxs):
-            want = exo_gemm_breakdown(m, n, k, main=ctx.main_tile, ctx=ctx)
+            want = oracle.exo_gemm_breakdown(
+                m, n, k, main=ctx.main_tile, ctx=ctx
+            )
             assert got.total_cycles[i] == want.total_cycles
             assert got.freq_ghz[i] == ctx.machine.freq_ghz
 
@@ -303,6 +305,43 @@ class TestBatchValidation:
         assert len(batch) == 2
 
 
+class TestEngineHelpers:
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.integers(0, 2), st.integers(1, 16),
+                st.integers(1, 3000), st.integers(1, 3000),
+            ),
+            min_size=1,
+            max_size=60,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_dedup_rows_is_unique_with_first_occurrences(self, rows):
+        columns = [np.array(col, dtype=np.int64) for col in zip(*rows)]
+        first, inverse = vec._dedup_rows(columns)
+        _, want_first, want_inverse = np.unique(
+            np.stack(columns, axis=1),
+            axis=0,
+            return_index=True,
+            return_inverse=True,
+        )
+        assert first.tolist() == want_first.tolist()
+        assert inverse.tolist() == want_inverse.ravel().tolist()
+
+    @pytest.mark.parametrize(
+        "field", ["m", "n", "k", "mr", "nr", "kc", "jc", "ic", "pc"]
+    )
+    def test_nonpositive_extent_ways_or_granule_is_rejected(self, field):
+        fields = dict(m=100, n=200, k=300, mr=8, nr=12, kc=256, nc=1788)
+        fields[field] = [1, 0]
+        batch = vec.CandidateBatch(
+            machines=MACHINES["carmel"], plan_source=lambda *a: (), **fields
+        )
+        with pytest.raises(ValueError):
+            vec.batch_gemm_cycles(batch, profile=False)
+
+
 class TestBatchProfileHook:
     def test_one_record_per_batch_with_candidate_count(self):
         ctx = ctx_for("carmel")
@@ -315,13 +354,13 @@ class TestBatchProfileHook:
             vec.batch_gemm_cycles(serial_batch(ctx, shapes))
         assert len(profiler.records) == 1
         record = profiler.records[0]
-        assert record["kind"] == "batch.serial"
+        assert record["kind"] == "batch.grid"
         assert record["candidates"] == len(shapes)
         snap = profiler.metrics.to_json()
         assert snap["model.candidates_evaluated"]["value"] == len(shapes)
         assert snap["gemm.evaluations.batch"]["value"] == 1
         events = profiler.tracer.chrome_trace()["traceEvents"]
-        assert any(e["name"] == "model batch [serial]" for e in events)
+        assert any(e["name"] == "model batch [grid]" for e in events)
 
     def test_profile_false_stays_silent(self):
         ctx = ctx_for("carmel")
@@ -331,21 +370,3 @@ class TestBatchProfileHook:
                 serial_batch(ctx, [(64, 48, 64)]), profile=False
             )
         assert profiler.records == []
-
-
-class TestPlanArrayCache:
-    def test_bounded_and_reused_while_cached(self, monkeypatch):
-        monkeypatch.setattr(vec, "_PLAN_ARRAY_CACHE", {})
-        monkeypatch.setattr(vec, "_PLAN_ARRAY_CACHE_SIZE", 4)
-        plans = [
-            (vec.PlanCost(i + 1, 2.0, 3.0, 4.0, 5.0),) for i in range(10)
-        ]
-        arrays = [vec._plan_array(p) for p in plans]
-        assert len(vec._PLAN_ARRAY_CACHE) == 4
-        # the same tuple object reuses its array across batches
-        assert vec._plan_array(plans[-1]) is arrays[-1]
-        # an evicted plan is rebuilt, equal
-        rebuilt = vec._plan_array(plans[0])
-        assert rebuilt is not arrays[0]
-        np.testing.assert_array_equal(rebuilt, arrays[0])
-        assert len(vec._PLAN_ARRAY_CACHE) == 4
