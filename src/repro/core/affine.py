@@ -81,7 +81,7 @@ def linearize(e: Expr) -> Optional[LinExpr]:
         if isinstance(e.val, bool) or not isinstance(e.val, int):
             return None
         return LinExpr({}, e.val)
-    if isinstance(e, Read) and not e.idx:
+    if isinstance(e, Read) and not e.idx and e.type.is_indexable():
         return LinExpr({e.name: 1}, 0)
     if isinstance(e, USub):
         inner = linearize(e.arg)

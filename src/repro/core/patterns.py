@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import islice
 from typing import List, Optional, Tuple
 
 from .loopir import Alloc, Assign, Call, For, Proc, Reduce, Stmt
@@ -204,35 +205,35 @@ def parse_pattern(text: str) -> Pattern:
 # ---------------------------------------------------------------------------
 
 
+def _matches(block: Tuple[Stmt, ...], pattern: Pattern, prefix: Path = ()):
+    """Paths of the statements matching ``pattern``, in program order."""
+    for i, s in enumerate(block):
+        path = prefix + (i,)
+        if pattern.matches(s):
+            yield path
+        if isinstance(s, For):
+            yield from _matches(s.body, pattern, path)
+
+
 def find_all_stmts(proc: Proc, pattern: Pattern) -> List[Path]:
     """All statement paths matching ``pattern``, in program order."""
-    found: List[Path] = []
-
-    def walk(block: Tuple[Stmt, ...], prefix: Path):
-        for i, s in enumerate(block):
-            path = prefix + (i,)
-            if pattern.matches(s):
-                found.append(path)
-            if isinstance(s, For):
-                walk(s.body, path)
-
-    walk(proc.body, ())
-    return found
+    return list(_matches(proc.body, pattern))
 
 
 def find_stmt(proc: Proc, pattern_text: str) -> StmtCursor:
     """Resolve a pattern string to a single statement cursor.
 
     Honors the ``#k`` selector; without one, the first match wins (matching
-    Exo's convention) but at least one match is required.
+    Exo's convention) but at least one match is required.  The search
+    stops at the selected match.
     """
     pattern = parse_pattern(pattern_text)
-    paths = find_all_stmts(proc, pattern)
+    k = pattern.index or 0
+    paths = list(islice(_matches(proc.body, pattern), k + 1))
     if not paths:
         raise PatternError(
             f"pattern {pattern_text!r} matched nothing in {proc.name}"
         )
-    k = pattern.index or 0
     if k >= len(paths):
         raise PatternError(
             f"pattern {pattern_text!r} asked for match #{k} but only "

@@ -39,7 +39,7 @@ from ..memory import Memory
 from ..patterns import find_alloc, find_stmt, get_stmt, replace_at
 from ..prelude import SchedulingError, Sym
 from ..proc import Procedure
-from ..traversal import map_expr, map_stmts, stmt_uses_sym
+from ..traversal import map_expr, map_stmts, stmt_mentions, stmt_uses_sym
 from ..typesys import INDEX, TensorType, parse_scalar_type
 from .subst import fold_constants
 
@@ -222,7 +222,7 @@ def stage_mem(
         stmts.append(
             Assign(buf, tuple(idx), Read(reg, (), buf_type.base, src), src)
         )
-    return Procedure(replace_at(p.ir, cursor.path, stmts))
+    return Procedure(fold_constants(replace_at(p.ir, cursor.path, stmts)))
 
 
 def bind_expr(p: Procedure, expr_pattern: str, new_name: str) -> Procedure:
@@ -327,51 +327,62 @@ def expand_dim(
     ir = replace_at(p.ir, cursor.path, [new_alloc])
 
     # Rewrite accesses everywhere the buffer is visible, validating bounds.
+    # Statements that never mention the buffer are kept as they are; the
+    # index string is parsed once per scope, the first time a statement
+    # in that scope needs it.
+    buf = alloc.name
     size_const = size if isinstance(size, int) else None
 
-    def rewrite_block(block, path_prefix, bounds: Bounds):
+    def rewrite_block(block, scope, bounds: Bounds):
         out = []
-        for i, s in enumerate(block):
-            path = path_prefix + (i,)
+        parsed = None
+        for s in block:
+            if isinstance(s, Alloc):
+                scope = {**scope, s.name.name: s.name}
+                parsed = None
+            if not stmt_mentions(s, buf):
+                out.append(s)
+                continue
             if isinstance(s, For):
                 inner = dict(bounds)
                 rng = loop_bounds_const(s.lo, s.hi, bounds)
                 if rng is not None:
                     inner[s.iter] = rng
-                out.append(
-                    update(s, body=rewrite_block(s.body, path, inner))
-                )
+                body_scope = {**scope, s.iter.name: s.iter}
+                body = rewrite_block(s.body, body_scope, inner)
+                out.append(update(s, body=body))
                 continue
-            scope = _scope_at(ir, path)
+            if not isinstance(s, (Assign, Reduce, Call)):
+                out.append(s)
+                continue
+            if parsed is None:
+                parsed = _parse_index_string(index, scope)
+
+            def grow(idx):
+                _check_in_range(parsed, size_const, bounds, index)
+                return (parsed,) + idx
 
             def fix_expr(e: Expr) -> Expr:
-                if isinstance(e, Read) and e.name == alloc.name:
-                    new_idx = _parse_index_string(index, scope)
-                    _check_in_range(new_idx, size_const, bounds, index)
-                    return update(e, idx=(new_idx,) + e.idx)
+                if isinstance(e, Read) and e.name == buf:
+                    return update(e, idx=grow(e.idx))
                 return e
 
-            if isinstance(s, (Assign, Reduce)):
-                new_s = update(
-                    s,
-                    idx=tuple(map_expr(i_, fix_expr) for i_ in s.idx),
-                    rhs=map_expr(s.rhs, fix_expr),
-                )
-                if s.name == alloc.name:
-                    new_idx = _parse_index_string(index, scope)
-                    _check_in_range(new_idx, size_const, bounds, index)
-                    new_s = update(new_s, idx=(new_idx,) + new_s.idx)
-                out.append(new_s)
-            elif isinstance(s, Call):
-                new_s = update(
-                    s, args=tuple(map_expr(a, fix_expr) for a in s.args)
-                )
-                out.append(new_s)
-            else:
-                out.append(s)
+            if isinstance(s, Call):
+                args = tuple(map_expr(a, fix_expr) for a in s.args)
+                out.append(update(s, args=args))
+                continue
+            new_s = update(
+                s,
+                idx=tuple(map_expr(i_, fix_expr) for i_ in s.idx),
+                rhs=map_expr(s.rhs, fix_expr),
+            )
+            if s.name == buf:
+                new_s = update(new_s, idx=grow(new_s.idx))
+            out.append(new_s)
         return tuple(out)
 
-    new_ir = update(ir, body=rewrite_block(ir.body, (), {}))
+    arg_scope = {a.name.name: a.name for a in ir.args}
+    new_ir = update(ir, body=rewrite_block(ir.body, arg_scope, {}))
     return Procedure(fold_constants(new_ir))
 
 

@@ -10,12 +10,12 @@ interpreter.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List
 
 from ..affine import try_constant
 from ..effects import fission_safe, reorder_safe
 from ..loopir import Alloc, Assign, BinOp, Const, For, Proc, Read, Reduce, Stmt
-from ..patterns import GapCursor, StmtCursor, find_loop, get_stmt, replace_at
+from ..patterns import GapCursor, find_loop, get_stmt, replace_at
 from ..prelude import SchedulingError, Sym
 from ..proc import Procedure
 from ..traversal import alpha_rename, free_symbols, stmt_uses_sym, subst_stmts
@@ -179,7 +179,7 @@ def reorder_loops(p: Procedure, loops: str) -> Procedure:
     swap must pass the effect-based safety check (reductions commute; plain
     writes must address buffers with a consistent affine signature).
     """
-    from ..patterns import StmtCursor, find_all_stmts, parse_pattern
+    from ..patterns import find_all_stmts, parse_pattern
 
     names = loops.split()
     if len(names) != 2:
@@ -369,12 +369,8 @@ def _wrap_part(
     if leading:
         return [For(loop.iter, loop.lo, loop.hi, tuple(part), loop.srcinfo)]
     new_iter = loop.iter.copy()
-    body = _rebind_iter(tuple(part), loop.iter, new_iter)
-    return [For(new_iter, loop.lo, loop.hi, alpha_rename(body), loop.srcinfo)]
-
-
-def _rebind_iter(stmts: Tuple[Stmt, ...], old: Sym, new: Sym):
-    return subst_stmts(stmts, {old: Read(new, (), INDEX)})
+    body = alpha_rename(part, {loop.iter: new_iter})
+    return [For(new_iter, loop.lo, loop.hi, body, loop.srcinfo)]
 
 
 def _can_hoist(part: List[Stmt], other: List[Stmt], leading: bool) -> bool:

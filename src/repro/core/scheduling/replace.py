@@ -45,12 +45,12 @@ from ..loopir import (
     StrideExpr,
     USub,
     WindowExpr,
-    update,
 )
 from ..memory import DRAM, GENERIC, Memory
 from ..patterns import get_stmt, replace_at
 from ..prelude import SchedulingError, Sym
 from ..proc import Procedure
+from ..traversal import expr_symbols
 from ..typesys import INDEX, SIZE, TensorType, types_compatible
 from .buffers import _bounds_at, _mem_of, _type_of
 from .subst import fold_constants
@@ -544,13 +544,7 @@ def _no_captured_iterators(uni: _Unifier, windows, lane_bindings) -> None:
 
     def check_expr(e: Expr, what: str):
         lin = linearize(e)
-        if lin is None:
-            from ..traversal import free_symbols
-            from ..loopir import Assign
-
-            syms = free_symbols((Assign(Sym("x"), (), e),))
-        else:
-            syms = set(lin.terms)
+        syms = expr_symbols(e) if lin is None else set(lin.terms)
         if syms & captured:
             bad = ", ".join(s.name for s in syms & captured)
             uni.fail(f"{what} would capture eliminated iterator(s) {bad}")

@@ -6,7 +6,10 @@ import weakref
 
 from ..affine import delinearize, linearize, try_constant
 from ..loopir import (
+    Alloc,
+    Assign,
     BinOp,
+    Call,
     Const,
     Expr,
     For,
@@ -15,13 +18,15 @@ from ..loopir import (
     Point,
     Proc,
     Read,
+    Reduce,
+    Stmt,
     USub,
     WindowExpr,
     update,
 )
 from ..prelude import SchedulingError
 from ..proc import Procedure
-from ..traversal import map_stmts, map_tuple
+from ..traversal import map_tuple
 from ..typesys import TensorType
 
 
@@ -32,10 +37,11 @@ def rename(p: Procedure, new_name: str) -> Procedure:
     return Procedure(update(p.ir, name=new_name))
 
 
-#: Every live fold output, by ``id``.  A fold output is a fixpoint of the
-#: fold, and copy-on-change rewrites keep it the same object, so meeting
-#: it again costs one lookup.  The values are weak references: an entry
-#: dies with its expression, so a recycled ``id`` never aliases.
+#: Every live fold output, expression or statement, by ``id``.  A fold
+#: output is a fixpoint of the fold, and copy-on-change rewrites keep it
+#: the same object, so meeting it again costs one lookup.  The values are
+#: weak references: an entry dies with its node, so a recycled ``id``
+#: never aliases.
 _FOLDED = weakref.WeakValueDictionary()
 
 
@@ -91,20 +97,45 @@ def _drop_unit(e: BinOp) -> Expr:
     return e
 
 
-def _drop_empty_loop(s):
-    if isinstance(s, For):
-        lo = try_constant(s.lo)
-        hi = try_constant(s.hi)
-        if lo is not None and hi is not None and hi <= lo:
-            return Pass(s.srcinfo)
-    return s
-
-
 def _fold_type(typ):
     if not isinstance(typ, TensorType):
         return typ
     shape = map_tuple(typ.shape, _fold_expr)
     return typ if shape is typ.shape else typ.with_shape(shape)
+
+
+def _fold_stmt(s: Stmt) -> Stmt:
+    """Fold every expression of ``s``; a loop with no trips becomes Pass.
+
+    A statement that is already a fold output is returned as is, without
+    descending into it, so a fold costs only the statements built since
+    the previous one.
+    """
+    if _FOLDED.get(id(s)) is s:
+        return s
+    if isinstance(s, (Assign, Reduce)):
+        idx = map_tuple(s.idx, _fold_expr)
+        out = update(s, idx=idx, rhs=_fold_expr(s.rhs))
+    elif isinstance(s, For):
+        out = update(
+            s,
+            lo=_fold_expr(s.lo),
+            hi=_fold_expr(s.hi),
+            body=map_tuple(s.body, _fold_stmt),
+        )
+        lo, hi = try_constant(out.lo), try_constant(out.hi)
+        if lo is not None and hi is not None and hi <= lo:
+            out = Pass(s.srcinfo)
+    elif isinstance(s, Call):
+        out = update(s, args=map_tuple(s.args, _fold_expr))
+    elif isinstance(s, Alloc):
+        out = update(s, type=_fold_type(s.type))
+    elif isinstance(s, Pass):
+        out = s
+    else:
+        raise TypeError(f"unknown statement node: {type(s).__name__}")
+    _FOLDED[id(out)] = out
+    return out
 
 
 def fold_constants(ir: Proc) -> Proc:
@@ -115,7 +146,7 @@ def fold_constants(ir: Proc) -> Proc:
     collapsing is a separate, opt-in step).  Copy-on-change: folding an
     already folded proc returns it unchanged, the same object.
     """
-    body = map_stmts(ir.body, stmt_fn=_drop_empty_loop, expr_fn=_fold_expr)
+    body = map_tuple(ir.body, _fold_stmt)
     if any(isinstance(s, Pass) for s in body):
         body = tuple(s for s in body if not isinstance(s, Pass)) or body
     args = map_tuple(ir.args, lambda a: update(a, type=_fold_type(a.type)))

@@ -12,6 +12,11 @@ Three workhorses used by every scheduling primitive:
   for every binder (loop iterators and allocations), so a block can be
   duplicated (e.g. by ``unroll_loop`` or ``divide_loop`` tails) without
   symbol collisions.
+
+The free-symbol queries (:func:`free_symbols`, :func:`stmt_uses_sym`,
+:func:`stmt_mentions`) read a ``(free, bound)`` pair memoized on each
+statement node (:func:`stmt_symbols`), so asking again about a block
+costs only the statements built since the last question.
 """
 
 from __future__ import annotations
@@ -177,18 +182,24 @@ def subst_stmts(stmts: Iterable[Stmt], env: Dict[Sym, Expr]) -> Tuple[Stmt, ...]
 # ---------------------------------------------------------------------------
 
 
-def alpha_rename(stmts: Iterable[Stmt]) -> Tuple[Stmt, ...]:
+def alpha_rename(
+    stmts: Iterable[Stmt], rename: Dict[Sym, Sym] = None
+) -> Tuple[Stmt, ...]:
     """Deep-copy a block, refreshing every binder it introduces.
 
     Loop iterators and allocation names defined *inside* the block get fresh
-    symbols; free symbols are left untouched.
+    symbols; free symbols are left untouched, except those ``rename`` maps
+    to a new symbol (e.g. the iterator of a loop the block is re-wrapped in).
     """
-    mapping: Dict[Sym, Sym] = {}
+    mapping: Dict[Sym, Sym] = dict(rename or {})
 
     def rename_expr(e: Expr) -> Expr:
         if isinstance(e, (Read, WindowExpr, StrideExpr)) and e.name in mapping:
             return update(e, name=mapping[e.name])
         return e
+
+    def renamed(e: Expr) -> Expr:
+        return map_expr(e, rename_expr)
 
     def go(block: Iterable[Stmt]) -> Tuple[Stmt, ...]:
         out = []
@@ -204,8 +215,8 @@ def alpha_rename(stmts: Iterable[Stmt]) -> Tuple[Stmt, ...]:
                     update(
                         s,
                         iter=fresh,
-                        lo=map_expr(s.lo, rename_expr),
-                        hi=map_expr(s.hi, rename_expr),
+                        lo=renamed(s.lo),
+                        hi=renamed(s.hi),
                         body=go(s.body),
                     )
                 )
@@ -215,16 +226,12 @@ def alpha_rename(stmts: Iterable[Stmt]) -> Tuple[Stmt, ...]:
                     update(
                         s,
                         name=name,
-                        idx=tuple(map_expr(i, rename_expr) for i in s.idx),
-                        rhs=map_expr(s.rhs, rename_expr),
+                        idx=map_tuple(s.idx, renamed),
+                        rhs=renamed(s.rhs),
                     )
                 )
             elif isinstance(s, Call):
-                out.append(
-                    update(
-                        s, args=tuple(map_expr(a, rename_expr) for a in s.args)
-                    )
-                )
+                out.append(update(s, args=map_tuple(s.args, renamed)))
             elif isinstance(s, Pass):
                 out.append(s)
             else:
@@ -252,46 +259,97 @@ def collect_reads(e: Expr) -> list:
     return found
 
 
+def expr_symbols(e: Expr, found: set = None) -> set:
+    """Names of every read, window and stride inside an expression,
+    added to ``found`` (a new set by default), which is returned."""
+    if found is None:
+        found = set()
+    if isinstance(e, (Read, WindowExpr)):
+        found.add(e.name)
+        for i in e.idx:
+            expr_symbols(i, found)
+    elif isinstance(e, BinOp):
+        expr_symbols(e.lhs, found)
+        expr_symbols(e.rhs, found)
+    elif isinstance(e, USub):
+        expr_symbols(e.arg, found)
+    elif isinstance(e, StrideExpr):
+        found.add(e.name)
+    elif isinstance(e, Interval):
+        expr_symbols(e.lo, found)
+        expr_symbols(e.hi, found)
+    elif isinstance(e, Point):
+        expr_symbols(e.pt, found)
+    elif not isinstance(e, Const):
+        raise TypeError(f"unknown expression node: {type(e).__name__}")
+    return found
+
+
+_NO_SYMS: frozenset = frozenset()
+
+
+def stmt_symbols(s: Stmt) -> Tuple[frozenset, frozenset]:
+    """``(free, bound)`` of one statement, memoized on the node.
+
+    ``free`` is ``free_symbols((s,))``; ``bound`` holds every allocation
+    name and loop iterator ``s`` introduces, at any depth.  Statements are
+    immutable, so the memo is stored on the node (as ``_symbols``) and
+    dies with it; a rebuilt parent computes its own from its children's
+    memos, so a query costs only the statements built since the last one.
+    """
+    memo = s.__dict__.get("_symbols")
+    if memo is not None:
+        return memo
+    if isinstance(s, (Assign, Reduce)):
+        free = expr_symbols(s.rhs, {s.name})
+        for i in s.idx:
+            expr_symbols(i, free)
+        memo = (frozenset(free), _NO_SYMS)
+    elif isinstance(s, For):
+        body_free, body_bound = _block_symbols(s.body)
+        body_free.discard(s.iter)
+        free = expr_symbols(s.hi, expr_symbols(s.lo, body_free))
+        body_bound.add(s.iter)
+        memo = (frozenset(free), frozenset(body_bound))
+    elif isinstance(s, Call):
+        free = set()
+        for a in s.args:
+            expr_symbols(a, free)
+        memo = (frozenset(free), _NO_SYMS)
+    elif isinstance(s, Alloc):
+        memo = (_NO_SYMS, frozenset((s.name,)))
+    elif isinstance(s, Pass):
+        memo = (_NO_SYMS, _NO_SYMS)
+    else:
+        raise TypeError(f"unknown statement node: {type(s).__name__}")
+    object.__setattr__(s, "_symbols", memo)
+    return memo
+
+
+def _block_symbols(stmts: Iterable[Stmt]) -> Tuple[set, set]:
+    """``(free, bound)`` of a block.  A symbol is free when a statement
+    uses it before any binding of it: in an earlier sibling, or earlier
+    in that statement."""
+    free: set = set()
+    bound: set = set()
+    for s in stmts:
+        s_free, s_bound = stmt_symbols(s)
+        free |= s_free - bound
+        bound |= s_bound
+    return free, bound
+
+
 def free_symbols(stmts: Iterable[Stmt]) -> set:
     """Symbols read or written in a block but not bound within it."""
-    bound: set = set()
-    free: set = set()
-
-    def see(sym: Sym):
-        if sym not in bound:
-            free.add(sym)
-
-    def expr_fn(e: Expr) -> Expr:
-        if isinstance(e, (Read, WindowExpr, StrideExpr)):
-            see(e.name)
-        return e
-
-    def walk(block):
-        for s in block:
-            if isinstance(s, Alloc):
-                bound.add(s.name)
-            elif isinstance(s, For):
-                map_expr(s.lo, expr_fn)
-                map_expr(s.hi, expr_fn)
-                bound.add(s.iter)
-                walk(s.body)
-            elif isinstance(s, (Assign, Reduce)):
-                see(s.name)
-                for i in s.idx:
-                    map_expr(i, expr_fn)
-                map_expr(s.rhs, expr_fn)
-            elif isinstance(s, Call):
-                for a in s.args:
-                    map_expr(a, expr_fn)
-            elif isinstance(s, Pass):
-                pass
-            else:
-                raise TypeError(f"unknown statement node: {type(s).__name__}")
-
-    walk(stmts)
-    return free
+    return _block_symbols(stmts)[0]
 
 
 def stmt_uses_sym(s: Stmt, sym: Sym) -> bool:
     """True when ``s`` (recursively) reads, writes, or indexes via ``sym``."""
-    return sym in free_symbols((s,))
+    return sym in stmt_symbols(s)[0]
+
+
+def stmt_mentions(s: Stmt, sym: Sym) -> bool:
+    """True when ``sym`` occurs anywhere in ``s``, bound there or free."""
+    free, bound = stmt_symbols(s)
+    return sym in free or sym in bound

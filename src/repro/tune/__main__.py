@@ -96,8 +96,14 @@ def _verify(artifact, isas, problems, thread_axis) -> int:
 
     Serial winners are re-ranked through ``select_kernel_for``; each
     threaded ``MxNxK@tN`` winner's stored ``total_cycles`` must equal a
-    fresh one-GEMM ``exo_parallel_breakdown`` of its tile, which checks
-    the batched grid pricing the sweep used.
+    fresh one-GEMM ``exo_parallel_breakdown`` of its tile.  Both halves
+    price through the one production engine
+    (``sim/parallel.py::price_grid_requests``): the serial half checks
+    the sweep's batching of it against ``select_kernel_for``'s batching,
+    the threaded half against pricing the winner alone.  Neither is an
+    independent model; the check against one is
+    ``tests/test_tune.py::TestThreadedParity``, which compares the tune
+    records with the scalar oracle of ``tests/parallel_oracle.py``.
     """
     from repro.eval.harness import exo_parallel_breakdown, machine_context
     from repro.isa.targets import target

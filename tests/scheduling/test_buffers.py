@@ -13,16 +13,18 @@ sys.path.insert(0, str(Path(__file__).parent.parent))
 from helpers import assert_equivalent
 
 from repro.core import DRAM, Neon, SchedulingError, proc
-from repro.core.loopir import Alloc
+from repro.core.loopir import Alloc, Read
 from repro.core.scheduling import (
     bind_expr,
     expand_dim,
     lift_alloc,
     set_memory,
     set_precision,
+    simplify,
     stage_mem,
 )
-from repro.core.typesys import TensorType
+from repro.core.typesys import F32, TensorType
+from repro.ukernel.generator import make_reference_kernel
 
 
 @proc
@@ -61,6 +63,17 @@ class TestStageMem:
     def test_partial_index_rejected(self):
         with pytest.raises(SchedulingError, match="fully index"):
             stage_mem(axpy_tile, "C[_] += _", "C[j]", "C_reg")
+
+    def test_fold_keeps_staged_data_reads_typed(self):
+        """An idx-less read of a data scalar is not affine: folding must
+        not rebuild ``C[j, i] = C_reg`` with an ``index`` read."""
+        ref = make_reference_kernel().partial_eval(8, 12)
+        staged = stage_mem(ref, "C[_] += _", "C[j, i]", "C_reg")
+        for p in (staged, simplify(staged)):
+            store = p.find("C[_] = _").stmt()
+            assert isinstance(store.rhs, Read)
+            assert store.rhs.name.name == "C_reg"
+            assert store.rhs.type is F32
 
 
 class TestBindExpr:

@@ -173,8 +173,8 @@ def _scalar_arithmetic():
 def test_fold_matches_oracle_where_dropping_a_unit_leaves_an_affine_node(
     style,
 ):
-    """``r * 1.0 + s * 1.0`` loses its units and becomes affine in the
-    scalar reads: the node above must be canonicalized again."""
+    """``r * 1.0 + s * 1.0`` loses its units.  The scalar reads are
+    data, not indices, so the node above stays data arithmetic."""
     ir = _scalar_arithmetic().ir
     _check_against_oracle(ir)
     _check_against_oracle(_unfold(ir, style))
