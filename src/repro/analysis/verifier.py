@@ -935,21 +935,23 @@ def verify_plan(
 def verify_tile(
     isa: str, mr: int, nr: int, registers: Optional[int] = None
 ) -> Report:
-    """Verify the kernel (or VLA plan) an ISA would run for one tile."""
+    """Verify the kernels an ISA runs for one tile (its ``tile_parts``).
+
+    A tile whose height is not a lane multiple on a VLA target verifies
+    as a plan (report ``vla_<mr>x<nr>``), also when its one part is the
+    full-width 1-row kernel; every other tile is its one stored kernel.
+    """
     from repro.isa.targets import target as isa_target
-    from repro.ukernel.generator import generate_vla_microkernel
-    from repro.ukernel.registry import registry_for_machine
+    from repro.ukernel.generator import VlaKernelPlan
 
     t = isa_target(isa)
-    if t.vla and t.lib_factory is not None and mr % t.lib["lanes"]:
-        plan = generate_vla_microkernel(mr, nr, t.lib_factory)
-        return verify_plan(
-            plan, machine=t.machine, registers=registers
-        )
-    kernel = registry_for_machine(t.machine).get(mr, nr)
-    return verify_kernel(
-        kernel, machine=t.machine, registers=registers
-    )
+    parts = t.tile_parts(mr, nr)
+    lanes = t.lib["lanes"]
+    if t.vla and mr % lanes:
+        plan = VlaKernelPlan(parts=parts, mr=mr, nr=nr, lanes=lanes)
+        return verify_plan(plan, machine=t.machine, registers=registers)
+    ((_, kernel),) = parts
+    return verify_kernel(kernel, machine=t.machine, registers=registers)
 
 
 def _ragged_tiles(t) -> List[Tuple[int, int]]:

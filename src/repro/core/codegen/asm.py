@@ -15,7 +15,7 @@ the Fig 12 benchmark assert on; the listing itself is for humans.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..affine import try_constant
 from ..loopir import Call, Const, Expr, For, Point, Proc, Read, WindowExpr
@@ -109,7 +109,11 @@ def _find_k_loop(ir: Proc) -> For:
     raise CodegenError(f"{ir.name} has no loops to render")
 
 
-def _flatten_calls(block, unroll_bound: int = 64) -> List[Call]:
+#: the longest static inner loop the k-loop body may unroll
+UNROLL_BOUND = 64
+
+
+def _flatten_calls(block) -> List[Call]:
     """All instruction calls in the block, unrolling static inner loops."""
     calls: List[Call] = []
     for s in block:
@@ -117,7 +121,7 @@ def _flatten_calls(block, unroll_bound: int = 64) -> List[Call]:
             calls.append(s)
         elif isinstance(s, For):
             lo, hi = try_constant(s.lo), try_constant(s.hi)
-            if lo is None or hi is None or hi - lo > unroll_bound:
+            if lo is None or hi is None or hi - lo > UNROLL_BOUND:
                 raise CodegenError(
                     "assembly generation requires static inner loops"
                 )
@@ -126,7 +130,7 @@ def _flatten_calls(block, unroll_bound: int = 64) -> List[Call]:
 
             for i in range(lo, hi):
                 body = subst_stmts(s.body, {s.iter: Const(i, INDEX)})
-                calls.extend(_flatten_calls(body, unroll_bound))
+                calls.extend(_flatten_calls(body))
         else:
             raise CodegenError(
                 f"unexpected {type(s).__name__} inside the k-loop; "
@@ -135,9 +139,8 @@ def _flatten_calls(block, unroll_bound: int = 64) -> List[Call]:
     return calls
 
 
-def proc_to_asm(ir: Proc, sizes: Optional[dict] = None) -> AsmTrace:
+def proc_to_asm(ir: Proc) -> AsmTrace:
     """Render the k-loop body of a scheduled kernel as pseudo-assembly."""
-    del sizes  # reserved for symbolic-bound substitution
     kloop = _find_k_loop(ir)
     calls = _flatten_calls(kloop.body)
     regs = _RegAlloc()

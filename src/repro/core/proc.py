@@ -143,10 +143,10 @@ class Procedure:
 
         return proc_to_c(self._loopir)
 
-    def asm_trace(self, **sizes):
+    def asm_trace(self):
         from .codegen.asm import proc_to_asm
 
-        return proc_to_asm(self._loopir, sizes)
+        return proc_to_asm(self._loopir)
 
 
 def make_procedure(ir: Proc) -> Procedure:

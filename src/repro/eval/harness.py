@@ -24,6 +24,7 @@ from repro.baselines.blis_asm import blis_kernel_model
 from repro.baselines.neon_handwritten import neon_kernel_model
 from repro.blis.params import analytical_tile_params, clamp_tiles
 from repro.isa.machine import CARMEL, MachineModel
+from repro.isa.targets import target_for_machine
 from repro.obs import profile as obs_profile
 from repro.sim.memory import GemmShape, TileParams
 from repro.sim.parallel import (
@@ -41,7 +42,7 @@ from repro.sim.timing import (
     gemm_time_models,
     solo_kernel_gflops,
 )
-from repro.ukernel.edge import monolithic_cover, tile_cover, vla_tile_cover
+from repro.ukernel.edge import monolithic_cover, tile_cover
 from repro.ukernel.registry import KernelRegistry, registry_for_machine
 from repro.workloads.resnet50 import RESNET50_LAYERS, resnet50_instances
 from repro.workloads.square import SQUARE_SIZES
@@ -81,11 +82,6 @@ class EvalContext:
             self.model = TimingModel(machine=self.machine)
         self._neon_trace: Optional[KernelTrace] = None
         self._blis_trace: Optional[KernelTrace] = None
-        #: (h, w) -> the VLA tile's part traces; the traces themselves
-        #: live on the kernels, shared with every other context
-        self._vla_parts: Dict[
-            Tuple[int, int], List[Tuple[int, KernelTrace]]
-        ] = {}
 
     @property
     def main_tile(self) -> Tuple[int, int]:
@@ -118,34 +114,6 @@ class EvalContext:
 
     def exo_trace(self, mr: int, nr: int) -> KernelTrace:
         return trace_from_kernel(self.registry.get(mr, nr))
-
-    # -- VLA tiles ---------------------------------------------------------
-
-    def vla_lib_factory(self):
-        """The AVL -> library closure of this machine's target, or None."""
-        from repro.isa.targets import target_for_machine
-
-        return target_for_machine(self.machine).lib_factory
-
-    def vla_part_traces(
-        self, h: int, w: int
-    ) -> List[Tuple[int, KernelTrace]]:
-        """Traces for the part kernels of an (h, w) VLA tile.
-
-        A lane-multiple height is one plain kernel; a ragged height is a
-        full-width part plus a reduced-``vsetvl`` tail part (see
-        :func:`repro.ukernel.generator.generate_vla_microkernel`).
-        """
-        from repro.ukernel.generator import generate_vla_microkernel
-
-        key = (h, w)
-        if key not in self._vla_parts:
-            plan = generate_vla_microkernel(h, w, self.vla_lib_factory())
-            self._vla_parts[key] = [
-                (kernel.mr, trace_from_kernel(kernel))
-                for _, kernel in plan.parts
-            ]
-        return self._vla_parts[key]
 
 
 _default_context: Optional[EvalContext] = None
@@ -254,47 +222,30 @@ def plane_chunk_plans(
 ) -> List[ChunkPlan]:
     """Chunk plans covering an (m, n) plane with the family at ``main``.
 
-    The plane decomposes into the main tile plus smaller family members
-    over the ragged edges — no masked work, every flop useful.  On a VLA
-    target (RVV) the plane is covered *exactly* via
-    :func:`vla_tile_cover` — ragged heights run as full-width parts plus
-    a reduced-``vsetvl`` tail instead of being padded to a family shape.
+    The machine's target picks the shapes that cover the plane
+    (:meth:`repro.isa.targets.IsaTarget.cover_family`) and runs each
+    tile as its parts (:meth:`~repro.isa.targets.IsaTarget.tile_parts`):
+    packed SIMD takes the main tile plus smaller family members over
+    the ragged edges, a VLA target (RVV) the main tile plus exact
+    remainders whose ragged heights run as a full-width part and a
+    reduced-``vsetvl`` tail.  No masked work.
 
     This is the edge/tail selection for one plane — the serial model
     runs it once on the whole (m, n), the threaded model once per thread
     slice, so tails re-select against each slice's ragged extents.
     """
-    if ctx.registry.lib.get("vla") and ctx.vla_lib_factory() is not None:
-        cover = vla_tile_cover(m, n, mr_main, nr_main)
-        return [
-            ChunkPlan(
-                trace=trace,
-                mr=part_mr,
-                nr=w,
-                count=count,
-                call_overhead=EXO_CALL_OVERHEAD,
-            )
-            for (h, w), count in sorted(cover.items())
-            for part_mr, trace in ctx.vla_part_traces(h, w)
-        ]
-    family_shapes = ctx.registry.family_shapes
-    heights = tuple(
-        sorted({s[0] for s in family_shapes if s[0] <= mr_main}, reverse=True)
-    )
-    widths = tuple(
-        sorted({s[1] for s in family_shapes if s[1] <= nr_main}, reverse=True)
-    )
-    family = tuple((h, w) for h in heights for w in widths)
-    cover = tile_cover(m, n, family)
+    t = target_for_machine(ctx.machine)
+    cover = tile_cover(m, n, t.cover_family(m, n, mr_main, nr_main))
     return [
         ChunkPlan(
-            trace=ctx.exo_trace(mr, nr),
-            mr=mr,
-            nr=nr,
+            trace=trace_from_kernel(kernel),
+            mr=kernel.mr,
+            nr=w,
             count=count,
             call_overhead=EXO_CALL_OVERHEAD,
         )
-        for (mr, nr), count in sorted(cover.items())
+        for (h, w), count in sorted(cover.items())
+        for _, kernel in t.tile_parts(h, w)
     ]
 
 

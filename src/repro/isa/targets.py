@@ -11,9 +11,13 @@ on one ISA —
   selecting one backend never imports the others' modules,
 * the **machine** model (pipes, latencies, caches) for the simulators,
 * the register-tile **family** evaluated by kernel selection, derived
-  from the vector length so every family shape is generable, and
+  from the vector length so every family shape is generable,
 * for VLA ISAs, a **lib_factory** mapping an active vector length to a
-  narrowed library (the ``vsetvl`` tail path).
+  narrowed library (the ``vsetvl`` tail path), and
+* the **part rule** that turns a plane into tiles and a tile into
+  generated kernels (:meth:`IsaTarget.cover_family`,
+  :meth:`IsaTarget.tile_parts`): padded on packed SIMD, exact on a
+  target with a ``lib_factory``.
 
 ``repro.ukernel.registry`` and ``repro.eval`` resolve targets through
 this table instead of importing any ISA module directly, so adding a
@@ -25,7 +29,7 @@ from __future__ import annotations
 import functools
 import hashlib
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from .machine import (
     AVX512_SERVER,
@@ -35,6 +39,12 @@ from .machine import (
     RVV_EDGE_VLEN128,
     RVV_SERVER_VLEN256,
 )
+
+if TYPE_CHECKING:
+    from repro.ukernel.generator import GeneratedKernel
+
+#: one kernel of a tile and the first tile row it computes
+Part = Tuple[int, "GeneratedKernel"]
 
 __all__ = [
     "IsaTarget",
@@ -102,25 +112,36 @@ def family_for_lanes(
 class IsaTarget:
     """One retargeting of the pipeline: library + machine + tile family.
 
-    Either ``lib`` (an already-built library dict) or ``load_lib`` (a
-    zero-argument loader, deferred until first use) must be provided.
+    Exactly one loader is given, deferred until first use: ``load_lib``
+    returns a packed-SIMD library dict; ``load_factory`` returns a VLA
+    target's AVL -> library closure, whose full-width library
+    (``factory(None)``) is the target's :attr:`lib`.
     """
 
     name: str
     machine: MachineModel
     family: Tuple[Tuple[int, int], ...]
-    lib_value: Optional[dict] = None
     load_lib: Optional[Callable[[], dict]] = None
     load_factory: Optional[Callable[[], Callable]] = None
+    _lib: Optional[dict] = field(default=None, repr=False)
     _factory: Optional[Callable] = field(default=None, repr=False)
+    #: (h, w) -> the tile's parts; see :meth:`tile_parts`
+    _parts: Dict[Tuple[int, int], List[Part]] = field(
+        default_factory=dict, repr=False
+    )
+
+    def __post_init__(self):
+        if (self.load_lib is None) == (self.load_factory is None):
+            raise ValueError(
+                f"target {self.name!r} needs exactly one of load_lib "
+                "and load_factory"
+            )
 
     @property
     def lib(self) -> dict:
-        if self.lib_value is None:
-            if self.load_lib is None:
-                raise ValueError(f"target {self.name!r} has no library")
-            self.lib_value = self.load_lib()
-        return self.lib_value
+        if self._lib is None:
+            self._lib = self.lib_factory(None) if self.vla else self.load_lib()
+        return self._lib
 
     @property
     def lib_factory(self) -> Optional[Callable[[Optional[int]], dict]]:
@@ -131,11 +152,56 @@ class IsaTarget:
 
     @property
     def vla(self) -> bool:
-        return bool(self.lib.get("vla"))
+        """Whether a ragged tile runs exactly, with ``vsetvl`` narrowed
+        to the remainder, instead of padding to a family shape."""
+        return self.load_factory is not None
 
     @property
     def main_tile(self) -> Tuple[int, int]:
         return self.family[0]
+
+    def cover_family(
+        self, m: int, n: int, mr: int, nr: int
+    ) -> List[Tuple[int, int]]:
+        """The tile shapes that cover an (m, n) plane at main tile
+        (mr, nr), for :func:`repro.ukernel.edge.tile_cover`.
+
+        A packed-SIMD target takes the family's heights and widths up to
+        the main tile, so a ragged remainder pads to the smallest.  A
+        VLA target takes the main tile plus the plane's own remainders,
+        so the cover is exact: :meth:`tile_parts` runs a ragged height
+        at reduced ``vsetvl``.
+        """
+        if self.vla:
+            heights = {mr, m % mr} - {0}
+            widths = {nr, n % nr} - {0}
+        else:
+            heights = {h for h, _ in self.family if h <= mr}
+            widths = {w for _, w in self.family if w <= nr}
+        return [(h, w) for h in heights for w in widths]
+
+    def tile_parts(self, h: int, w: int) -> List[Part]:
+        """The kernels an (h, w) tile runs, as ``(row_offset, kernel)``
+        pairs that tile rows ``[0, h)`` from 0; memoized per tile.
+
+        On packed SIMD that is the tile's one stored kernel; on a VLA
+        target the parts of
+        :func:`repro.ukernel.generator.generate_vla_microkernel`: a
+        full-lane body and, for a ragged height, a reduced-``vsetvl``
+        tail.
+        """
+        parts = self._parts.get((h, w))
+        if parts is None:
+            from repro.ukernel import generator
+
+            if self.vla:
+                parts = generator.generate_vla_microkernel(
+                    h, w, self.lib_factory
+                ).parts
+            else:
+                parts = [(0, generator.stored_microkernel(h, w, self.lib))]
+            self._parts[(h, w)] = parts
+        return parts
 
     def cache_key_fields(self) -> Dict[str, object]:
         """The target's identity inside persistent tune-cache keys:
@@ -183,17 +249,6 @@ def _load_avx512() -> dict:
     return AVX512_F32_LIB
 
 
-def _rvv_loader(vlen_bits: int, load_latency: int, fma_latency: int):
-    def load() -> dict:
-        from .rvv import make_rvv_f32_lib
-
-        return make_rvv_f32_lib(
-            vlen_bits, load_latency=load_latency, fma_latency=fma_latency
-        )
-
-    return load
-
-
 def _rvv_factory_loader(vlen_bits: int, load_latency: int, fma_latency: int):
     def load() -> Callable:
         from .rvv import rvv_lib_factory
@@ -237,7 +292,6 @@ register_isa_target(
         name="rvv128",
         machine=RVV_EDGE_VLEN128,
         family=family_for_lanes(4),
-        load_lib=_rvv_loader(128, load_latency=4, fma_latency=6),
         load_factory=_rvv_factory_loader(128, load_latency=4, fma_latency=6),
     )
 )
@@ -246,7 +300,6 @@ register_isa_target(
         name="rvv256",
         machine=RVV_SERVER_VLEN256,
         family=family_for_lanes(8),
-        load_lib=_rvv_loader(256, load_latency=5, fma_latency=4),
         load_factory=_rvv_factory_loader(256, load_latency=5, fma_latency=4),
     )
 )

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List, Sequence, Tuple, Union
 
-from repro.isa.targets import ISA_TARGETS, target
+from repro.isa.targets import ISA_TARGETS, IsaTarget, target
 
 Problem = Tuple[int, int, int]
 Tile = Tuple[int, int]
@@ -68,10 +68,8 @@ def rank_key(total_cycles: float, tile: Tile):
     return (total_cycles, tile[0] * tile[1], tile)
 
 
-def enumerate_tiles(
-    family: Sequence[Tile], m: int, n: int, vla: bool = False
-) -> Tuple[Tile, ...]:
-    """Candidate main tiles of a family for an (m, n) plane.
+def enumerate_tiles(t: IsaTarget, m: int, n: int) -> Tuple[Tile, ...]:
+    """Candidate main tiles of a target's family for an (m, n) plane.
 
     Family tiles that fit the plane are kept; on a VLA target every
     family tile additionally contributes its clamped tail variant
@@ -79,18 +77,16 @@ def enumerate_tiles(
     The result is deterministically ordered: largest area first, ties
     lexicographic.
     """
-    tiles: List[Tile] = [s for s in family if s[0] <= m and s[1] <= n]
-    if vla:
-        for mr, nr in family:
+    tiles: List[Tile] = [s for s in t.family if s[0] <= m and s[1] <= n]
+    if t.vla:
+        for mr, nr in t.family:
             clamped = (min(mr, m), min(nr, n))
             if clamped not in tiles:
                 tiles.append(clamped)
     return tuple(sorted(set(tiles), key=lambda s: (-s[0] * s[1], s)))
 
 
-def fallback_tile(
-    family: Sequence[Tile], m: int, n: int, vla: bool = False
-) -> Tile:
+def fallback_tile(t: IsaTarget, m: int, n: int) -> Tile:
     """The shape-respecting last resort when no family tile fits.
 
     On a VLA target the plane itself bounds the tile — any height and
@@ -100,23 +96,18 @@ def fallback_tile(
     family width, padding up to the narrowest width when the plane is
     narrower than every kernel (the zero-padded packing buffer of BLIS).
     """
-    heights = sorted({s[0] for s in family})
-    widths = sorted({s[1] for s in family})
-    if vla:
+    heights = sorted({s[0] for s in t.family})
+    widths = sorted({s[1] for s in t.family})
+    if t.vla:
         return (min(m, heights[-1]), min(n, widths[-1]))
     mr = max((h for h in heights if h <= m), default=heights[0])
     nr = max((w for w in widths if w <= n), default=widths[0])
     return (mr, nr)
 
 
-def candidate_tiles(
-    family: Sequence[Tile], m: int, n: int, vla: bool = False
-) -> Tuple[Tile, ...]:
+def candidate_tiles(t: IsaTarget, m: int, n: int) -> Tuple[Tile, ...]:
     """Tiles to rank for one problem: the enumeration, or the fallback."""
-    tiles = enumerate_tiles(family, m, n, vla=vla)
-    if not tiles:
-        tiles = (fallback_tile(family, m, n, vla=vla),)
-    return tiles
+    return enumerate_tiles(t, m, n) or (fallback_tile(t, m, n),)
 
 
 def jobs_for_machine(
@@ -132,11 +123,10 @@ def jobs_for_machine(
     each count ranks independently.
     """
     t = target(isa)
-    vla = t.vla
     jobs: List[TuneJob] = []
     for m, n, k in problems:
         for nthreads in threads:
-            for mr, nr in candidate_tiles(t.family, m, n, vla=vla):
+            for mr, nr in candidate_tiles(t, m, n):
                 jobs.append(
                     TuneJob(
                         isa=t.name,

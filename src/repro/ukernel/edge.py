@@ -8,7 +8,10 @@ then 1-row tails; 12-wide columns, then 8 and 4.
 :func:`extent_counts` counts the chunks of each size that cover one
 extent (:func:`decompose_extent` lists them); :func:`tile_cover` counts
 every (mr, nr) tile class a shape needs, which both the GEMM driver and
-the timing model consume.
+the timing model consume.  The sizes decide whether a ragged tail pads:
+a vector-length-agnostic target passes the main tile plus the extent's
+own remainder, so its cover is exact (see
+:meth:`repro.isa.targets.IsaTarget.cover_family`).
 """
 
 from __future__ import annotations
@@ -27,6 +30,8 @@ def extent_counts(extent: int, sizes: Sequence[int]) -> Dict[int, int]:
     if extent <= 0:
         raise ValueError(f"extent must be positive, got {extent}")
     ordered = sorted(set(sizes), reverse=True)
+    if not ordered or ordered[-1] <= 0:
+        raise ValueError(f"chunk sizes must be positive, got {sizes}")
     counts: Dict[int, int] = {}
     left = extent
     for size in ordered:
@@ -71,66 +76,6 @@ def tile_cover(
                 )
             cover[(mr, nr)] = mcount * ncount
     return cover
-
-
-def vla_extent_counts(extent: int, lanes: int) -> Dict[int, int]:
-    """Exact VLA cover of ``extent``, as a count per chunk size.
-
-    ``extent // lanes`` full-lane chunks, then at most one
-    reduced-``vsetvl`` tail of ``extent % lanes``.
-    """
-    if extent <= 0:
-        raise ValueError(f"extent must be positive, got {extent}")
-    if lanes <= 0:
-        raise ValueError(f"lanes must be positive, got {lanes}")
-    full, tail = divmod(extent, lanes)
-    counts = {lanes: full} if full else {}
-    if tail:
-        counts[tail] = 1
-    return counts
-
-
-def decompose_extent_vla(extent: int, lanes: int) -> List[int]:
-    """Exact cover of ``extent`` on a vector-length-agnostic ISA.
-
-    Where :func:`decompose_extent` must pad a ragged remainder to the
-    smallest kernel size (the packed-SIMD reality), a VLA ISA re-runs the
-    same instructions with ``vsetvl`` narrowed to the remainder — the
-    predicated tail path.  The cover is therefore exact: full-lane chunks
-    plus at most one chunk of ``extent % lanes`` (:func:`vla_extent_counts`).
-    """
-    return [
-        size
-        for size, count in vla_extent_counts(extent, lanes).items()
-        for _ in range(count)
-    ]
-
-
-def vla_tile_cover(
-    m: int,
-    n: int,
-    mr: int,
-    nr: int,
-) -> Dict[Tuple[int, int], int]:
-    """Tile classes covering an (m, n) plane on a VLA ISA — exact area.
-
-    Rows decompose into ``mr``-high panels plus a reduced-vl tail of
-    ``m % mr`` rows (any height is runnable, since the row dimension is
-    the vectorized one and ``vsetvl`` handles the remainder); columns
-    decompose into ``nr``-wide panels plus an ``n % nr`` tail, legal for
-    any width because the broadcast schedule never vectorizes j.  Unlike
-    :func:`tile_cover` no family membership constraint applies: every
-    (height, width) class the decomposition produces is generable (via
-    :func:`repro.ukernel.generator.generate_vla_microkernel` when the
-    height is not a lane multiple).
-    """
-    m_chunks = vla_extent_counts(m, mr)
-    n_chunks = vla_extent_counts(n, nr)
-    return {
-        (h, w): mcount * ncount
-        for h, mcount in m_chunks.items()
-        for w, ncount in n_chunks.items()
-    }
 
 
 def monolithic_cover(m: int, n: int, mr: int, nr: int) -> int:

@@ -148,9 +148,7 @@ def select_kernel_for(
     ctx = machine_context(machine if machine is not None else CARMEL)
     # already bounds-filtered, with the shape-respecting fallback
     # substituted when nothing fits
-    fitting = candidate_tiles(
-        ctx.registry.family_shapes, m, n, vla=bool(ctx.registry.lib.get("vla"))
-    )
+    fitting = candidate_tiles(target_for_machine(ctx.machine), m, n)
     cache = active_cache()
     # key by the machine the memoized context models (contexts are
     # shared by machine name), so a same-named but edited machine never

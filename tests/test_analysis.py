@@ -52,7 +52,7 @@ def _tune_space_pairs():
     for isa in sorted(ISA_TARGETS):
         t = target(isa)
         for m, n in ((96, 96), (256, 256), (13, 20)):
-            for mr, nr in candidate_tiles(t.family, m, n, vla=t.vla):
+            for mr, nr in candidate_tiles(t, m, n):
                 if (isa, mr, nr) not in pairs:
                     pairs.append((isa, mr, nr))
     return pairs

@@ -8,17 +8,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.isa.targets import ISA_TARGETS, target
+from repro.tune.space import candidate_tiles
 from repro.ukernel.edge import (
     decompose_extent,
-    decompose_extent_vla,
     extent_counts,
     monolithic_cover,
     tile_cover,
     useful_fraction,
-    vla_extent_counts,
-    vla_tile_cover,
 )
-from repro.ukernel.registry import DEFAULT_FAMILY
+from repro.ukernel.registry import DEFAULT_FAMILY, registry_for_machine
+
+
+def vla_sizes(extent, lanes):
+    """The row heights a VLA target covers ``extent`` rows with at main
+    height ``lanes``: full lanes plus the extent's own remainder."""
+    return {h for h, _ in target("rvv128").cover_family(extent, 1, lanes, 1)}
+
+
+def vla_tile_cover(m, n, mr, nr):
+    """The (m, n) cover of a VLA target at main tile (mr, nr)."""
+    return tile_cover(m, n, target("rvv128").cover_family(m, n, mr, nr))
 
 
 class TestDecompose:
@@ -90,22 +100,26 @@ class TestVlaDecompose:
     """Predicated tails on vector-length-agnostic ISAs: exact covers."""
 
     def test_exact_fit(self):
-        assert decompose_extent_vla(16, 4) == [4, 4, 4, 4]
+        assert decompose_extent(16, vla_sizes(16, 4)) == [4, 4, 4, 4]
 
     def test_ragged_tail_not_padded(self):
-        assert decompose_extent_vla(7, 4) == [4, 3]
-        assert decompose_extent_vla(3, 4) == [3]
+        assert decompose_extent(7, vla_sizes(7, 4)) == [4, 3]
+        assert decompose_extent(3, vla_sizes(3, 4)) == [3]
 
     def test_invalid_args(self):
         with pytest.raises(ValueError):
-            decompose_extent_vla(0, 4)
+            decompose_extent(0, [4])
         with pytest.raises(ValueError):
-            decompose_extent_vla(7, 0)
+            vla_tile_cover(0, 4, 8, 12)
+        with pytest.raises(ValueError):
+            decompose_extent(7, [0])
+        with pytest.raises(ValueError):
+            tile_cover(7, 4, [(0, 4)])
 
     @given(st.integers(1, 500), st.integers(1, 16))
     @settings(max_examples=60)
     def test_cover_always_exact(self, extent, lanes):
-        chunks = decompose_extent_vla(extent, lanes)
+        chunks = decompose_extent(extent, vla_sizes(extent, lanes))
         assert sum(chunks) == extent
         assert all(0 < c <= lanes for c in chunks)
         # at most one reduced-vl tail, and it comes last
@@ -135,15 +149,37 @@ class TestVlaTileCover:
 
     def test_tail_classes_runnable(self):
         """Every cover class is generable: lane-multiple heights directly,
-        ragged heights via the VLA plan."""
-        from repro.isa.rvv import rvv_lib_factory
-        from repro.ukernel.generator import generate_vla_microkernel
+        ragged heights as a full-width part plus a vsetvl tail part."""
+        t = target("rvv128")
+        for h, w in tile_cover(11, 14, t.cover_family(11, 14, 8, 12)):
+            assert sum(k.mr for _, k in t.tile_parts(h, w)) == h
 
-        factory = rvv_lib_factory(128)
-        cover = vla_tile_cover(11, 14, 8, 12)
-        for h, w in cover:
-            plan = generate_vla_microkernel(h, w, factory)
-            assert sum(k.mr for _, k in plan.parts) == h
+
+#: planes whose covers reach every kind of tile: lane multiples, ragged
+#: heights and widths, and planes smaller than every family tile
+TARGET_PLANES = ((49, 500), (11, 14), (6, 50), (3, 2), (100, 2), (13, 20))
+
+
+@pytest.mark.parametrize("isa", sorted(ISA_TARGETS))
+def test_target_cover_parts_tile_rows(isa):
+    """Each (h, w) of a target's cover runs as parts that tile rows
+    [0, h) contiguously from 0; on packed SIMD that is exactly one
+    part, the registry kernel."""
+    t = target(isa)
+    registry = registry_for_machine(t.machine)
+    for m, n in TARGET_PLANES:
+        for mr, nr in candidate_tiles(t, m, n):
+            for h, w in tile_cover(m, n, t.cover_family(m, n, mr, nr)):
+                parts = t.tile_parts(h, w)
+                offset = 0
+                for row, kernel in parts:
+                    assert row == offset
+                    assert kernel.nr == w
+                    offset += kernel.mr
+                assert offset == h
+                if not t.vla:
+                    assert len(parts) == 1
+                    assert parts[0][1] is registry.get(h, w)
 
 
 SIZES = st.sets(st.integers(1, 16), min_size=1, max_size=4)
@@ -201,10 +237,11 @@ class TestCountsMatchChunkLists:
     @given(st.integers(1, 400), st.integers(1, 16))
     @settings(max_examples=60)
     def test_vla_extent_counts(self, extent, lanes):
-        counts = vla_extent_counts(extent, lanes)
+        sizes = vla_sizes(extent, lanes)
+        counts = extent_counts(extent, sizes)
         expected = Counter(vla_chunks(extent, lanes))
         assert list(counts.items()) == list(expected.items())
-        assert decompose_extent_vla(extent, lanes) == vla_chunks(extent, lanes)
+        assert decompose_extent(extent, sizes) == vla_chunks(extent, lanes)
 
     @given(st.integers(1, 300), st.integers(1, 300), SIZES, SIZES)
     @settings(max_examples=60)

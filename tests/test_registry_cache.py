@@ -15,6 +15,7 @@ from collections import Counter
 import pytest
 
 from repro.isa.machine import CARMEL, RVV_EDGE_VLEN128, RVV_SERVER_VLEN256
+from repro.isa.targets import ISA_TARGETS
 from repro.isa.neon import NEON_F32_LIB
 from repro.ukernel import generator as gen
 from repro.ukernel import registry as reg
@@ -68,7 +69,7 @@ class TestRegistryForMachine:
 
 @pytest.fixture()
 def generations(monkeypatch):
-    """An empty kernel store whose misses are counted.
+    """An empty kernel store (and part memos) whose misses are counted.
 
     Counts ``generate_microkernel`` calls per ``(mr, nr, id(lib),
     variant)``, the way the workflow benchmark wraps it by name.
@@ -82,6 +83,9 @@ def generations(monkeypatch):
 
     monkeypatch.setattr(gen, "generate_microkernel", counted)
     monkeypatch.setattr(gen, "_KERNEL_STORE", {})
+    # the targets' tile parts are views of the store too
+    for t in ISA_TARGETS.values():
+        monkeypatch.setattr(t, "_parts", {})
     return calls
 
 
@@ -106,7 +110,7 @@ class TestKernelStore:
         self, generations, clean_registries
     ):
         from repro.analysis.verifier import verify_tile
-        from repro.eval.harness import EvalContext
+        from repro.eval.harness import EvalContext, plane_chunk_plans
         from repro.isa.targets import target
 
         body = reg.registry_for_machine(RVV_EDGE_VLEN128).get(4, 4)
@@ -122,7 +126,12 @@ class TestKernelStore:
         assert built == 2  # the 4-row body and the 1-row vsetvl tail
         assert verify_tile("rvv128", 5, 4).ok
         assert verify_tile("rvv128", 4, 4).ok
-        EvalContext(machine=RVV_EDGE_VLEN128).vla_part_traces(5, 4)
+        parts = target("rvv128").tile_parts(5, 4)
+        assert all(a is b for (_, a), (_, b) in zip(parts, plan.parts))
+        ctx = EvalContext(machine=RVV_EDGE_VLEN128)
+        chunks = plane_chunk_plans(ctx, 5, 4, 5, 4)
+        assert len(chunks) == len(parts) == 2
+        assert all(c.trace is k.trace for c, (_, k) in zip(chunks, parts))
         assert sum(generations.values()) == built
 
     def test_cold_eval_builds_each_kernel_once(

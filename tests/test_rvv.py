@@ -274,8 +274,10 @@ class TestRvvSimulation:
         for m, n in ((50, 70), (3, 12), (49, 500)):
             b = parallel_oracle.exo_gemm_breakdown(m, n, 64, ctx=ctx)
             assert b.gflops > 0
-        # the ragged tiles' part traces are cached per (h, w)
-        assert ctx._vla_parts
+        # the ragged tiles' parts are cached per (h, w): 50 rows at an
+        # 8-row main tile leave a 2-row reduced-vsetvl tail
+        ((_, tail),) = target("rvv128")._parts[(2, 12)]
+        assert tail.lanes == 2
 
 
 class TestTargetsRegistry:

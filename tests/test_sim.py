@@ -84,8 +84,9 @@ class TestPricingInputsBuiltOnce:
 
     def test_one_trace_per_kernel_across_consumers(self, monkeypatch):
         from repro.analysis import verifier
-        from repro.eval.harness import EvalContext
+        from repro.eval.harness import EvalContext, plane_chunk_plans
         from repro.isa.machine import RVV_EDGE_VLEN128
+        from repro.isa.targets import target
         from repro.serve.executor import ModelExecutor
         from repro.sim import pipeline
         from repro.ukernel.generator import generate_vla_microkernel
@@ -121,14 +122,16 @@ class TestPricingInputsBuiltOnce:
 
         # a ragged VLA tile: a full-width part plus a vsetvl tail part
         ctx = EvalContext(machine=RVV_EDGE_VLEN128)
-        plan = generate_vla_microkernel(6, 8, ctx.vla_lib_factory())
-        parts = ctx.vla_part_traces(6, 8)
-        assert len(parts) == len(plan.parts) == 2
+        rvv = target("rvv128")
+        plan = generate_vla_microkernel(6, 8, rvv.lib_factory)
+        chunks = plane_chunk_plans(ctx, 6, 8, 6, 8)
+        assert len(chunks) == len(plan.parts) == 2
+        assert rvv.tile_parts(6, 8) == plan.parts
         assert verifier.verify_plan(plan, machine=ctx.machine).ok
-        for (mr, part_trace), (_, part) in zip(parts, plan.parts):
-            assert mr == part.mr
-            assert part_trace is trace_from_kernel(part)
-            assert (part, part_trace) in checked
+        for chunk, (_, part) in zip(chunks, plan.parts):
+            assert chunk.mr == part.mr
+            assert chunk.trace is trace_from_kernel(part)
+            assert (part, chunk.trace) in checked
         assert len({id(k) for k in built}) == len(built)
 
     def test_shared_trace_is_never_mutated(self, registry):

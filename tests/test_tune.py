@@ -35,39 +35,40 @@ from repro.tune.space import (
 )
 from repro.ukernel.registry import select_kernel_for
 
-FAMILY4 = target("neon").family  # the paper's lanes=4 grid, (8, 12)...(1, 4)
+# both run the paper's lanes=4 grid, (8, 12)...(1, 4)
+NEON, RVV128 = target("neon"), target("rvv128")
 
 
 class TestSpace:
     def test_tiles_respect_problem_bounds(self):
-        tiles = enumerate_tiles(FAMILY4, 6, 50)
+        tiles = enumerate_tiles(NEON, 6, 50)
         assert tiles
         assert all(mr <= 6 and nr <= 50 for mr, nr in tiles)
 
     def test_deterministic_order_largest_area_first(self):
-        tiles = enumerate_tiles(FAMILY4, 1024, 1024)
-        assert tiles == enumerate_tiles(FAMILY4, 1024, 1024)
+        tiles = enumerate_tiles(NEON, 1024, 1024)
+        assert tiles == enumerate_tiles(NEON, 1024, 1024)
         areas = [mr * nr for mr, nr in tiles]
         assert areas == sorted(areas, reverse=True)
         assert tiles[0] == (8, 12)
 
     def test_vla_adds_clamped_tail_variants(self):
-        packed = enumerate_tiles(FAMILY4, 6, 50)
-        vla = enumerate_tiles(FAMILY4, 6, 50, vla=True)
+        packed = enumerate_tiles(NEON, 6, 50)
+        vla = enumerate_tiles(RVV128, 6, 50)
         assert (6, 12) not in packed
         assert (6, 12) in vla
         assert set(packed) <= set(vla)
 
     def test_fallback_respects_bounds_packed(self):
-        assert fallback_tile(FAMILY4, 3, 2) == (1, 4)
-        assert fallback_tile(FAMILY4, 6, 2) == (4, 4)
+        assert fallback_tile(NEON, 3, 2) == (1, 4)
+        assert fallback_tile(NEON, 6, 2) == (4, 4)
 
     def test_fallback_is_exact_on_vla(self):
-        assert fallback_tile(FAMILY4, 3, 2, vla=True) == (3, 2)
-        assert fallback_tile(FAMILY4, 100, 2, vla=True) == (8, 2)
+        assert fallback_tile(RVV128, 3, 2) == (3, 2)
+        assert fallback_tile(RVV128, 100, 2) == (8, 2)
 
     def test_candidate_tiles_never_empty(self):
-        assert candidate_tiles(FAMILY4, 2, 2) == ((1, 4),)
+        assert candidate_tiles(NEON, 2, 2) == ((1, 4),)
 
     def test_enumerate_space_is_reproducible(self):
         problems = ((96, 96, 96), (64, 48, 64))
