@@ -896,20 +896,22 @@ def verify_kernel(
 
 
 def verify_plan(
-    plan,
+    parts,
+    mr: int,
+    nr: int,
     machine=None,
     registers: Optional[int] = None,
 ) -> Report:
-    """Verify a :class:`VlaKernelPlan`: every part plus row coverage.
+    """Verify the ``(row_offset, kernel)`` parts of an ``mr x nr`` VLA
+    tile: every part plus row coverage.
 
     Each part (including the reduced-AVL ``vsetvl`` tail) runs the full
     kernel check; the parts must additionally tile the logical MR
-    contiguously from row 0, or the plan computes the wrong C rows.
+    contiguously from row 0, or the tile computes the wrong C rows.
     """
-    name = f"vla_{plan.mr}x{plan.nr}"
-    report = Report(name)
+    report = Report(f"vla_{mr}x{nr}")
     expect_off = 0
-    for off, part in plan.parts:
+    for off, part in parts:
         if off != expect_off:
             report.add(
                 "E_PLAN_COVER",
@@ -924,10 +926,10 @@ def verify_plan(
                 f"part {part.name} (rows {off}..{off + part.mr - 1}): "
                 f"{finding.message}",
             )
-    if expect_off != plan.mr:
+    if expect_off != mr:
         report.add(
             "E_PLAN_COVER",
-            f"parts cover {expect_off} rows of the {plan.mr}-row tile",
+            f"parts cover {expect_off} rows of the {mr}-row tile",
         )
     return report
 
@@ -942,14 +944,13 @@ def verify_tile(
     full-width 1-row kernel; every other tile is its one stored kernel.
     """
     from repro.isa.targets import target as isa_target
-    from repro.ukernel.generator import VlaKernelPlan
 
     t = isa_target(isa)
     parts = t.tile_parts(mr, nr)
-    lanes = t.lib["lanes"]
-    if t.vla and mr % lanes:
-        plan = VlaKernelPlan(parts=parts, mr=mr, nr=nr, lanes=lanes)
-        return verify_plan(plan, machine=t.machine, registers=registers)
+    if t.vla and mr % t.lib["lanes"]:
+        return verify_plan(
+            parts, mr, nr, machine=t.machine, registers=registers
+        )
     ((_, kernel),) = parts
     return verify_kernel(kernel, machine=t.machine, registers=registers)
 

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from ..affine import try_constant
-from ..loopir import Call, Const, Expr, For, Point, Proc, Read, WindowExpr
+from ..loopir import Call, Const, Expr, For, Point, Proc, Read, Reduce
+from ..loopir import WindowExpr
 from ..prelude import CodegenError
 
 
@@ -98,15 +99,29 @@ def _expr_key(e: Expr):
 
 
 def _find_k_loop(ir: Proc) -> For:
-    """The main accumulation loop: the loop whose bound is the KC argument."""
+    """The main accumulation loop: the loop bounded by the KC argument
+    that holds the accumulating (reduce-bodied) instruction (the scaled
+    kernel's ``Ba = Bc * alpha`` nest is a KC loop too)."""
     k_syms = {a.name for a in ir.args if a.type.is_indexable()}
-    for s in ir.body:
-        if isinstance(s, For) and isinstance(s.hi, Read) and s.hi.name in k_syms:
-            return s
-    for s in ir.body:
-        if isinstance(s, For):
-            return s
-    raise CodegenError(f"{ir.name} has no loops to render")
+    loops = [s for s in ir.body if isinstance(s, For)]
+    k_loops = [
+        s for s in loops if isinstance(s.hi, Read) and s.hi.name in k_syms
+    ]
+    ranked = [s for s in k_loops if _accumulates(s.body)] + k_loops + loops
+    if not ranked:
+        raise CodegenError(f"{ir.name} has no loops to render")
+    return ranked[0]
+
+
+def _accumulates(block) -> bool:
+    """Whether the block reduces into a buffer, directly or through a
+    called instruction."""
+    return any(
+        isinstance(s, Reduce)
+        or isinstance(s, For) and _accumulates(s.body)
+        or isinstance(s, Call) and _accumulates(s.proc.body)
+        for s in block
+    )
 
 
 #: the longest static inner loop the k-loop body may unroll

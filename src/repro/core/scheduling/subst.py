@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import weakref
-
 from ..affine import delinearize, linearize, try_constant
 from ..loopir import (
     Alloc,
@@ -37,12 +35,17 @@ def rename(p: Procedure, new_name: str) -> Procedure:
     return Procedure(update(p.ir, name=new_name))
 
 
-#: Every live fold output, expression or statement, by ``id``.  A fold
-#: output is a fixpoint of the fold, and copy-on-change rewrites keep it
-#: the same object, so meeting it again costs one lookup.  The values are
-#: weak references: an entry dies with its node, so a recycled ``id``
-#: never aliases.
-_FOLDED = weakref.WeakValueDictionary()
+def _mark_folded(node):
+    """Flag ``node`` as a fold output and return it.
+
+    A fold output is a fixpoint of the fold, and copy-on-change rewrites
+    keep it the same object, so meeting it again costs one attribute
+    read.  Nodes are immutable, so the flag is stored on the node (as
+    ``_folded``, like the ``stmt_symbols`` memo) and dies with it; a
+    rebuilt node is constructed afresh and starts without it.
+    """
+    object.__setattr__(node, "_folded", True)
+    return node
 
 
 def _fold_expr(e: Expr) -> Expr:
@@ -54,7 +57,7 @@ def _fold_expr(e: Expr) -> Expr:
     arithmetic.  The result is node for node what folding every
     subexpression bottom-up gives (the oracle in ``tests/fold_oracle.py``).
     """
-    if _FOLDED.get(id(e)) is e:
+    if "_folded" in e.__dict__:
         return e
     lin = linearize(e)
     if lin is not None:
@@ -78,8 +81,7 @@ def _fold_expr(e: Expr) -> Expr:
             out = _drop_unit(out)
     else:
         out = e
-    _FOLDED[id(out)] = out
-    return out
+    return _mark_folded(out)
 
 
 _UNITS = {"*": 1, "+": 0}
@@ -111,7 +113,7 @@ def _fold_stmt(s: Stmt) -> Stmt:
     descending into it, so a fold costs only the statements built since
     the previous one.
     """
-    if _FOLDED.get(id(s)) is s:
+    if "_folded" in s.__dict__:
         return s
     if isinstance(s, (Assign, Reduce)):
         idx = map_tuple(s.idx, _fold_expr)
@@ -134,8 +136,7 @@ def _fold_stmt(s: Stmt) -> Stmt:
         out = s
     else:
         raise TypeError(f"unknown statement node: {type(s).__name__}")
-    _FOLDED[id(out)] = out
-    return out
+    return _mark_folded(out)
 
 
 def fold_constants(ir: Proc) -> Proc:

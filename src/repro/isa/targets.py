@@ -197,7 +197,7 @@ class IsaTarget:
             if self.vla:
                 parts = generator.generate_vla_microkernel(
                     h, w, self.lib_factory
-                ).parts
+                )
             else:
                 parts = [(0, generator.stored_microkernel(h, w, self.lib))]
             self._parts[(h, w)] = parts

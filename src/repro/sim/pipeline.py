@@ -47,7 +47,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.codegen.asm import _flatten_calls, _find_k_loop, _window_key
+from repro.core.codegen.asm import _accumulates, _find_k_loop
+from repro.core.codegen.asm import _flatten_calls, _window_key
 from repro.core.loopir import Call, Proc, WindowExpr
 from repro.core.prelude import CodegenError
 from repro.isa.machine import CARMEL, MachineModel
@@ -151,7 +152,7 @@ def _op_from_call(call: Call) -> TraceOp:
         dest = _window_key(call.args[0])
 
         # the first argument of every FMA-class instruction is dst (also read)
-        accumulate = _writes_are_reductions(call.proc)
+        accumulate = _accumulates(call.proc.body)
         for actual in call.args[1:]:
             if isinstance(actual, WindowExpr):
                 srcs.append(_window_key(actual))
@@ -165,20 +166,6 @@ def _op_from_call(call: Call) -> TraceOp:
         accumulate=accumulate,
         name=call.proc.name,
     )
-
-
-def _writes_are_reductions(proc: Proc) -> bool:
-    from repro.core.loopir import For, Reduce
-
-    def scan(block) -> bool:
-        for s in block:
-            if isinstance(s, Reduce):
-                return True
-            if isinstance(s, For) and scan(s.body):
-                return True
-        return False
-
-    return scan(proc.body)
 
 
 def _tile_transfer_ops(ir: Proc, kloop) -> Tuple[int, int]:

@@ -1,15 +1,17 @@
-"""Extended generators: the full alpha/beta kernel and the non-packed kernel.
+"""Extended recipes: the full alpha/beta kernel and the non-packed kernel.
 
-Two pieces the paper describes but does not spell out:
+Two pieces the paper describes but does not spell out, both recipes for
+the Section III routine (``_schedule`` in :mod:`repro.ukernel.generator`):
 
 * **Scaled kernel** (Figure 4).  The general micro-kernel computes
   ``C = beta*C + alpha*(Ac @ Bc)`` through two scaling nests (``Cb``,
   ``Ba``) around the outer-product loop.  The paper: "Optimization of the
   initial code will involve more scheduling functions for the Cb and Ba
-  loops, equivalent to those shown from this point beyond."
-  :func:`generate_scaled_microkernel` supplies those scheduling functions:
-  both scaling nests vectorize with broadcast + multiply, and the compute
-  core reuses the Section III pipeline.
+  loops, equivalent to those shown from this point beyond."  Those are
+  staging records: each scaling nest splits by the vector length, then
+  broadcasts the scalar, loads the source and multiplies into a register
+  it stores; the compute core is the packed Section III recipe over the
+  staged temporaries, and the copy-back is one more record.
 
 * **Non-packed kernel** (Section III-B).  "It is possible that we do not
   need the packing because the data is already packed or the size of the
@@ -23,29 +25,18 @@ Two pieces the paper describes but does not spell out:
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.core import DRAM, Procedure, proc
-from repro.core.scheduling import (
-    autofission,
-    bind_expr,
-    divide_loop,
-    expand_dim,
-    lift_alloc,
-    rename,
-    replace,
-    set_memory,
-    simplify,
-    stage_mem,
-)
 from .generator import (
     GeneratedKernel,
+    _c_tile,
     _default_lib,
     _Flavour,
     _generate,
-    _Operand,
+    _operand,
     _packed,
-    _schedule,
+    _Stage,
     make_scaled_reference_kernel,
 )
 
@@ -81,12 +72,13 @@ def _nopack(mr: int, nr: int, lib: dict) -> _Flavour:
     lanes = lib["lanes"]
     return _Flavour(
         split=("j",),
-        c_access=f"C[i, {lanes} * jt + jtt]",
-        c_lane="jtt",
-        c_dims=((nr // lanes, "jt"), (mr, "i")),
+        c=_c_tile(
+            f"C[i, {lanes} * jt + jtt]",
+            ((lanes, "jtt"), (nr // lanes, "jt"), (mr, "i")),
+        ),
         operands=(
-            _Operand("A", "jtt", ((mr, "i"),), "broadcast", 3),
-            _Operand("B", "jtt", ((nr // lanes, "jt"),), "load", 3),
+            _operand("A", ((lanes, "jtt"), (mr, "i")), "broadcast", 3),
+            _operand("B", ((lanes, "jtt"), (nr // lanes, "jt")), "load", 3),
         ),
         fma="fma",
         unroll=("jt #1",),
@@ -119,6 +111,43 @@ def generate_nopack_microkernel(
 # ---------------------------------------------------------------------------
 
 
+def _scale_nest(loop, outer, src, scalar, dest, lanes):
+    """``dest[outer, loop] = src[outer, loop] * scalar[0]`` vectorized
+    along ``loop``: the scalar is broadcast first (so it hoists to the top
+    on its own), the source loaded, and the product multiplied into a
+    register that is stored to ``dest``."""
+    lane = ((lanes, f"{loop}tt"),)
+    scal, vec = f"{scalar}_{dest}_vec", f"{src}_{dest}_vec"
+    access = f"{dest}[{outer}, {lanes} * {loop}t + {loop}tt]"
+    return loop, (
+        _Stage(scal, lane, ("broadcast",), bind=f"{scalar}[_]", lifts=4,
+               fissions=((f"{scal}[_] = _", "after", 3),)),
+        _Stage(vec, lane, ("load",), bind=f"{src}[_]", lifts=3,
+               fissions=((f"{vec}[_] = _", "after", 1),)),
+        _Stage(f"{dest}_vec", lane, ("mul", "store"),
+               stage=(f"{dest}[_] = _", access), lifts=3,
+               fissions=((f"{dest}[_] = _", "before", 1),)),
+    )
+
+
+def _scaled(mr: int, nr: int, lib: dict) -> _Flavour:
+    """Figure 4: the ``Cb = C * beta`` and ``Ba = Bc * alpha`` nests, the
+    packed core over ``Cb``/``Ba``, and the ``C = Cb`` copy-back."""
+    lanes = lib["lanes"]
+    copy_back = _Stage("Cb_out", ((lanes, "citt"),), ("load", "store"),
+                       bind="Cb[_]", lifts=2,
+                       fissions=(("Cb_out[_] = _", "after", 1),))
+    return dataclasses.replace(
+        _packed(mr, nr, lib, c="Cb", b="Ba"),
+        unroll=(),
+        before=(_scale_nest("ci", "cj", "C", "beta", "Cb", lanes),
+                _scale_nest("bj", "bk", "Bc", "alpha", "Ba", lanes)),
+        after=(("ci", (copy_back,)),),
+        steps=(("before", "v2_scaling_vectorized"), ("fma", "v3_core"),
+               ("after", "v4_copy_back")),
+    )
+
+
 def generate_scaled_microkernel(
     mr: int, nr: int, lib: Optional[dict] = None
 ) -> GeneratedKernel:
@@ -137,92 +166,7 @@ def generate_scaled_microkernel(
             f"scaled kernel needs MR and NR divisible by {lanes}, "
             f"got {mr}x{nr}"
         )
-    steps: Dict[str, Procedure] = {}
-
-    p = rename(
-        make_scaled_reference_kernel(), f"uk_scaled_{mr}x{nr}_{lib['dtype']}"
-    )
-    p = p.partial_eval(mr, nr)
-    steps["v1_specialized"] = p
-
-    # --- the Cb = C * beta nest: vectorize along ci -------------------------
-    p = _vectorize_scale_nest(
-        p, loop="ci", buf="C", scalar="beta", dest="Cb", lanes=lanes, lib=lib
-    )
-    # --- the Ba = Bc * alpha nest: vectorize along bj ------------------------
-    p = _vectorize_scale_nest(
-        p, loop="bj", buf="Bc", scalar="alpha", dest="Ba", lanes=lanes, lib=lib
-    )
-    steps["v2_scaling_vectorized"] = p
-
-    # --- the compute core: the Section III packed pipeline over Cb/Ba -------
-    core = _packed(mr, nr, lib, c="Cb", b="Ba")
-    p = _schedule(p, dataclasses.replace(core, unroll=()), lib)
-    steps["v3_core"] = p
-
-    # --- the copy-back nest: plain vector load/store -------------------------
-    p = divide_loop(p, "ci", lanes, ["cit", "citt"], perfect=True)
-    p = bind_expr(p, "Cb[_]", "Cb_out")
-    p = expand_dim(p, "Cb_out", lanes, "citt")
-    p = lift_alloc(p, "Cb_out", n_lifts=2)
-    p = autofission(p, p.find("Cb_out[_] = _").after(), n_lifts=1)
-    p = replace(p, "for citt in _: _", lib["load"])
-    p = replace(p, "for citt in _: _", lib["store"])
-    p = set_memory(p, "Cb_out", lib["memory"])
-    p = simplify(p)
-    steps["v4_copy_back"] = p
-
-    return GeneratedKernel(
-        proc=p,
-        mr=mr,
-        nr=nr,
-        lanes=lanes,
-        dtype=lib["dtype"],
-        variant="scaled",
-        steps=steps,
-    )
-
-
-def _vectorize_scale_nest(
-    p: Procedure, loop: str, buf: str, scalar: str, dest: str, lanes: int, lib: dict
-) -> Procedure:
-    """Vectorize ``dest[..] = buf[..] * scalar[0]`` along its inner loop."""
-    it, itt = f"{loop}t", f"{loop}tt"
-    p = divide_loop(p, loop, lanes, [it, itt], perfect=True)
-
-    # broadcast the scalar first so it hoists to the top on its own
-    scal_reg = f"{scalar}_{dest}_vec"
-    p = bind_expr(p, f"{scalar}[_]", scal_reg)
-    p = expand_dim(p, scal_reg, lanes, itt)
-    p = lift_alloc(p, scal_reg, n_lifts=4)
-    p = autofission(p, p.find(f"{scal_reg}[_] = _").after(), n_lifts=3)
-    p = replace(p, f"for {itt} in _: _", lib["broadcast"])
-    p = set_memory(p, scal_reg, lib["memory"])
-
-    # source vector
-    src_reg = f"{buf}_{dest}_vec"
-    p = bind_expr(p, f"{buf}[_]", src_reg)
-    p = expand_dim(p, src_reg, lanes, itt)
-    p = lift_alloc(p, src_reg, n_lifts=3)
-    p = autofission(p, p.find(f"{src_reg}[_] = _").after(), n_lifts=1)
-    p = replace(p, f"for {itt} in _: _", lib["load"])
-    p = set_memory(p, src_reg, lib["memory"])
-
-    # multiply into a register tile of the destination, then store
-    dest_reg = f"{dest}_vec"
-    p = stage_mem(p, f"{dest}[_] = _", _dest_access(dest, p), dest_reg)
-    p = expand_dim(p, dest_reg, lanes, itt)
-    p = lift_alloc(p, dest_reg, n_lifts=3)
-    p = autofission(p, p.find(f"{dest}[_] = _").before(), n_lifts=1)
-    p = replace(p, f"for {itt} in _: _", lib["mul"])
-    p = replace(p, f"for {itt} in _: _", lib["store"])
-    p = set_memory(p, dest_reg, lib["memory"])
-    return simplify(p)
-
-
-def _dest_access(dest: str, p: Procedure) -> str:
-    """Render the index expression of the first assignment into ``dest``."""
-    from repro.core.pprint import stmt_to_str
-
-    stmt = stmt_to_str(p.find(f"{dest}[_] = _").stmt())
-    return stmt.split(" = ")[0].strip()
+    reference = make_scaled_reference_kernel()
+    name = f"uk_scaled_{mr}x{nr}_{lib['dtype']}"
+    flavour = _scaled(mr, nr, lib)
+    return _generate(reference, name, mr, nr, lib, "scaled", flavour)

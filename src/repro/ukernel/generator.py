@@ -14,12 +14,17 @@ v5 (Fig 10) ``reorder_loops`` + ``replace``(FMA) — compute.
 v6 (Fig 11) ``unroll_loop`` — unroll the register loads.
 
 Steps v2-v6 are one routine, ``_schedule``.  What differs between kernel
-flavours is data: a ``_Flavour`` record names the loops to split, the
-register dims and the library slots each step uses.  The flavours are
-**packed** (the BLIS case: both panels vector-loaded, the FMA selects B
-lanes), **broadcast** (Sections III-B/III-C: B elements broadcast into
-the plain vector FMA, for NR off the vector length or ISAs without a
-lane FMA such as AVX-512) and **row** (1 x NR tails).
+flavours is data: a ``_Flavour`` record names the loops to split and the
+library slots each step uses, and a ``_Stage`` record says how one
+register buffer is staged (the C tile in v3, each operand in v4): the
+access it binds, its register dims, how far it lifts, its fissions and
+the slots that replace its lane loops.  ``_schedule`` and its staging
+step are the only code here that calls scheduling primitives.  The
+flavours are **packed** (the BLIS case: both panels vector-loaded, the
+FMA selects B lanes), **broadcast** (Sections III-B/III-C: B elements
+broadcast into the plain vector FMA, for NR off the vector length or
+ISAs without a lane FMA such as AVX-512) and **row** (1 x NR tails);
+:mod:`repro.ukernel.extended` adds the non-packed and scaled recipes.
 """
 
 from __future__ import annotations
@@ -184,24 +189,19 @@ class GeneratedKernel:
 
 
 def generate_microkernel(
-    mr: int,
-    nr: int,
-    lib: Optional[dict] = None,
-    variant: str = "auto",
-    base: Optional[Procedure] = None,
+    mr: int, nr: int, lib: Optional[dict] = None, variant: str = "auto"
 ) -> GeneratedKernel:
     """Generate an ``mr x nr`` micro-kernel for the given instruction library.
 
     ``variant`` selects the kernel flavour: "packed", "broadcast", "row",
     or "auto" (the first of those the tile and library allow — the
-    paper's edge-case recipe).  Every call schedules a fresh kernel;
+    paper's edge-case recipe).  Every call schedules a fresh kernel from
+    the one reference kernel parsed per process;
     :func:`stored_microkernel` builds each distinct one once per process.
-    Without ``base`` the schedule starts from the one reference kernel
-    parsed per process.
     """
     lib = lib if lib is not None else _default_lib()
     variant = _resolve_variant(mr, nr, lib, variant)
-    reference = base or _shared_reference()
+    reference = _shared_reference()
     if lib["dtype"] != "f32":
         reference = _retype_reference(reference, lib["dtype"])
     name = f"uk_{mr}x{nr}_{lib['dtype']}_{variant}"
@@ -246,7 +246,7 @@ def stored_microkernel(
 ) -> GeneratedKernel:
     """The ``mr x nr`` kernel for ``lib``, generated once per process.
 
-    Every consumer — the per-machine registries, the VLA plans' parts, the
+    Every consumer — the per-machine registries, the VLA tiles' parts, the
     verifier and the tuner — reads kernels from this one store, so equal
     requests share one :class:`GeneratedKernel`.  Libraries are told apart
     by identity: a reduced-AVL ``vsetvl`` library is its own library.
@@ -271,7 +271,8 @@ def _generate(
     variant: str,
     flavour: _Flavour,
 ) -> GeneratedKernel:
-    """v1 (Figure 6): specialize ``reference`` to the tile; then v2..v6."""
+    """v1 (Figure 6): specialize ``reference`` to the tile; then the
+    flavour's recipe."""
     p = rename(reference, name).partial_eval(mr, nr)
     steps = {"v1_specialized": p}
     p = _schedule(p, flavour, lib, steps)
@@ -292,46 +293,79 @@ def _generate(
 
 
 @dataclass(frozen=True)
-class _Operand:
-    """One input operand streamed through vector registers (Figure 9).
+class _Stage:
+    """One register-staging step (Figures 8 and 9).
 
-    ``buf`` is bound to the register buffer ``<first letter>_reg``, whose
-    lane dimension replaces loop ``lane`` and whose outer ``dims`` are
-    ``(extent, index)`` pairs, innermost first.  ``slot`` names the library
-    instruction that fills a register ("load" or "broadcast"); ``fission``
-    is how many loop levels the fill is hoisted, up to just under the
-    k-loop.
+    The first read ``bind`` (``'Buf[_]'``) is bound to the register
+    buffer ``reg``, or the element of ``stage = (statement pattern,
+    access)`` staged through it.  ``dims`` are its ``(extent, index)``
+    dims, lane first.  It lifts ``lifts`` loop levels, then each
+    ``(pattern, side, n_lifts)`` of ``fissions`` splits the loops at the
+    gap ``side`` ("before" or "after") of the matched statement (a
+    ``None`` count: the update's loop depth).  The library ``slots``
+    replace its lane loops, in order.
     """
 
-    buf: str
-    lane: str
+    reg: str
     dims: Tuple[Tuple[int, str], ...]
-    slot: str
-    fission: int
+    slots: Tuple[str, ...]
+    bind: str = ""
+    stage: Optional[Tuple[str, str]] = None
+    lifts: Optional[int] = None
+    fissions: Tuple[Tuple[str, str, Optional[int]], ...] = ()
+
+
+def _c_tile(access: str, dims: Tuple[Tuple[int, str], ...]) -> _Stage:
+    """The C tile staged through ``C_reg`` (Figure 8); its load and
+    store nests fission, and the allocation lifts, out of the whole nest."""
+    c = access.partition("[")[0]
+    fissions = (("C_reg[_] = _", "after", None),
+                (f"{c}[_] = _", "before", None))
+    return _Stage("C_reg", dims, ("load", "store"),
+                  stage=(f"{c}[_] += _", access), fissions=fissions)
+
+
+def _operand(buf: str, dims, slot: str, fission: int) -> _Stage:
+    """An input operand streamed through ``<first letter>_reg`` (Figure
+    9): ``slot`` fills it, hoisted ``fission`` levels up to just under
+    the k-loop."""
+    reg = f"{buf[0]}_reg"
+    return _Stage(reg, dims, (slot,), bind=f"{buf}[_]",
+                  fissions=((f"{reg}[_] = _", "after", fission),))
+
+
+#: The step each phase of :func:`_schedule` records: the register tile's
+#: v2..v6.
+_TILE_STEPS = (("split", "v2_loop_structure"), ("c", "v3_c_registers"),
+               ("operands", "v4_ab_registers"), ("fma", "v5_fma"),
+               ("unroll", "v6_unrolled"))
 
 
 @dataclass(frozen=True)
 class _Flavour:
-    """The register-tile recipe of one kernel flavour (Figures 7-11).
+    """The recipe of one kernel flavour (Figures 7-11).
 
     ``flatten`` loops (trip count 1) are unrolled away and ``split`` loops
     divided by the vector length into ``<loop>t``/``<loop>tt``; the C
-    element ``c_access`` is staged into ``C_reg`` with lane loop
-    ``c_lane`` and outer ``c_dims``; the ``operands`` are staged in order;
-    the ``fma`` library slot replaces the update's lane loop, after the
-    optional ``reorder``; the ``unroll`` loops are unrolled last (a '#1'
-    selector skips the C-tile load nest, match #0).
+    tile ``c`` is staged, then the ``operands`` in order; the ``fma``
+    library slot replaces the update's lane loop, after the optional
+    ``reorder``; the ``unroll`` loops are unrolled last (a '#1' selector
+    skips the C-tile load nest, match #0).  The ``before`` and ``after``
+    nests around the tile are ``(loop, stages)`` pairs: ``loop`` splits
+    like ``split``, then its stages run and the proc is simplified.
+    ``steps`` names the step each phase records.
     """
 
     split: Tuple[str, ...]
-    c_access: str
-    c_lane: str
-    c_dims: Tuple[Tuple[int, str], ...]
-    operands: Tuple[_Operand, ...]
+    c: _Stage
+    operands: Tuple[_Stage, ...]
     fma: str
     reorder: Optional[str] = None
     unroll: Tuple[str, ...] = ()
     flatten: Tuple[str, ...] = ()
+    before: Tuple[Tuple[str, Tuple[_Stage, ...]], ...] = ()
+    after: Tuple[Tuple[str, Tuple[_Stage, ...]], ...] = ()
+    steps: Tuple[Tuple[str, str], ...] = _TILE_STEPS
 
 
 def _packed(
@@ -341,12 +375,13 @@ def _packed(
     lanes = lib["lanes"]
     return _Flavour(
         split=("i", "j"),
-        c_access=f"{c}[{lanes} * jt + jtt, {lanes} * it + itt]",
-        c_lane="itt",
-        c_dims=((mr // lanes, "it"), (nr, f"jt * {lanes} + jtt")),
+        c=_c_tile(
+            f"{c}[{lanes} * jt + jtt, {lanes} * it + itt]",
+            ((lanes, "itt"), (mr // lanes, "it"), (nr, f"jt * {lanes} + jtt")),
+        ),
         operands=(
-            _Operand("Ac", "itt", ((mr // lanes, "it"),), "load", 4),
-            _Operand(b, "jtt", ((nr // lanes, "jt"),), "load", 4),
+            _operand("Ac", ((lanes, "itt"), (mr // lanes, "it")), "load", 4),
+            _operand(b, ((lanes, "jtt"), (nr // lanes, "jt")), "load", 4),
         ),
         fma="fmla_lane",
         reorder="jtt it",
@@ -364,14 +399,17 @@ def _broadcast(mr: int, nr: int, lib: dict) -> _Flavour:
     """
     lanes = lib["lanes"]
     fused_vf = lib.get("fma_vf") is not None
-    operands = (_Operand("Ac", "itt", ((mr // lanes, "it"),), "load", 3),)
+    operands = (
+        _operand("Ac", ((lanes, "itt"), (mr // lanes, "it")), "load", 3),
+    )
     if not fused_vf:
-        operands += (_Operand("Bc", "itt", (), "broadcast", 2),)
+        operands += (_operand("Bc", ((lanes, "itt"),), "broadcast", 2),)
     return _Flavour(
         split=("i",),
-        c_access=f"C[j, {lanes} * it + itt]",
-        c_lane="itt",
-        c_dims=((mr // lanes, "it"), (nr, "j")),
+        c=_c_tile(
+            f"C[j, {lanes} * it + itt]",
+            ((lanes, "itt"), (mr // lanes, "it"), (nr, "j")),
+        ),
         operands=operands,
         fma="fma_vf" if fused_vf else "fma",
         unroll=("it #1",),
@@ -389,12 +427,12 @@ def _row(mr: int, nr: int, lib: dict) -> _Flavour:
     return _Flavour(
         flatten=("i",),
         split=("j",),
-        c_access=f"C[{lanes} * jt + jtt, 0]",
-        c_lane="jtt",
-        c_dims=((nr // lanes, "jt"),),
+        c=_c_tile(
+            f"C[{lanes} * jt + jtt, 0]", ((lanes, "jtt"), (nr // lanes, "jt"))
+        ),
         operands=(
-            _Operand("Ac", "jtt", (), "broadcast", 2),
-            _Operand("Bc", "jtt", ((nr // lanes, "jt"),), "load", 2),
+            _operand("Ac", ((lanes, "jtt"),), "broadcast", 2),
+            _operand("Bc", ((lanes, "jtt"), (nr // lanes, "jt")), "load", 2),
         ),
         fma="fma",
         unroll=("jt #1",),
@@ -410,66 +448,91 @@ def _schedule(
     lib: dict,
     steps: Optional[Dict[str, Procedure]] = None,
 ) -> Procedure:
-    """Apply one flavour's recipe (v2..v6), recording steps when given."""
+    """Apply one flavour's recipe (the nests before the register tile,
+    v2..v6, the nests after), recording steps when given."""
     lanes = lib["lanes"]
-    c = flavour.c_access.partition("[")[0]
+    names = dict(flavour.steps)
 
-    def mark(step: str) -> None:
-        if steps is not None:
-            steps[step] = p
+    def mark(phase: str) -> None:
+        if steps is not None and phase in names:
+            steps[names[phase]] = p
+
+    def split(p: Procedure, loop: str) -> Procedure:
+        parts = [f"{loop}t", f"{loop}tt"]
+        return divide_loop(p, loop, lanes, parts, perfect=True)
+
+    def nests(p: Procedure, pairs) -> Procedure:
+        for loop, stages in pairs:
+            p = split(p, loop)
+            for stage in stages:
+                p = _stage(p, stage, lib)
+            p = simplify(p)
+        return p
+
+    p = nests(p, flavour.before)
+    mark("before")
 
     # v2 -- match the loop structure to the vector length (Figure 7)
     for loop in flavour.flatten:
         p = unroll_loop(p, loop)
     for loop in flavour.split:
-        parts = [f"{loop}t", f"{loop}tt"]
-        p = divide_loop(p, loop, lanes, parts, perfect=True)
-    mark("v2_loop_structure")
+        p = split(p, loop)
+    mark("split")
 
-    # v3 -- bind the C tile to vector registers (Figure 8).  Allocations
-    # lift, and the C load/store nests fission, out of the whole nest.
-    depth = len(p.find(f"{c}[_] += _").parent_loops())
-    p = stage_mem(p, f"{c}[_] += _", flavour.c_access, "C_reg")
-    for extent, index in ((lanes, flavour.c_lane),) + flavour.c_dims:
-        p = expand_dim(p, "C_reg", extent, index)
-    p = lift_alloc(p, "C_reg", n_lifts=depth)
-    p = autofission(p, p.find("C_reg[_] = _").after(), n_lifts=depth)
-    p = autofission(p, p.find(f"{c}[_] = _").before(), n_lifts=depth)
-    # the already-replaced load nest no longer matches the store
-    p = replace(p, f"for {flavour.c_lane} in _: _", lib["load"])
-    p = replace(p, f"for {flavour.c_lane} in _: _", lib["store"])
-    p = set_memory(p, "C_reg", lib["memory"])
-    mark("v3_c_registers")
+    # v3 -- bind the C tile to vector registers (Figure 8).  The update's
+    # loop depth is how far the tile's stages lift and fission by default.
+    depth = len(p.find(flavour.c.stage[0]).parent_loops())
+    p = _stage(p, flavour.c, lib, depth)
+    mark("c")
 
     # v4 -- stream the operands through registers (Figure 9).  Fission
     # duplicates the levels a fill's indices use; loop-independent levels
     # are hoisted by the autofission prologue rule.
-    for op in flavour.operands:
-        reg = f"{op.buf[0]}_reg"
-        p = bind_expr(p, f"{op.buf}[_]", reg)
-        for extent, index in ((lanes, op.lane),) + op.dims:
-            p = expand_dim(p, reg, extent, index)
-        p = lift_alloc(p, reg, n_lifts=depth)
-        fill = p.find(f"{reg}[_] = _").after()
-        p = autofission(p, fill, n_lifts=op.fission)
-        p = replace(p, f"for {op.lane} in _: _", lib[op.slot])
-        p = set_memory(p, reg, lib["memory"])
-    mark("v4_ab_registers")
+    for operand in flavour.operands:
+        p = _stage(p, operand, lib, depth)
+    mark("operands")
 
     # v5 -- the FMA (Figure 10)
     if flavour.reorder:
         p = reorder_loops(p, flavour.reorder)
-    p = replace(p, f"for {flavour.c_lane} in _: _", lib[flavour.fma])
+    p = replace(p, f"for {flavour.c.dims[0][1]} in _: _", lib[flavour.fma])
     p = simplify(p)
-    mark("v5_fma")
+    mark("fma")
 
     # v6 -- unroll the register fills under the k-loop (Figure 11)
     if flavour.unroll:
         for loop in flavour.unroll:
             p = unroll_loop(p, loop)
         p = simplify(p)
-        mark("v6_unrolled")
+        mark("unroll")
+
+    p = nests(p, flavour.after)
+    mark("after")
     return p
+
+
+def _stage(
+    p: Procedure, record: _Stage, lib: dict, depth: Optional[int] = None
+) -> Procedure:
+    """Run one staging record: bind or stage its access, grow the buffer
+    to its register dims, lift it, fission its fills and drains, replace
+    its lane loops with library instructions and place it in registers."""
+    reg = record.reg
+    if record.stage:
+        p = stage_mem(p, *record.stage, reg)
+    else:
+        p = bind_expr(p, record.bind, reg)
+    for extent, index in record.dims:
+        p = expand_dim(p, reg, extent, index)
+    lifts = depth if record.lifts is None else record.lifts
+    p = lift_alloc(p, reg, n_lifts=lifts)
+    for pattern, side, n_lifts in record.fissions:
+        gap = getattr(p.find(pattern), side)()
+        p = autofission(p, gap, n_lifts=depth if n_lifts is None else n_lifts)
+    lane = record.dims[0][1]
+    for slot in record.slots:
+        p = replace(p, f"for {lane} in _: _", lib[slot])
+    return set_memory(p, reg, lib["memory"])
 
 
 def _retype_reference(reference: Procedure, dtype: str) -> Procedure:
@@ -493,79 +556,35 @@ def generate_all_steps(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class VlaKernelPlan:
-    """An ``mr x nr`` register tile realized on a VLA ISA.
+def generate_vla_microkernel(
+    mr: int, nr: int, lib_factory
+) -> List[Tuple[int, GeneratedKernel]]:
+    """The kernels of an ``mr x nr`` tile on a VLA ISA, any MR, as
+    ``(row_offset, kernel)`` parts; each kernel computes rows
+    ``[row_offset, row_offset + kernel.mr)`` of the tile.
 
     On Neon or AVX-512 an MR that is not a multiple of the vector length
     forces padded work or a scalar tail.  A VLA ISA (RVV) instead re-runs
-    the *same* instructions with ``vsetvl`` narrowed to the remainder, so
-    the tile splits by rows into full-width parts plus one reduced-AVL
-    tail part — every flop useful, no masking.
-
-    Attributes:
-        parts: ``(row_offset, kernel)`` pairs; each kernel computes rows
-            ``[row_offset, row_offset + kernel.mr)`` of the tile.
-        mr, nr: the logical tile shape the parts cover.
-        lanes: full vector length of the target.
-    """
-
-    parts: List[Tuple[int, GeneratedKernel]]
-    mr: int
-    nr: int
-    lanes: int
-
-    @property
-    def tail(self) -> Optional[GeneratedKernel]:
-        """The reduced-AVL part, if the tile needed one (the 1-row tile
-        takes the full-width row schedule instead, so it has no tail)."""
-        kernel = self.parts[-1][1]
-        return kernel if kernel.lanes != self.lanes else None
-
-    def flops_per_k(self) -> int:
-        return 2 * self.mr * self.nr
-
-    def interpret(self, kc, ac, bc, c) -> None:
-        """Run every part on the matching column slice of Ac and C."""
-        for off, kernel in self.parts:
-            hi = off + kernel.mr
-            kernel.proc.interpret(kc, ac[:, off:hi], bc, c[:, off:hi])
-
-
-def generate_vla_microkernel(
-    mr: int,
-    nr: int,
-    lib_factory,
-    variant: str = "auto",
-) -> VlaKernelPlan:
-    """Generate an ``mr x nr`` tile for a VLA ISA, any MR.
-
-    ``lib_factory(avl)`` must return an instruction library specialized to
-    an active vector length (see :func:`repro.isa.rvv.rvv_lib_factory`).
-    Rows split into full-vector-length body parts plus one tail part whose
-    library is specialized to the remainder — the ``vsetvl`` predication
-    path, modelled exactly as RVV hardware executes it.  The parts come
-    from the process-wide store (:func:`stored_microkernel`).
+    the *same* instructions with ``vsetvl`` narrowed to the remainder:
+    ``lib_factory(avl)`` must return an instruction library specialized
+    to an active vector length (see :func:`repro.isa.rvv.rvv_lib_factory`),
+    and the rows split into a full-vector-length body part plus one tail
+    part whose library is specialized to the remainder, every flop
+    useful, no masking.  The parts come from the process-wide store
+    (:func:`stored_microkernel`).
     """
     full_lib = lib_factory(None)
     lanes = full_lib["lanes"]
-    if variant == "auto" and mr == 1 and nr % lanes == 0:
+    if mr == 1 and nr % lanes == 0:
         # the 1-row tail vectorizes along j at full width (row schedule)
         # rather than degenerating to a 1-lane vsetvl
-        kernel = stored_microkernel(1, nr, full_lib)
-        return VlaKernelPlan(
-            parts=[(0, kernel)], mr=mr, nr=nr, lanes=lanes
-        )
+        return [(0, stored_microkernel(1, nr, full_lib))]
     parts: List[Tuple[int, GeneratedKernel]] = []
     body_rows = (mr // lanes) * lanes
     if body_rows:
-        parts.append(
-            (0, stored_microkernel(body_rows, nr, full_lib, variant=variant))
-        )
+        parts.append((0, stored_microkernel(body_rows, nr, full_lib)))
     tail = mr % lanes
     if tail:
-        tail_lib = lib_factory(tail)
-        parts.append(
-            (body_rows, stored_microkernel(tail, nr, tail_lib, variant))
-        )
-    return VlaKernelPlan(parts=parts, mr=mr, nr=nr, lanes=lanes)
+        tail_kernel = stored_microkernel(tail, nr, lib_factory(tail))
+        parts.append((body_rows, tail_kernel))
+    return parts

@@ -81,3 +81,11 @@ def assert_equivalent(
             err_msg=f"buffer {name} diverged between "
             f"{p1.name()} and {p2.name()}",
         )
+
+
+def interpret_parts(parts, kc, ac, bc, c) -> None:
+    """Run each ``(row_offset, kernel)`` part of a tile on its column
+    slice of the packed ``Ac`` and the transposed ``C``."""
+    for off, kernel in parts:
+        hi = off + kernel.mr
+        kernel.proc.interpret(kc, ac[:, off:hi], bc, c[:, off:hi])

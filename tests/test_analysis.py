@@ -33,6 +33,7 @@ from repro.analysis import (
     lint_paths,
     tile_report,
     verify_kernel,
+    verify_plan,
     verify_target,
 )
 from repro.analysis.__main__ import main as check_main
@@ -225,6 +226,31 @@ def test_census_agrees_with_timing_model_trace():
     ).ok
 
 
+def _rvv_parts(mr, nr):
+    return target("rvv128").tile_parts(mr, nr)
+
+
+def test_vla_parts_that_tile_the_rows_verify():
+    report = verify_plan(_rvv_parts(7, 12), 7, 12)
+    assert report.name == "vla_7x12"
+    assert report.ok, [str(f) for f in report.findings]
+
+
+def test_vla_parts_with_a_gap_are_E_PLAN_COVER():
+    (body, tail) = _rvv_parts(7, 12)
+    shifted = [body, (tail[0] + 1, tail[1])]
+    report = verify_plan(shifted, 8, 12)
+    assert report.codes == ("E_PLAN_COVER",)
+    assert "rows [4, 5) are uncovered" in str(report.findings[0])
+
+
+def test_vla_parts_short_of_mr_are_E_PLAN_COVER():
+    (body, _) = _rvv_parts(7, 12)
+    report = verify_plan([body], 7, 12)
+    assert report.codes == ("E_PLAN_COVER",)
+    assert "parts cover 4 rows of the 7-row tile" in str(report.findings[0])
+
+
 def test_error_catalogue_is_complete():
     produced = {
         "E_OOB_ACCESS",
@@ -232,6 +258,7 @@ def test_error_catalogue_is_complete():
         "E_UNDEF_READ",
         "E_REG_PRESSURE",
         "E_COUNT_DRIFT",
+        "E_PLAN_COVER",
     }
     assert produced <= set(ERROR_CODES)
     assert all(ERROR_CODES[code] for code in ERROR_CODES)

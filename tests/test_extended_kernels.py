@@ -5,12 +5,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.codegen.asm import _find_k_loop
 from repro.core.loopir import Call, For
 from repro.isa.avx512 import AVX512_F32_LIB
+from repro.sim.pipeline import trace_from_kernel
 from repro.ukernel.extended import (
     generate_nopack_microkernel,
     generate_scaled_microkernel,
 )
+from repro.ukernel.generator import stored_microkernel
 
 
 class TestNopackKernel:
@@ -130,3 +133,15 @@ class TestScaledKernel:
             "v3_core",
             "v4_copy_back",
         ]
+
+    def test_k_loop_is_the_outer_product_loop(self, kernel):
+        """The ``Ba = Bc * alpha`` nest is also bounded by KC; the k-loop
+        is the one whose FMAs accumulate, priced like the packed core."""
+        assert _find_k_loop(kernel.proc.ir).iter.name == "k"
+        asm = kernel.proc.asm_trace()
+        assert asm.count("fmla") == 24
+        assert (asm.count("ldp"), asm.count("ldr")) == (2, 1)
+        packed = stored_microkernel(8, 12)
+        pipes = [op.pipe for op in trace_from_kernel(kernel).ops]
+        assert pipes == [op.pipe for op in trace_from_kernel(packed).ops]
+        assert pipes.count("fma") == 24 and "store" not in pipes

@@ -26,10 +26,10 @@ from test_schedule_fuzz import TRANSFORMS, _specialized
 
 from repro.core import Procedure
 from repro.core.loopir import BinOp, Const, Read, USub, update
-from repro.core.prelude import ReproError
+from repro.core.prelude import ReproError, Sym
 from repro.core.scheduling import subst
 from repro.core.traversal import map_expr, map_stmts
-from repro.core.typesys import INDEX, TensorType
+from repro.core.typesys import F32, INDEX, TensorType
 from repro.isa.avx512 import AVX512_F32_LIB
 from repro.isa.targets import target
 from repro.ukernel.generator import (
@@ -126,8 +126,8 @@ def _kernel_steps():
         stored_microkernel(1, 8),
         stored_microkernel(16, 5, AVX512_F32_LIB),
     ]
-    plan = generate_vla_microkernel(6, 4, target("rvv128").lib_factory)
-    kernels += [k for _, k in plan.parts]
+    parts = generate_vla_microkernel(6, 4, target("rvv128").lib_factory)
+    kernels += [k for _, k in parts]
     return [
         pytest.param(step, id=f"{k.name}/{name}")
         for k in kernels
@@ -146,12 +146,18 @@ def test_folded_kernels_refold_to_themselves():
         assert subst.fold_constants(step.ir) is step.ir
 
 
-def test_fold_outputs_are_told_apart_by_identity(monkeypatch):
-    """An entry for another object under an expression's id is not a hit."""
+def test_fold_outputs_are_told_apart_by_identity():
+    """An equal node that is not itself a fold output is folded, and a
+    node rebuilt from a fold output starts without the flag."""
     raw = BinOp("+", Const(2, INDEX), Const(3, INDEX), INDEX)
-    other = Const(99, INDEX)
-    monkeypatch.setitem(subst._FOLDED, id(raw), other)
     assert subst._fold_expr(raw) == Const(5, INDEX)
+    twin = BinOp("+", Const(2, INDEX), Const(3, INDEX), INDEX)
+    assert twin == raw and "_folded" not in vars(twin)
+    assert subst._fold_expr(twin) == Const(5, INDEX)
+    folded = subst._fold_expr(Read(Sym("x"), (raw,), F32))
+    rebuilt = update(folded, idx=(twin,))
+    assert "_folded" in vars(folded) and "_folded" not in vars(rebuilt)
+    assert subst._fold_expr(rebuilt) == folded
 
 
 def _scalar_arithmetic():

@@ -64,7 +64,7 @@ def _cases() -> Dict[str, Callable[[], Parts]]:
                 cases[f"vla/{name}/{mr}x{nr}"] = (
                     lambda t=t, mr=mr, nr=nr: generate_vla_microkernel(
                         mr, nr, t.lib_factory
-                    ).parts
+                    )
                 )
     for label, lib, mr, nr in (
         ("f16", NEON_F16_LIB, 8, 16),

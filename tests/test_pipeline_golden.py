@@ -62,7 +62,7 @@ def _cases() -> Dict[str, Case]:
                             trace_from_kernel(kernel)
                             for _, kernel in generate_vla_microkernel(
                                 mr, nr, t.lib_factory
-                            ).parts
+                            )
                         ],
                     )
                 )

@@ -77,9 +77,9 @@ def generations(monkeypatch):
     calls = Counter()
     real = gen.generate_microkernel
 
-    def counted(mr, nr, lib=None, variant="auto", base=None):
+    def counted(mr, nr, lib=None, variant="auto"):
         calls[(mr, nr, id(lib), variant)] += 1
-        return real(mr, nr, lib, variant=variant, base=base)
+        return real(mr, nr, lib, variant=variant)
 
     monkeypatch.setattr(gen, "generate_microkernel", counted)
     monkeypatch.setattr(gen, "_KERNEL_STORE", {})
@@ -114,20 +114,20 @@ class TestKernelStore:
         from repro.isa.targets import target
 
         body = reg.registry_for_machine(RVV_EDGE_VLEN128).get(4, 4)
-        plan = gen.generate_vla_microkernel(
+        first = gen.generate_vla_microkernel(
             5, 4, target("rvv128").lib_factory
         )
         again = gen.generate_vla_microkernel(
             5, 4, target("rvv128").lib_factory
         )
-        assert plan.parts[0][1] is body
-        assert all(a is b for (_, a), (_, b) in zip(again.parts, plan.parts))
+        assert first[0][1] is body
+        assert all(a is b for (_, a), (_, b) in zip(again, first))
         built = sum(generations.values())
         assert built == 2  # the 4-row body and the 1-row vsetvl tail
         assert verify_tile("rvv128", 5, 4).ok
         assert verify_tile("rvv128", 4, 4).ok
         parts = target("rvv128").tile_parts(5, 4)
-        assert all(a is b for (_, a), (_, b) in zip(parts, plan.parts))
+        assert all(a is b for (_, a), (_, b) in zip(parts, first))
         ctx = EvalContext(machine=RVV_EDGE_VLEN128)
         chunks = plane_chunk_plans(ctx, 5, 4, 5, 4)
         assert len(chunks) == len(parts) == 2

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import parallel_oracle
 import pytest
+from helpers import interpret_parts
 
 from repro.blis.reference import naive_gemm
 from repro.isa.machine import (
@@ -148,34 +149,31 @@ class TestRvvGeneration:
 class TestVlaTails:
     @pytest.mark.parametrize("mr", [7, 6, 5, 3, 2, 11])
     def test_ragged_mr_exact(self, mr):
-        plan = generate_vla_microkernel(mr, 12, rvv_lib_factory(128))
-        assert plan.mr == mr
-        assert sum(k.mr for _, k in plan.parts) == mr
+        parts = generate_vla_microkernel(mr, 12, rvv_lib_factory(128))
+        assert sum(k.mr for _, k in parts) == mr
         kc = 5
         rng = np.random.default_rng(1)
         ac = rng.random((kc, mr), dtype=np.float32)
         bc = rng.random((kc, 12), dtype=np.float32)
         c = rng.random((12, mr)).astype(np.float32)
         oracle = naive_gemm(ac.T.copy(), bc, c.T.copy()).T
-        plan.interpret(kc, ac, bc, c)
+        interpret_parts(parts, kc, ac, bc, c)
         np.testing.assert_allclose(c, oracle, rtol=1e-5, atol=1e-5)
 
     def test_tail_kernel_narrowed(self):
-        plan = generate_vla_microkernel(7, 12, rvv_lib_factory(128))
-        assert plan.tail is not None
-        assert plan.tail.mr == 3
-        assert plan.tail.lanes == 3
-        assert "vl3" in plan.tail.proc.c_code()
+        parts = generate_vla_microkernel(7, 12, rvv_lib_factory(128))
+        off, tail = parts[-1]
+        assert (off, tail.mr, tail.lanes) == (4, 3, 3)
+        assert "vl3" in tail.proc.c_code()
 
     def test_lane_multiple_has_no_tail(self):
-        plan = generate_vla_microkernel(8, 12, rvv_lib_factory(128))
-        assert plan.tail is None
-        assert len(plan.parts) == 1
+        parts = generate_vla_microkernel(8, 12, rvv_lib_factory(128))
+        assert [(off, k.mr, k.lanes) for off, k in parts] == [(0, 8, 4)]
 
     def test_sub_lane_tile_is_single_tail(self):
-        plan = generate_vla_microkernel(2, 8, rvv_lib_factory(256))
-        assert len(plan.parts) == 1
-        assert plan.parts[0][1].lanes == 2
+        parts = generate_vla_microkernel(2, 8, rvv_lib_factory(256))
+        assert len(parts) == 1
+        assert parts[0][1].lanes == 2
 
 
 class TestRvvCodegen:

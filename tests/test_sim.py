@@ -123,12 +123,12 @@ class TestPricingInputsBuiltOnce:
         # a ragged VLA tile: a full-width part plus a vsetvl tail part
         ctx = EvalContext(machine=RVV_EDGE_VLEN128)
         rvv = target("rvv128")
-        plan = generate_vla_microkernel(6, 8, rvv.lib_factory)
+        parts = generate_vla_microkernel(6, 8, rvv.lib_factory)
         chunks = plane_chunk_plans(ctx, 6, 8, 6, 8)
-        assert len(chunks) == len(plan.parts) == 2
-        assert rvv.tile_parts(6, 8) == plan.parts
-        assert verifier.verify_plan(plan, machine=ctx.machine).ok
-        for chunk, (_, part) in zip(chunks, plan.parts):
+        assert len(chunks) == len(parts) == 2
+        assert rvv.tile_parts(6, 8) == parts
+        assert verifier.verify_plan(parts, 6, 8, machine=ctx.machine).ok
+        for chunk, (_, part) in zip(chunks, parts):
             assert chunk.mr == part.mr
             assert chunk.trace is trace_from_kernel(part)
             assert (part, chunk.trace) in checked

@@ -130,18 +130,16 @@ def test_memo_lives_on_the_node_and_dies_with_it():
     assert ref() is None
 
 
-def test_fold_entry_dies_with_its_statement():
+def test_fold_flag_lives_on_the_statement_and_dies_with_it():
     i = Sym("i")
     loop = For(i, Const(0, INDEX), Const(4, INDEX), (Alloc(Sym("t"), F32),))
     ir = subst.fold_constants(Proc("p", (), (), (loop,)))
-    key = id(ir.body[0])
-    assert subst._FOLDED.get(key) is ir.body[0]
+    assert "_folded" in vars(ir.body[0])
     assert subst.fold_constants(ir) is ir
     ref = weakref.ref(ir.body[0])
     del ir, loop
     gc.collect()
     assert ref() is None
-    assert key not in subst._FOLDED
 
 
 def _closure_kernels():
