@@ -36,7 +36,7 @@ def test_ablation_accumulators_hide_fma_latency(benchmark, ctx):
         pm = ctx.model.pipeline
         out = {}
         for shape in [(4, 4), (4, 8), (8, 4), (8, 8), (4, 12), (8, 12)]:
-            trace = trace_from_kernel(ctx.registry.get(*shape))
+            trace = trace_from_kernel(ctx.target.get(*shape))
             cyc = pm.steady_cycles_per_iter(trace)
             out[shape] = trace.flops_per_iter / cyc
         return out

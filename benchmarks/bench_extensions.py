@@ -39,7 +39,7 @@ def test_extension_pack_vs_nopack_crossover(benchmark, ctx):
         pack_cycles = mem.pack_a_cycles + mem.pack_b_cycles
         # compute rates of the two kernels
         pm = ctx.model.pipeline
-        packed_trace = trace_from_kernel(ctx.registry.get(8, 12))
+        packed_trace = trace_from_kernel(ctx.target.get(8, 12))
         packed_rate = packed_trace.flops_per_iter / pm.steady_cycles_per_iter(
             packed_trace
         )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 
 def _trace(ctx):
-    return ctx.registry.get(8, 12).proc.asm_trace()
+    return ctx.target.get(8, 12).proc.asm_trace()
 
 
 def test_fig12_kloop_assembly(benchmark, ctx):

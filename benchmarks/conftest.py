@@ -65,8 +65,9 @@ def ctx() -> EvalContext:
     """Shared evaluation context; kernel generation and pipeline timing are
     memoized so benchmarks measure the harness, not repeated setup."""
     context = default_context()
-    # warm the kernel registry and timing caches once
-    context.registry.family()
+    # warm the kernel store and timing caches once
+    for shape in context.target.family:
+        context.target.get(*shape)
     return context
 
 

@@ -24,8 +24,8 @@ from repro.eval.harness import (
     best_exo_breakdown,
     default_context,
 )
+from repro.isa.targets import target
 from repro.ukernel.edge import tile_cover, useful_fraction
-from repro.ukernel.registry import DEFAULT_FAMILY
 from repro.workloads.resnet50 import RESNET50_LAYERS
 
 
@@ -33,7 +33,7 @@ def explore(m: int, n: int, k: int) -> None:
     print(f"GEMM m={m}, n={n}, k={k}")
     print("=" * 60)
 
-    cover = tile_cover(m, n, DEFAULT_FAMILY)
+    cover = tile_cover(m, n, target("neon").family)
     print("kernel-family decomposition of the (m, n) plane:")
     for (mr, nr), count in sorted(cover.items(), reverse=True):
         print(f"  {count:6d} tiles of {mr}x{nr}")

@@ -25,17 +25,17 @@ import numpy as np
 from repro import BlisGemm, naive_gemm
 from repro.eval.harness import fig15_resnet_layer_data, fig16_resnet_time_data
 from repro.eval.report import render_table, winners
+from repro.isa.targets import target
 from repro.sim.memory import TileParams
-from repro.ukernel.registry import default_registry
 
 CONFIGS = ["ALG+NEON", "ALG+BLIS", "BLIS", "ALG+EXO"]
 
 
 def functional_demo() -> None:
     """A ragged GEMM with ResNet's m=49 edge structure, computed for real."""
-    registry = default_registry()
+    neon = target("neon")
     engine = BlisGemm(
-        registry.family(),
+        {shape: neon.get(*shape) for shape in neon.family},
         tiles=TileParams(mc=24, kc=16, nc=36, mr=8, nr=12),
     )
     m, n, k = 49, 24, 32  # same m-tail structure as ResNet layers 17-20

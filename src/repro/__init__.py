@@ -34,7 +34,6 @@ from .core import DRAM, Neon, Neon8f, Procedure, instr, proc
 from .isa import CARMEL, MachineModel
 from .ukernel import (
     GeneratedKernel,
-    KernelRegistry,
     generate_microkernel,
     make_reference_kernel,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "CARMEL",
     "DRAM",
     "GeneratedKernel",
-    "KernelRegistry",
     "MachineModel",
     "Neon",
     "Neon8f",

@@ -6,7 +6,7 @@ Two subcommands mirror the two passes::
     repro-check verify --isa all
     repro-check lint [path ...]              # determinism linter
 
-``verify`` generates and checks every registry kernel of the named
+``verify`` generates and checks the kernels of every tile of the named
 target(s) (the full register-tile family, plus reduced-AVL ``vsetvl``
 tails on VLA targets); ``lint`` walks ``src/repro`` by default.  Both
 exit 0 when clean and 1 when any finding survives, so the same
@@ -35,7 +35,7 @@ def _parse_args(argv: List[str]) -> argparse.Namespace:
 
     verify = sub.add_parser(
         "verify",
-        help="verify every registry kernel of an ISA target",
+        help="verify the kernels of every family tile of an ISA target",
     )
     verify.add_argument(
         "--isa",

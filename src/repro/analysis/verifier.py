@@ -968,7 +968,7 @@ def _ragged_tiles(t) -> List[Tuple[int, int]]:
 def verify_target(
     isa: str, tiles: Optional[Sequence[Tuple[int, int]]] = None
 ) -> List[Report]:
-    """Verify every registry kernel of one ISA target.
+    """Verify the kernels of every family tile of one ISA target.
 
     Defaults to the target's full register-tile family; VLA targets
     additionally verify ragged-MR tiles so the ``vsetvl`` tail parts

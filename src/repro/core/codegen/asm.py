@@ -52,9 +52,6 @@ class AsmTrace:
         """Quad-register loads, counting an ``ldp`` as two."""
         return self.count("ldr") + 2 * self.count("ldp")
 
-    def vector_stores(self) -> int:
-        return self.count("str") + 2 * self.count("stp")
-
 
 class _RegAlloc:
     """Map register-file buffer elements to ARM vector register names."""

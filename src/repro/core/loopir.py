@@ -30,7 +30,7 @@ from typing import Dict, Optional, Tuple
 
 from .memory import DRAM, Memory
 from .prelude import NULL_SRC, SrcInfo, Sym
-from .typesys import BOOL, INDEX, ScalarType, TensorType, Type
+from .typesys import INDEX, ScalarType, TensorType, Type
 
 # ---------------------------------------------------------------------------
 # Expressions
@@ -238,18 +238,6 @@ class Proc:
 # ---------------------------------------------------------------------------
 
 
-def const_int(v: int, srcinfo: SrcInfo = NULL_SRC) -> Const:
-    return Const(int(v), INDEX, srcinfo)
-
-
-def const_bool(v: bool) -> Const:
-    return Const(bool(v), BOOL)
-
-
-def read_var(sym: Sym, typ: Type, srcinfo: SrcInfo = NULL_SRC) -> Read:
-    return Read(sym, (), typ, srcinfo)
-
-
 def add(a: Expr, b: Expr) -> Expr:
     return BinOp("+", a, b, INDEX)
 
@@ -260,19 +248,6 @@ def sub(a: Expr, b: Expr) -> Expr:
 
 def mul(a: Expr, b: Expr) -> Expr:
     return BinOp("*", a, b, INDEX)
-
-
-def is_const(e: Expr, val=None) -> bool:
-    if not isinstance(e, Const):
-        return False
-    return val is None or e.val == val
-
-
-def expr_type(e: Expr) -> Type:
-    """Return the type of any expression node (Interval/Point have none)."""
-    if isinstance(e, (Interval, Point)):
-        raise TypeError(f"window index fragment has no standalone type: {e}")
-    return e.type
 
 
 _FIELD_NAMES: Dict[type, Tuple[str, ...]] = {}

@@ -50,9 +50,6 @@ class Procedure:
     def name(self) -> str:
         return self._loopir.name
 
-    def is_instr(self) -> bool:
-        return self._loopir.instr is not None
-
     def arg_names(self) -> list:
         return [a.name.name for a in self._loopir.args]
 
@@ -147,10 +144,6 @@ class Procedure:
         from .codegen.asm import proc_to_asm
 
         return proc_to_asm(self._loopir)
-
-
-def make_procedure(ir: Proc) -> Procedure:
-    return Procedure(ir)
 
 
 def proc(fn) -> Procedure:

@@ -24,7 +24,7 @@ from repro.baselines.blis_asm import blis_kernel_model
 from repro.baselines.neon_handwritten import neon_kernel_model
 from repro.blis.params import analytical_tile_params, clamp_tiles
 from repro.isa.machine import CARMEL, MachineModel
-from repro.isa.targets import target_for_machine
+from repro.isa.targets import IsaTarget, target_for_machine
 from repro.obs import profile as obs_profile
 from repro.sim.memory import GemmShape, TileParams
 from repro.sim.parallel import (
@@ -43,7 +43,6 @@ from repro.sim.timing import (
     solo_kernel_gflops,
 )
 from repro.ukernel.edge import monolithic_cover, tile_cover
-from repro.ukernel.registry import KernelRegistry, registry_for_machine
 from repro.workloads.resnet50 import RESNET50_LAYERS, resnet50_instances
 from repro.workloads.square import SQUARE_SIZES
 from repro.workloads.vgg16 import VGG16_LAYERS, vgg16_instances
@@ -64,20 +63,18 @@ EXO_CALL_OVERHEAD = 10.0
 
 @dataclass
 class EvalContext:
-    """Shared state: machine, kernel registry, memoized timing model.
+    """Shared state: machine, its ISA target, memoized timing model.
 
-    The registry defaults to the machine's ISA target (Neon on Carmel,
-    the RVV library on an RVV core, ...), so a context is fully
-    retargeted by naming a machine.
+    The kernels come from the machine's ISA target (Neon on Carmel, the
+    RVV library on an RVV core, ...), so a context is fully retargeted
+    by naming a machine.
     """
 
     machine: MachineModel = CARMEL
-    registry: Optional[KernelRegistry] = None
     model: TimingModel = None
 
     def __post_init__(self):
-        if self.registry is None:
-            self.registry = registry_for_machine(self.machine)
+        self.target: IsaTarget = target_for_machine(self.machine)
         if self.model is None:
             self.model = TimingModel(machine=self.machine)
         self._neon_trace: Optional[KernelTrace] = None
@@ -85,7 +82,7 @@ class EvalContext:
 
     @property
     def main_tile(self) -> Tuple[int, int]:
-        return self.registry.family_shapes[0]
+        return self.target.main_tile
 
     # -- kernel traces -----------------------------------------------------
 
@@ -100,7 +97,7 @@ class EvalContext:
         self._require_neon("the NEON intrinsics kernel")
         if self._neon_trace is None:
             self._neon_trace = neon_kernel_model(
-                8, 12, kernel=self.registry.get(8, 12)
+                8, 12, kernel=self.target.get(8, 12)
             )
         return self._neon_trace
 
@@ -108,12 +105,12 @@ class EvalContext:
         self._require_neon("the BLIS assembly kernel")
         if self._blis_trace is None:
             self._blis_trace = blis_kernel_model(
-                8, 12, kernel=self.registry.get(8, 12)
+                8, 12, kernel=self.target.get(8, 12)
             )
         return self._blis_trace
 
     def exo_trace(self, mr: int, nr: int) -> KernelTrace:
-        return trace_from_kernel(self.registry.get(mr, nr))
+        return trace_from_kernel(self.target.get(mr, nr))
 
 
 _default_context: Optional[EvalContext] = None
@@ -234,7 +231,7 @@ def plane_chunk_plans(
     runs it once on the whole (m, n), the threaded model once per thread
     slice, so tails re-select against each slice's ragged extents.
     """
-    t = target_for_machine(ctx.machine)
+    t = ctx.target
     cover = tile_cover(m, n, t.cover_family(m, n, mr_main, nr_main))
     return [
         ChunkPlan(
@@ -607,7 +604,7 @@ def solo_sweep_data(
     absolute GFLOPS plus the fraction of the machine's peak, which is the
     cross-ISA comparison metric.
     """
-    shapes = shapes if shapes is not None else ctx.registry.family_shapes
+    shapes = shapes if shapes is not None else ctx.target.family
     peak = ctx.machine.peak_gflops()
     rows = []
     for mr, nr in shapes:

@@ -19,9 +19,11 @@ on one ISA —
   :meth:`IsaTarget.tile_parts`): padded on packed SIMD, exact on a
   target with a ``lib_factory``.
 
-``repro.ukernel.registry`` and ``repro.eval`` resolve targets through
-this table instead of importing any ISA module directly, so adding a
-backend (see ``docs/backends.md``) never touches them.
+``repro.eval``, the tuner, the verifier and serving read a tile's
+kernels from its target (:meth:`IsaTarget.get`,
+:meth:`IsaTarget.tile_parts`) instead of importing any ISA module
+directly, so adding a backend (see ``docs/backends.md``) never touches
+them.
 """
 
 from __future__ import annotations
@@ -180,6 +182,14 @@ class IsaTarget:
             widths = {w for _, w in self.family if w <= nr}
         return [(h, w) for h in heights for w in widths]
 
+    def get(self, mr: int, nr: int) -> "GeneratedKernel":
+        """The (mr, nr) tile's one kernel on the full-width library,
+        from the process-wide store
+        (:func:`repro.ukernel.generator.stored_microkernel`)."""
+        from repro.ukernel.generator import stored_microkernel
+
+        return stored_microkernel(mr, nr, self.lib)
+
     def tile_parts(self, h: int, w: int) -> List[Part]:
         """The kernels an (h, w) tile runs, as ``(row_offset, kernel)``
         pairs that tile rows ``[0, h)`` from 0; memoized per tile.
@@ -199,7 +209,7 @@ class IsaTarget:
                     h, w, self.lib_factory
                 )
             else:
-                parts = [(0, generator.stored_microkernel(h, w, self.lib))]
+                parts = [(0, self.get(h, w))]
             self._parts[(h, w)] = parts
         return parts
 

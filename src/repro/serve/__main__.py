@@ -82,12 +82,9 @@ def parse_duration_ms(spec: str) -> float:
     return value
 
 
-def _parse_args(argv):
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.serve",
-        description="Request-level inference serving simulation on the "
-        "threaded GEMM model.",
-    )
+def _shared_options() -> argparse.ArgumentParser:
+    """The options the planner and the live plane both take."""
+    parser = argparse.ArgumentParser(add_help=False)
     parser.add_argument(
         "outdir",
         nargs="?",
@@ -103,142 +100,8 @@ def _parse_args(argv):
         "--model",
         default="resnet50",
         choices=SERVABLE_MODELS,
-        help="workload to serve (default resnet50)",
-    )
-    parser.add_argument(
-        "--arrivals",
-        default="synthetic",
-        help="'synthetic' (default), 'diurnal:base=5,peak=50,...', "
-        "'mmpp:rates=5:80,dwell=300,...', or a request_id,arrival_ms "
-        "CSV path",
-    )
-    parser.add_argument(
-        "--rate",
-        type=float,
-        default=15.0,
-        help="synthetic arrival rate in requests/s (default 15)",
-    )
-    parser.add_argument(
-        "--duration",
-        type=float,
-        default=1000.0,
-        help="synthetic trace duration in ms (default 1000)",
-    )
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="synthetic trace seed (default 0)",
-    )
-    parser.add_argument(
-        "--slo-p99",
-        type=parse_duration_ms,
-        default=50.0,
-        metavar="DUR",
-        help="p99 latency SLO, e.g. 50ms or 0.05s (default 50ms)",
-    )
-    parser.add_argument(
-        "--max-wait",
-        type=parse_duration_ms,
-        default=2.0,
-        metavar="DUR",
-        help="batcher max wait time (default 2ms)",
-    )
-    parser.add_argument(
-        "--batch-candidates",
-        default="1,2,4,8",
-        help="max-batch sizes the search tries (default 1,2,4,8)",
-    )
-    parser.add_argument(
-        "--replicas",
-        type=int,
-        default=None,
-        help="pin the replica count (requires --threads)",
-    )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="pin threads per replica (requires --replicas)",
-    )
-    parser.add_argument(
-        "--max-batch",
-        type=int,
-        default=None,
-        help="pin the batch-size cap (skips the batch search)",
-    )
-    parser.add_argument(
-        "--use-tuned",
-        action="store_true",
-        help="activate the tune cache for per-layer kernel dispatch",
-    )
-    parser.add_argument(
-        "--tune-cache",
-        default=None,
-        help="tune cache root for --use-tuned (default out/tunecache)",
-    )
-    parser.add_argument(
-        "--trace",
-        default=None,
-        metavar="PATH",
-        help="write a Chrome trace-event JSON (+ .jsonl event log) of "
-        "the winning configuration, stamped in virtual sim time",
-    )
-    parser.add_argument(
-        "--metrics",
-        default=None,
-        metavar="PATH",
-        help="write the metrics registry as JSON (+ .prom text format)",
-    )
-    obslib.add_logging_args(parser)
-    return parser.parse_args(argv)
-
-
-def _parse_live_args(argv):
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.serve live",
-        description="Live asyncio serving plane with admission control "
-        "over sim/real/mock controllers.",
-    )
-    parser.add_argument(
-        "outdir",
-        nargs="?",
-        default="results",
-        help="report directory (default results/)",
-    )
-    parser.add_argument(
-        "--machine",
-        default="carmel",
-        help=f"target machine (default carmel; known: {sorted(MACHINES)})",
-    )
-    parser.add_argument(
-        "--controller",
-        default="sim",
-        choices=CONTROLLER_KINDS,
-        help="executor controller: sim = virtual-time cost model "
-        "(deterministic), real = wall clock paced to the model, "
-        "mock = scripted service times (default sim)",
-    )
-    parser.add_argument(
-        "--pools",
-        default=None,
-        metavar="SPEC",
-        help="replica pools as model=RxT[,model=RxT...], e.g. "
-        "'resnet50=2x2,vgg16=1x4' (default: one pool of --model "
-        "using every core)",
-    )
-    parser.add_argument(
-        "--model",
-        default="resnet50",
-        choices=SERVABLE_MODELS,
-        help="model of the default single pool (default resnet50)",
-    )
-    parser.add_argument(
-        "--mix",
-        default=None,
-        metavar="SPEC",
-        help="request mix weights as model=W[,model=W...] "
-        "(default: equal across pools)",
+        help="model to serve; live: the default single pool's "
+        "(default resnet50)",
     )
     parser.add_argument(
         "--arrivals",
@@ -263,7 +126,7 @@ def _parse_live_args(argv):
         "--seed",
         type=int,
         default=0,
-        help="trace and mix seed (default 0)",
+        help="trace seed, and live the request-mix seed (default 0)",
     )
     parser.add_argument(
         "--slo-p99",
@@ -273,38 +136,11 @@ def _parse_live_args(argv):
         help="p99 latency SLO, e.g. 50ms or 0.05s (default 50ms)",
     )
     parser.add_argument(
-        "--admission",
-        default=None,
-        metavar="SPEC",
-        help="admission gates: 'depth=N,deadline=DUR' or 'none' "
-        "(default: deadline = --slo-p99, so infeasible load sheds)",
-    )
-    parser.add_argument(
-        "--max-batch",
-        type=int,
-        default=8,
-        help="per-pool batch-size cap (default 8)",
-    )
-    parser.add_argument(
         "--max-wait",
         type=parse_duration_ms,
         default=2.0,
         metavar="DUR",
         help="batcher max wait time (default 2ms)",
-    )
-    parser.add_argument(
-        "--mock-service",
-        type=parse_duration_ms,
-        default=1.0,
-        metavar="DUR",
-        help="mock controller service time per batch (default 1ms)",
-    )
-    parser.add_argument(
-        "--http",
-        default=None,
-        metavar="HOST:PORT",
-        help="serve the HTTP front door instead of injecting the trace "
-        "(wall-clock controllers only); runs for --duration ms",
     )
     parser.add_argument(
         "--use-tuned",
@@ -321,16 +157,110 @@ def _parse_live_args(argv):
         default=None,
         metavar="PATH",
         help="write a Chrome trace-event JSON (+ .jsonl event log) of "
-        "the request lifecycle",
+        "the request lifecycle (the planner's winning configuration, "
+        "stamped in virtual sim time)",
     )
     parser.add_argument(
         "--metrics",
         default=None,
         metavar="PATH",
-        help="write the metrics registry as JSON (+ .prom text format), "
-        "including the admitted/shed counters",
+        help="write the metrics registry as JSON (+ .prom text format); "
+        "live, it includes the admitted/shed counters",
     )
     obslib.add_logging_args(parser)
+    return parser
+
+
+def _parse_args(argv):
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.serve",
+        description="Request-level inference serving simulation on the "
+        "threaded GEMM model.",
+        parents=[_shared_options()],
+    )
+    parser.add_argument(
+        "--batch-candidates",
+        default="1,2,4,8",
+        help="max-batch sizes the search tries (default 1,2,4,8)",
+    )
+    parser.add_argument(
+        "--replicas",
+        type=int,
+        default=None,
+        help="pin the replica count (requires --threads)",
+    )
+    parser.add_argument(
+        "--threads",
+        type=int,
+        default=None,
+        help="pin threads per replica (requires --replicas)",
+    )
+    parser.add_argument(
+        "--max-batch",
+        type=int,
+        default=None,
+        help="pin the batch-size cap (skips the batch search)",
+    )
+    return parser.parse_args(argv)
+
+
+def _parse_live_args(argv):
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.serve live",
+        description="Live asyncio serving plane with admission control "
+        "over sim/real/mock controllers.",
+        parents=[_shared_options()],
+    )
+    parser.add_argument(
+        "--controller",
+        default="sim",
+        choices=CONTROLLER_KINDS,
+        help="executor controller: sim = virtual-time cost model "
+        "(deterministic), real = wall clock paced to the model, "
+        "mock = scripted service times (default sim)",
+    )
+    parser.add_argument(
+        "--pools",
+        default=None,
+        metavar="SPEC",
+        help="replica pools as model=RxT[,model=RxT...], e.g. "
+        "'resnet50=2x2,vgg16=1x4' (default: one pool of --model "
+        "using every core)",
+    )
+    parser.add_argument(
+        "--mix",
+        default=None,
+        metavar="SPEC",
+        help="request mix weights as model=W[,model=W...] "
+        "(default: equal across pools)",
+    )
+    parser.add_argument(
+        "--admission",
+        default=None,
+        metavar="SPEC",
+        help="admission gates: 'depth=N,deadline=DUR' or 'none' "
+        "(default: deadline = --slo-p99, so infeasible load sheds)",
+    )
+    parser.add_argument(
+        "--max-batch",
+        type=int,
+        default=8,
+        help="per-pool batch-size cap (default 8)",
+    )
+    parser.add_argument(
+        "--mock-service",
+        type=parse_duration_ms,
+        default=1.0,
+        metavar="DUR",
+        help="mock controller service time per batch (default 1ms)",
+    )
+    parser.add_argument(
+        "--http",
+        default=None,
+        metavar="HOST:PORT",
+        help="serve the HTTP front door instead of injecting the trace "
+        "(wall-clock controllers only); runs for --duration ms",
+    )
     return parser.parse_args(argv)
 
 

@@ -67,12 +67,10 @@ class ModelExecutor:
             self.instances = list(model)
         self.base_ctx = machine_context(machine)
         replica_machine = replica_topology(machine, replicas, threads)
-        # the shared registry's kernels carry their traces, and a
-        # replica view schedules them like its base machine, so the
+        # a replica view has its base machine's isa, so it reads the
+        # same target's stored kernels, which carry their traces: the
         # replica context re-traces and re-schedules nothing
-        self.ctx = EvalContext(
-            machine=replica_machine, registry=self.base_ctx.registry
-        )
+        self.ctx = EvalContext(machine=replica_machine)
         #: (layer_id, batch) -> (seconds, main tile)
         self._layer_memo: Dict[Tuple[int, int], tuple] = {}
         #: batch -> modelled milliseconds of one forward pass

@@ -6,8 +6,9 @@ every candidate thread partition — a serial job is the one-slice grid
 (:func:`evaluate_candidates`).  Jobs travel
 to workers as plain tuples and come back as plain JSON records, so the
 pool never pickles procedures, traces, or machine models; each worker
-process rebuilds (and memoizes) its evaluation context per ISA on first
-use.  On Linux the pool forks, so kernels already generated in the
+process builds its evaluation context per ISA on first use (the
+memoized :func:`repro.eval.harness.machine_context` of the target's
+machine).  On Linux the pool forks, so kernels already generated in the
 parent are inherited for free.
 
 Jobs are *chunked* per ISA before submission — one future per chunk —
@@ -38,7 +39,6 @@ from .space import TuneJob
 #: load across workers, large enough to amortize submission overhead
 CHUNKS_PER_WORKER = 2
 
-_contexts: Dict[str, object] = {}
 _breakdown_calls = 0
 
 
@@ -60,16 +60,6 @@ def reset_breakdown_calls() -> None:
     _breakdown_calls = 0
 
 
-def _context_for(isa: str):
-    """Per-process memoized evaluation context for one ISA target."""
-    if isa not in _contexts:
-        from repro.eval.harness import machine_context
-        from repro.isa.targets import target
-
-        _contexts[isa] = machine_context(target(isa).machine)
-    return _contexts[isa]
-
-
 def evaluate_candidates(
     isa: str, specs: Sequence[Tuple[int, int, int, int, int, int]]
 ) -> List[Dict[str, float]]:
@@ -88,7 +78,8 @@ def evaluate_candidates(
     """
     global _breakdown_calls
     from repro.blis.params import analytical_tile_params, clamp_tiles
-    from repro.eval.harness import plane_chunk_plans
+    from repro.eval.harness import machine_context, plane_chunk_plans
+    from repro.isa.targets import target
     from repro.sim import vectorized as vec
     from repro.sim.memory import GemmShape
     from repro.sim.parallel import (
@@ -97,7 +88,7 @@ def evaluate_candidates(
         price_grid_requests,
     )
 
-    ctx = _context_for(isa)
+    ctx = machine_context(target(isa).machine)
     machine = ctx.machine
     tile_memo: Dict[Tuple[int, int], object] = {}
     # (mr, nr, m_plane, n_plane) -> plan_costs array

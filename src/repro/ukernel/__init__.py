@@ -4,8 +4,9 @@
   kernel (Figure 5) to the fully vectorized, unrolled kernel (Figure 11),
   parameterized over (mr, nr), data type, and instruction library.
 * :mod:`repro.ukernel.edge` — generation of edge-case kernel families.
-* :mod:`repro.ukernel.registry` — kernel storage and selection by modelled
-  performance ("evaluating a number of generated micro-kernels").
+* :mod:`repro.ukernel.registry` — kernel selection by modelled
+  performance ("evaluating a number of generated micro-kernels"); a
+  tile's kernels come from its ISA target (:mod:`repro.isa.targets`).
 """
 
 from .extended import (
@@ -20,11 +21,10 @@ from .generator import (
     make_reference_kernel,
     make_scaled_reference_kernel,
 )
-from .registry import KernelRegistry, select_kernel_for
+from .registry import select_kernel_for
 
 __all__ = [
     "GeneratedKernel",
-    "KernelRegistry",
     "generate_all_steps",
     "generate_microkernel",
     "generate_nopack_microkernel",

@@ -36,6 +36,7 @@ from .generator import (
     _generate,
     _operand,
     _packed,
+    _resolve_variant,
     _Stage,
     make_scaled_reference_kernel,
 )
@@ -160,12 +161,8 @@ def generate_scaled_microkernel(
     schedule against the staged temporaries.
     """
     lib = lib if lib is not None else _default_lib()
-    lanes = lib["lanes"]
-    if mr % lanes or nr % lanes:
-        raise ValueError(
-            f"scaled kernel needs MR and NR divisible by {lanes}, "
-            f"got {mr}x{nr}"
-        )
+    # the compute core is the packed recipe, so the tile needs its rule
+    _resolve_variant(mr, nr, lib, "packed")
     reference = make_scaled_reference_kernel()
     name = f"uk_scaled_{mr}x{nr}_{lib['dtype']}"
     flavour = _scaled(mr, nr, lib)

@@ -1,113 +1,31 @@
-"""Kernel registry and model-driven kernel selection.
+"""Model-driven kernel selection.
 
 The paper's point 4: with generation this cheap, "the optimization process
 for each problem ... boils down to evaluating a number of generated
-micro-kernels."  The registry serves kernels from the process-wide store,
-which builds each distinct kernel once; :func:`select_kernel_for` ranks
-candidate register tiles for a given GEMM shape using the full timing
-model and returns the winner.
+micro-kernels."  :func:`select_kernel_for` ranks candidate register tiles
+for a given GEMM shape using the full timing model and returns the winner.
 
-The registry is ISA-agnostic: the instruction library and the register-tile
-family are injected per machine through the ISA target registry
-(:mod:`repro.isa.targets`) rather than hardcoded — ``registry_for_machine``
-hands back a registry whose family matches the machine's vector length, and
-no Neon module is imported unless the Neon default is actually used.
+The kernels themselves come from the machine's ISA target
+(:mod:`repro.isa.targets`): ``target_for_machine(machine).get(mr, nr)`` is
+a tile's one stored kernel and ``tile_parts(mr, nr)`` the kernels it runs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Optional
 
 from repro.isa.machine import CARMEL, MachineModel
-from repro.isa.targets import family_for_lanes, target_for_machine
+from repro.isa.targets import IsaTarget, target_for_machine
 
 # ``generate_microkernel`` stays bound here: callers that count
 # generations wrap it by name (perfbench/spans.py).
-from .generator import (  # noqa: F401
-    GeneratedKernel,
-    generate_microkernel,
-    stored_microkernel,
-)
-
-#: the register-tile family evaluated in the paper (Figures 13 and 15),
-#: closed under height x width combinations so any (m, n) plane decomposes
-#: (the paper's runs never needed 1x4; generic shapes may).  This is the
-#: lanes=4 instance of :func:`repro.isa.targets.family_for_lanes`.
-DEFAULT_FAMILY: Tuple[Tuple[int, int], ...] = family_for_lanes(4)
+from .generator import generate_microkernel  # noqa: F401
 
 
-@dataclass
-class KernelRegistry:
-    """The kernels of one instruction library, keyed by (mr, nr).
-
-    ``lib`` is the instruction library all kernels target (Neon when
-    omitted, for backward compatibility); ``family_shapes`` the tile
-    family used by selection, derived from the library's vector length
-    when not given.  Kernels come from the process-wide store
-    (:func:`repro.ukernel.generator.stored_microkernel`); ``_kernels`` is
-    this registry's view of it, the shapes it has handed out.
-    """
-
-    lib: Optional[dict] = None
-    family_shapes: Optional[Tuple[Tuple[int, int], ...]] = None
-    _kernels: Dict[Tuple[int, int], GeneratedKernel] = field(
-        default_factory=dict
-    )
-
-    def __post_init__(self):
-        if self.lib is None:
-            from repro.isa.neon import NEON_F32_LIB
-
-            self.lib = NEON_F32_LIB
-        if self.family_shapes is None:
-            self.family_shapes = family_for_lanes(self.lib["lanes"])
-
-    def get(self, mr: int, nr: int) -> GeneratedKernel:
-        key = (mr, nr)
-        kernel = self._kernels.get(key)
-        if kernel is None:
-            kernel = self._kernels[key] = stored_microkernel(mr, nr, self.lib)
-        return kernel
-
-    def family(
-        self, shapes: Optional[Tuple[Tuple[int, int], ...]] = None
-    ) -> Dict[Tuple[int, int], GeneratedKernel]:
-        shapes = shapes if shapes is not None else self.family_shapes
-        return {shape: self.get(*shape) for shape in shapes}
-
-    def __contains__(self, shape: Tuple[int, int]) -> bool:
-        return shape in self._kernels
-
-
-_default_registry: Optional[KernelRegistry] = None
-_machine_registries: Dict[str, KernelRegistry] = {}
-
-
-def default_registry() -> KernelRegistry:
-    """Process-wide Neon registry so tests and benchmarks share kernels."""
-    global _default_registry
-    if _default_registry is None:
-        _default_registry = KernelRegistry()
-    return _default_registry
-
-
-def registry_for_machine(machine: MachineModel) -> KernelRegistry:
-    """The shared registry for a machine's ISA target.
-
-    Machines tagged with the same ``isa`` share one registry (and so one
-    set of generated kernels); the Neon target reuses the historical
-    process-wide default registry.
-    """
-    isa = machine.isa
-    if isa == "neon":
-        return default_registry()
-    if isa not in _machine_registries:
-        t = target_for_machine(machine)
-        _machine_registries[isa] = KernelRegistry(
-            lib=t.lib, family_shapes=t.family
-        )
-    return _machine_registries[isa]
+def registry_for_machine(machine: MachineModel) -> IsaTarget:
+    """:func:`repro.isa.targets.target_for_machine` under the name the
+    workflow benchmark binds (perfbench/workloads.py)."""
+    return target_for_machine(machine)
 
 
 def select_kernel_for(
@@ -148,7 +66,7 @@ def select_kernel_for(
     ctx = machine_context(machine if machine is not None else CARMEL)
     # already bounds-filtered, with the shape-respecting fallback
     # substituted when nothing fits
-    fitting = candidate_tiles(target_for_machine(ctx.machine), m, n)
+    fitting = candidate_tiles(ctx.target, m, n)
     cache = active_cache()
     # key by the machine the memoized context models (contexts are
     # shared by machine name), so a same-named but edited machine never

@@ -10,13 +10,14 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from repro.core import proc
-from repro.ukernel.registry import default_registry
+from repro.isa.targets import target
 
 
 @pytest.fixture(scope="session")
 def registry():
-    """Process-wide kernel registry (generation is the slow part)."""
-    return default_registry()
+    """The Neon ISA target; its kernels come from the process-wide store
+    (generation is the slow part)."""
+    return target("neon")
 
 
 @pytest.fixture(scope="session")

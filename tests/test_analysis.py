@@ -41,7 +41,6 @@ from repro.core.loopir import Call, For, Interval, WindowExpr, update
 from repro.isa.targets import ISA_TARGETS, target
 from repro.sim.pipeline import trace_from_kernel
 from repro.tune.space import candidate_tiles
-from repro.ukernel.registry import registry_for_machine
 
 # ---------------------------------------------------------------------------
 # positive: the whole tune space verifies, on every backend
@@ -86,12 +85,13 @@ def test_verify_target_covers_family_and_vla_tails(isa):
         assert any(r.name.startswith("vla_") for r in reports)
 
 
+
 # ---------------------------------------------------------------------------
 # negative: corrupted kernels fail with the named codes
 
 
 def _neon_kernel():
-    return registry_for_machine(target("neon").machine).get(8, 12)
+    return target("neon").get(8, 12)
 
 
 def _buffer_label(sym) -> str:

@@ -1,4 +1,4 @@
-"""Tests for the baseline kernel models and the kernel registry."""
+"""Tests for the baseline kernel models and the Neon target's kernels."""
 
 from __future__ import annotations
 
@@ -7,13 +7,12 @@ import pytest
 from repro.baselines.blis_asm import blis_kernel_model
 from repro.baselines.neon_handwritten import neon_kernel_model
 from repro.isa.machine import CARMEL
+from repro.isa.targets import target
 from repro.sim.pipeline import PipelineModel, trace_from_kernel
 from repro.sim.timing import solo_kernel_gflops
-from repro.ukernel.registry import (
-    DEFAULT_FAMILY,
-    KernelRegistry,
-    select_kernel_for,
-)
+from repro.ukernel.registry import select_kernel_for
+
+NEON_FAMILY = target("neon").family
 
 
 class TestBaselineModels:
@@ -56,27 +55,25 @@ class TestBaselineModels:
 
 class TestRegistry:
     def test_memoization(self):
-        reg = KernelRegistry()
-        k1 = reg.get(4, 4)
-        k2 = reg.get(4, 4)
+        k1 = target("neon").get(4, 4)
+        k2 = target("neon").get(4, 4)
         assert k1 is k2
-        assert (4, 4) in reg
 
     def test_family_contains_paper_kernels(self, registry):
-        family = registry.family()
+        family = {s: registry.get(*s) for s in registry.family}
         for shape in [(8, 12), (8, 4), (4, 4), (4, 8), (4, 12), (1, 8), (1, 12)]:
             assert shape in family
 
     def test_default_family_closed_under_combinations(self):
-        heights = {s[0] for s in DEFAULT_FAMILY}
-        widths = {s[1] for s in DEFAULT_FAMILY}
+        heights = {s[0] for s in NEON_FAMILY}
+        widths = {s[1] for s in NEON_FAMILY}
         for h in heights:
             for w in widths:
-                assert (h, w) in DEFAULT_FAMILY
+                assert (h, w) in NEON_FAMILY
 
     def test_select_kernel_returns_candidate(self):
         shape, breakdown = select_kernel_for(512, 512, 512, machine=CARMEL)
-        assert shape in DEFAULT_FAMILY
+        assert shape in NEON_FAMILY
         assert breakdown.total_cycles > 0
 
     def test_select_kernel_small_problem(self):

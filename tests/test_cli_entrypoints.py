@@ -48,3 +48,31 @@ def test_pyproject_declares_console_scripts():
     text = (Path(__file__).parent.parent / "pyproject.toml").read_text()
     for script, target in ENTRY_POINTS.items():
         assert f'{script} = "{target}"' in text
+
+
+#: the options both serving CLIs take, with their defaults
+SHARED_SERVE_DEFAULTS = {
+    "outdir": "results",
+    "machine": "carmel",
+    "model": "resnet50",
+    "arrivals": "synthetic",
+    "rate": 15.0,
+    "duration": 1000.0,
+    "seed": 0,
+    "slo_p99": 50.0,
+    "max_wait": 2.0,
+    "use_tuned": False,
+    "tune_cache": None,
+    "trace": None,
+    "metrics": None,
+}
+
+
+def test_serve_parsers_share_option_defaults():
+    from repro.serve.__main__ import _parse_args, _parse_live_args
+
+    planner, live = vars(_parse_args([])), vars(_parse_live_args([]))
+    for dest, default in SHARED_SERVE_DEFAULTS.items():
+        assert planner[dest] == live[dest] == default, dest
+    # each keeps its own batch cap: the planner searches, live pins 8
+    assert (planner["max_batch"], live["max_batch"]) == (None, 8)

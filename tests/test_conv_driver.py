@@ -14,7 +14,7 @@ from repro.workloads.conv_driver import conv2d_gemm
 @pytest.fixture(scope="module")
 def engine(registry):
     return BlisGemm(
-        registry.family(),
+        {shape: registry.get(*shape) for shape in registry.family},
         tiles=TileParams(mc=16, kc=8, nc=24, mr=8, nr=12),
     )
 

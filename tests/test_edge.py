@@ -17,7 +17,6 @@ from repro.ukernel.edge import (
     tile_cover,
     useful_fraction,
 )
-from repro.ukernel.registry import DEFAULT_FAMILY, registry_for_machine
 
 
 def vla_sizes(extent, lanes):
@@ -67,7 +66,7 @@ class TestDecompose:
 
 class TestTileCover:
     def test_resnet_49x512(self):
-        cover = tile_cover(49, 512, DEFAULT_FAMILY)
+        cover = tile_cover(49, 512, target("neon").family)
         # 49 -> 6x8 + 1x1 rows; 512 -> 42x12 + 1x8 columns
         assert cover[(8, 12)] == 6 * 42
         assert cover[(8, 8)] == 6
@@ -77,7 +76,7 @@ class TestTileCover:
         assert total == 49 * 512
 
     def test_exact_shape_single_class(self):
-        cover = tile_cover(16, 24, DEFAULT_FAMILY)
+        cover = tile_cover(16, 24, target("neon").family)
         assert cover == {(8, 12): 4}
 
     def test_missing_combination_raises(self):
@@ -89,7 +88,7 @@ class TestTileCover:
     @given(st.integers(1, 300), st.integers(1, 300))
     @settings(max_examples=40)
     def test_cover_area_exact_up_to_width_padding(self, m, n):
-        cover = tile_cover(m, n, DEFAULT_FAMILY)
+        cover = tile_cover(m, n, target("neon").family)
         area = sum(mr * nr * c for (mr, nr), c in cover.items())
         # rows decompose exactly (1-row tails exist); the width remainder
         # is padded by at most one 4-wide column of tiles
@@ -164,9 +163,8 @@ TARGET_PLANES = ((49, 500), (11, 14), (6, 50), (3, 2), (100, 2), (13, 20))
 def test_target_cover_parts_tile_rows(isa):
     """Each (h, w) of a target's cover runs as parts that tile rows
     [0, h) contiguously from 0; on packed SIMD that is exactly one
-    part, the registry kernel."""
+    part, the target's stored kernel."""
     t = target(isa)
-    registry = registry_for_machine(t.machine)
     for m, n in TARGET_PLANES:
         for mr, nr in candidate_tiles(t, m, n):
             for h, w in tile_cover(m, n, t.cover_family(m, n, mr, nr)):
@@ -179,7 +177,7 @@ def test_target_cover_parts_tile_rows(isa):
                 assert offset == h
                 if not t.vla:
                     assert len(parts) == 1
-                    assert parts[0][1] is registry.get(h, w)
+                    assert parts[0][1] is t.get(h, w)
 
 
 SIZES = st.sets(st.integers(1, 16), min_size=1, max_size=4)

@@ -126,6 +126,12 @@ class TestScaledKernel:
         with pytest.raises(ValueError, match="divisible"):
             generate_scaled_microkernel(6, 12)
 
+    def test_rejects_library_without_lane_fma(self):
+        # AVX-512 has no lane-selecting FMA, so the packed core cannot
+        # be built even on a lane-divisible tile
+        with pytest.raises(ValueError, match="lane FMA"):
+            generate_scaled_microkernel(16, 16, AVX512_F32_LIB)
+
     def test_step_names(self, kernel):
         assert list(kernel.steps) == [
             "v1_specialized",

@@ -1,10 +1,10 @@
-"""Cache semantics of the per-machine kernel registries and the store.
+"""Cache semantics of the per-ISA kernel views and the kernel store.
 
-Two machines tagged with the same ``isa`` must share one registry (and
-so one set of generated kernels); distinct ISAs must be isolated; and
-the historical Neon process-wide default registry must never be touched
-by a run on another backend.  Behind the registries, the process-wide
-kernel store builds each distinct (tile, library, variant) once.
+Two machines tagged with the same ``isa`` must get one target (and so
+one set of generated kernels); distinct ISAs must be isolated; and a
+run on another backend must never generate a Neon kernel.  Behind the
+targets, the process-wide kernel store builds each distinct (tile,
+library, variant) once.
 """
 
 from __future__ import annotations
@@ -15,56 +15,10 @@ from collections import Counter
 import pytest
 
 from repro.isa.machine import CARMEL, RVV_EDGE_VLEN128, RVV_SERVER_VLEN256
-from repro.isa.targets import ISA_TARGETS
+from repro.isa.targets import ISA_TARGETS, target, target_for_machine
 from repro.isa.neon import NEON_F32_LIB
 from repro.ukernel import generator as gen
 from repro.ukernel import registry as reg
-
-
-@pytest.fixture()
-def clean_registries(monkeypatch):
-    """Fresh registry globals; the session-wide ones restore on teardown."""
-    monkeypatch.setattr(reg, "_default_registry", None)
-    monkeypatch.setattr(reg, "_machine_registries", {})
-
-
-class TestRegistryForMachine:
-    def test_same_isa_shares_one_registry(self, clean_registries):
-        twin = dataclasses.replace(
-            RVV_EDGE_VLEN128, name="another VLEN=128 core"
-        )
-        assert twin is not RVV_EDGE_VLEN128
-        r1 = reg.registry_for_machine(RVV_EDGE_VLEN128)
-        r2 = reg.registry_for_machine(twin)
-        assert r1 is r2
-        r1.get(1, 4)
-        assert (1, 4) in r2
-
-    def test_distinct_isas_are_isolated(self, clean_registries):
-        r128 = reg.registry_for_machine(RVV_EDGE_VLEN128)
-        r256 = reg.registry_for_machine(RVV_SERVER_VLEN256)
-        assert r128 is not r256
-        assert r128.lib["lanes"] == 4
-        assert r256.lib["lanes"] == 8
-        r128.get(4, 4)
-        assert (4, 4) in r128
-        assert (4, 4) not in r256
-
-    def test_rvv_run_never_populates_neon_default(self, clean_registries):
-        reg.registry_for_machine(RVV_EDGE_VLEN128).get(1, 4)
-        # the Neon default registry was neither created nor populated
-        assert reg._default_registry is None
-
-    def test_neon_machine_reuses_the_default_registry(self, clean_registries):
-        r = reg.registry_for_machine(CARMEL)
-        assert r is reg.default_registry()
-        assert r.lib["lanes"] == 4
-
-    def test_repeated_lookups_are_memoized(self, clean_registries):
-        r1 = reg.registry_for_machine(RVV_SERVER_VLEN256)
-        r2 = reg.registry_for_machine(RVV_SERVER_VLEN256)
-        assert r1 is r2
-        assert reg._machine_registries == {"rvv256": r1}
 
 
 @pytest.fixture()
@@ -89,6 +43,54 @@ def generations(monkeypatch):
     return calls
 
 
+class TestTargetForMachine:
+    def test_same_isa_twin_gets_the_same_kernels(self, generations):
+        from repro.eval.harness import EvalContext
+
+        twin = dataclasses.replace(
+            RVV_EDGE_VLEN128, name="another VLEN=128 core"
+        )
+        assert twin is not RVV_EDGE_VLEN128
+        assert target_for_machine(twin) is target_for_machine(
+            RVV_EDGE_VLEN128
+        )
+        k = target_for_machine(RVV_EDGE_VLEN128).get(1, 4)
+        assert target_for_machine(twin).get(1, 4) is k
+        one = EvalContext(machine=RVV_EDGE_VLEN128)
+        two = EvalContext(machine=twin)
+        assert two.exo_trace(1, 4) is one.exo_trace(1, 4)
+        assert sum(generations.values()) == 1
+
+    def test_distinct_isas_get_distinct_kernels(self, generations):
+        t128 = target_for_machine(RVV_EDGE_VLEN128)
+        t256 = target_for_machine(RVV_SERVER_VLEN256)
+        assert t128 is not t256
+        assert t128.lib["lanes"] == 4
+        assert t256.lib["lanes"] == 8
+        k128, k256 = t128.get(8, 8), t256.get(8, 8)
+        assert k128 is not k256
+        assert (k128.lanes, k256.lanes) == (4, 8)
+        assert sum(generations.values()) == 2
+
+    def test_rvv_run_generates_no_neon_kernel(self, generations):
+        from repro.eval.harness import EvalContext, plane_chunk_plans
+
+        ctx = EvalContext(machine=RVV_EDGE_VLEN128)
+        ctx.exo_trace(*ctx.main_tile)
+        # a ragged plane: full-width parts plus reduced-vsetvl tails
+        assert len(plane_chunk_plans(ctx, 10, 16, 8, 12)) == 4
+        assert generations
+        neon = id(target("neon").lib)
+        assert all(key[2] != neon for key in generations)
+
+    def test_registry_for_machine_is_the_machines_target(self):
+        assert reg.registry_for_machine(CARMEL) is target("neon")
+        machine = RVV_SERVER_VLEN256
+        assert reg.registry_for_machine(machine) is target("rvv256")
+        kernel = reg.registry_for_machine(machine).get(8, 8)
+        assert kernel is target("rvv256").get(8, 8)
+
+
 class TestKernelStore:
     def test_same_key_returns_the_same_kernel(self, generations):
         k = gen.stored_microkernel(4, 4, NEON_F32_LIB)
@@ -106,14 +108,12 @@ class TestKernelStore:
         assert str(k_twin.proc) == str(k.proc)
         assert sum(generations.values()) == 2
 
-    def test_registry_vla_parts_and_verifier_share_kernels(
-        self, generations, clean_registries
-    ):
+    def test_target_vla_parts_and_verifier_share_kernels(self, generations):
         from repro.analysis.verifier import verify_tile
         from repro.eval.harness import EvalContext, plane_chunk_plans
         from repro.isa.targets import target
 
-        body = reg.registry_for_machine(RVV_EDGE_VLEN128).get(4, 4)
+        body = target("rvv128").get(4, 4)
         first = gen.generate_vla_microkernel(
             5, 4, target("rvv128").lib_factory
         )
@@ -135,7 +135,7 @@ class TestKernelStore:
         assert sum(generations.values()) == built
 
     def test_cold_eval_builds_each_kernel_once(
-        self, generations, clean_registries, monkeypatch, tmp_path
+        self, generations, monkeypatch, tmp_path
     ):
         from repro.eval import __main__ as eval_cli
         from repro.eval import harness

@@ -27,17 +27,18 @@ from repro.isa.rvv import (
     make_rvv_f32_lib,
     rvv_lib_factory,
 )
-from repro.isa.targets import ISA_TARGETS, family_for_lanes, target
+from repro.isa.targets import (
+    ISA_TARGETS,
+    family_for_lanes,
+    target,
+    target_for_machine,
+)
 from repro.ukernel.generator import (
     generate_microkernel,
     generate_vla_microkernel,
     make_reference_kernel,
 )
-from repro.ukernel.registry import (
-    DEFAULT_FAMILY,
-    registry_for_machine,
-    select_kernel_for,
-)
+from repro.ukernel.registry import select_kernel_for
 
 
 def run_and_check(kernel, kc=7, seed=0):
@@ -261,7 +262,7 @@ class TestRvvSimulation:
         shape, breakdown = select_kernel_for(
             96, 96, 96, machine=RVV_SERVER_VLEN256
         )
-        assert shape in registry_for_machine(RVV_SERVER_VLEN256).family_shapes
+        assert shape in target("rvv256").family
         assert breakdown.gflops > 0
 
     def test_gemm_model_uses_vla_exact_cover(self):
@@ -284,8 +285,10 @@ class TestTargetsRegistry:
             assert name in ISA_TARGETS
 
     def test_family_matches_lanes(self):
-        assert target("neon").family == DEFAULT_FAMILY
-        assert family_for_lanes(4) == DEFAULT_FAMILY
+        # the paper's Figure 13/15 family
+        paper = tuple((h, w) for h in (8, 4, 1) for w in (12, 8, 4))
+        assert target("neon").family == paper
+        assert family_for_lanes(4) == paper
         # wider ISAs shed the tallest tiles to stay inside 32 registers
         assert target("rvv256").family[0] == (8, 24)
 
@@ -307,10 +310,10 @@ class TestTargetsRegistry:
             machine_by_name("z80")
 
     def test_registry_shares_kernels_per_isa(self):
-        r1 = registry_for_machine(RVV_EDGE_VLEN128)
-        r2 = registry_for_machine(RVV_EDGE_VLEN128)
-        assert r1 is r2
-        assert r1.lib["lanes"] == 4
+        t = target_for_machine(RVV_EDGE_VLEN128)
+        assert t is target("rvv128")
+        assert t.lib["lanes"] == 4
+        assert t.get(4, 4) is target_for_machine(RVV_EDGE_VLEN128).get(4, 4)
 
 
 # ---------------------------------------------------------------------------

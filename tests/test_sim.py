@@ -90,7 +90,6 @@ class TestPricingInputsBuiltOnce:
         from repro.serve.executor import ModelExecutor
         from repro.sim import pipeline
         from repro.ukernel.generator import generate_vla_microkernel
-        from repro.ukernel.registry import registry_for_machine
 
         built = []
         build = pipeline._build_trace
@@ -109,7 +108,7 @@ class TestPricingInputsBuiltOnce:
         monkeypatch.setattr(pipeline, "_build_trace", counting_build)
         monkeypatch.setattr(verifier, "_check_census", recording_check)
 
-        kernel = registry_for_machine(CARMEL).get(8, 12)
+        kernel = target("neon").get(8, 12)
         one, two = EvalContext(machine=CARMEL), EvalContext(machine=CARMEL)
         trace = one.exo_trace(8, 12)
         assert two.exo_trace(8, 12) is trace
