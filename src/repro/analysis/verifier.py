@@ -939,15 +939,16 @@ def verify_tile(
 ) -> Report:
     """Verify the kernels an ISA runs for one tile (its ``tile_parts``).
 
-    A tile whose height is not a lane multiple on a VLA target verifies
-    as a plan (report ``vla_<mr>x<nr>``), also when its one part is the
-    full-width 1-row kernel; every other tile is its one stored kernel.
+    A tile that runs more than one part verifies as a plan (report
+    ``vla_<mr>x<nr>``); a one-part tile is its one stored kernel, under
+    that kernel's name (the 1-row tiles of a VLA target run the same
+    ``uk_1x<nr>`` row kernel a packed target does).
     """
     from repro.isa.targets import target as isa_target
 
     t = isa_target(isa)
     parts = t.tile_parts(mr, nr)
-    if t.vla and mr % t.lib["lanes"]:
+    if len(parts) > 1:
         return verify_plan(
             parts, mr, nr, machine=t.machine, registers=registers
         )

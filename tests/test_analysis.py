@@ -35,6 +35,7 @@ from repro.analysis import (
     verify_kernel,
     verify_plan,
     verify_target,
+    verify_tile,
 )
 from repro.analysis.__main__ import main as check_main
 from repro.core.loopir import Call, For, Interval, WindowExpr, update
@@ -84,6 +85,16 @@ def test_verify_target_covers_family_and_vla_tails(isa):
         # the ragged tiles exercise the reduced-AVL vsetvl tail plans
         assert any(r.name.startswith("vla_") for r in reports)
 
+
+def test_a_tile_is_a_plan_only_with_several_parts():
+    # the 1-row tile runs the one row kernel Neon runs, and reports so
+    assert [k.name for _, k in target("rvv128").tile_parts(1, 12)] == [
+        "uk_1x12_f32_row"
+    ]
+    assert verify_tile("rvv128", 1, 12).name == "uk_1x12_f32_row"
+    assert verify_tile("neon", 1, 12).name == "uk_1x12_f32_row"
+    assert len(target("rvv128").tile_parts(5, 12)) == 2
+    assert verify_tile("rvv128", 5, 12).name == "vla_5x12"
 
 
 # ---------------------------------------------------------------------------
