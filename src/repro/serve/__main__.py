@@ -100,8 +100,8 @@ def _shared_options() -> argparse.ArgumentParser:
         "--model",
         default="resnet50",
         choices=SERVABLE_MODELS,
-        help="model to serve; live: the default single pool's "
-        "(default resnet50)",
+        help="model to serve (live: the default single pool's model; "
+        "default resnet50)",
     )
     parser.add_argument(
         "--arrivals",
@@ -126,7 +126,7 @@ def _shared_options() -> argparse.ArgumentParser:
         "--seed",
         type=int,
         default=0,
-        help="trace seed, and live the request-mix seed (default 0)",
+        help="trace seed (live: also the request-mix seed; default 0)",
     )
     parser.add_argument(
         "--slo-p99",
@@ -157,15 +157,15 @@ def _shared_options() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help="write a Chrome trace-event JSON (+ .jsonl event log) of "
-        "the request lifecycle (the planner's winning configuration, "
-        "stamped in virtual sim time)",
+        "the winning configuration, stamped in virtual sim time (live: "
+        "of the request lifecycle)",
     )
     parser.add_argument(
         "--metrics",
         default=None,
         metavar="PATH",
-        help="write the metrics registry as JSON (+ .prom text format); "
-        "live, it includes the admitted/shed counters",
+        help="write the metrics registry as JSON (+ .prom text format; "
+        "live: with the admitted/shed counters)",
     )
     obslib.add_logging_args(parser)
     return parser

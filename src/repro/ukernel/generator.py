@@ -247,9 +247,10 @@ def stored_microkernel(
     """The ``mr x nr`` kernel for ``lib``, generated once per process.
 
     Every consumer — :meth:`repro.isa.targets.IsaTarget.get`, the VLA
-    tiles' parts, the verifier and the tuner — reads kernels from this one store, so equal
-    requests share one :class:`GeneratedKernel`.  Libraries are told apart
-    by identity: a reduced-AVL ``vsetvl`` library is its own library.
+    tiles' parts, the verifier and the tuner — reads kernels from this
+    one store, so equal requests share one :class:`GeneratedKernel`.
+    Libraries are told apart by identity: a reduced-AVL ``vsetvl``
+    library is its own library.
     "auto" is resolved first, so it shares the entry of the flavour it
     picks.
     """

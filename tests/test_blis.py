@@ -105,7 +105,9 @@ class TestPacking:
 class TestBlisGemmDriver:
     @pytest.fixture(scope="class")
     def engine(self, registry):
-        shapes = ((8, 12), (8, 8), (8, 4), (4, 12), (4, 8), (4, 4), (1, 12), (1, 8), (1, 4))
+        shapes = (
+            (8, 12), (8, 8), (8, 4), (4, 12), (4, 8), (4, 4), (1, 12), (1, 8), (1, 4)
+        )
         kernels = {s: registry.get(*s) for s in shapes}
         # tiny tiles so small tests exercise all five loops
         return BlisGemm(kernels, tiles=TileParams(mc=16, kc=8, nc=24, mr=8, nr=12))

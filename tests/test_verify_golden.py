@@ -5,8 +5,8 @@ The stdout of ``python -m repro.analysis verify --isa all`` (one ``ok
 summary) must hash (sha256) to ``tests/data/verify_golden.json``.  The
 report names tell the two kinds of tile apart: ``uk_*`` is a tile of
 one stored kernel, ``vla_*`` a VLA tile of several parts verified as a
-plan.  A refactor of
-how targets turn tiles into kernels must leave the digest unchanged.
+plan.  A refactor of how targets turn tiles into kernels must leave the
+digest unchanged.
 Regenerate the pin only when a change to the verified set is intended::
 
     PYTHONPATH=src python tests/test_verify_golden.py --write
