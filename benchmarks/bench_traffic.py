@@ -3,7 +3,8 @@
 The serving docs promise O(requests) trace generation — million-request
 traces in seconds — and a live plane whose virtual-time simulation is
 fast enough to replay heavy traffic in CI.  This module records both
-as rates (requests per second of the benchmark's median time): MMPP
+as rates (requests per second of the benchmark's median time, or of
+the one timed call under ``--benchmark-disable``): MMPP
 and diurnal generation at one million requests, and the end-to-end
 live plane (admission, queueing, batch forming, virtual timeline) on a
 mock controller next to the offline ``simulate_serving`` loop on the
@@ -11,6 +12,8 @@ same trace — the pair whose ratio is the live plane's overhead.
 """
 
 from __future__ import annotations
+
+import time
 
 from repro.isa.machine import CARMEL
 from repro.serve import (
@@ -31,8 +34,23 @@ from repro.serve.admission import AdmissionPolicy
 MILLION_MS = 1_000_000.0 / 2_000.0 * 1_000.0  # 2000 rps mean for 500 s
 
 
+def _timed(benchmark, fn, *args, **kwargs):
+    """``fn``'s result under the fixture and its median seconds.
+
+    Under ``--benchmark-disable`` the fixture runs ``fn`` once and keeps
+    no stats, so that one call is timed here instead.
+    """
+    start = time.perf_counter()
+    result = benchmark(fn, *args, **kwargs)
+    elapsed = time.perf_counter() - start
+    if benchmark.stats is None:
+        return result, elapsed
+    return result, benchmark.stats.stats.median
+
+
 def test_mmpp_generation_rate(benchmark):
-    trace = benchmark(
+    trace, median_s = _timed(
+        benchmark,
         mmpp_trace,
         rates_rps=(1000.0, 3000.0),
         mean_dwell_ms=250.0,
@@ -46,13 +64,14 @@ def test_mmpp_generation_rate(benchmark):
         isa="neon",
         threads=1,
         metric="mmpp_requests_per_s",
-        value=n / benchmark.stats.stats.median,
+        value=n / median_s,
     )
     print(f"\n  mmpp drew {n} requests over {MILLION_MS / 1e3:.0f} s")
 
 
 def test_diurnal_generation_rate(benchmark):
-    trace = benchmark(
+    trace, median_s = _timed(
+        benchmark,
         diurnal_trace,
         base_rps=500.0,
         peak_rps=3500.0,
@@ -67,7 +86,7 @@ def test_diurnal_generation_rate(benchmark):
         isa="neon",
         threads=1,
         metric="diurnal_requests_per_s",
-        value=n / benchmark.stats.stats.median,
+        value=n / median_s,
     )
     print(f"\n  diurnal drew {n} requests over {MILLION_MS / 1e3:.0f} s")
 
@@ -104,10 +123,10 @@ def test_live_plane_sim_throughput(benchmark):
             )
         return run_trace(plane, arrivals)
 
-    result = benchmark(run)
+    result, median_s = _timed(benchmark, run)
     assert result.arrived == len(arrivals)
     assert len(result.served) + len(result.shed) == result.arrived
-    rate = result.arrived / benchmark.stats.stats.median
+    rate = result.arrived / median_s
     benchmark.extra_info.update(
         machine="carmel",
         isa="neon",
@@ -136,11 +155,16 @@ def test_offline_sim_throughput(benchmark):
     def service_ms(batch):
         return REPLAY_BASE_MS + REPLAY_PER_ITEM_MS * batch
 
-    result = benchmark(
-        simulate_serving, trace, REPLAY_POOL.replicas, policy, service_ms
+    result, median_s = _timed(
+        benchmark,
+        simulate_serving,
+        trace,
+        REPLAY_POOL.replicas,
+        policy,
+        service_ms,
     )
     assert len(result.served) == len(trace)
-    rate = len(trace) / benchmark.stats.stats.median
+    rate = len(trace) / median_s
     benchmark.extra_info.update(
         machine="carmel",
         isa="neon",

@@ -18,10 +18,14 @@ properties the rest of the system silently assumes:
 * **register pressure** — the distinct vector registers the kernel
   names fit the target's architectural register file
   (:mod:`repro.isa.targets` / :mod:`repro.isa.machine`);
-* **instruction census** — an independent static count of the k-loop
-  instruction stream agrees with the trace the timing model
+* **instruction census** — a per-phase count of the kernel's
+  instructions agrees with the trace the timing model
   (:mod:`repro.sim.pipeline`) prices, so codegen/cost-model drift
-  becomes a named error instead of a silently mispriced kernel.
+  becomes a named error instead of a silently mispriced kernel.  Both
+  read one unroll of the kernel (``GeneratedKernel.unrolled``); the
+  operand classification by effect, the loop bookkeeping, flops/iter,
+  ``fma x lanes`` and the prologue and epilogue cross-checks stay the
+  verifier's own.
 
 Every violation is a :class:`Finding` with a stable error code (the
 catalogue lives in ``docs/analysis.md``); :func:`verify_kernel`,
@@ -35,13 +39,12 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.affine import LinExpr, linearize, try_constant
-from repro.core.codegen.asm import _find_k_loop, _window_key
+from repro.core.codegen.asm import Step
 from repro.core.loopir import (
     Alloc,
     Assign,
     BinOp,
     Call,
-    Const,
     Expr,
     For,
     Interval,
@@ -55,8 +58,7 @@ from repro.core.loopir import (
     WindowExpr,
 )
 from repro.core.prelude import CodegenError, Sym
-from repro.core.traversal import subst_stmts
-from repro.core.typesys import INDEX, SizeType, TensorType
+from repro.core.typesys import SizeType, TensorType
 
 __all__ = [
     "Finding",
@@ -510,43 +512,52 @@ class _Event:
     dest: Optional[tuple]
 
 
-def _safe_key(w: WindowExpr) -> Optional[tuple]:
-    try:
-        return _window_key(w)
-    except CodegenError:
-        return None
+def _collect_events(steps: Sequence[Step], report: Report) -> List[_Event]:
+    """Classify the kernel's unrolled stream into phase-tagged events.
 
-
-def _collect_events(ir: Proc, report: Report) -> List[_Event]:
-    """Flatten the proc into phase-tagged instruction events.
-
-    Static loops are fully unrolled (iterator substituted), so window
-    keys are exact register identities; the symbolic k-loop body is
-    walked once with ``k`` left free, which is sound because register
-    windows in a finished schedule never index by ``k``.
+    The stream (:func:`repro.core.codegen.asm.unroll_schedule`) unrolls
+    every static loop, so window keys are exact register identities;
+    the symbolic k-loop body is walked once with ``k`` left free, which
+    is sound because register windows in a finished schedule never
+    index by ``k``.  A non-static loop elsewhere cannot be counted: it
+    is a census drift, and the steps of its body are skipped.
     """
-    kloop = _find_k_loop(ir)
     events: List[_Event] = []
-
-    def emit(call: Call, phase: str) -> None:
-        info = call.proc.instr
+    for step in steps:
+        s = step.stmt
+        if step.dynamic or step.kind == "long":
+            continue
+        if step.kind == "loop":
+            report.add(
+                "E_COUNT_DRIFT",
+                f"non-static loop over {s.iter} inside the "
+                f"{step.phase} phase",
+            )
+            continue
+        if step.kind == "other":
+            if not isinstance(s, (Alloc, Pass)):
+                report.add(
+                    "E_COUNT_DRIFT",
+                    f"unexpected {type(s).__name__} in the {step.phase} "
+                    "phase of a finished schedule",
+                )
+            continue
+        info = s.proc.instr
         if info is None:
             report.add(
                 "E_COUNT_DRIFT",
-                f"call to non-instruction {call.proc.name} survives "
+                f"call to non-instruction {s.proc.name} survives "
                 "in the schedule",
             )
-            return
-        kinds = _classify_formals(call.proc)
+            continue
+        kinds = _classify_formals(s.proc)
         accumulate = False
         reads: List[tuple] = []
         writes: List[tuple] = []
         dest: Optional[tuple] = None
-        for formal, actual in zip(call.proc.args, call.args):
+        # a key is None for a scalar argument or an un-keyable window
+        for formal, key in zip(s.proc.args, step.keys):
             kind = kinds.get(formal.name)
-            if not isinstance(actual, WindowExpr):
-                continue
-            key = _safe_key(actual)
             if key is None:
                 continue
             if kind in ("read", "reduce"):
@@ -559,52 +570,15 @@ def _collect_events(ir: Proc, report: Report) -> List[_Event]:
                     accumulate = True
         events.append(
             _Event(
-                phase=phase,
+                phase=step.phase,
                 pipe=info.pipe,
-                name=call.proc.name,
+                name=s.proc.name,
                 accumulate=accumulate,
                 reads=reads,
                 writes=writes,
                 dest=dest,
             )
         )
-
-    def expand(block: Sequence[Stmt], phase: str) -> None:
-        for s in block:
-            if isinstance(s, Call):
-                emit(s, phase)
-            elif isinstance(s, For):
-                lo = try_constant(s.lo)
-                hi = try_constant(s.hi)
-                if lo is None or hi is None:
-                    report.add(
-                        "E_COUNT_DRIFT",
-                        f"non-static loop over {s.iter} inside the "
-                        f"{phase} phase",
-                    )
-                    continue
-                for i in range(lo, hi):
-                    expand(
-                        subst_stmts(s.body, {s.iter: Const(i, INDEX)}),
-                        phase,
-                    )
-            elif isinstance(s, (Alloc, Pass)):
-                pass
-            else:
-                report.add(
-                    "E_COUNT_DRIFT",
-                    f"unexpected {type(s).__name__} in the {phase} "
-                    "phase of a finished schedule",
-                )
-
-    phase = "pre"
-    for s in ir.body:
-        if s is kloop:
-            expand(kloop.body, "k")
-            phase = "post"
-            continue
-        if isinstance(s, (Call, For)):
-            expand([s], phase)
     return events
 
 
@@ -875,7 +849,7 @@ def verify_kernel(
                 f"in instruction {instr.name}: {finding.message}",
             )
 
-    events = _collect_events(ir, report)
+    events = _collect_events(kernel.unrolled, report)
     census = _check_events(
         events, _register_buffers(ir), registers, report
     )

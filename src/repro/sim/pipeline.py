@@ -23,9 +23,11 @@ Steady-state cycles per k-iteration are measured by simulating a window of
 iterations and differencing completion times across the middle of the run.
 
 Both inputs are built once per process.  :func:`trace_from_kernel`
-caches a kernel's trace on the :class:`GeneratedKernel` itself, so every
-consumer (eval contexts, serving executors, VLA part lists, the
-verifier) reads one :class:`KernelTrace` object; and
+reads the kernel's one unrolled instruction stream
+(``GeneratedKernel.unrolled``, which the verifier reads too) and caches
+the trace on the :class:`GeneratedKernel` itself, so every consumer
+(eval contexts, serving executors, VLA part lists, the verifier) reads
+one :class:`KernelTrace` object; and
 :meth:`PipelineModel.steady_cycles_per_iter` memoizes its schedule on
 that trace, keyed by exactly the machine fields the scheduler reads.
 Neither may be mutated once built.
@@ -47,9 +49,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.codegen.asm import _accumulates, _find_k_loop
-from repro.core.codegen.asm import _flatten_calls, _window_key
-from repro.core.loopir import Call, Proc, WindowExpr
+from repro.core.codegen.asm import Step, accumulates, k_loop_calls
+from repro.core.loopir import WindowExpr
 from repro.core.prelude import CodegenError
 from repro.isa.machine import CARMEL, MachineModel
 
@@ -113,50 +114,45 @@ def trace_from_kernel(kernel, extra_alu_per_iter: int = 0) -> KernelTrace:
 
 
 def _build_trace(kernel, extra_alu_per_iter: int) -> KernelTrace:
-    ir: Proc = kernel.proc.ir
-    kloop = _find_k_loop(ir)
-    calls = _flatten_calls(kloop.body)
-    ops: List[TraceOp] = []
-    for call in calls:
-        ops.append(_op_from_call(call))
+    steps = kernel.unrolled
+    ops = [_op_from_step(step) for step in k_loop_calls(steps)]
     for _ in range(extra_alu_per_iter):
         ops.append(TraceOp("alu", 1, None, (), name="addr"))
     # loop bookkeeping: increment, compare, branch
     for name in ("add", "cmp", "b"):
         ops.append(TraceOp("alu", 1, None, (), name=name))
-    pro, epi = _tile_transfer_ops(ir, kloop)
+    # the C tile transfers outside the k-loop; a non-static loop's body
+    # sits in the stream once
+    calls = [step.phase for step in steps if step.kind == "call"]
     return KernelTrace(
         ops=ops,
         flops_per_iter=kernel.flops_per_k(),
-        prologue_vector_ops=pro,
-        epilogue_vector_ops=epi,
+        prologue_vector_ops=calls.count("pre"),
+        epilogue_vector_ops=calls.count("post"),
     )
 
 
-def _op_from_call(call: Call) -> TraceOp:
+def _op_from_step(step: Step) -> TraceOp:
+    call = step.stmt
     info = call.proc.instr
     if info is None:
         raise CodegenError(f"call to non-instruction {call.proc.name}")
     dest: Optional[tuple] = None
     srcs: List[tuple] = []
     accumulate = False
-    formals = call.proc.args
     if info.pipe in ("load", "alu"):
         if call.args and isinstance(call.args[0], WindowExpr):
-            dest = _window_key(call.args[0])
-    elif info.pipe == "store":
-        for actual in call.args[1:]:
-            if isinstance(actual, WindowExpr):
-                srcs.append(_window_key(actual))
-    elif info.pipe == "fma":
-        dest = _window_key(call.args[0])
-
+            dest = step.key(0)
+    elif info.pipe in ("store", "fma"):
+        srcs = [
+            step.key(i) for i, actual in enumerate(call.args)
+            if i and isinstance(actual, WindowExpr)
+        ]
+    if info.pipe == "fma":
         # the first argument of every FMA-class instruction is dst (also read)
-        accumulate = _accumulates(call.proc.body)
-        for actual in call.args[1:]:
-            if isinstance(actual, WindowExpr):
-                srcs.append(_window_key(actual))
-        if accumulate and dest is not None:
+        dest = step.key(0)
+        accumulate = accumulates(call.proc.body)
+        if accumulate:
             srcs.append(dest)
     return TraceOp(
         pipe=info.pipe,
@@ -166,39 +162,6 @@ def _op_from_call(call: Call) -> TraceOp:
         accumulate=accumulate,
         name=call.proc.name,
     )
-
-
-def _tile_transfer_ops(ir: Proc, kloop) -> Tuple[int, int]:
-    """Count vector ops before and after the k-loop (C tile load/store)."""
-    from repro.core.loopir import For
-
-    def count_calls(block) -> int:
-        total = 0
-        for s in block:
-            if isinstance(s, Call):
-                total += 1
-            elif isinstance(s, For):
-
-                from repro.core.affine import try_constant
-
-                lo = try_constant(s.lo)
-                hi = try_constant(s.hi)
-                trip = (hi - lo) if (lo is not None and hi is not None) else 1
-                total += trip * count_calls(s.body)
-        return total
-
-    seen_k = False
-    pro = epi = 0
-    for s in ir.body:
-        if s is kloop:
-            seen_k = True
-            continue
-        n = count_calls([s]) if isinstance(s, (Call, For)) else 0
-        if seen_k:
-            epi += n
-        else:
-            pro += n
-    return pro, epi
 
 
 # ---------------------------------------------------------------------------

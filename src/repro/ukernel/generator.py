@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.core import DRAM, Procedure, proc
+from repro.core.codegen import asm
 from repro.core.scheduling import (
     autofission,
     bind_expr,
@@ -51,6 +52,7 @@ from repro.core.scheduling import (
 )
 
 if TYPE_CHECKING:
+    from repro.core.codegen.asm import Step
     from repro.sim.pipeline import KernelTrace
 
 
@@ -159,9 +161,9 @@ class GeneratedKernel:
             for inspection and for the generation tests.
         trace: the timing model's k-loop trace of ``proc``, built on
             first use by :func:`repro.sim.pipeline.trace_from_kernel`
-            and shared by every consumer.  It belongs to this ``proc``:
-            derive a changed kernel with ``dataclasses.replace``, which
-            starts without one.
+            and shared by every consumer.  It and :attr:`unrolled`
+            belong to this ``proc``: derive a changed kernel with
+            ``dataclasses.replace``, which starts without either.
     """
 
     proc: Procedure
@@ -178,6 +180,12 @@ class GeneratedKernel:
     @property
     def name(self) -> str:
         return self.proc.name()
+
+    @functools.cached_property
+    def unrolled(self) -> Tuple[Step, ...]:
+        """``proc``'s instruction stream (:func:`~repro.core.codegen.asm.
+        unroll_schedule`), read by the trace and the verifier."""
+        return asm.unroll_schedule(self.proc.ir)
 
     def flops_per_k(self) -> int:
         return 2 * self.mr * self.nr

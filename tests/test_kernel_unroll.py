@@ -331,3 +331,30 @@ def test_scaled_kernel_verifier_findings_are_pinned():
         "holds 32",
         "prologue census finds 98 ops but the timing model amortizes 107",
     ]
+
+
+# ---------------------------------------------------------------------------
+# one unroll per kernel
+
+
+def test_verify_and_trace_share_one_unroll(monkeypatch):
+    from repro.core.codegen import asm
+    from repro.isa.neon import NEON_F32_LIB
+    from repro.ukernel.generator import generate_microkernel
+
+    unrolled = []
+    unroll = asm.unroll_schedule
+
+    def counted(ir):
+        unrolled.append(ir)
+        return unroll(ir)
+
+    monkeypatch.setattr(asm, "unroll_schedule", counted)
+    kernel = generate_microkernel(8, 12, NEON_F32_LIB)
+    assert verify_kernel(kernel).ok
+    trace_from_kernel(kernel)
+    trace_from_kernel(kernel, extra_alu_per_iter=2)
+    assert unrolled == [kernel.proc.ir]
+    # the stream belongs to its proc: a replaced kernel unrolls anew
+    trace_from_kernel(dataclasses.replace(kernel))
+    assert len(unrolled) == 2
