@@ -555,11 +555,10 @@ def _collect_events(steps: Sequence[Step], report: Report) -> List[_Event]:
         reads: List[tuple] = []
         writes: List[tuple] = []
         dest: Optional[tuple] = None
-        # a key is None for a scalar argument or an un-keyable window
-        for formal, key in zip(s.proc.args, step.keys):
+        for formal, actual, key in zip(s.proc.args, s.args, step.args):
             kind = kinds.get(formal.name)
-            if key is None:
-                continue
+            if not isinstance(actual, WindowExpr) or key is None:
+                continue  # a scalar, or a window with no register key
             if kind in ("read", "reduce"):
                 reads.append(key)
             if kind in ("write", "reduce"):

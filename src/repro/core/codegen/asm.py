@@ -92,32 +92,31 @@ def accumulates(block) -> bool:
 UNROLL_BOUND = 64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Step:
     """One entry of a finished schedule's unrolled instruction stream.
 
     ``phase`` is ``pre``, ``k`` (the k-loop body, walked once with the
-    k iterator left free) or ``post``; ``env`` holds the values of the
-    loops unrolled around ``stmt``.  ``kind`` is ``call`` (one instance
-    of a call), ``loop`` (a non-static loop: its body follows once, the
-    iterator left free), ``long`` (a static loop longer than
+    k iterator left free) or ``post``.  ``kind`` is ``call`` (one
+    instance of a call), ``loop`` (a non-static loop: its body follows
+    once, the iterator left free), ``long`` (a static loop longer than
     ``UNROLL_BOUND``: its unrolled body follows) or ``other`` (any other
-    statement inside a loop).  ``keys`` gives a call's register key per
-    argument: the buffer and each index's affine form under ``env``,
-    None for a scalar or a window not affine even then.  ``dynamic``
+    statement inside a loop).  ``args`` resolves a call's arguments
+    under the values of the loops unrolled around it: a window's
+    register key (the buffer and each index's affine form), a scalar's
+    affine form, None where either is not affine even then.  ``dynamic``
     marks a step inside a non-static loop.
     """
 
     phase: str
     kind: str
     stmt: Stmt
-    env: Dict[Sym, int]
-    keys: Tuple[Optional[tuple], ...] = ()
+    args: Tuple[Optional[tuple], ...] = ()
     dynamic: bool = False
 
     def key(self, i: int) -> tuple:
         """The register key of window argument ``i``."""
-        key = self.keys[i]
+        key = self.args[i]
         if key is None:
             raise CodegenError("non-affine index in assembly generation")
         return key
@@ -140,8 +139,7 @@ def _resolved(e: Expr, env: Dict[Sym, int], lins: dict):
     return tuple(sorted((s.id, c) for s, c in terms if s not in env)), offset
 
 
-def _constant(e: Expr, env: Dict[Sym, int], lins: dict) -> Optional[int]:
-    resolved = _resolved(e, env, lins)
+def _constant(resolved) -> Optional[int]:
     return None if resolved is None or resolved[0] else resolved[1]
 
 
@@ -175,29 +173,34 @@ def unroll_schedule(ir: Proc) -> Tuple[Step, ...]:
     kloop = _find_k_loop(ir)
     steps: List[Step] = []
     lins: dict = {}
+    # equal keys share one tuple: the stream lives as long as its kernel
+    interned: dict = {}
+
+    def resolve(a: Expr, env: Dict[Sym, int]):
+        if isinstance(a, WindowExpr):
+            arg = _window_key(a, env, lins)
+        else:
+            arg = _resolved(a, env, lins)
+        return arg if arg is None else interned.setdefault(arg, arg)
 
     def walk(block, phase: str, env: Dict[Sym, int], dynamic: bool):
         for s in block:
             if isinstance(s, Call):
-                keys = tuple(
-                    _window_key(a, env, lins)
-                    if isinstance(a, WindowExpr) else None
-                    for a in s.args
-                )
-                steps.append(Step(phase, "call", s, env, keys, dynamic))
+                args = tuple(resolve(a, env) for a in s.args)
+                steps.append(Step(phase, "call", s, args, dynamic))
             elif isinstance(s, For):
-                lo = _constant(s.lo, env, lins)
-                hi = _constant(s.hi, env, lins)
+                lo = _constant(_resolved(s.lo, env, lins))
+                hi = _constant(_resolved(s.hi, env, lins))
                 if lo is None or hi is None:
-                    steps.append(Step(phase, "loop", s, env, (), dynamic))
+                    steps.append(Step(phase, "loop", s, (), dynamic))
                     walk(s.body, phase, env, True)
                     continue
                 if hi - lo > UNROLL_BOUND:
-                    steps.append(Step(phase, "long", s, env, (), dynamic))
+                    steps.append(Step(phase, "long", s, (), dynamic))
                 for i in range(lo, hi):
                     walk(s.body, phase, {**env, s.iter: i}, dynamic)
             else:
-                steps.append(Step(phase, "other", s, env, (), dynamic))
+                steps.append(Step(phase, "other", s, (), dynamic))
 
     phase = "pre"
     for s in ir.body:
@@ -278,9 +281,9 @@ def proc_to_asm(ir: Proc) -> AsmTrace:
                 if isinstance(actual, WindowExpr):
                     srcs.append(vreg(step.key(i)))
                 else:
-                    lane = actual
+                    lane = i
             if lane is not None:
-                lane_txt = _render_lane(lane, step.env)
+                lane_txt = _render_lane(call.args[lane], step.args[lane])
                 text = f"fmla {acc}.4s, {srcs[0]}.4s, {srcs[1]}.s[{lane_txt}]"
             elif len(srcs) == 2:
                 text = f"fmla {acc}.4s, {srcs[0]}.4s, {srcs[1]}.4s"
@@ -297,8 +300,8 @@ def proc_to_asm(ir: Proc) -> AsmTrace:
     return AsmTrace(ops=ops, reg_count=len(registers))
 
 
-def _render_lane(lane: Expr, env: Dict[Sym, int]) -> str:
-    val = _constant(lane, env, {})
+def _render_lane(lane: Expr, resolved) -> str:
+    val = _constant(resolved)
     if val is not None:
         return str(val)
     if isinstance(lane, Read):

@@ -143,15 +143,18 @@ def _op_from_step(step: Step) -> TraceOp:
     if info.pipe in ("load", "alu"):
         if call.args and isinstance(call.args[0], WindowExpr):
             dest = step.key(0)
-    elif info.pipe in ("store", "fma"):
-        srcs = [
-            step.key(i) for i, actual in enumerate(call.args)
-            if i and isinstance(actual, WindowExpr)
-        ]
-    if info.pipe == "fma":
-        # the first argument of every FMA-class instruction is dst (also read)
+    elif info.pipe == "store":
+        for i, actual in enumerate(call.args[1:], 1):
+            if isinstance(actual, WindowExpr):
+                srcs.append(step.key(i))
+    elif info.pipe == "fma":
         dest = step.key(0)
+
+        # the first argument of every FMA-class instruction is dst (also read)
         accumulate = accumulates(call.proc.body)
+        for i, actual in enumerate(call.args[1:], 1):
+            if isinstance(actual, WindowExpr):
+                srcs.append(step.key(i))
         if accumulate:
             srcs.append(dest)
     return TraceOp(
