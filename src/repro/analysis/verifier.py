@@ -40,6 +40,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.affine import LinExpr, linearize, try_constant
 from repro.core.codegen.asm import Step
+from repro.core.effects import classify_formals
 from repro.core.loopir import (
     Alloc,
     Assign,
@@ -187,66 +188,6 @@ def _numeric_range(
             lo += coeff * bhi.offset
             hi += coeff * blo.offset
     return (lo, hi)
-
-
-# ---------------------------------------------------------------------------
-# Instruction-call classification
-# ---------------------------------------------------------------------------
-
-#: ``id(proc) -> (proc, kinds)``; the entry pins its proc, so a freed
-#: proc's ``id`` is never reused while the entry lives.
-_classify_cache: Dict[int, Tuple[Proc, Dict[Sym, str]]] = {}
-
-
-def _classify_formals(proc: Proc) -> Dict[Sym, str]:
-    """Access direction of each formal: 'read', 'write' or 'reduce'.
-
-    Derived from the callee's own body (which formals appear as
-    assignment / reduction targets, which only in right-hand sides),
-    so the verifier never guesses operand direction from position.
-    """
-    cached = _classify_cache.get(id(proc))
-    if cached is not None and cached[0] is proc:
-        return cached[1]
-    kinds: Dict[Sym, str] = {}
-
-    def note(sym: Sym, kind: str) -> None:
-        prev = kinds.get(sym)
-        if prev is None:
-            kinds[sym] = kind
-        elif prev != kind:
-            # any write + any read -> reduce (read-modify-write)
-            kinds[sym] = "reduce" if "read" in (prev, kind) else kind
-
-    def reads(e: Expr) -> None:
-        if isinstance(e, Read):
-            note(e.name, "read")
-            for i in e.idx:
-                reads(i)
-        elif isinstance(e, BinOp):
-            reads(e.lhs)
-            reads(e.rhs)
-        elif isinstance(e, USub):
-            reads(e.arg)
-
-    def walk(block: Sequence[Stmt]) -> None:
-        for s in block:
-            if isinstance(s, (Assign, Reduce)):
-                for i in s.idx:
-                    reads(i)
-                reads(s.rhs)
-                note(s.name, "reduce" if isinstance(s, Reduce) else "write")
-            elif isinstance(s, For):
-                walk(s.body)
-            elif isinstance(s, Call):
-                for formal, actual in zip(s.proc.args, s.args):
-                    kind = _classify_formals(s.proc).get(formal.name)
-                    if kind and isinstance(actual, (Read, WindowExpr)):
-                        note(actual.name, kind)
-
-    walk(proc.body)
-    _classify_cache[id(proc)] = (proc, kinds)
-    return kinds
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +491,7 @@ def _collect_events(steps: Sequence[Step], report: Report) -> List[_Event]:
                 "in the schedule",
             )
             continue
-        kinds = _classify_formals(s.proc)
+        kinds = classify_formals(s.proc)
         accumulate = False
         reads: List[tuple] = []
         writes: List[tuple] = []
@@ -738,7 +679,8 @@ def _check_census(
 # Instruction-proc verification (the callee side of the contract)
 # ---------------------------------------------------------------------------
 
-#: ``id(proc) -> (proc, findings)``, pinned like ``_classify_cache``
+#: ``id(proc) -> (proc, findings)``; the entry pins its proc, like
+#: ``repro.core.effects.classify_formals``'s memo
 _instr_checked: Dict[int, Tuple[Proc, List[Finding]]] = {}
 
 
@@ -818,26 +760,17 @@ def _instr_procs(ir: Proc) -> List[Proc]:
 # ---------------------------------------------------------------------------
 
 
-def verify_kernel(
-    kernel,
-    machine=None,
-    registers: Optional[int] = None,
-    trace=None,
-) -> Report:
+def verify_kernel(kernel, machine=None) -> Report:
     """Run every static check over one :class:`GeneratedKernel`.
 
-    ``registers`` overrides the architectural vector-register budget
-    (default: the machine's ``vector_registers``, else 32).  ``trace``
-    supplies the timing-model trace to cross-check; when omitted it is
-    built with :func:`repro.sim.pipeline.trace_from_kernel`, so the
-    census always compares against exactly what the model prices.
+    The vector-register budget is the machine's ``vector_registers``
+    (32 without a machine).  The census cross-checks the kernel's trace
+    (:func:`repro.sim.pipeline.trace_from_kernel`, cached on the kernel),
+    so it always compares against exactly what the model prices.
     """
     report = Report(kernel.name)
     ir: Proc = kernel.proc.ir
-    if registers is None:
-        registers = (
-            machine.vector_registers if machine is not None else 32
-        )
+    registers = machine.vector_registers if machine is not None else 32
 
     bounds = _BoundsPass(ir, report)
     bounds.run(ir.body)
@@ -853,28 +786,21 @@ def verify_kernel(
         events, _register_buffers(ir), registers, report
     )
 
-    if trace is None:
-        try:
-            from repro.sim.pipeline import trace_from_kernel
+    try:
+        from repro.sim.pipeline import trace_from_kernel
 
-            trace = trace_from_kernel(kernel)
-        except CodegenError as exc:
-            report.add(
-                "E_COUNT_DRIFT",
-                f"timing model cannot trace the kernel: {exc}",
-            )
-            trace = None
+        trace = trace_from_kernel(kernel)
+    except CodegenError as exc:
+        report.add(
+            "E_COUNT_DRIFT",
+            f"timing model cannot trace the kernel: {exc}",
+        )
+        trace = None
     _check_census(census, kernel, trace, report)
     return report
 
 
-def verify_plan(
-    parts,
-    mr: int,
-    nr: int,
-    machine=None,
-    registers: Optional[int] = None,
-) -> Report:
+def verify_plan(parts, mr: int, nr: int, machine=None) -> Report:
     """Verify the ``(row_offset, kernel)`` parts of an ``mr x nr`` VLA
     tile: every part plus row coverage.
 
@@ -892,7 +818,7 @@ def verify_plan(
                 f"[{expect_off}, {off}) are uncovered",
             )
         expect_off = off + part.mr
-        sub = verify_kernel(part, machine=machine, registers=registers)
+        sub = verify_kernel(part, machine=machine)
         for finding in sub.findings:
             report.add(
                 finding.code,
@@ -907,9 +833,7 @@ def verify_plan(
     return report
 
 
-def verify_tile(
-    isa: str, mr: int, nr: int, registers: Optional[int] = None
-) -> Report:
+def verify_tile(isa: str, mr: int, nr: int) -> Report:
     """Verify the kernels an ISA runs for one tile (its ``tile_parts``).
 
     A tile that runs more than one part verifies as a plan (report
@@ -922,11 +846,9 @@ def verify_tile(
     t = isa_target(isa)
     parts = t.tile_parts(mr, nr)
     if len(parts) > 1:
-        return verify_plan(
-            parts, mr, nr, machine=t.machine, registers=registers
-        )
+        return verify_plan(parts, mr, nr, machine=t.machine)
     ((_, kernel),) = parts
-    return verify_kernel(kernel, machine=t.machine, registers=registers)
+    return verify_kernel(kernel, machine=t.machine)
 
 
 def _ragged_tiles(t) -> List[Tuple[int, int]]:

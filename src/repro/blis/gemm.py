@@ -19,6 +19,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.sim.memory import TileParams
+from repro.ukernel.edge import decompose_extent
 from repro.ukernel.generator import GeneratedKernel
 
 from .packing import load_c_tile, pack_a_panels, pack_b_panels, unpack_c_tile
@@ -47,30 +48,13 @@ class BlisGemm:
     # -- tiling decisions ------------------------------------------------------
 
     def m_chunks(self, m: int) -> List[int]:
-        """Split the m extent into kernel row heights (largest first)."""
-        heights = sorted({s[0] for s in self.kernels}, reverse=True)
-        chunks: List[int] = []
-        left = m
-        for h in heights:
-            while left >= h:
-                chunks.append(h)
-                left -= h
-        if left:
-            smallest = heights[-1]
-            chunks.append(smallest)  # padded tile over the ragged edge
-        return chunks
+        """Split the m extent into kernel row heights (largest first); a
+        ragged edge takes one padded tile of the smallest height."""
+        return decompose_extent(m, [s[0] for s in self.kernels])
 
     def n_chunks(self, n: int) -> List[int]:
-        widths = sorted({s[1] for s in self.kernels}, reverse=True)
-        chunks: List[int] = []
-        left = n
-        for w in widths:
-            while left >= w:
-                chunks.append(w)
-                left -= w
-        if left:
-            chunks.append(widths[-1])
-        return chunks
+        """Split the n extent into kernel widths, as :meth:`m_chunks`."""
+        return decompose_extent(n, [s[1] for s in self.kernels])
 
     def kernel_for(self, mr: int, nr: int) -> GeneratedKernel:
         try:

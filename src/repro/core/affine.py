@@ -163,15 +163,6 @@ def _structurally_equal(a: Expr, b: Expr) -> bool:
     return False
 
 
-def diff_constant(a: Expr, b: Expr) -> Optional[int]:
-    """Return the integer value of ``a - b`` when it is constant, else None."""
-    la, lb = linearize(a), linearize(b)
-    if la is None or lb is None:
-        return None
-    d = la.plus(lb, sign=-1)
-    return d.constant_value() if d.is_constant() else None
-
-
 def try_constant(e: Expr) -> Optional[int]:
     """Evaluate ``e`` to an integer when it contains no symbols."""
     lin = linearize(e)

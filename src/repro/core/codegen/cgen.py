@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..affine import try_constant
+from ..effects import access_kinds
 from ..loopir import (
     Alloc,
     Assign,
@@ -99,7 +100,6 @@ class _CGen:
         self.lines: List[str] = []
         self.depth = 1
         self.buf_info: Dict[Sym, tuple] = {}  # sym -> (type, mem, vectorized)
-        self.globals: List[str] = []
         self.isa_infos: List[IsaEmitInfo] = []  # dispatch entries in use
 
     # -- naming and layout ----------------------------------------------------
@@ -247,8 +247,6 @@ class _CGen:
             args = ", ".join(self.call_arg(a) for a in s.args)
             self.emit(f"{callee.name}({args});")
             return
-        if callee.instr.c_global and callee.instr.c_global not in self.globals:
-            self.globals.append(callee.instr.c_global)
         holes: Dict[str, str] = {}
         for formal in callee.args:
             if formal.mem is not None:
@@ -295,11 +293,13 @@ class _CGen:
 
     def generate(self) -> str:
         params = []
+        kinds = access_kinds(self.ir.body)
         for arg in self.ir.args:
             name = self.name(arg.name)
             if isinstance(arg.type, TensorType):
                 self.register_buffer(arg.name, arg.type, arg.mem or DRAM)
-                qual = "" if self._is_written(arg.name) else "const "
+                written = kinds.get(arg.name) in ("write", "reduce")
+                qual = "" if written else "const "
                 params.append(f"{qual}{arg.type.base.ctype()}* restrict {name}")
             elif arg.type.is_indexable():
                 params.append(f"int_fast32_t {name}")
@@ -314,16 +314,12 @@ class _CGen:
         # loop counters and size parameters are int_fast32_t
         includes = ["#include <stdint.h>"]
         includes += [i.header for i in self.isa_infos if i.header]
-        preamble = "\n".join(dict.fromkeys(includes + self.globals))
+        preamble = "\n".join(dict.fromkeys(includes))
         text = f"{header}\n{body}\n}}\n"
         if preamble:
             text = preamble + "\n\n" + text
         return text
 
-    def _is_written(self, sym: Sym) -> bool:
-        from ..effects import written_buffers_precise
-
-        return sym in written_buffers_precise(self.ir.body)
 
 
 def proc_to_c(ir: Proc) -> str:

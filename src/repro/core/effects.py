@@ -10,12 +10,17 @@ Two analyses live here:
   (:func:`stmt_effects`), with their index expressions.  ``autofission`` and
   ``reorder_loops`` consult these to reject transformations that would change
   observable behaviour.
+* **Operand directions** — whether a block reads, writes or reduces into
+  each buffer it names (:func:`access_kinds`), looking through calls into
+  the callee's body (:func:`classify_formals`, memoized per callee).  The
+  verifier reads an instruction's operand directions from it and C
+  emission its ``const`` parameters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .affine import linearize
 from .loopir import (
@@ -27,8 +32,10 @@ from .loopir import (
     Interval,
     Pass,
     Point,
+    Proc,
     Read,
     Reduce,
+    Stmt,
     StrideExpr,
     USub,
     WindowExpr,
@@ -108,13 +115,11 @@ def _expr_reads(e: Expr, out: List[Access]):
         pass
 
 
-def stmt_effects(stmts, arg_kinds: Dict[Sym, str] = None) -> List[Access]:
+def stmt_effects(stmts) -> List[Access]:
     """Flat list of accesses performed by a block, in program order.
 
     ``Call`` arguments are treated conservatively: every window/tensor
-    argument counts as both read and written unless the callee's signature
-    direction is supplied via ``arg_kinds`` keyed by position (unused today —
-    all our instruction calls are resolved before fission happens).
+    argument counts as both read and written.
     """
     out: List[Access] = []
 
@@ -155,31 +160,70 @@ def written_buffers(stmts) -> set:
     }
 
 
-def written_buffers_precise(stmts) -> set:
-    """Like :func:`written_buffers`, but call arguments are classified by
-    inspecting the callee's body (which formals it actually writes) instead
-    of conservatively counting every tensor argument as written."""
-    out: set = set()
+#: ``id(proc) -> (proc, kinds)``; the entry pins its proc, so a freed
+#: proc's ``id`` is never reused while the entry lives.
+_classify_cache: Dict[int, Tuple[Proc, Dict[Sym, str]]] = {}
 
-    def callee_written(proc) -> set:
-        return written_buffers_precise(proc.body)
 
-    def walk(block):
+def classify_formals(proc: Proc) -> Dict[Sym, str]:
+    """Access direction of each formal of ``proc``: 'read', 'write' or
+    'reduce' (see :func:`access_kinds`), memoized per proc."""
+    cached = _classify_cache.get(id(proc))
+    if cached is not None and cached[0] is proc:
+        return cached[1]
+    kinds = access_kinds(proc.body)
+    _classify_cache[id(proc)] = (proc, kinds)
+    return kinds
+
+
+def access_kinds(stmts: Sequence[Stmt]) -> Dict[Sym, str]:
+    """Access direction of each symbol a block names.
+
+    Derived from the block itself (which symbols appear as assignment /
+    reduction targets, which only in right-hand sides and indices), and
+    for a call from the callee's :func:`classify_formals`, so operand
+    direction is never guessed from position.  A symbol both read and
+    written is 'reduce' (read-modify-write).
+    """
+    kinds: Dict[Sym, str] = {}
+
+    def note(sym: Sym, kind: str) -> None:
+        prev = kinds.get(sym)
+        if prev is None:
+            kinds[sym] = kind
+        elif prev != kind:
+            # any write + any read -> reduce (read-modify-write)
+            kinds[sym] = "reduce" if "read" in (prev, kind) else kind
+
+    def reads(e: Expr) -> None:
+        if isinstance(e, Read):
+            note(e.name, "read")
+            for i in e.idx:
+                reads(i)
+        elif isinstance(e, BinOp):
+            reads(e.lhs)
+            reads(e.rhs)
+        elif isinstance(e, USub):
+            reads(e.arg)
+
+    def walk(block: Sequence[Stmt]) -> None:
         for s in block:
             if isinstance(s, (Assign, Reduce)):
-                out.add(s.name)
+                for i in s.idx:
+                    reads(i)
+                reads(s.rhs)
+                note(s.name, "reduce" if isinstance(s, Reduce) else "write")
             elif isinstance(s, For):
                 walk(s.body)
             elif isinstance(s, Call):
-                written_formals = callee_written(s.proc)
+                callee = classify_formals(s.proc)
                 for formal, actual in zip(s.proc.args, s.args):
-                    if formal.name not in written_formals:
-                        continue
-                    if isinstance(actual, (WindowExpr, Read)):
-                        out.add(actual.name)
+                    kind = callee.get(formal.name)
+                    if kind and isinstance(actual, (Read, WindowExpr)):
+                        note(actual.name, kind)
 
     walk(stmts)
-    return out
+    return kinds
 
 
 def read_buffers(stmts) -> set:

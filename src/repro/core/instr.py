@@ -6,8 +6,8 @@ plus backend metadata:
 
 * a C format string with ``{arg}`` / ``{arg_data}`` holes, spliced verbatim
   by the C code generator;
-* performance attributes (result latency, functional-unit class, issue
-  slots) consumed by the pipeline simulator.
+* performance attributes (result latency, functional-unit class) consumed
+  by the pipeline simulator.
 
 ``replace`` only substitutes an instruction for a loop nest after *unifying*
 the instruction's body against that nest — so a user can never swap in an
@@ -21,13 +21,7 @@ from .parser import parse_function
 from .proc import Procedure
 
 
-def instr(
-    c_instr: str,
-    c_global: str = "",
-    latency: int = 1,
-    pipe: str = "alu",
-    issue_slots: int = 1,
-):
+def instr(c_instr: str, latency: int = 1, pipe: str = "alu"):
     """Decorator factory attaching instruction metadata to a DSL procedure.
 
     Example::
@@ -39,13 +33,7 @@ def instr(
             for i in seq(0, 4):
                 dst[i] = src[i]
     """
-    info = InstrInfo(
-        c_instr=c_instr,
-        c_global=c_global,
-        latency=latency,
-        pipe=pipe,
-        issue_slots=issue_slots,
-    )
+    info = InstrInfo(c_instr=c_instr, latency=latency, pipe=pipe)
 
     def wrap(fn) -> Procedure:
         ir = parse_function(fn)

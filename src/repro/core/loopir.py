@@ -204,17 +204,15 @@ class InstrInfo:
 
     Attributes:
         c_instr: C format string with ``{arg}`` / ``{arg_data}`` holes.
-        c_global: optional C preamble (e.g. an ``#include``).
-        latency/pipe/issue_slots: performance-model metadata consumed by the
-            pipeline simulator (cycles of result latency, which functional
-            unit class executes it, and how many issue slots it occupies).
+        latency/pipe: performance-model metadata consumed by the pipeline
+            simulator (cycles of result latency, and which functional unit
+            class executes it).  The C headers an instruction needs come
+            from its memories' ``IsaEmitInfo.header``.
     """
 
     c_instr: str
-    c_global: str = ""
     latency: int = 1
     pipe: str = "alu"
-    issue_slots: int = 1
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@ from .buffers import (
     set_precision,
     stage_mem,
 )
-from .extra import cut_loop, fuse_loops, inline_call
 from .loops import autofission, divide_loop, fission, reorder_loops, unroll_loop
 from .replace import replace
 from .subst import rename, simplify
@@ -21,12 +20,9 @@ from .subst import rename, simplify
 __all__ = [
     "autofission",
     "bind_expr",
-    "cut_loop",
     "divide_loop",
     "expand_dim",
     "fission",
-    "fuse_loops",
-    "inline_call",
     "lift_alloc",
     "rename",
     "reorder_loops",

@@ -14,7 +14,7 @@ from .harness import (
     portability_solo_data,
     solo_sweep_data,
 )
-from .report import render_series, render_table
+from .report import render_table
 
 __all__ = [
     "EvalContext",
@@ -28,7 +28,6 @@ __all__ = [
     "fig18_vgg_time_data",
     "machine_context",
     "portability_solo_data",
-    "render_series",
     "render_table",
     "solo_sweep_data",
 ]

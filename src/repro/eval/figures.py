@@ -58,27 +58,3 @@ def bar_chart(
         lines.append("")
     return "\n".join(lines)
 
-
-def line_chart(
-    rows: Sequence[dict],
-    x: str,
-    series: Sequence[str],
-    title: str = "",
-    width: int = 40,
-) -> str:
-    """Render cumulative series as per-step bars (Figures 16 and 18)."""
-    return bar_chart(rows, x, series, title=title, width=width)
-
-
-def sparkline(values: Sequence[float], width: int = 60) -> str:
-    """One-line trend of a series (used in summaries)."""
-    if not values:
-        return ""
-    marks = "▁▂▃▄▅▆▇█"
-    lo, hi = min(values), max(values)
-    span = (hi - lo) or 1.0
-    step = max(1, len(values) // width)
-    picked = list(values)[::step][:width]
-    return "".join(
-        marks[min(7, int((v - lo) / span * 7.999))] for v in picked
-    )

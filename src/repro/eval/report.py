@@ -39,13 +39,6 @@ def render_table(
     return "\n".join(lines)
 
 
-def render_series(
-    rows: Sequence[dict], x: str, series: Sequence[str], title: str = ""
-) -> str:
-    """Render one figure's line series (x column + named y columns)."""
-    return render_table(rows, columns=[x, *series], title=title)
-
-
 def winners(rows: Sequence[dict], series: Sequence[str]) -> List[str]:
     """Per-row winning configuration (highest value) — e.g. which of the
     four GEMM configurations tops each DNN layer."""

@@ -3,10 +3,11 @@
 The live plane (:mod:`repro.serve.plane`) never calls
 ``asyncio.sleep`` or reads a wall clock directly.  Everything that
 takes time goes through a *timeline*, whose primitives come in two
-shapes: coroutine ones (``spawn``, ``sleep_until``, ``wait``,
-``join``) for code that reads best as a straight line, and callback
-ones (``call_soon``, ``call_at``) for the plane's hot path, where a
-step per batch or per arrival would cost a coroutine wake each.
+shapes: coroutine ones (``spawn``, ``sleep_until``, ``wait``, and
+``await task`` on a spawned task) for code that reads best as a
+straight line, and callback ones (``call_soon``, ``call_at``) for the
+plane's hot path, where a step per batch or per arrival would cost a
+coroutine wake each.
 
 * :class:`WallTimeline` maps the primitives straight onto asyncio —
   real sleeps, real time, ``loop.call_soon``/``loop.call_later`` — for
@@ -100,10 +101,6 @@ class WallTimeline:
     def spawn(self, coro: Coroutine) -> "asyncio.Task":
         """Run ``coro`` concurrently as a task."""
         return asyncio.get_running_loop().create_task(coro)
-
-    async def join(self, task: "asyncio.Task") -> Any:
-        """Wait for a :meth:`spawn`-ed task; return its result."""
-        return await task
 
     def execute(self, main: Coroutine) -> Any:
         """Run ``main`` to completion on a fresh event loop.
@@ -238,10 +235,6 @@ class VirtualTimeline:
         self._ready.append(task)
         return task
 
-    async def join(self, task: _Task) -> Any:
-        """Wait for a :meth:`spawn`-ed task; return (or raise) its result."""
-        return await task
-
     def _advance(self) -> None:
         """Queue the earliest live timer's callback, moving the clock."""
         while self._timers:
@@ -262,8 +255,9 @@ class VirtualTimeline:
     def execute(self, main: Coroutine) -> Any:
         """Run ``main`` to completion; return (or raise) its result.
 
-        A task's exception is its outcome, raised by :meth:`join`; a
-        callback's exception propagates out of ``execute`` at once.
+        A task's exception is its outcome, raised where the task is
+        awaited; a callback's exception propagates out of ``execute`` at
+        once.
         """
         main_task = self.spawn(main)
         ready = self._ready
@@ -281,7 +275,7 @@ class VirtualTimeline:
             except StopIteration as stop:
                 self.fire(task, stop.value)
                 continue
-            except Exception as error:  # the task's outcome, for join
+            except Exception as error:  # the task's outcome, for its awaiter
                 task._error = self._failure = error
                 self.fire(task)
                 continue
@@ -289,7 +283,7 @@ class VirtualTimeline:
                 raise TypeError(
                     f"{task._coro.__qualname__} awaited {awaited!r}: the "
                     "virtual timeline only schedules its own primitives "
-                    "(sleep_until, wait, join)"
+                    "(sleep_until, wait, a spawned task)"
                 )
             awaited._waiters.append(task)
         if main_task._error is not None:

@@ -7,8 +7,6 @@ micro-architectural model with the same observable mechanisms:
   kernel's k-loop instruction trace.  Captures FMA latency hiding by
   accumulator count (why 8x12 peaks), functional-unit contention (why loads
   matter), and the issue constraints that separate intrinsics from assembly.
-* :mod:`repro.sim.cache` — a trace-driven set-associative cache simulator,
-  used to validate the analytical memory model on small problems.
 * :mod:`repro.sim.memory` — the analytical memory model for full GEMM:
   packing traffic, C streaming, per-level residency of the BLIS tiles.
 * :mod:`repro.sim.timing` — composition: solo-mode kernel timing and

@@ -473,7 +473,6 @@ def parallel_gemm_breakdown(
     *,
     machine: MachineModel,
     plan_builder: PlanBuilder,
-    prefetch_c: bool = False,
     model: Optional[TimingModel] = None,
     dtype_bytes: int = 4,
 ) -> ParallelBreakdown:
@@ -548,7 +547,6 @@ def parallel_gemm_breakdown(
     (breakdown,) = price_grid_requests(
         [GridRequest(machine, shape, tiles, threads, grids)],
         source,
-        prefetch_c=prefetch_c,
         dtype_bytes=dtype_bytes,
         profile=False,
     )

@@ -97,27 +97,20 @@ class KernelTrace:
         return out
 
 
-def trace_from_kernel(kernel, extra_alu_per_iter: int = 0) -> KernelTrace:
+def trace_from_kernel(kernel) -> KernelTrace:
     """The per-iteration trace of a :class:`GeneratedKernel`.
 
-    The plain trace is built once per kernel and cached on it, so every
-    caller shares one object.  ``extra_alu_per_iter`` injects bookkeeping
-    operations — used by the baseline models to represent
-    compiler-generated addressing overhead in intrinsics code — and
-    builds a fresh, uncached trace.
+    The trace is built once per kernel and cached on it, so every caller
+    shares one object.
     """
-    if extra_alu_per_iter:
-        return _build_trace(kernel, extra_alu_per_iter)
     if kernel.trace is None:
-        kernel.trace = _build_trace(kernel, 0)
+        kernel.trace = _build_trace(kernel)
     return kernel.trace
 
 
-def _build_trace(kernel, extra_alu_per_iter: int) -> KernelTrace:
+def _build_trace(kernel) -> KernelTrace:
     steps = kernel.unrolled
     ops = [_op_from_step(step) for step in k_loop_calls(steps)]
-    for _ in range(extra_alu_per_iter):
-        ops.append(TraceOp("alu", 1, None, (), name="addr"))
     # loop bookkeeping: increment, compare, branch
     for name in ("add", "cmp", "b"):
         ops.append(TraceOp("alu", 1, None, (), name=name))

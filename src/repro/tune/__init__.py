@@ -96,7 +96,6 @@ def sweep(
     cache: Optional[TuneCache] = None,
     threads: Union[str, Iterable[int]] = (1,),
     obs=None,
-    verify_kernels: bool = True,
 ) -> dict:
     """Tune every (machine, problem, thread count) and return the winner
     artifact.
@@ -117,30 +116,26 @@ def sweep(
     reads all-hits even on a shared cache object).  ``obs`` forwards an
     observability bundle to :func:`repro.tune.executor.run_jobs`.
 
-    With ``verify_kernels`` (the default) every enumerated candidate's
-    generated kernel must pass the static verifier
-    (:func:`repro.analysis.filter_verified_jobs`); failing tiles are
-    dropped before evaluation — a malformed kernel can never be priced
+    Every enumerated candidate's generated kernel must pass the static
+    verifier (:func:`repro.analysis.filter_verified_jobs`); failing tiles
+    are dropped before evaluation — a malformed kernel can never be priced
     or win a sweep — and recorded in the artifact under
     ``rejected_tiles`` (absent when nothing was rejected, keeping
     clean artifacts byte-identical to pre-verification ones).
     """
+    from repro import obs as obslib
+    from repro.analysis import filter_verified_jobs
     from repro.isa.targets import target
 
     thread_axis = parse_threads(threads)
     jobs = enumerate_space(isas, problems, threads=thread_axis)
-    rejected = {}
-    if verify_kernels:
-        from repro import obs as obslib
-        from repro.analysis import filter_verified_jobs
-
-        jobs, rejected = filter_verified_jobs(jobs)
-        log = obslib.get_logger("tune")
-        for (isa, mr, nr), report in sorted(rejected.items()):
-            log.error(
-                f"rejected candidate {isa} {mr}x{nr}: kernel fails "
-                f"verification ({', '.join(report.codes)})"
-            )
+    jobs, rejected = filter_verified_jobs(jobs)
+    log = obslib.get_logger("tune")
+    for (isa, mr, nr), report in sorted(rejected.items()):
+        log.error(
+            f"rejected candidate {isa} {mr}x{nr}: kernel fails "
+            f"verification ({', '.join(report.codes)})"
+        )
     stats_before = cache.stats() if cache is not None else None
     records = run_jobs(jobs, workers=workers, cache=cache, obs=obs)
 

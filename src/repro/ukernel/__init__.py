@@ -16,7 +16,6 @@ from .extended import (
 )
 from .generator import (
     GeneratedKernel,
-    generate_all_steps,
     generate_microkernel,
     make_reference_kernel,
     make_scaled_reference_kernel,
@@ -25,7 +24,6 @@ from .registry import select_kernel_for
 
 __all__ = [
     "GeneratedKernel",
-    "generate_all_steps",
     "generate_microkernel",
     "generate_nopack_microkernel",
     "generate_scaled_microkernel",

@@ -552,14 +552,6 @@ def _retype_reference(reference: Procedure, dtype: str) -> Procedure:
     return p
 
 
-def generate_all_steps(
-    mr: int = 8, nr: int = 12, lib: Optional[dict] = None
-) -> List[Tuple[str, Procedure]]:
-    """The full v1..v6 sequence for display (the paper's Section III demo)."""
-    kernel = stored_microkernel(mr, nr, lib)
-    return list(kernel.steps.items())
-
-
 # ---------------------------------------------------------------------------
 # Vector-length-agnostic (VLA) tiles
 # ---------------------------------------------------------------------------

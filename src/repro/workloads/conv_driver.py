@@ -3,7 +3,7 @@
 The functional composition of the paper's DL story: lower a convolution
 layer with IM2ROW, run the resulting rectangular GEMM through the five-loop
 algorithm with generated micro-kernels, and reshape back to the output
-tensor.  Used by tests and the ResNet example to show the *whole* path
+tensor.  ``tests/test_conv_driver.py`` uses it to show the *whole* path
 computes real convolutions, not just that the dimensions match.
 """
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.core.affine import (
     LinExpr,
     delinearize,
-    diff_constant,
     exprs_equal,
     linearize,
     try_constant,
@@ -121,16 +120,6 @@ class TestEquality:
     def test_different_coefficients_unequal(self):
         it = Sym("it")
         assert not exprs_equal(mul(const(4), var(it)), mul(const(2), var(it)))
-
-    def test_diff_constant(self):
-        x = Sym("x")
-        a = add(var(x), const(5))
-        b = add(var(x), const(2))
-        assert diff_constant(a, b) == 3
-
-    def test_diff_non_constant(self):
-        x, y = Sym("x"), Sym("y")
-        assert diff_constant(var(x), var(y)) is None
 
     def test_try_constant(self):
         assert try_constant(add(const(2), const(3))) == 5

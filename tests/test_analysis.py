@@ -39,6 +39,7 @@ from repro.analysis import (
 )
 from repro.analysis.__main__ import main as check_main
 from repro.core.loopir import Call, For, Interval, WindowExpr, update
+from repro.isa.machine import CARMEL
 from repro.isa.targets import ISA_TARGETS, target
 from repro.sim.pipeline import trace_from_kernel
 from repro.tune.space import candidate_tiles
@@ -217,24 +218,27 @@ def test_clobbered_accumulator_is_E_ACC_CLOBBER():
 
 
 def test_register_overallocation_is_E_REG_PRESSURE():
-    report = verify_kernel(_neon_kernel(), registers=16)
+    narrow = dataclasses.replace(CARMEL, vector_registers=16)
+    report = verify_kernel(_neon_kernel(), machine=narrow)
     assert report.codes == ("E_REG_PRESSURE",)
 
 
 def test_wrong_instruction_count_is_E_COUNT_DRIFT():
     kernel = _neon_kernel()
     trace = trace_from_kernel(kernel)
-    starved = dataclasses.replace(trace, ops=trace.ops[:-4])
-    report = verify_kernel(kernel, trace=starved)
+    doctored = dataclasses.replace(kernel)
+    doctored.trace = dataclasses.replace(trace, ops=trace.ops[:-4])
+    report = verify_kernel(doctored)
     assert report.codes == ("E_COUNT_DRIFT",)
 
 
 def test_census_agrees_with_timing_model_trace():
     """The verifier's static census is the trace the model prices."""
     kernel = _neon_kernel()
-    assert verify_kernel(
-        kernel, trace=trace_from_kernel(kernel)
-    ).ok
+    derived = dataclasses.replace(kernel)
+    derived.trace = trace_from_kernel(kernel)
+    assert verify_kernel(derived).ok
+    assert trace_from_kernel(derived) is kernel.trace
 
 
 def _rvv_parts(mr, nr):
@@ -280,14 +284,15 @@ def test_identity_caches_serve_only_their_own_proc(monkeypatch):
     has must not be served: each entry pins and checks its proc."""
     from repro.analysis import verifier
     from repro.analysis.verifier import Finding
+    from repro.core import effects
 
     fma = target("neon").lib["fmla_lane"].ir
     stranger = target("neon").lib["load"].ir
-    kinds = verifier._classify_formals(fma)
+    kinds = effects.classify_formals(fma)
     monkeypatch.setitem(
-        verifier._classify_cache, id(fma), (stranger, {"bogus": "write"})
+        effects._classify_cache, id(fma), (stranger, {"bogus": "write"})
     )
-    assert verifier._classify_formals(fma) == kinds
+    assert effects.classify_formals(fma) == kinds
     monkeypatch.setitem(
         verifier._instr_checked,
         id(fma),

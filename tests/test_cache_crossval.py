@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sim.cache import Cache
+from cache_oracle import Cache
 
 F32 = 4
 LINE = 64

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.eval.figures import bar_chart, line_chart, sparkline
+from repro.eval.figures import bar_chart
 
 
 SAMPLE = [
@@ -33,22 +33,6 @@ class TestBarChart:
 
     def test_empty(self):
         assert bar_chart([], x="x", series=["y"]) == "(no data)"
-
-    def test_line_chart_alias(self):
-        assert "8x12" in line_chart(SAMPLE, x="shape", series=["NEON"])
-
-
-class TestSparkline:
-    def test_monotone_series(self):
-        s = sparkline([1, 2, 3, 4, 5, 6, 7, 8])
-        assert s[0] == "▁" and s[-1] == "█"
-
-    def test_flat_series(self):
-        s = sparkline([3, 3, 3])
-        assert len(set(s)) == 1
-
-    def test_empty(self):
-        assert sparkline([]) == ""
 
 
 class TestEvalCli:

@@ -22,9 +22,9 @@ from repro.isa.avx512 import AVX512_F32_LIB
 from repro.isa.neon import NEON_F32_LIB
 from repro.isa.neon_fp16 import NEON_F16_LIB
 from repro.ukernel.generator import (
-    generate_all_steps,
     generate_microkernel,
     make_scaled_reference_kernel,
+    stored_microkernel,
 )
 
 
@@ -208,9 +208,8 @@ class TestScaledReference:
         p.interpret(mr, nr, kc, alpha, ac, bc, beta, c)
         np.testing.assert_allclose(c, expected, rtol=1e-5)
 
-    def test_generate_all_steps_order(self):
-        steps = generate_all_steps(4, 4)
-        names = [name for name, _ in steps]
+    def test_steps_order(self):
+        names = list(stored_microkernel(4, 4).steps)
         assert names == [
             "v1_specialized",
             "v2_loop_structure",

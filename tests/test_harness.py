@@ -32,7 +32,7 @@ from repro.eval.harness import (
     threaded_instance_time_data,
     tuned_layer_breakdown,
 )
-from repro.eval.report import render_series, render_table, winners
+from repro.eval.report import render_table, winners
 from repro.isa.machine import CARMEL, MACHINES
 from repro.obs import profile as obs_profile
 from repro.obs.profile import GemmProfiler
@@ -250,7 +250,7 @@ class TestReport:
         assert "Fig 13" in text and "8x12" in text
 
     def test_render_series(self, fig14):
-        text = render_series(fig14, x="size", series=CONFIGS)
+        text = render_table(fig14, columns=["size", *CONFIGS])
         assert "ALG+EXO" in text
 
     def test_render_empty(self):

@@ -353,7 +353,6 @@ def test_verify_and_trace_share_one_unroll(monkeypatch):
     kernel = generate_microkernel(8, 12, NEON_F32_LIB)
     assert verify_kernel(kernel).ok
     trace_from_kernel(kernel)
-    trace_from_kernel(kernel, extra_alu_per_iter=2)
     assert unrolled == [kernel.proc.ir]
     # the stream belongs to its proc: a replaced kernel unrolls anew
     trace_from_kernel(dataclasses.replace(kernel))

@@ -100,7 +100,7 @@ class TestVirtualTimeline:
                 timeline.spawn(sleeper(ms)) for ms in (30.0, 10.0, 20.0)
             ]
             for task in tasks:
-                await timeline.join(task)
+                await task
 
         timeline.execute(main())
         assert order == [(10.0, 10.0), (20.0, 20.0), (30.0, 30.0)]

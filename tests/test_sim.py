@@ -13,10 +13,10 @@ import parallel_oracle as oracle
 import pytest
 
 from repro.isa.machine import CARMEL, GENERIC_ARM
-from repro.sim.cache import Cache, hierarchy_for
+from cache_oracle import Cache, hierarchy_for
 from parallel_oracle import memory_cost
 from repro.sim.memory import GemmShape, TileParams
-from repro.sim.pipeline import PipelineModel, trace_from_kernel
+from repro.sim.pipeline import PipelineModel, TraceOp, trace_from_kernel
 from repro.sim.timing import (
     ChunkPlan,
     gemm_time_model,
@@ -28,6 +28,12 @@ from repro.sim.timing import (
 @pytest.fixture(scope="module")
 def pm():
     return PipelineModel()
+
+
+def _with_alu_ops(trace, n):
+    """``trace`` plus ``n`` addressing ops per iteration, in a new trace."""
+    extra = [TraceOp("alu", 1, None, (), name="addr") for _ in range(n)]
+    return dataclasses.replace(trace, ops=trace.ops + extra)
 
 
 class TestPipelineMechanisms:
@@ -59,7 +65,7 @@ class TestPipelineMechanisms:
 
     def test_extra_alu_ops_do_not_disturb_vector_bound(self, registry, pm):
         base = trace_from_kernel(registry.get(8, 12))
-        loaded = trace_from_kernel(registry.get(8, 12), extra_alu_per_iter=4)
+        loaded = _with_alu_ops(base, 4)
         assert pm.steady_cycles_per_iter(loaded) == pytest.approx(
             pm.steady_cycles_per_iter(base), abs=0.2
         )
@@ -94,9 +100,9 @@ class TestPricingInputsBuiltOnce:
         built = []
         build = pipeline._build_trace
 
-        def counting_build(kernel, extra):
+        def counting_build(kernel):
             built.append(kernel)
-            return build(kernel, extra)
+            return build(kernel)
 
         checked = []
         check = verifier._check_census
@@ -140,7 +146,7 @@ class TestPricingInputsBuiltOnce:
         kernel = registry.get(8, 12)
         trace = trace_from_kernel(kernel)
         before = dataclasses.astuple(trace)
-        loaded = trace_from_kernel(kernel, extra_alu_per_iter=3)
+        loaded = _with_alu_ops(trace, 3)
         assert loaded is not trace
         assert len(loaded.ops) == len(trace.ops) + 3
         neon_kernel_model(kernel=kernel)

@@ -33,7 +33,6 @@ import asyncio
 import heapq
 import math
 import tempfile
-import weakref
 from pathlib import Path
 from typing import Any, Coroutine, List, Tuple
 
@@ -78,11 +77,6 @@ class AsyncioVirtualTimeline:
         self._sleepers: List[Tuple[float, int, "asyncio.Future", Any]] = []
         self._runnable = 0
         self._waited: set = set()
-        #: task -> completion future, for :meth:`join`; weak keys so
-        #: long runs don't accumulate finished-task entries
-        self._completions: "weakref.WeakKeyDictionary" = (
-            weakref.WeakKeyDictionary()
-        )
 
     def now_ms(self) -> float:
         """The current virtual time in milliseconds."""
@@ -157,14 +151,12 @@ class AsyncioVirtualTimeline:
         self.spawn(step())
         return timer
 
-    def spawn(self, coro: Coroutine) -> "asyncio.Task":
+    def spawn(self, coro: Coroutine) -> "_OracleTask":
         """Run ``coro`` as a task tracked by the runnable accounting.
 
-        Virtual-time callers must :meth:`join` a spawned task rather
-        than ``await`` it: a raw task-await leaves the waiter counted
-        runnable, freezing the clock.  The completion future is fired
-        *inside* the task's own final step, so a joiner is re-marked
-        runnable before the stepper can look at the counter.
+        The completion future is fired *inside* the task's own final
+        step, so a task awaiting it is re-marked runnable before the
+        stepper can look at the counter.
         """
         completion = self.create_future()
 
@@ -177,15 +169,7 @@ class AsyncioVirtualTimeline:
 
         self._runnable += 1
         task = asyncio.get_running_loop().create_task(wrapped())
-        self._completions[task] = completion
-        return task
-
-    async def join(self, task: "asyncio.Task") -> Any:
-        """Wait for a :meth:`spawn`-ed task; return (or raise) its result."""
-        completion = self._completions.get(task)
-        if completion is not None and not task.done():
-            await self.wait(completion)
-        return await task
+        return _OracleTask(self, task, completion)
 
     def _advance(self) -> None:
         """Wake the earliest pending virtual timer."""
@@ -204,7 +188,7 @@ class AsyncioVirtualTimeline:
         )
 
     async def _drive(self, main: Coroutine) -> Any:
-        task = self.spawn(main)
+        task = self.spawn(main).task
         while not task.done():
             if self._runnable == 0:
                 self._advance()
@@ -214,6 +198,28 @@ class AsyncioVirtualTimeline:
     def execute(self, main: Coroutine) -> Any:
         """Run ``main`` under the stepper on a fresh event loop."""
         return asyncio.run(self._drive(main))
+
+
+class _OracleTask:
+    """A :meth:`AsyncioVirtualTimeline.spawn` handle.
+
+    Awaiting it parks on the task's completion future first: a raw
+    asyncio task-await would leave the waiter counted runnable,
+    freezing the clock.
+    """
+
+    def __init__(self, timeline: AsyncioVirtualTimeline, task, completion):
+        self.timeline = timeline
+        self.task = task
+        self.completion = completion
+
+    def __await__(self):
+        return self._result().__await__()
+
+    async def _result(self) -> Any:
+        if not self.task.done():
+            await self.timeline.wait(self.completion)
+        return await self.task
 
 
 class _OracleTimer:
@@ -380,7 +386,7 @@ class TestLoopEdgeCases:
                 for name, ms in ((0, 3.0), (1, 1.0), (2, 2.0))
             ]
             for task in tasks:
-                await timeline.join(task)
+                await task
 
         timeline.execute(main())
         assert order == [(1, 10.0), (2, 10.0), (0, 10.0)]
@@ -404,7 +410,7 @@ class TestLoopEdgeCases:
             timeline.fire(first, 1)
             timeline.fire(first, "ignored: already fired")
             for task in tasks:
-                await timeline.join(task)
+                await task
 
         timeline.execute(main())
         assert order == [("b", 2), ("a", 1)]
@@ -423,7 +429,7 @@ class TestLoopEdgeCases:
             await timeline.sleep_until(1.0)
             timeline.fire(shared)
             for task in tasks:
-                await timeline.join(task)
+                await task
 
         timeline.execute(main())
         assert order == ["a", "b", "c"]
@@ -449,7 +455,7 @@ class TestLoopEdgeCases:
         async def main():
             task = timeline.spawn(worker())
             with pytest.raises(KeyError, match="worker"):
-                await timeline.join(task)
+                await task
             return timeline.now_ms()
 
         assert timeline.execute(main()) == 2.0
@@ -495,7 +501,7 @@ class TestLoopEdgeCases:
             task = timeline.spawn(sleeper())
             await timeline.sleep_until(5.0)
             timeline.call_at(10.0, record, "c1")
-            await timeline.join(task)
+            await task
             await timeline.sleep_until(11.0)
 
         timeline.execute(main())
@@ -513,7 +519,7 @@ class TestLoopEdgeCases:
             timeline.call_soon(order.append, "callback")
             tasks.append(timeline.spawn(worker("b")))
             for task in tasks:
-                await timeline.join(task)
+                await task
 
         timeline.execute(main())
         assert order == ["a", "callback", "b"]
@@ -580,7 +586,7 @@ class TestVirtualLoopDiagnostics:
                 await loop.create_future()
 
             async def main():
-                await timeline.join(timeline.spawn(stray()))
+                await timeline.spawn(stray())
 
             with pytest.raises(TypeError, match="stray awaited <Future"):
                 timeline.execute(main())

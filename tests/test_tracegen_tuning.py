@@ -7,6 +7,7 @@ import math
 import parallel_oracle as oracle
 import pytest
 from parallel_oracle import memory_cost
+from tracegen_oracle import simulate_gemm_trace
 
 from repro.blis.params import clamp_tiles
 from repro.blis.tuning import (
@@ -18,7 +19,6 @@ from repro.isa.machine import CARMEL
 from repro.sim.timing import ChunkPlan
 from repro.sim.memory import GemmShape, TileParams
 from repro.sim.pipeline import trace_from_kernel
-from repro.sim.tracegen import simulate_gemm_trace
 
 
 class TestTraceSimulator:

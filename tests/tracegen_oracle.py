@@ -16,10 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List
 
-from repro.isa.machine import CARMEL, MachineModel
+from cache_oracle import CacheHierarchy, hierarchy_for
 
-from .cache import CacheHierarchy, hierarchy_for
-from .memory import GemmShape, TileParams
+from repro.isa.machine import CARMEL, MachineModel
+from repro.sim.memory import GemmShape, TileParams
 
 F32 = 4
 
