@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from repro.core import DRAM, Neon, Neon8f, proc
 from repro.core.effects import (
+    access_kinds,
+    classify_formals,
     expr_range,
     fission_safe,
     loop_bounds_const,
@@ -29,6 +31,7 @@ from repro.core.typesys import (
     parse_scalar_type,
     types_compatible,
 )
+from repro.isa.targets import target
 
 
 class TestTypes:
@@ -144,6 +147,78 @@ class TestEffects:
         for concrete in range(lo_bound, hi_bound + 1):
             value = coeff * concrete + offset
             assert rng[0] <= value <= rng[1]
+
+
+def _kinds_by_name(kinds):
+    return {sym.name: kind for sym, kind in kinds.items()}
+
+
+class TestAccessKinds:
+    def test_reduce_target_and_rhs_read(self):
+        kinds = _kinds_by_name(access_kinds(sample_effects.ir.body))
+        assert kinds["y"] == "reduce"
+        assert kinds["x"] == "read"
+
+    def test_assign_target_is_write(self):
+        @proc
+        def copy(N: size, x: f32[N] @ DRAM, y: f32[N] @ DRAM):
+            for i in seq(0, N):
+                y[i] = x[i]
+
+        kinds = _kinds_by_name(access_kinds(copy.ir.body))
+        assert kinds["y"] == "write"
+        assert kinds["x"] == "read"
+
+    def test_written_then_read_is_reduce(self):
+        @proc
+        def staged(
+            N: size, x: f32[N] @ DRAM, t: f32[N] @ DRAM, y: f32[N] @ DRAM
+        ):
+            for i in seq(0, N):
+                t[i] = x[i]
+                y[i] = t[i]
+
+        kinds = _kinds_by_name(access_kinds(staged.ir.body))
+        assert kinds == {"x": "read", "t": "reduce", "y": "write", "i": "read"}
+
+    def test_index_and_negated_operands_are_reads(self):
+        @proc
+        def negate(N: size, x: f32[N] @ DRAM, y: f32[N] @ DRAM):
+            for i in seq(0, N):
+                y[i] = -x[i]
+
+        kinds = _kinds_by_name(access_kinds(negate.ir.body))
+        assert kinds["x"] == "read"
+        assert kinds["i"] == "read"
+        assert kinds["y"] == "write"
+
+    def test_agrees_with_written_and_read_sets_without_calls(self):
+        body = sample_effects.ir.body
+        kinds = access_kinds(body)
+        written = {s for s, k in kinds.items() if k in ("write", "reduce")}
+        assert written == written_buffers(body)
+        assert read_buffers(body) <= set(kinds)
+
+    def test_instruction_formals_by_direction(self):
+        lib = target("neon").lib
+        load = _kinds_by_name(classify_formals(lib["load"].ir))
+        fma = _kinds_by_name(classify_formals(lib["fmla_lane"].ir))
+        assert (load["dst"], load["src"]) == ("write", "read")
+        assert fma["dst"] == "reduce"
+        assert fma["lhs"] == fma["rhs"] == "read"
+
+    def test_classify_formals_is_memoized_per_proc(self):
+        fma = target("neon").lib["fmla_lane"].ir
+        assert classify_formals(fma) is classify_formals(fma)
+
+    def test_call_actuals_take_the_callee_directions(self, uk8x12):
+        """In a generated kernel every operand is reached only through
+        instruction calls: the packed panels are read, C is loaded and
+        stored back (read-modify-write)."""
+        kinds = _kinds_by_name(access_kinds(uk8x12.proc.ir.body))
+        assert kinds["Ac"] == kinds["Bc"] == "read"
+        assert kinds["C"] == "reduce"
+        assert kinds["C_reg"] == "reduce"
 
 
 class TestTraversal:

@@ -251,6 +251,17 @@ def test_vla_parts_that_tile_the_rows_verify():
     assert report.ok, [str(f) for f in report.findings]
 
 
+def test_vla_parts_are_held_to_the_machine_register_file():
+    """The plan's machine is every part's register budget."""
+    t = target("rvv128")
+    narrow = dataclasses.replace(t.machine, vector_registers=8)
+    report = verify_plan(_rvv_parts(7, 12), 7, 12, machine=narrow)
+    assert report.codes == ("E_REG_PRESSURE",)
+    assert len(report.findings) == 2
+    assert all("holds 8" in str(f) for f in report.findings)
+    assert verify_plan(_rvv_parts(7, 12), 7, 12, machine=t.machine).ok
+
+
 def test_vla_parts_with_a_gap_are_E_PLAN_COVER():
     (body, tail) = _rvv_parts(7, 12)
     shifted = [body, (tail[0] + 1, tail[1])]

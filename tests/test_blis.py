@@ -17,6 +17,7 @@ from repro.blis.packing import (
 from repro.blis.params import analytical_tile_params, clamp_tiles
 from repro.blis.reference import naive_gemm
 from repro.isa.machine import CARMEL
+from repro.isa.targets import ISA_TARGETS, target
 from repro.sim.memory import TileParams
 
 
@@ -176,3 +177,26 @@ class TestBlisGemmDriver:
                 np.ones((6, 7), dtype=np.float32),
                 np.zeros((4, 7), dtype=np.float32),
             )
+
+
+def _assert_greedy_cover(chunks, extent, sizes):
+    """``chunks`` takes the largest size that fits what is left, and one
+    padded tile of the smallest size over a ragged edge."""
+    left = extent
+    for chunk in chunks[:-1]:
+        assert chunk == max(s for s in sizes if s <= left)
+        left -= chunk
+    fitting = [s for s in sizes if s <= left]
+    assert chunks[-1] == (max(fitting) if fitting else min(sizes))
+    assert sum(chunks) - extent < min(sizes)
+
+
+@pytest.mark.parametrize("isa", sorted(ISA_TARGETS))
+def test_chunks_are_a_greedy_cover_of_the_family(isa):
+    t = target(isa)
+    engine = BlisGemm({s: t.get(*s) for s in t.family})
+    heights = {mr for mr, _ in t.family}
+    widths = {nr for _, nr in t.family}
+    for extent in range(1, 400):
+        _assert_greedy_cover(engine.m_chunks(extent), extent, heights)
+        _assert_greedy_cover(engine.n_chunks(extent), extent, widths)

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from repro.isa.avx512 import AVX512_F32_LIB
-from repro.isa.targets import target
+from repro.isa.targets import ISA_TARGETS, target
 from repro.ukernel.extended import (
     generate_nopack_microkernel,
     generate_scaled_microkernel,
@@ -80,3 +80,54 @@ def test_scaled_kernel_declares_element_typed_temporaries():
     code = generate_scaled_microkernel(8, 12).proc.c_code()
     assert "float Cb[12 * 8];" in code
     assert "float Ba[KC * 12];" in code
+
+
+def _pointer_params(code: str) -> dict:
+    """``{name: const-qualified}`` for the pointer parameters of the one
+    function ``code`` defines."""
+    sig = next(line for line in code.splitlines() if line.startswith("void "))
+    params = sig[sig.index("(") + 1 : sig.rindex(")")].split(", ")
+    return {
+        p.rsplit(" ", 1)[1]: p.startswith("const ") for p in params if "*" in p
+    }
+
+
+def _tile_kernels(t):
+    tiles = list(t.family)
+    if t.lib_factory is not None:
+        lanes = t.lib["lanes"]
+        widths = sorted({nr for _, nr in t.family})
+        tiles += [(mr, nr) for nr in widths for mr in range(1, 2 * lanes + 1)]
+    for mr, nr in tiles:
+        for _, kernel in t.tile_parts(mr, nr):
+            yield kernel
+
+
+@pytest.mark.parametrize("isa", sorted(ISA_TARGETS))
+def test_only_the_output_tile_is_a_mutable_pointer(isa):
+    """A micro-kernel writes C and nothing else it is passed, so every
+    other pointer operand (the packed panels) is emitted ``const``."""
+    for kernel in _tile_kernels(target(isa)):
+        params = _pointer_params(kernel.proc.c_code())
+        assert {"Ac", "Bc", "C"} <= set(params), kernel.name
+        mutable = {name for name, const in params.items() if not const}
+        assert mutable == {"C"}, kernel.name
+
+
+@pytest.mark.parametrize(
+    "build, inputs",
+    [
+        pytest.param(
+            lambda: generate_nopack_microkernel(8, 12), {"A", "B"}, id="nopack"
+        ),
+        pytest.param(
+            lambda: generate_scaled_microkernel(8, 12),
+            {"alpha", "Ac", "Bc", "beta"},
+            id="scaled",
+        ),
+    ],
+)
+def test_extended_kernels_qualify_their_inputs_const(build, inputs):
+    params = _pointer_params(build().proc.c_code())
+    assert {name for name, const in params.items() if const} == inputs
+    assert {name for name, const in params.items() if not const} == {"C"}

@@ -170,6 +170,20 @@ class TestVirtualTimeline:
         assert timeline_for("mock").kind == "wall"
 
 
+class TestWallTimeline:
+    def test_awaiting_a_task_returns_its_result(self):
+        timeline = WallTimeline()
+
+        async def worker():
+            await timeline.sleep_until(timeline.now_ms() + 1.0)
+            return "woke"
+
+        async def main():
+            return await timeline.spawn(worker())
+
+        assert timeline.execute(main()) == "woke"
+
+
 class TestControllers:
     def test_mock_controller_prices_affinely(self):
         ctrl = MockController(base_ms=2.0, per_item_ms=0.5)

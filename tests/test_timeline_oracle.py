@@ -19,12 +19,13 @@ must schedule identically:
   Chrome trace, JSONL log, metrics JSON and Prometheus text;
 * the edge-case tests pin the loop's ordering and failure rules on
   both timelines: same-instant sleepers and timers, ``call_soon``'s
-  queue place, two fires in one step, the waiters of one future,
-  exceptions in ``main`` and in a joined task, cancelled timers, and
-  the diagnosed deadlock; under the production timeline a foreign
-  awaitable (an asyncio sleep or future) is a ``TypeError``, not a
-  hang, and a failed task nobody joined is the cause of the deadlock
-  it leads to.
+  queue place, two fires in one step, the waiters of one future, the
+  result of an awaited task (to each of its awaiters, and at once once
+  it is finished), exceptions in ``main`` and in an awaited task,
+  cancelled timers, and the diagnosed deadlock; under the production
+  timeline a foreign awaitable (an asyncio sleep or future) is a
+  ``TypeError``, not a hang, and a failed task nobody awaited is the
+  cause of the deadlock it leads to.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import heapq
 import math
 import tempfile
 from pathlib import Path
-from typing import Any, Coroutine, List, Tuple
+from typing import Any, Coroutine, Dict, List, Tuple
 
 import pytest
 from hypothesis import assume, given, settings
@@ -76,7 +77,8 @@ class AsyncioVirtualTimeline:
         #: (wake_ms, seq, future, value) pending virtual timers
         self._sleepers: List[Tuple[float, int, "asyncio.Future", Any]] = []
         self._runnable = 0
-        self._waited: set = set()
+        #: future -> how many tasks are parked on it
+        self._waited: Dict["asyncio.Future", int] = {}
 
     def now_ms(self) -> float:
         """The current virtual time in milliseconds."""
@@ -87,20 +89,18 @@ class AsyncioVirtualTimeline:
         return asyncio.get_running_loop().create_future()
 
     def fire(self, future: "asyncio.Future", value: Any = None) -> None:
-        """Resolve ``future``, synchronously re-marking its waiter runnable.
+        """Resolve ``future``, synchronously re-marking its waiters runnable.
 
         The runnable count moves *before* ``set_result`` so the stepper
         never sees a woken-but-uncounted task and advances time over it.
         """
         if future.done():
             return
-        if future in self._waited:
-            self._waited.discard(future)
-            self._runnable += 1
+        self._runnable += self._waited.pop(future, 0)
         future.set_result(value)
 
     def _block_on(self, future: "asyncio.Future") -> None:
-        self._waited.add(future)
+        self._waited[future] = self._waited.get(future, 0) + 1
         self._runnable -= 1
 
     async def _await_blocked(self, future: "asyncio.Future") -> Any:
@@ -108,7 +108,9 @@ class AsyncioVirtualTimeline:
             return await future
         except asyncio.CancelledError:
             if future in self._waited:
-                self._waited.discard(future)
+                self._waited[future] -= 1
+                if not self._waited[future]:
+                    del self._waited[future]
                 self._runnable += 1
             raise
 
@@ -459,6 +461,54 @@ class TestLoopEdgeCases:
             return timeline.now_ms()
 
         assert timeline.execute(main()) == 2.0
+
+    def test_awaiting_a_task_returns_its_result(self, timeline_cls):
+        timeline = timeline_cls()
+
+        async def worker():
+            await timeline.sleep_until(3.0)
+            return "done"
+
+        async def main():
+            got = await timeline.spawn(worker())
+            return got, timeline.now_ms()
+
+        assert timeline.execute(main()) == ("done", 3.0)
+
+    def test_awaiting_a_finished_task_keeps_the_clock(self, timeline_cls):
+        timeline = timeline_cls()
+
+        async def worker():
+            await timeline.sleep_until(2.0)
+            return 7
+
+        async def main():
+            task = timeline.spawn(worker())
+            await timeline.sleep_until(5.0)
+            got = await task
+            return got, timeline.now_ms()
+
+        assert timeline.execute(main()) == (7, 5.0)
+
+    def test_every_awaiter_of_a_task_gets_its_result(self, timeline_cls):
+        timeline = timeline_cls()
+        got = []
+
+        async def worker():
+            await timeline.sleep_until(4.0)
+            return "shared"
+
+        async def awaiter(name, task):
+            got.append((name, await task, timeline.now_ms()))
+
+        async def main():
+            task = timeline.spawn(worker())
+            awaiters = [timeline.spawn(awaiter(n, task)) for n in "ab"]
+            for other in awaiters:
+                await other
+
+        timeline.execute(main())
+        assert got == [("a", "shared", 4.0), ("b", "shared", 4.0)]
 
     def test_deadlock_is_diagnosed_past_stale_timers(self, timeline_cls):
         # the close timer at 50 ms is cancelled once the fire at 5 ms
